@@ -395,9 +395,16 @@ def codebook_from_document(doc: dict, validate: bool = True) -> Codebook:
             raise CodebookError(f"unsupported codebook version: {version}")
         n = int(doc["n"])
         lam = int(doc["lambda"])
+        if n < 1:
+            raise CodebookError(f"n must be at least 1, got {n}")
+        orderings = [[int(x) for x in e["s_j"]] for e in doc["entries"]]
+        # lengths first: building the entries costs O(n), and n is untrusted
+        for idx, s_j in enumerate(orderings):
+            if len(s_j) != n:
+                raise CodebookError(f"entry {idx}: expected {n} labels, got {len(s_j)}")
         entries = tuple(
-            make_entry((e["bits"][0], e["bits"][1]), [int(x) for x in e["s_j"]], n)
-            for e in doc["entries"]
+            make_entry((e["bits"][0], e["bits"][1]), s_j, n)
+            for e, s_j in zip(doc["entries"], orderings)
         )
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise CodebookError(f"malformed codebook document: {exc}") from exc

@@ -17,12 +17,8 @@ import numpy as np
 
 __all__ = [
     "SpinOutcome",
-    "PairOutcomes",
-    "PairBlock",
     "NoiseModel",
     "NOISELESS",
-    "sample_singlet",
-    "apply_noise",
     "sample_block",
     "flip_outcomes",
 ]
@@ -46,22 +42,6 @@ class SpinOutcome(IntEnum):
             return cls.MINUS
         raise ValueError(f"not a spin outcome symbol: {text!r}")
 
-    def negate(self) -> "SpinOutcome":
-        # Involution: negate(negate(x)) == x.
-        return SpinOutcome(-self.value)
-
-
-@dataclass(frozen=True)
-class PairOutcomes:
-    """Predetermined z-outcomes for the two halves of one pair."""
-
-    i_side: SpinOutcome
-    j_side: SpinOutcome
-
-    @property
-    def anti_correlated(self) -> bool:
-        return self.i_side is not self.j_side
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -82,56 +62,13 @@ class NoiseModel:
 NOISELESS = NoiseModel(0.0)
 
 
-@dataclass(eq=False)
-class PairBlock:
-    """Outcomes for pairs labelled 1..n, one int8 array of +/-1 per side."""
-
-    i_side: np.ndarray
-    j_side: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.i_side)
-
-    def pair(self, label: int) -> PairOutcomes:
-        if not 1 <= label <= len(self):
-            raise IndexError(f"pair label out of range: {label}")
-        return PairOutcomes(
-            SpinOutcome(int(self.i_side[label - 1])),
-            SpinOutcome(int(self.j_side[label - 1])),
-        )
-
-
-def sample_singlet(rng: np.random.Generator) -> PairOutcomes:
-    """One pair: uniform orientation, sides strictly opposite."""
-    i_side = SpinOutcome.PLUS if rng.integers(2) == 0 else SpinOutcome.MINUS
-    return PairOutcomes(i_side, i_side.negate())
-
-
-def apply_noise(pair: PairOutcomes, noise: NoiseModel, rng: np.random.Generator) -> PairOutcomes:
-    """Flip each side independently with the model's probability."""
-    p = noise.flip_probability
-    if p == 0.0:
-        return pair
-    i_side = pair.i_side.negate() if rng.random() < p else pair.i_side
-    j_side = pair.j_side.negate() if rng.random() < p else pair.j_side
-    return PairOutcomes(i_side, j_side)
-
-
-def sample_block(n: int, noise: NoiseModel, rng: np.random.Generator) -> PairBlock:
-    """Outcomes for a block of n pairs; same seed gives the same block.
-
-    Draw order is fixed (orientations, then i-side flips, then j-side flips)
-    so blocks are reproducible bit for bit from the generator state.
-    """
+def sample_block(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Sender-side orientations of n pairs, one int8 +/-1 per pair label;
+    the other side of each pair is the negation. Same generator state gives
+    the same block."""
     if n < 1:
         raise ValueError(f"block size must be at least 1, got {n}")
-    signs = (rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1).astype(np.int8)
-    i_side = signs
-    j_side = -signs
-    if not noise.noiseless:
-        i_side = flip_outcomes(i_side, noise, rng)
-        j_side = flip_outcomes(j_side, noise, rng)
-    return PairBlock(i_side, j_side)
+    return (rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1).astype(np.int8)
 
 
 def flip_outcomes(values: np.ndarray, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:

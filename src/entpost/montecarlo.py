@@ -10,8 +10,8 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import IO, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import IO, Sequence
 
 from . import rng as rng_mod
 from .codebook import (
@@ -24,13 +24,13 @@ from .codebook import (
 from .epr import NOISELESS, NoiseModel
 from .netsim import FairnessPolicy, Honest, Strategy, fairness_gap
 from .protocol import (
-    DecodeStatus,
     Party,
     ProtocolConfig,
     Receiver,
     alice_prepare,
     measure_all,
     run_session,
+    terminal_record,
 )
 
 __all__ = [
@@ -141,23 +141,6 @@ def _drive_honest(config: ProtocolConfig, bits: tuple[int, int], cb: Codebook):
     return receivers
 
 
-def _terminal_fields(res_bob, res_sonai) -> tuple[str, int | None, int | None, float, str | None]:
-    """Session-level summary from the two private results, mirroring the
-    simulator's terminal rules."""
-    for res in (res_bob, res_sonai):
-        if res.status is DecodeStatus.ABORT:
-            return "abort", None, None, 0.0, res.abort_reason.value
-    agreed = (
-        res_bob.status is DecodeStatus.DECODED
-        and res_sonai.status is DecodeStatus.DECODED
-        and (res_bob.bob_bit, res_bob.sonai_bit) == (res_sonai.bob_bit, res_sonai.sonai_bit)
-    )
-    confidence = min(res_bob.confidence, res_sonai.confidence)
-    if agreed:
-        return "decoded", res_bob.bob_bit, res_bob.sonai_bit, confidence, None
-    return "undecided", None, None, confidence, None
-
-
 def run_trial(spec: ExperimentSpec, cb: Codebook, trial: int) -> dict:
     """One self-contained trial; the row carries everything reports need."""
     seed = rng_mod.derive_seed(spec.seed, rng_mod.KEY_TRIAL, trial)
@@ -178,29 +161,19 @@ def run_trial(spec: ExperimentSpec, cb: Codebook, trial: int) -> dict:
             policy=spec.policy,
         )
         terminal = outcome.terminal
-        row.update(
-            status=terminal.status.value,
-            bob_bit=terminal.bob_bit,
-            sonai_bit=terminal.sonai_bit,
-            confidence=terminal.confidence,
-            abort_reason=terminal.abort_reason.value if terminal.abort_reason else None,
-            ticks=outcome.ticks,
-            fairness_gap=fairness_gap(outcome.transcript),
-        )
-        return row
-
-    receivers = _drive_honest(config, bits, cb)
-    res_bob = receivers[Party.BOB].decode()
-    res_sonai = receivers[Party.SONAI].decode()
-    status, bob_bit, sonai_bit, confidence, abort_reason = _terminal_fields(res_bob, res_sonai)
+        ticks, gap = outcome.ticks, fairness_gap(outcome.transcript)
+    else:
+        receivers = _drive_honest(config, bits, cb)
+        terminal = terminal_record(receivers[Party.BOB].decode(), receivers[Party.SONAI].decode())
+        ticks, gap = 2 * spec.n + 1, 1
     row.update(
-        status=status,
-        bob_bit=bob_bit,
-        sonai_bit=sonai_bit,
-        confidence=confidence,
-        abort_reason=abort_reason,
-        ticks=2 * spec.n + 1,
-        fairness_gap=1,
+        status=terminal.status.value,
+        bob_bit=terminal.bob_bit,
+        sonai_bit=terminal.sonai_bit,
+        confidence=terminal.confidence,
+        abort_reason=terminal.abort_reason.value if terminal.abort_reason else None,
+        ticks=ticks,
+        fairness_gap=gap,
     )
     if spec.mode == "soundness":
         opener = receivers[spec.reveal_first]

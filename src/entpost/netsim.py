@@ -13,9 +13,8 @@ A receiver stalled for ``timeout_ticks`` consecutive ticks gives up.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
@@ -33,10 +32,10 @@ from .protocol import (
     Receiver,
     RevealEvent,
     SessionOutcome,
-    TerminalRecord,
     Transcript,
     alice_prepare,
     measure_all,
+    terminal_record,
 )
 
 __all__ = [
@@ -88,7 +87,6 @@ class Link:
         self.delay = delay
         self.queue: deque[WireMessage] = deque()
         self._next_seq = 0
-        self._last_delivered_seq = -1
 
     @property
     def name(self) -> str:
@@ -111,11 +109,7 @@ class Link:
     def pop_due(self, now: int) -> list[WireMessage]:
         due: list[WireMessage] = []
         while self.queue and self.queue[0].deliver_tick <= now:
-            msg = self.queue.popleft()
-            if msg.seq != self._last_delivered_seq + 1:
-                raise RuntimeError(f"link {self.name} delivered out of order")
-            self._last_delivered_seq = msg.seq
-            due.append(msg)
+            due.append(self.queue.popleft())
         return due
 
 
@@ -515,49 +509,8 @@ def run_world(world: World) -> SessionOutcome:
         if agent.result is None:
             agent.result = agent.receiver.decode()
     results = {Party.BOB: bob.result, Party.SONAI: sonai.result}
-
-    # transport-level aborts first, then decode-level ones, both in act order
-    abort_reason = next((a.aborted for a in (bob, sonai) if a.aborted is not None), None)
-    if abort_reason is None:
-        abort_reason = next(
-            (
-                a.result.abort_reason
-                for a in (bob, sonai)
-                if a.result.status is DecodeStatus.ABORT
-            ),
-            None,
-        )
-    if abort_reason is not None:
-        terminal = TerminalRecord(
-            status=DecodeStatus.ABORT,
-            bob_bit=None,
-            sonai_bit=None,
-            confidence=0.0,
-            abort_reason=abort_reason,
-        )
-    else:
-        r_bob, r_sonai = results[Party.BOB], results[Party.SONAI]
-        agreed = (
-            r_bob.status is DecodeStatus.DECODED
-            and r_sonai.status is DecodeStatus.DECODED
-            and (r_bob.bob_bit, r_bob.sonai_bit) == (r_sonai.bob_bit, r_sonai.sonai_bit)
-        )
-        if agreed:
-            terminal = TerminalRecord(
-                status=DecodeStatus.DECODED,
-                bob_bit=r_bob.bob_bit,
-                sonai_bit=r_bob.sonai_bit,
-                confidence=min(r_bob.confidence, r_sonai.confidence),
-                abort_reason=None,
-            )
-        else:
-            terminal = TerminalRecord(
-                status=DecodeStatus.UNDECIDED,
-                bob_bit=None,
-                sonai_bit=None,
-                confidence=min(r_bob.confidence, r_sonai.confidence),
-                abort_reason=None,
-            )
+    transport_abort = next((a.aborted for a in (bob, sonai) if a.aborted is not None), None)
+    terminal = terminal_record(bob.result, sonai.result, transport_abort)
     world.transcript.close(terminal)
     return SessionOutcome(
         transcript=world.transcript,

@@ -13,21 +13,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
 from . import rng as rng_mod
-from .codebook import (
-    BIT_PAIR_ORDER,
-    Codebook,
-    CodebookEntry,
-    Pairing,
-    effective_distance,
-    generate_codebook,
-)
+from .codebook import Codebook, CodebookEntry, generate_codebook
 from .epr import NOISELESS, NoiseModel, SpinOutcome, flip_outcomes, sample_block
 
 __all__ = [
@@ -49,6 +42,7 @@ __all__ = [
     "prepared_block_from_signs",
     "measure_all",
     "decode_transcript",
+    "terminal_record",
     "run_session",
     "encode_message",
     "decode_message",
@@ -165,8 +159,7 @@ def alice_prepare(
     """Pick the entry for ``bits``, draw a fresh block, arrange both sides,
     then corrupt each delivered side independently per the noise model."""
     entry = cb.entry_for_bits(*bits)
-    block = sample_block(cb.n, NOISELESS, rng)
-    prepared = prepared_block_from_signs(entry, block.i_side)
+    prepared = prepared_block_from_signs(entry, sample_block(cb.n, rng))
     if not noise.noiseless:
         rng_b = noise_rng_bob if noise_rng_bob is not None else rng
         rng_s = noise_rng_sonai if noise_rng_sonai is not None else rng
@@ -231,11 +224,18 @@ class TerminalRecord:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TerminalRecord":
+        for key in ("bob_bit", "sonai_bit"):
+            bit = obj[key]
+            if bit is not None and (type(bit) is not int or bit not in (0, 1)):  # bool too
+                raise ProtocolViolationError(f"{key} must be 0, 1 or null, got {bit!r}")
+        confidence = float(obj["confidence"])
+        if not 0.0 <= confidence <= 1.0:  # also false for NaN
+            raise ProtocolViolationError(f"confidence must lie in [0, 1], got {confidence}")
         return cls(
             status=DecodeStatus(obj["status"]),
             bob_bit=obj["bob_bit"],
             sonai_bit=obj["sonai_bit"],
-            confidence=float(obj["confidence"]),
+            confidence=confidence,
             abort_reason=AbortReason(obj["abort_reason"]) if obj["abort_reason"] else None,
         )
 
@@ -251,6 +251,8 @@ class Transcript:
     def append(self, event: RevealEvent) -> None:
         if self.terminal is not None:
             raise ProtocolViolationError("transcript already closed by a terminal record")
+        if event.party not in (Party.BOB, Party.SONAI):
+            raise ProtocolViolationError(f"{event.party.value} is not a receiver and cannot reveal")
         if event.round != len(self.events) + 1:
             raise ProtocolViolationError(
                 f"round numbers must increase by one: expected {len(self.events) + 1}, "
@@ -334,13 +336,73 @@ class CandidateState:
         self.check_passed: list[bool] = []
 
 
+def _candidate_states(cb: Codebook, party: Party) -> list[CandidateState]:
+    """Fresh check state for every entry, in ``party``'s position order."""
+    states: list[CandidateState] = []
+    for entry in cb.entries:
+        if entry.pairing is None:
+            raise ValueError(f"entry {entry.bits} has no valid pairing")
+        fwd = entry.pairing.zero_based()
+        inv = entry.pairing.inverse().zero_based()
+        if party is Party.BOB:
+            states.append(CandidateState(entry, fwd, inv))
+        else:
+            states.append(CandidateState(entry, inv, fwd))
+    return states
+
+
+def _complete_check(cand: CandidateState, own_pos: int, passed: bool, delta: float) -> None:
+    """Record one completed check on ``own_pos`` and re-judge the entry:
+    it stays alive while violations <= delta * checks_completed."""
+    cand.checks_completed += 1
+    if not passed:
+        cand.violations += 1
+    cand.alive = cand.violations <= delta * cand.checks_completed
+    cand.checked_positions.append(own_pos)
+    cand.check_passed.append(passed)
+
+
+def _survival_log2(candidate: CandidateState, reference: CandidateState) -> int:
+    """log2 of the chance a wrong ``candidate`` would have passed its
+    completed checks, were ``reference`` the true entry (noiseless only).
+
+    Each passed check on a position whose pairing differs from the
+    reference's ties two own positions to the same underlying orientation;
+    the rank of that constraint graph (vertices touched minus connected
+    components) counts the independent coin flips the candidate survived.
+    """
+    ref_from = reference.from_counterpart
+    cand_to = candidate.to_counterpart
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    rank = 0
+    for own_pos, passed in zip(candidate.checked_positions, candidate.check_passed):
+        if not passed:
+            continue
+        partner = ref_from[cand_to[own_pos]]
+        if partner == own_pos:
+            continue  # matching pairings: the check carries no evidence
+        for v in (own_pos, partner):
+            parent.setdefault(v, v)
+        ra, rb = find(own_pos), find(partner)
+        if ra != rb:
+            parent[ra] = rb
+            rank += 1
+    return -rank
+
+
 class Receiver:
     """One receiver's private view: own outcomes plus per-entry check state.
 
     Each counterpart reveal completes exactly one check per entry: the
     revealed outcome is compared with the own outcome at the entry's paired
-    position, expecting opposite signs. ``alive`` is recomputed after every
-    check as violations <= delta * checks_completed.
+    position, expecting opposite signs.
     """
 
     def __init__(self, party: Party, cb: Codebook, own_outcomes: np.ndarray, config: ProtocolConfig):
@@ -350,17 +412,7 @@ class Receiver:
         self.codebook = cb
         self.config = config
         self.own = [int(v) for v in own_outcomes]
-        self.candidates: list[CandidateState] = []
-        for entry in cb.entries:
-            if entry.pairing is None:
-                raise ValueError(f"entry {entry.bits} has no valid pairing")
-            fwd = entry.pairing.zero_based()
-            inv = entry.pairing.inverse().zero_based()
-            if party is Party.BOB:
-                to_cp, from_cp = fwd, inv
-            else:
-                to_cp, from_cp = inv, fwd
-            self.candidates.append(CandidateState(entry, to_cp, from_cp))
+        self.candidates = _candidate_states(cb, party)
         self._received = bytearray(cb.n)
         self.received_count = 0
         self.next_position = 0  # 0-based pointer into own reveal order
@@ -397,13 +449,7 @@ class Receiver:
         own = self.own
         for cand in self.candidates:
             own_pos = cand.from_counterpart[q]
-            passed = own[own_pos] != outcome  # partners must be opposite
-            cand.checks_completed += 1
-            if not passed:
-                cand.violations += 1
-            cand.alive = cand.violations <= delta * cand.checks_completed
-            cand.checked_positions.append(own_pos)
-            cand.check_passed.append(passed)
+            _complete_check(cand, own_pos, own[own_pos] != outcome, delta)  # partners differ
 
     def observe_all(self, outcomes: Sequence[int] | np.ndarray) -> None:
         """Fold the counterpart's complete outcome sequence at once.
@@ -442,50 +488,14 @@ class Receiver:
 
     def survival_log2(self, candidate: CandidateState, reference: CandidateState) -> int:
         """log2 of the chance a wrong ``candidate`` would have passed its
-        completed checks, were ``reference`` the true entry.
-
-        Noiseless only: each passed check on a position whose pairing differs
-        from the reference's ties two own positions to the same underlying
-        orientation; the rank of that constraint graph (vertices touched
-        minus connected components) counts the independent coin flips the
-        candidate survived.
-        """
+        completed checks, were ``reference`` the true entry. Exact only for
+        noiseless sessions, so noisy ones raise."""
         if not self.config.noise.noiseless:
             raise ValueError("exact survival rank applies only to noiseless sessions")
-        ref_from = reference.from_counterpart
-        cand_to = candidate.to_counterpart
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        rank = 0
-        for own_pos, passed in zip(candidate.checked_positions, candidate.check_passed):
-            if not passed:
-                continue
-            partner = ref_from[cand_to[own_pos]]
-            if partner == own_pos:
-                continue  # matching pairings: the check carries no evidence
-            for v in (own_pos, partner):
-                if v not in parent:
-                    parent[v] = v
-            ra, rb = find(own_pos), find(partner)
-            if ra != rb:
-                parent[ra] = rb
-                rank += 1
-        return -rank
+        return _survival_log2(candidate, reference)
 
     def decode(self) -> "DecodeResult":
-        return _decode_candidates(self.candidates, self.config, self.survival_log2)
-
-    def check_count_for(self, bits: tuple[int, int]) -> tuple[int, int]:
-        for cand in self.candidates:
-            if cand.entry.bits == bits:
-                return cand.checks_completed, cand.violations
-        raise KeyError(bits)
+        return _decode_candidates(self.candidates, self.config)
 
     def candidate_for(self, bits: tuple[int, int]) -> CandidateState:
         for cand in self.candidates:
@@ -508,7 +518,7 @@ class DecodeResult:
         return cls(DecodeStatus.ABORT, None, None, 0.0, reason)
 
 
-def _decode_candidates(candidates, config, survival_log2) -> DecodeResult:
+def _decode_candidates(candidates: list[CandidateState], config: ProtocolConfig) -> DecodeResult:
     """Shared decode rule for private receivers and transcript replays."""
     alive = [c for c in candidates if c.alive]
     if not alive:
@@ -516,7 +526,7 @@ def _decode_candidates(candidates, config, survival_log2) -> DecodeResult:
     noiseless = config.noise.noiseless
     if noiseless:
         lead = alive[0]  # candidates stay in the fixed bit-pair order
-        residual = sum(2.0 ** survival_log2(c, lead) for c in alive[1:])
+        residual = sum(2.0 ** _survival_log2(c, lead) for c in alive[1:])
         confidence = max(0.0, 1.0 - residual)
         exact = True
     else:
@@ -555,83 +565,64 @@ def decode_transcript(cb: Codebook, transcript: Transcript, config: ProtocolConf
 
     A check completes once both of its positions have been revealed, so a
     complete transcript reaches exactly the per-party end state, while a
-    truncated one yields a partial, usually undecided, view.
+    truncated one yields a partial, usually undecided, view. Checks are
+    tallied in bob's positions, so the end state is bob's.
     """
     n = cb.n
-    bob_vals: list[int | None] = [None] * n
-    sonai_vals: list[int | None] = [None] * n
-    states: list[CandidateState] = []
-    for entry in cb.entries:
-        if entry.pairing is None:
-            raise ValueError(f"entry {entry.bits} has no valid pairing")
-        states.append(
-            CandidateState(entry, entry.pairing.zero_based(), entry.pairing.inverse().zero_based())
-        )
+    states = _candidate_states(cb, Party.BOB)
+    revealed: dict[Party, list[int | None]] = {Party.BOB: [None] * n, Party.SONAI: [None] * n}
+    bob_vals, sonai_vals = revealed[Party.BOB], revealed[Party.SONAI]
     delta = config.delta
-    seen: set[tuple[Party, int]] = set()
     for event in transcript.events:
-        key = (event.party, event.position)
-        if key in seen:
-            raise ProtocolViolationError(
-                f"duplicate reveal of {event.party.value} position {event.position}"
-            )
-        seen.add(key)
-        value = int(event.outcome.value)
+        values = revealed.get(event.party)
+        if values is None:
+            raise ProtocolViolationError(f"{event.party.value} is not a receiver and cannot reveal")
         pos = event.position - 1
         if not 0 <= pos < n:
             raise ProtocolViolationError(f"reveal position out of range: {event.position}")
+        if values[pos] is not None:
+            raise ProtocolViolationError(
+                f"duplicate reveal of {event.party.value} position {event.position}"
+            )
+        value = values[pos] = int(event.outcome.value)
         if event.party is Party.BOB:
-            bob_vals[pos] = value
             for cand in states:
-                partner = cand.to_counterpart[pos]
-                other = sonai_vals[partner]
-                if other is None:
-                    continue
-                _complete_check(cand, pos, value != other, delta)
+                other = sonai_vals[cand.to_counterpart[pos]]
+                if other is not None:
+                    _complete_check(cand, pos, value != other, delta)
         else:
-            sonai_vals[pos] = value
             for cand in states:
-                partner = cand.from_counterpart[pos]
-                other = bob_vals[partner]
-                if other is None:
-                    continue
-                _complete_check(cand, partner, other != value, delta)
-
-    def survival(candidate: CandidateState, reference: CandidateState) -> int:
-        ref_inv = reference.from_counterpart
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        rank = 0
-        for own_pos, passed in zip(candidate.checked_positions, candidate.check_passed):
-            if not passed:
-                continue
-            partner = ref_inv[candidate.to_counterpart[own_pos]]
-            if partner == own_pos:
-                continue
-            for v in (own_pos, partner):
-                parent.setdefault(v, v)
-            ra, rb = find(own_pos), find(partner)
-            if ra != rb:
-                parent[ra] = rb
-                rank += 1
-        return -rank
-
-    return _decode_candidates(states, config, survival)
+                bob_pos = cand.from_counterpart[pos]
+                other = bob_vals[bob_pos]
+                if other is not None:
+                    _complete_check(cand, bob_pos, other != value, delta)
+    return _decode_candidates(states, config)
 
 
-def _complete_check(cand: CandidateState, bob_pos: int, passed: bool, delta: float) -> None:
-    cand.checks_completed += 1
-    if not passed:
-        cand.violations += 1
-    cand.alive = cand.violations <= delta * cand.checks_completed
-    cand.checked_positions.append(bob_pos)
-    cand.check_passed.append(passed)
+def terminal_record(
+    res_bob: DecodeResult,
+    res_sonai: DecodeResult,
+    transport_abort: AbortReason | None = None,
+) -> TerminalRecord:
+    """Session outcome from both receivers' results. A transport abort wins,
+    then the first decode abort in act order (bob, then sonai); otherwise the
+    session decodes only when both receivers decoded the same bits."""
+    reason = transport_abort
+    if reason is None:
+        reason = next(
+            (r.abort_reason for r in (res_bob, res_sonai) if r.status is DecodeStatus.ABORT), None
+        )
+    if reason is not None:
+        return TerminalRecord(DecodeStatus.ABORT, None, None, 0.0, reason)
+    confidence = min(res_bob.confidence, res_sonai.confidence)
+    agreed = (
+        res_bob.status is DecodeStatus.DECODED
+        and res_sonai.status is DecodeStatus.DECODED
+        and (res_bob.bob_bit, res_bob.sonai_bit) == (res_sonai.bob_bit, res_sonai.sonai_bit)
+    )
+    if agreed:
+        return TerminalRecord(DecodeStatus.DECODED, res_bob.bob_bit, res_bob.sonai_bit, confidence, None)
+    return TerminalRecord(DecodeStatus.UNDECIDED, None, None, confidence, None)
 
 
 @dataclass(eq=False)

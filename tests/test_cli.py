@@ -171,6 +171,14 @@ def test_replay_consistent_and_tampered(tmp_path, capsys):
     assert code == EXIT_IO
     assert "MISMATCH" in out
 
+    # relabel sonai's reveals as the sender's: only receivers may reveal
+    relabelled = tmp_path / "relabelled.jsonl"
+    relabelled.write_text(path.read_text().replace('"party":"sonai"', '"party":"alice"'))
+    code, _, err = run_cli(capsys, "replay", "--codebook", "reference",
+                           "--transcript", str(relabelled), "--confidence-target", "0.9")
+    assert code == EXIT_IO
+    assert "alice is not a receiver" in err
+
 
 def test_replay_truncated_transcript_reports_prefix(tmp_path, capsys):
     path = tmp_path / "full.jsonl"

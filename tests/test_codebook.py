@@ -14,6 +14,7 @@ from entpost.codebook import (
     Codebook,
     CodebookError,
     REFERENCE_RAW_FOURTH,
+    SequenceCode,
     codebook_from_document,
     codebook_to_document,
     effective_distance,
@@ -266,6 +267,20 @@ def test_load_rejects_garbage(tmp_path):
     path.write_text(json.dumps({"version": 99}))
     with pytest.raises(CodebookError):
         load_codebook(path)
+
+
+def test_document_lengths_are_checked_before_any_size_n_work(monkeypatch):
+    def refuse(cls, n):
+        raise AssertionError(f"built an identity ordering of size {n}")
+
+    doc = codebook_to_document(reference_codebook())
+    monkeypatch.setattr(SequenceCode, "identity", classmethod(refuse))
+    for n in (10**9, 0):
+        doc["n"] = n
+        with pytest.raises(CodebookError):
+            codebook_from_document(doc)
+        with pytest.raises(CodebookError):
+            codebook_from_document(doc, validate=False)
 
 
 def test_validate_codebook_flags_low_distance():

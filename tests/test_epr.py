@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from entpost.epr import (
-    NOISELESS,
-    NoiseModel,
-    PairOutcomes,
-    SpinOutcome,
-    apply_noise,
-    flip_outcomes,
-    sample_block,
-    sample_singlet,
-)
+from entpost.codebook import make_entry, reference_codebook
+from entpost.epr import NOISELESS, NoiseModel, SpinOutcome, flip_outcomes, sample_block
+from entpost.protocol import alice_prepare, prepared_block_from_signs
 from entpost.rng import substream
+
+REF = reference_codebook()
+
+
+def partner_outcomes(block):
+    """Sonai's outcome for each of bob's positions, read through the entry's
+    pairing: noiseless, the negation of bob's sequence."""
+    return block.sonai_sequence[block.entry.pairing.zero_based()]
 
 
 def test_outcome_values_and_symbols():
@@ -26,26 +27,19 @@ def test_outcome_values_and_symbols():
         SpinOutcome.from_symbol("0")
 
 
-@given(st.sampled_from([SpinOutcome.PLUS, SpinOutcome.MINUS]))
-def test_negate_is_an_involution(outcome):
-    assert outcome.negate().negate() is outcome
-    assert outcome.negate() is not outcome
-
-
 def test_singlet_always_anti_correlated():
-    rng = substream(123, 1)
     seen = set()
-    for _ in range(200):
-        pair = sample_singlet(rng)
-        assert pair.anti_correlated
-        seen.add((pair.i_side, pair.j_side))
+    for seed in range(50):
+        for bits in ((0, 0), (1, 1), (0, 1), (1, 0)):
+            block = alice_prepare(bits, REF, NOISELESS, substream(seed, 1))
+            assert np.array_equal(block.bob_sequence, -partner_outcomes(block))
+            seen.update(zip(block.bob_sequence.tolist(), partner_outcomes(block).tolist()))
     # both orientations occur
-    assert seen == {(SpinOutcome.PLUS, SpinOutcome.MINUS), (SpinOutcome.MINUS, SpinOutcome.PLUS)}
+    assert seen == {(1, -1), (-1, 1)}
 
 
 def test_singlet_orientation_is_unbiased():
-    rng = substream(7, 2)
-    plus = sum(sample_singlet(rng).i_side is SpinOutcome.PLUS for _ in range(20000))
+    plus = int(np.sum(sample_block(20000, substream(7, 2)) == 1))
     # 5 sigma band around 10000 (sigma = 0.5 * sqrt(20000) ~= 70.7)
     assert abs(plus - 10000) < 5 * 70.8
 
@@ -61,79 +55,70 @@ def test_noise_model_validation():
     assert not NoiseModel(0.05).noiseless
 
 
-def test_apply_noise_noiseless_is_identity():
+def test_flip_outcomes_noiseless_is_identity():
     rng = substream(5, 3)
-    for _ in range(50):
-        pair = sample_singlet(rng)
-        assert apply_noise(pair, NOISELESS, rng) == pair
+    values = sample_block(50, rng)
+    state = rng.bit_generator.state
+    assert np.array_equal(flip_outcomes(values, NOISELESS, rng), values)
+    # no draws, so a noiseless run leaves the noise streams untouched
+    assert rng.bit_generator.state == state
 
 
-def test_apply_noise_flip_rate():
+def test_flip_outcomes_flip_rate():
     rng = substream(11, 4)
-    noise = NoiseModel(0.25)
-    flips = 0
-    trials = 20000
-    for _ in range(trials):
-        pair = sample_singlet(rng)
-        noisy = apply_noise(pair, noise, rng)
-        flips += noisy.i_side is not pair.i_side
-        flips += noisy.j_side is not pair.j_side
-    rate = flips / (2 * trials)
-    assert abs(rate - 0.25) < 5 * (0.25 * 0.75 / (2 * trials)) ** 0.5
+    trials = 40000
+    values = sample_block(trials, rng)
+    flips = int(np.sum(flip_outcomes(values, NoiseModel(0.25), rng) != values))
+    rate = flips / trials
+    assert abs(rate - 0.25) < 5 * (0.25 * 0.75 / trials) ** 0.5
+
+
+def noisy_anti_correlated_fraction(eps, blocks, stream):
+    anti = 0
+    for seed in range(blocks):
+        block = alice_prepare(
+            (0, 1), REF, NoiseModel(eps), substream(seed, stream),
+            noise_rng_bob=substream(seed, stream + 1),
+            noise_rng_sonai=substream(seed, stream + 2),
+        )
+        anti += int(np.sum(block.bob_sequence != partner_outcomes(block)))
+    return anti / (blocks * REF.n)
 
 
 def test_anti_correlation_rate_under_noise():
     # both sides flipped independently: agreement survives unless exactly
     # one side flips, so the anti-correlated fraction is 1 - 2 e (1 - e)
     eps = 0.05
-    rng = substream(99, 5)
-    noise = NoiseModel(eps)
-    trials = 20000
-    anti = 0
-    for _ in range(trials):
-        noisy = apply_noise(sample_singlet(rng), noise, rng)
-        anti += noisy.anti_correlated
+    pairs = 2500 * REF.n
+    anti = noisy_anti_correlated_fraction(eps, 2500, 5)
     expected = 1 - 2 * eps * (1 - eps)
-    sigma = (expected * (1 - expected) / trials) ** 0.5
-    assert abs(anti / trials - expected) < 5 * sigma
+    sigma = (expected * (1 - expected) / pairs) ** 0.5
+    assert abs(anti - expected) < 5 * sigma
 
 
 def test_sample_block_shapes_and_determinism():
-    block = sample_block(32, NOISELESS, substream(17, 6))
-    again = sample_block(32, NOISELESS, substream(17, 6))
-    assert len(block) == 32
-    assert block.i_side.dtype == np.int8
-    assert np.array_equal(block.i_side, again.i_side)
-    assert np.array_equal(block.j_side, again.j_side)
-    assert np.array_equal(block.i_side, -block.j_side)
-    assert set(np.unique(block.i_side)) <= {-1, 1}
-
-
-def test_sample_block_pair_accessor_is_one_based():
-    block = sample_block(4, NOISELESS, substream(2, 7))
-    pair = block.pair(1)
-    assert pair.i_side.value == int(block.i_side[0])
-    with pytest.raises(IndexError):
-        block.pair(0)
-    with pytest.raises(IndexError):
-        block.pair(5)
+    block = sample_block(32, substream(17, 6))
+    again = sample_block(32, substream(17, 6))
+    assert block.shape == (32,)
+    assert block.dtype == np.int8
+    assert np.array_equal(block, again)
+    assert set(np.unique(block)) <= {-1, 1}
 
 
 def test_sample_block_rejects_empty():
     with pytest.raises(ValueError):
-        sample_block(0, NOISELESS, substream(1, 8))
+        sample_block(0, substream(1, 8))
 
 
 def test_noisy_block_breaks_some_pairs():
-    block = sample_block(2048, NoiseModel(0.2), substream(21, 9))
-    broken = int(np.sum(block.i_side == block.j_side))
+    broken = 1 - noisy_anti_correlated_fraction(0.2, 256, 9)
     # expected broken fraction 2 e (1 - e) = 0.32
-    assert 0.25 < broken / 2048 < 0.39
+    assert 0.25 < broken < 0.39
 
 
 def test_flip_outcomes_copies_and_preserves_domain():
     rng = substream(31, 10)
-    values = sample_block(64, NOISELESS, rng).i_side
+    values = sample_block(64, rng)
     before = values.copy()
     flipped = flip_outcomes(values, NoiseModel(0.5), rng)
     assert np.array_equal(values, before)
@@ -144,7 +129,11 @@ def test_flip_outcomes_copies_and_preserves_domain():
     assert same is not values
 
 
-@given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=2**32 - 1))
-def test_block_is_perfectly_anti_correlated_noiseless(n, seed):
-    block = sample_block(n, NOISELESS, substream(seed, 11))
-    assert np.array_equal(block.i_side, -block.j_side)
+@given(
+    st.integers(min_value=1, max_value=64).flatmap(lambda n: st.permutations(range(1, n + 1))),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_block_is_perfectly_anti_correlated_noiseless(s_j, seed):
+    entry = make_entry((0, 0), s_j, len(s_j))
+    block = prepared_block_from_signs(entry, sample_block(len(s_j), substream(seed, 11)))
+    assert np.array_equal(block.bob_sequence, -partner_outcomes(block))

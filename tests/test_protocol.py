@@ -178,6 +178,26 @@ def test_terminal_record_round_trip():
     assert TerminalRecord.from_json_obj(json.loads(json.dumps(rec.to_json_obj()))) == rec
 
 
+def test_terminal_line_rejects_values_outside_the_domain():
+    reveal = '{"round":1,"party":"bob","position":1,"outcome":"+"}\n'
+    valid = {"status": "decoded", "bob_bit": 1, "sonai_bit": 0, "confidence": 1.0,
+             "abort_reason": None}
+    Transcript.from_jsonl(reveal + json.dumps(valid))
+    bad_values = [
+        ("bob_bit", "x"), ("bob_bit", 2), ("bob_bit", -1), ("bob_bit", 1.0),
+        ("sonai_bit", True), ("sonai_bit", False), ("sonai_bit", [0]),
+        ("confidence", float("nan")), ("confidence", float("inf")),
+        ("confidence", -0.1), ("confidence", 1.5),
+    ]
+    for key, value in bad_values:
+        line = json.dumps({**valid, key: value})  # NaN and Infinity as Python's json writes them
+        with pytest.raises(ProtocolViolationError, match="line 2"):
+            Transcript.from_jsonl(reveal + line)
+    with pytest.raises(ProtocolViolationError):
+        Transcript.from_jsonl('{"status":"decoded","bob_bit":"x","sonai_bit":0,'
+                              '"confidence":NaN,"abort_reason":null}')
+
+
 # -- receivers and checks -----------------------------------------------------
 
 
@@ -435,16 +455,28 @@ def test_noisy_decode_reports_heuristic_confidence():
 # -- public-record decoding ---------------------------------------------------
 
 
-def test_replay_reproduces_private_decodes_exactly():
-    for seed in range(6):
-        config = small_config(seed=seed)
-        outcome = run_session(config, (1, 1), cb=REF)
-        replayed = decode_transcript(REF, outcome.transcript, config)
-        terminal = outcome.terminal
-        assert replayed.status == terminal.status
-        assert replayed.bob_bit == terminal.bob_bit
-        assert replayed.sonai_bit == terminal.sonai_bit
-        assert replayed.confidence == terminal.confidence
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from([(0.0, 0.0), (0.05, 0.25)]),
+    st.sampled_from([Party.BOB, Party.SONAI]),
+    st.sampled_from([8, 32]),
+)
+def test_replay_reproduces_private_decodes_exactly(seed, noise, reveal_first, n):
+    # at n=8 wrong entries often survive, so confidences depend on which
+    # checks the replay folded, not only on how many passed
+    eps, delta = noise
+    config = ProtocolConfig(
+        n=n, lam=n // 4, noise=eps, delta=delta, reveal_first=reveal_first, seed=seed
+    )
+    outcome = run_session(config, (1, 1), cb=REF if n == 8 else None)
+    assert len(outcome.transcript.events) == 2 * n
+    replayed = decode_transcript(outcome.codebook, outcome.transcript, config)
+    assert replayed == outcome.results[Party.BOB]
+    terminal = outcome.terminal
+    assert (replayed.status, replayed.bob_bit, replayed.sonai_bit, replayed.confidence) == (
+        terminal.status, terminal.bob_bit, terminal.sonai_bit, terminal.confidence
+    )
 
 
 def test_replay_of_truncated_transcript_is_partial():
