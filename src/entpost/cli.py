@@ -15,18 +15,18 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from .codebook import (
     CapacityError,
     CodebookError,
     codebook_to_document,
-    generate_codebook,
     load_codebook,
     reference_codebook,
+    resolve_codebook,
     save_codebook,
     validate_codebook,
 )
-from .epr import NOISELESS, NoiseModel
 from .montecarlo import (
     ExperimentSpec,
     run_experiment,
@@ -122,28 +122,27 @@ def _add_adversary_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _config_from_args(args: argparse.Namespace, seed: int) -> ProtocolConfig:
-    return ProtocolConfig(
+def _config_from_args(args: argparse.Namespace, seed: int, cls=ProtocolConfig, **extra):
+    """The protocol flags as a ``cls`` (a ProtocolConfig or a subclass)."""
+    return cls(
         n=args.n,
         lam=args.lam,
-        noise=NoiseModel(args.noise) if args.noise else NOISELESS,
+        noise=args.noise,
         delta=args.delta,
         confidence_target=args.confidence_target,
-        reveal_first=Party(args.reveal_first),
+        reveal_first=args.reveal_first,
         seed=seed,
+        **extra,
     )
 
 
-def _load_codebook_arg(text: str | None, config: ProtocolConfig):
-    if text is None:
-        return None
-    cb = reference_codebook() if text == "reference" else load_codebook(text)
-    if cb.n != config.n or cb.lam != config.lam:
-        raise _UsageError(
-            f"codebook (n={cb.n}, lambda={cb.lam}) does not match "
-            f"--n {config.n} --lambda {config.lam}"
-        )
-    return cb
+def _adversary_from_args(args: argparse.Namespace) -> tuple[dict, FairnessPolicy]:
+    """(strategy per receiver, pacing policy) from the adversary flags."""
+    strategies = {
+        Party.BOB: parse_strategy(args.strategy_bob),
+        Party.SONAI: parse_strategy(args.strategy_sonai),
+    }
+    return strategies, FairnessPolicy(one_ahead_limit=args.policy_one_ahead, timeout_ticks=args.timeout)
 
 
 def _write_events(path: str, event_log: list[dict]) -> None:
@@ -168,11 +167,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     print(f"seed: {seed}")
     config = _config_from_args(args, seed)
-    strategies = {
-        Party.BOB: parse_strategy(args.strategy_bob),
-        Party.SONAI: parse_strategy(args.strategy_sonai),
-    }
-    policy = FairnessPolicy(one_ahead_limit=args.policy_one_ahead, timeout_ticks=args.timeout)
+    strategies, policy = _adversary_from_args(args)
 
     if args.bob_msg is not None or args.sonai_msg is not None:
         if args.bits is not None:
@@ -200,7 +195,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     bits = _parse_bit_pair(args.bits if args.bits is not None else "00")
-    cb = _load_codebook_arg(args.codebook, config)
+    cb = resolve_codebook(args.codebook, config.n, config.lam, config.seed)
     outcome = run_session(config, bits, strategies=strategies, cb=cb, policy=policy)
     _print_terminal(outcome.terminal, outcome.ticks, fairness_gap(outcome.transcript))
     if args.out:
@@ -214,20 +209,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_montecarlo(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     print(f"seed: {seed}")
-    spec = ExperimentSpec(
+    strategies, policy = _adversary_from_args(args)
+    spec = _config_from_args(
+        args,
+        seed,
+        ExperimentSpec,
         mode=args.mode,
-        n=args.n,
-        lam=args.lam,
-        noise=NoiseModel(args.noise) if args.noise else NOISELESS,
-        delta=args.delta,
-        confidence_target=args.confidence_target,
-        reveal_first=Party(args.reveal_first),
-        seed=seed,
         trials=args.trials,
         bits=_parse_bit_pair(args.bits) if args.bits is not None else None,
-        strategy_bob=parse_strategy(args.strategy_bob),
-        strategy_sonai=parse_strategy(args.strategy_sonai),
-        policy=FairnessPolicy(one_ahead_limit=args.policy_one_ahead, timeout_ticks=args.timeout),
+        strategy_bob=strategies[Party.BOB],
+        strategy_sonai=strategies[Party.SONAI],
+        policy=policy,
         codebook=args.codebook,
     )
     rows, report = run_experiment(spec, workers=args.workers)
@@ -246,9 +238,7 @@ def cmd_codebook(args: argparse.Namespace) -> int:
         seed = _resolve_seed(args.seed)
         print(f"seed: {seed}")
         # a CapacityError propagates to main() and exits as a usage error
-        cb = generate_codebook(
-            args.n, args.lam, rng_mod.substream(seed, rng_mod.KEY_CODEBOOK)
-        )
+        cb = resolve_codebook(None, args.n, args.lam, seed)
         save_codebook(cb, args.out)
         print(f"wrote codebook n={cb.n} lambda={cb.lam} to {args.out}")
         return EXIT_OK
@@ -282,13 +272,15 @@ def cmd_codebook(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     cb = reference_codebook() if args.codebook == "reference" else load_codebook(args.codebook)
-    with open(args.transcript, "r", encoding="utf-8") as fp:
-        text = fp.read()
+    try:
+        text = Path(args.transcript).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolViolationError(f"transcript is not UTF-8 text: {exc}") from exc
     transcript = Transcript.from_jsonl(text)
     config = ProtocolConfig(
         n=cb.n,
         lam=cb.lam,
-        noise=NoiseModel(args.noise) if args.noise else NOISELESS,
+        noise=args.noise,
         delta=args.delta,
         confidence_target=args.confidence_target,
     )
@@ -298,7 +290,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         print(f"bob_bit: {result.bob_bit}")
         print(f"sonai_bit: {result.sonai_bit}")
         print(f"confidence: {result.confidence:.6f}")
-    elif result.status is DecodeStatus.UNDECIDED and result.confidence is not None:
+    elif result.status is DecodeStatus.UNDECIDED:
         print(f"confidence: {result.confidence:.6f}")
     elif result.status is DecodeStatus.ABORT:
         print(f"abort_reason: {result.abort_reason.value}")
@@ -395,19 +387,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, ValueError, CapacityError) as exc:  # CapacityError before its base
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ProtocolViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except CodebookError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (ProtocolViolationError, CodebookError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

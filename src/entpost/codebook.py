@@ -17,6 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import rng as rng_mod
+
 __all__ = [
     "BIT_PAIR_ORDER",
     "CodebookError",
@@ -33,6 +35,7 @@ __all__ = [
     "effective_distance",
     "survival_probability",
     "generate_codebook",
+    "resolve_codebook",
     "validate_codebook",
     "make_entry",
     "reference_codebook",
@@ -103,10 +106,6 @@ class Pairing:
 
     def zero_based(self) -> list[int]:
         return [p - 1 for p in self.mapping]
-
-    @classmethod
-    def identity(cls, n: int) -> "Pairing":
-        return cls(tuple(range(1, n + 1)))
 
 
 def validate_sequence(order: Sequence[int], n: int) -> list[Defect]:
@@ -386,24 +385,34 @@ def codebook_to_document(cb: Codebook) -> dict:
     }
 
 
+def _json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer; floats, strings and bools raise
+    TypeError, which both record parsers report as malformed input."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def codebook_from_document(doc: dict, validate: bool = True) -> Codebook:
     """Parse a codebook document; with ``validate`` (the default) any defect
     raises. Pass ``validate=False`` to inspect defective books."""
     try:
-        version = doc["version"]
+        version = _json_int(doc["version"], "version")
         if version != CODEBOOK_FORMAT_VERSION:
             raise CodebookError(f"unsupported codebook version: {version}")
-        n = int(doc["n"])
-        lam = int(doc["lambda"])
+        n = _json_int(doc["n"], "n")
+        lam = _json_int(doc["lambda"], "lambda")
         if n < 1:
             raise CodebookError(f"n must be at least 1, got {n}")
-        orderings = [[int(x) for x in e["s_j"]] for e in doc["entries"]]
+        if lam < 1:
+            raise CodebookError(f"lambda must be at least 1, got {lam}")
+        orderings = [[_json_int(x, "label") for x in e["s_j"]] for e in doc["entries"]]
         # lengths first: building the entries costs O(n), and n is untrusted
         for idx, s_j in enumerate(orderings):
             if len(s_j) != n:
                 raise CodebookError(f"entry {idx}: expected {n} labels, got {len(s_j)}")
-        entries = tuple(
-            make_entry((e["bits"][0], e["bits"][1]), s_j, n)
+        entries = tuple(  # make_entry takes exactly two bits
+            make_entry(tuple(_json_int(b, "bit") for b in e["bits"]), s_j, n)
             for e, s_j in zip(doc["entries"], orderings)
         )
     except (KeyError, TypeError, IndexError, ValueError) as exc:
@@ -425,9 +434,23 @@ def save_codebook(cb: Codebook, path: str | Path) -> None:
 def load_codebook(path: str | Path, validate: bool = True) -> Codebook:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, undecodable text, or an integer past the digit limit
         raise CodebookError(f"codebook file is not valid JSON: {exc}") from exc
     return codebook_from_document(doc, validate=validate)
+
+
+def resolve_codebook(source: str | None, n: int, lam: int, seed: int) -> Codebook:
+    """The codebook a run uses. ``None`` generates one from ``seed``,
+    ``"reference"`` is the built-in book, anything else is a JSON path; a
+    named book must match (n, lam)."""
+    if source is None:
+        return generate_codebook(n, lam, rng_mod.substream(seed, rng_mod.KEY_CODEBOOK))
+    cb = reference_codebook() if source == "reference" else load_codebook(source)
+    if (cb.n, cb.lam) != (n, lam):
+        raise ValueError(
+            f"codebook (n={cb.n}, lambda={cb.lam}) does not match n={n}, lambda={lam}"
+        )
+    return cb
 
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"

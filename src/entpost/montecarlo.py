@@ -10,28 +10,13 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import IO, Sequence
 
 from . import rng as rng_mod
-from .codebook import (
-    BIT_PAIR_ORDER,
-    Codebook,
-    generate_codebook,
-    load_codebook,
-    reference_codebook,
-)
-from .epr import NOISELESS, NoiseModel
+from .codebook import BIT_PAIR_ORDER, Codebook, resolve_codebook
 from .netsim import FairnessPolicy, Honest, Strategy, fairness_gap
-from .protocol import (
-    Party,
-    ProtocolConfig,
-    Receiver,
-    alice_prepare,
-    measure_all,
-    run_session,
-    terminal_record,
-)
+from .protocol import Party, ProtocolConfig, prepare_session, run_session, terminal_record
 
 __all__ = [
     "ExperimentSpec",
@@ -45,11 +30,13 @@ __all__ = [
 ]
 
 MODES = ("honest", "session", "soundness")
+_CONFIG_FIELDS = tuple(f.name for f in fields(ProtocolConfig))
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
-    """Everything needed to reproduce a batch bit for bit.
+class ExperimentSpec(ProtocolConfig):
+    """Everything needed to reproduce a batch bit for bit: the session
+    parameters it inherits (``seed`` is the base seed) plus the batch ones.
 
     mode picks the driver: "honest" runs both receivers truthfully without
     the tick machinery (same end state, far cheaper), "session" runs the
@@ -59,13 +46,6 @@ class ExperimentSpec:
     """
 
     mode: str = "honest"
-    n: int = 64
-    lam: int = 16
-    noise: NoiseModel = NOISELESS
-    delta: float = 0.0
-    confidence_target: float = 0.999
-    reveal_first: Party = Party.BOB
-    seed: int = 0
     trials: int = 100
     bits: tuple[int, int] | None = None
     strategy_bob: Strategy = field(default_factory=Honest)
@@ -78,22 +58,13 @@ class ExperimentSpec:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if isinstance(self.noise, (int, float)) and not isinstance(self.noise, bool):
-            object.__setattr__(self, "noise", NoiseModel(float(self.noise)))
-        if isinstance(self.reveal_first, str):
-            object.__setattr__(self, "reveal_first", Party(self.reveal_first))
-        self.config(seed=self.seed)  # validate the protocol parameters early
+        super().__post_init__()
 
     def config(self, seed: int) -> ProtocolConfig:
-        return ProtocolConfig(
-            n=self.n,
-            lam=self.lam,
-            noise=self.noise,
-            delta=self.delta,
-            confidence_target=self.confidence_target,
-            reveal_first=self.reveal_first,
-            seed=seed,
-        )
+        """The plain session parameters of one trial, at its own seed."""
+        params = {name: getattr(self, name) for name in _CONFIG_FIELDS}
+        params["seed"] = seed
+        return ProtocolConfig(**params)
 
     def trial_bits(self, trial: int) -> tuple[int, int]:
         if self.bits is not None:
@@ -101,22 +72,8 @@ class ExperimentSpec:
         return BIT_PAIR_ORDER[trial % len(BIT_PAIR_ORDER)]
 
     def shared_codebook(self) -> Codebook:
-        """One public codebook per experiment. Generated from the base seed
-        unless the experiment pins the built-in reference book or a JSON file."""
-        if self.codebook is None:
-            return generate_codebook(
-                self.n, self.lam, rng_mod.substream(self.seed, rng_mod.KEY_CODEBOOK)
-            )
-        if self.codebook == "reference":
-            cb = reference_codebook()
-        else:
-            cb = load_codebook(self.codebook)
-        if cb.n != self.n or cb.lam != self.lam:
-            raise ValueError(
-                f"codebook (n={cb.n}, lambda={cb.lam}) does not match the "
-                f"experiment (n={self.n}, lambda={self.lam})"
-            )
-        return cb
+        """One public codebook per experiment (see ``resolve_codebook``)."""
+        return resolve_codebook(self.codebook, self.n, self.lam, self.seed)
 
 
 def _drive_honest(config: ProtocolConfig, bits: tuple[int, int], cb: Codebook):
@@ -125,17 +82,7 @@ def _drive_honest(config: ProtocolConfig, bits: tuple[int, int], cb: Codebook):
     Reproduces exactly what the simulator's honest run leaves behind: same
     substream addressing, same check sets, same decode results.
     """
-    block = alice_prepare(
-        bits,
-        cb,
-        config.noise,
-        rng_mod.substream(config.seed, rng_mod.KEY_PREPARE),
-        noise_rng_bob=rng_mod.substream(config.seed, rng_mod.KEY_NOISE_BOB),
-        noise_rng_sonai=rng_mod.substream(config.seed, rng_mod.KEY_NOISE_SONAI),
-    )
-    receivers = {}
-    for party in (Party.BOB, Party.SONAI):
-        receivers[party] = Receiver(party, cb, measure_all(party, block), config)
+    block, receivers = prepare_session(config, bits, cb)
     receivers[Party.BOB].observe_all(block.sonai_sequence)
     receivers[Party.SONAI].observe_all(block.bob_sequence)
     return receivers
@@ -236,28 +183,7 @@ class StatsReport:
     strategy_sonai: str
 
     def to_json_obj(self) -> dict:
-        return {
-            "mode": self.mode,
-            "trials": self.trials,
-            "seed": self.seed,
-            "n": self.n,
-            "lam": self.lam,
-            "flip_probability": self.flip_probability,
-            "delta": self.delta,
-            "confidence_target": self.confidence_target,
-            "status_counts": self.status_counts,
-            "abort_counts": self.abort_counts,
-            "decode_success_rate": self.decode_success_rate,
-            "correct_rate": self.correct_rate,
-            "mean_confidence": self.mean_confidence,
-            "mean_ticks": self.mean_ticks,
-            "fairness_gap_hist": self.fairness_gap_hist,
-            "max_fairness_gap": self.max_fairness_gap,
-            "survival_rates": self.survival_rates,
-            "survival_by_distance": self.survival_by_distance,
-            "strategy_bob": self.strategy_bob,
-            "strategy_sonai": self.strategy_sonai,
-        }
+        return asdict(self)
 
 
 def _survival_by_distance(spec: ExperimentSpec, rows: Sequence[dict]) -> dict:
@@ -295,7 +221,7 @@ def aggregate_rows(spec: ExperimentSpec, rows: Sequence[dict]) -> StatsReport:
     conf_sum = 0.0
     conf_count = 0
     tick_sum = 0
-    survival_tallies: dict[str, int] = {}
+    survival_tallies: dict[str, list[int]] = {}  # key -> [survived, rows where present]
     for row in rows:
         status = row["status"]
         status_counts[status] = status_counts.get(status, 0) + 1
@@ -312,13 +238,15 @@ def aggregate_rows(spec: ExperimentSpec, rows: Sequence[dict]) -> StatsReport:
         gap_hist[gap] = gap_hist.get(gap, 0) + 1
         tick_sum += row["ticks"]
         for key, value in row.items():
-            if key.startswith("survived_"):
-                survival_tallies.setdefault(key, 0)
-                survival_tallies[key] += 1 if value else 0
+            # a trial has no survived_* entry for its own true bits (None in CSV)
+            if key.startswith("survived_") and value is not None:
+                tally = survival_tallies.setdefault(key, [0, 0])
+                tally[0] += 1 if value else 0
+                tally[1] += 1
     total = len(rows)
     survival_rates = {
-        key.removeprefix("survived_"): count / total
-        for key, count in sorted(survival_tallies.items())
+        key.removeprefix("survived_"): survived / present
+        for key, (survived, present) in sorted(survival_tallies.items())
     }
     survival_by_distance = _survival_by_distance(spec, rows) if survival_tallies else {}
     return StatsReport(
@@ -348,8 +276,8 @@ def aggregate_rows(spec: ExperimentSpec, rows: Sequence[dict]) -> StatsReport:
 def write_rows_csv(rows: Sequence[dict], fp: IO[str]) -> None:
     if not rows:
         return
-    fieldnames = list(rows[0].keys())
-    writer = csv.DictWriter(fp, fieldnames=fieldnames)
+    fieldnames = list(dict.fromkeys(key for row in rows for key in row))  # first-seen order
+    writer = csv.DictWriter(fp, fieldnames=fieldnames, restval="")
     writer.writeheader()
     for row in rows:
         writer.writerow({k: ("" if v is None else v) for k, v in row.items()})

@@ -26,15 +26,13 @@ from .protocol import (
     DecodeResult,
     DecodeStatus,
     Party,
-    PreparedBlock,
     ProtocolConfig,
     ProtocolViolationError,
     Receiver,
     RevealEvent,
     SessionOutcome,
     Transcript,
-    alice_prepare,
-    measure_all,
+    prepare_session,
     terminal_record,
 )
 
@@ -378,13 +376,11 @@ class World:
         self,
         config: ProtocolConfig,
         cb: Codebook,
-        block: PreparedBlock,
         agents: dict[Party, ReceiverAgent],
         policy: FairnessPolicy,
     ):
         self.config = config
         self.codebook = cb
-        self.block = block
         self.agents = agents
         self.policy = policy
         self.links: dict[tuple[Party, Party], Link] = {
@@ -460,19 +456,10 @@ def build_world(
         raise ValueError(f"codebook size {cb.n} does not match config n {config.n}")
     strategies = dict(strategies or {})
     policy = policy or FairnessPolicy()
-    block = alice_prepare(
-        bits,
-        cb,
-        config.noise,
-        rng_mod.substream(config.seed, rng_mod.KEY_PREPARE),
-        noise_rng_bob=rng_mod.substream(config.seed, rng_mod.KEY_NOISE_BOB),
-        noise_rng_sonai=rng_mod.substream(config.seed, rng_mod.KEY_NOISE_SONAI),
-    )
-    agents: dict[Party, ReceiverAgent] = {}
+    _, receivers = prepare_session(config, bits, cb)
     lie_keys = {Party.BOB: rng_mod.KEY_LIE_BOB, Party.SONAI: rng_mod.KEY_LIE_SONAI}
-    for party in (Party.BOB, Party.SONAI):
-        receiver = Receiver(party, cb, measure_all(party, block), config)
-        agents[party] = ReceiverAgent(
+    agents = {
+        party: ReceiverAgent(
             party=party,
             receiver=receiver,
             strategy=strategies.get(party, Honest()),
@@ -480,7 +467,9 @@ def build_world(
             is_opener=(party is config.reveal_first),
             lie_rng=rng_mod.substream(config.seed, lie_keys[party]),
         )
-    world = World(config, cb, block, agents, policy)
+        for party, receiver in receivers.items()
+    }
+    world = World(config, cb, agents, policy)
     # sender hands each receiver its outcome sequence up front
     for party in (Party.BOB, Party.SONAI):
         link = world.links[(Party.ALICE, party)]

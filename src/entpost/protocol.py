@@ -20,7 +20,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import rng as rng_mod
-from .codebook import Codebook, CodebookEntry, generate_codebook
+from .codebook import Codebook, CodebookEntry, _json_int, generate_codebook, resolve_codebook
 from .epr import NOISELESS, NoiseModel, SpinOutcome, flip_outcomes, sample_block
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "alice_prepare",
     "prepared_block_from_signs",
     "measure_all",
+    "prepare_session",
     "decode_transcript",
     "terminal_record",
     "run_session",
@@ -99,7 +100,8 @@ class ProtocolConfig:
 
     def __post_init__(self) -> None:
         if isinstance(self.noise, (int, float)) and not isinstance(self.noise, bool):
-            object.__setattr__(self, "noise", NoiseModel(float(self.noise)))
+            # `or 0.0` turns -0.0 into 0.0, so reports never print "-0.0"
+            object.__setattr__(self, "noise", NoiseModel(float(self.noise) or 0.0))
         if isinstance(self.reveal_first, str):
             object.__setattr__(self, "reveal_first", Party(self.reveal_first))
         if self.n < 1:
@@ -175,6 +177,26 @@ def measure_all(party: Party, block: PreparedBlock) -> np.ndarray:
     return block.sequence_for(party).copy()
 
 
+def prepare_session(
+    config: ProtocolConfig, bits: tuple[int, int], cb: Codebook
+) -> tuple[PreparedBlock, dict[Party, Receiver]]:
+    """Prepare the block from the config seed's prepare and noise substreams
+    and give each receiver its measured outcomes."""
+    block = alice_prepare(
+        bits,
+        cb,
+        config.noise,
+        rng_mod.substream(config.seed, rng_mod.KEY_PREPARE),
+        noise_rng_bob=rng_mod.substream(config.seed, rng_mod.KEY_NOISE_BOB),
+        noise_rng_sonai=rng_mod.substream(config.seed, rng_mod.KEY_NOISE_SONAI),
+    )
+    receivers = {
+        party: Receiver(party, cb, measure_all(party, block), config)
+        for party in (Party.BOB, Party.SONAI)
+    }
+    return block, receivers
+
+
 @dataclass(frozen=True)
 class RevealEvent:
     """One published outcome: ``position`` is 1-based in the revealer's own
@@ -196,9 +218,9 @@ class RevealEvent:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RevealEvent":
         return cls(
-            round=int(obj["round"]),
+            round=_json_int(obj["round"], "round"),
             party=Party(obj["party"]),
-            position=int(obj["position"]),
+            position=_json_int(obj["position"], "position"),
             outcome=SpinOutcome.from_symbol(obj["outcome"]),
         )
 
@@ -228,14 +250,15 @@ class TerminalRecord:
             bit = obj[key]
             if bit is not None and (type(bit) is not int or bit not in (0, 1)):  # bool too
                 raise ProtocolViolationError(f"{key} must be 0, 1 or null, got {bit!r}")
-        confidence = float(obj["confidence"])
-        if not 0.0 <= confidence <= 1.0:  # also false for NaN
-            raise ProtocolViolationError(f"confidence must lie in [0, 1], got {confidence}")
+        confidence = obj["confidence"]
+        # compare before converting: float() overflows on huge integers
+        if type(confidence) not in (int, float) or not 0 <= confidence <= 1:  # NaN fails too
+            raise ProtocolViolationError(f"confidence must lie in [0, 1], got {confidence!r}")
         return cls(
             status=DecodeStatus(obj["status"]),
             bob_bit=obj["bob_bit"],
             sonai_bit=obj["sonai_bit"],
-            confidence=confidence,
+            confidence=float(confidence),
             abort_reason=AbortReason(obj["abort_reason"]) if obj["abort_reason"] else None,
         )
 
@@ -296,7 +319,7 @@ class Transcript:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON, or an integer past the digit limit
                 raise ProtocolViolationError(f"line {lineno}: not valid JSON: {exc}") from exc
             try:
                 if "status" in obj:
@@ -657,9 +680,7 @@ def run_session(
     from . import netsim  # session runner sits on top of the simulator
 
     if cb is None:
-        cb = generate_codebook(
-            config.n, config.lam, rng_mod.substream(config.seed, rng_mod.KEY_CODEBOOK)
-        )
+        cb = resolve_codebook(None, config.n, config.lam, config.seed)
     world = netsim.build_world(config, bits, cb=cb, strategies=strategies, policy=policy)
     return netsim.run_world(world)
 

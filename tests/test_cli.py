@@ -5,7 +5,13 @@ import json
 import pytest
 
 from entpost.cli import EXIT_ABORT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from entpost.codebook import REFERENCE_RAW_FOURTH, reference_codebook, save_codebook
+from entpost.codebook import (
+    REFERENCE_RAW_FOURTH,
+    codebook_to_document,
+    reference_codebook,
+    save_codebook,
+)
+from entpost.montecarlo import ExperimentSpec, aggregate_rows, read_rows_csv
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +84,10 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "nonsense")[0] == EXIT_USAGE
     assert run_cli(capsys, "run", "--bits", "00", "--bob-msg", "1", "--sonai-msg", "1",
                    "--seed", "1")[0] == EXIT_USAGE
+    for size in (["--n", "16"], ["--n", "8", "--lambda", "5"]):
+        code, _, err = run_cli(capsys, "run", "--codebook", "reference", *size, "--seed", "1")
+        assert code == EXIT_USAGE
+        assert "codebook (n=8, lambda=4) does not match" in err
 
 
 def test_message_mode(capsys):
@@ -134,6 +144,26 @@ def test_codebook_validate_unreadable_file(tmp_path, capsys):
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{")
     assert run_cli(capsys, "codebook", "validate", str(garbage))[0] == EXIT_IO
+    # malformed numbers: each is unreadable data, never a crash or a coercion
+    ref = codebook_to_document(reference_codebook())
+    coerced = json.loads(json.dumps(ref))
+    coerced["n"] = 8.9
+    coerced["entries"][0]["s_j"][:2] = [2.7, "6"]
+    extra_bit = json.loads(json.dumps(ref))
+    extra_bit["entries"][3]["bits"] = [True, False, 7]
+    texts = [
+        json.dumps({**ref, "n": float("inf")}),
+        json.dumps(coerced),
+        json.dumps(extra_bit),
+        json.dumps(ref).replace('"lambda": 4', '"lambda": ' + "4" * 5000),
+    ]
+    garbage.write_bytes(b"\xff\xfe{}")
+    assert run_cli(capsys, "codebook", "validate", str(garbage))[0] == EXIT_IO
+    for text in texts:
+        garbage.write_text(text)
+        code, _, err = run_cli(capsys, "codebook", "validate", str(garbage))
+        assert code == EXIT_IO, text[:80]
+        assert err.startswith("error: ")
 
 
 def test_codebook_reference_output(tmp_path, capsys):
@@ -206,6 +236,24 @@ def test_replay_rejects_duplicate_reveals(tmp_path, capsys):
                            "--transcript", str(path))
     assert code == EXIT_IO
     assert "duplicate" in err
+    # malformed numbers are rejected as unreadable data, not crashed on or coerced
+    reveal = '{"round":1,"party":"bob","position":1,"outcome":"+"}\n'
+    terminal = '{"status":"decoded","bob_bit":0,"sonai_bit":0,"abort_reason":null,"confidence":%s}'
+    for text in (
+        '{"round":1,"party":"bob","position":Infinity,"outcome":"+"}',
+        reveal + terminal % ("9" * 401),
+        '{"round":1.9,"party":"bob","position":"2","outcome":"+"}',  # read as round 1, position 2
+        '{"round":1,"party":"bob","position":3.7,"outcome":"+"}',
+        '{"round":1,"party":"bob","position":%s,"outcome":"+"}' % ("1" * 5000),
+    ):
+        path.write_text(text + "\n")
+        code, _, err = run_cli(capsys, "replay", "--codebook", "reference",
+                               "--transcript", str(path))
+        assert code == EXIT_IO, text[:80]
+        assert err.startswith("error: line ")
+    path.write_bytes(reveal.encode() + b"\xff\n")
+    assert run_cli(capsys, "replay", "--codebook", "reference",
+                   "--transcript", str(path))[0] == EXIT_IO
 
 
 def test_replay_echoes_timeout_aborts(tmp_path, capsys):
@@ -239,6 +287,26 @@ def test_montecarlo_writes_rows_and_report(tmp_path, capsys):
     # stdout carries the same report after the seed line
     stdout_report = json.loads(out.split("\n", 1)[1])
     assert stdout_report == report
+
+
+def test_montecarlo_soundness_cycling_bits_writes_rows_and_report(tmp_path, capsys):
+    base = tmp_path / "sb"
+    code, _, _ = run_cli(
+        capsys, "montecarlo", "--mode", "soundness", "--n", "8", "--lambda", "4",
+        "--codebook", "reference", "--trials", "8", "--seed", "1", "--out", str(base),
+    )
+    assert code == EXIT_OK
+    report = json.loads((tmp_path / "sb.json").read_text())
+    with open(tmp_path / "sb.csv", newline="", encoding="utf-8") as fp:
+        rows = read_rows_csv(fp)
+    spec = ExperimentSpec(mode="soundness", n=8, lam=4, codebook="reference", trials=8, seed=1)
+    assert aggregate_rows(spec, rows).to_json_obj() == report
+    # each rate counts only the trials in which that entry was a wrong one
+    for bits, rate in report["survival_rates"].items():
+        present = [row[f"survived_{bits}"] for row in rows
+                   if f"{row['truth_bob']}{row['truth_sonai']}" != bits]
+        assert all(value is not None for value in present)
+        assert rate == sum(present) / len(present) == sum(present) / 6
 
 
 def test_montecarlo_run_events_out(tmp_path, capsys):

@@ -4,6 +4,7 @@ brute-force model in oracle.py before the library existed."""
 
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,7 @@ from entpost.codebook import (
 )
 from entpost.rng import substream
 
+from json_junk import JUNK
 from oracle import survival_count
 
 # counterpart orderings of the built-in 8-pair codebook
@@ -267,6 +269,34 @@ def test_load_rejects_garbage(tmp_path):
     path.write_text(json.dumps({"version": 99}))
     with pytest.raises(CodebookError):
         load_codebook(path)
+    # malformed numbers: no crash on infinities, no coercion of floats,
+    # strings or bools, exactly two bits per entry
+    ref = codebook_to_document(reference_codebook())
+    coerced = json.loads(json.dumps(ref))
+    coerced["n"] = 8.9
+    coerced["entries"][0]["s_j"][:2] = [2.7, "6"]
+    extra_bit = json.loads(json.dumps(ref))
+    extra_bit["entries"][3]["bits"] = [True, False, 7]
+    three_bits = json.loads(json.dumps(ref))
+    three_bits["entries"][3]["bits"] = [1, 0, 0]
+    one_bit = json.loads(json.dumps(ref))
+    one_bit["entries"][3]["bits"] = [1]
+    for doc in (
+        {**ref, "n": math.inf},
+        {**ref, "lambda": math.nan},
+        {**ref, "lambda": 0},
+        {**ref, "version": True},
+        coerced,
+        extra_bit,
+        three_bits,
+        one_bit,
+    ):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CodebookError):
+            load_codebook(path, validate=False)
+    path.write_text(json.dumps(ref).replace('"lambda": 4', '"lambda": ' + "4" * 5000))
+    with pytest.raises(CodebookError):
+        load_codebook(path)
 
 
 def test_document_lengths_are_checked_before_any_size_n_work(monkeypatch):
@@ -281,6 +311,30 @@ def test_document_lengths_are_checked_before_any_size_n_work(monkeypatch):
             codebook_from_document(doc)
         with pytest.raises(CodebookError):
             codebook_from_document(doc, validate=False)
+
+
+def _slots(doc):
+    """Every (container, key) of a codebook document that holds a value."""
+    slots = [(doc, key) for key in doc]
+    for entry in doc["entries"]:
+        slots += [(entry, "bits"), (entry, "s_j")]
+        slots += [(entry[key], i) for key in ("bits", "s_j") for i in range(len(entry[key]))]
+    return slots
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.booleans())
+def test_document_parser_raises_only_codebook_errors(data, validate):
+    doc = codebook_to_document(reference_codebook())
+    slots = _slots(doc)
+    picks = data.draw(st.sets(st.integers(0, len(slots) - 1), min_size=1, max_size=3))
+    for index in sorted(picks, reverse=True):  # inner slots first
+        container, key = slots[index]
+        container[key] = data.draw(JUNK)
+    try:
+        codebook_from_document(json.loads(json.dumps(doc)), validate=validate)
+    except CodebookError:
+        pass
 
 
 def test_validate_codebook_flags_low_distance():

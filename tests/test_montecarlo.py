@@ -17,7 +17,7 @@ from entpost.montecarlo import (
     write_rows_csv,
 )
 from entpost.netsim import WithholdAfter
-from entpost.protocol import Party, run_session
+from entpost.protocol import Party, ProtocolConfig, run_session
 from entpost.rng import KEY_TRIAL, derive_seed
 
 
@@ -28,7 +28,24 @@ def test_spec_validation():
         ExperimentSpec(trials=0)
     with pytest.raises(ValueError):
         ExperimentSpec(delta=0.7)
+    # the spec rejects what the protocol config rejects, with the same coercion
+    for bad in (dict(n=0), dict(confidence_target=1.0), dict(reveal_first="alice")):
+        with pytest.raises(ValueError):
+            ProtocolConfig(**bad)
+        with pytest.raises(ValueError):
+            ExperimentSpec(**bad)
     assert ExperimentSpec(noise=0.1).noise.flip_probability == 0.1
+    assert ExperimentSpec(reveal_first="sonai").reveal_first is Party.SONAI
+
+
+def test_spec_is_a_protocol_config():
+    spec = ExperimentSpec(mode="soundness", n=8, lam=4, noise=0.05, delta=0.25,
+                          reveal_first="sonai", seed=3, trials=7, codebook="reference")
+    assert isinstance(spec, ProtocolConfig)
+    config = spec.config(seed=99)
+    assert type(config) is ProtocolConfig
+    assert config == ProtocolConfig(n=8, lam=4, noise=0.05, delta=0.25,
+                                    reveal_first="sonai", seed=99)
 
 
 def test_trial_bits_cycles_all_four_by_default():

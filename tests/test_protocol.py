@@ -31,6 +31,7 @@ from entpost.protocol import (
 )
 from entpost.rng import substream
 
+from json_junk import JUNK
 from oracle import survival_count
 
 REF = reference_codebook()
@@ -66,6 +67,8 @@ def test_config_validation():
     cfg = ProtocolConfig(noise=0.05, reveal_first="sonai")
     assert cfg.noise == NoiseModel(0.05)
     assert cfg.reveal_first is Party.SONAI
+    # a negative zero is stored as 0.0, so no report prints "-0.0"
+    assert math.copysign(1.0, ProtocolConfig(noise=-0.0).noise.flip_probability) == 1.0
     with pytest.raises(ValueError):
         ProtocolConfig(noise=NoiseModel(0.6))
 
@@ -171,6 +174,19 @@ def test_transcript_parse_errors_carry_line_numbers():
     )
     with pytest.raises(ProtocolViolationError, match="duplicate"):
         Transcript.from_jsonl(dup)
+    # reveal numbers must be JSON integers: no crash on infinities, no coercion
+    first = '{"round":1,"party":"sonai","position":1,"outcome":"+"}\n'
+    for line in (
+        '{"round":2,"party":"bob","position":Infinity,"outcome":"+"}',
+        '{"round":-Infinity,"party":"bob","position":1,"outcome":"+"}',
+        '{"round":2,"party":"bob","position":NaN,"outcome":"+"}',
+        '{"round":2.9,"party":"bob","position":"2","outcome":"+"}',
+        '{"round":2,"party":"bob","position":3.7,"outcome":"+"}',
+        '{"round":2,"party":"bob","position":true,"outcome":"+"}',
+        '{"round":2,"party":"bob","position":%s,"outcome":"+"}' % ("1" * 5000),
+    ):
+        with pytest.raises(ProtocolViolationError, match="line 2"):
+            Transcript.from_jsonl(first + line)
 
 
 def test_terminal_record_round_trip():
@@ -187,7 +203,8 @@ def test_terminal_line_rejects_values_outside_the_domain():
         ("bob_bit", "x"), ("bob_bit", 2), ("bob_bit", -1), ("bob_bit", 1.0),
         ("sonai_bit", True), ("sonai_bit", False), ("sonai_bit", [0]),
         ("confidence", float("nan")), ("confidence", float("inf")),
-        ("confidence", -0.1), ("confidence", 1.5),
+        ("confidence", -0.1), ("confidence", 1.5), ("confidence", 10**400),
+        ("confidence", -(10**400)), ("confidence", "0.5"), ("confidence", True),
     ]
     for key, value in bad_values:
         line = json.dumps({**valid, key: value})  # NaN and Infinity as Python's json writes them
@@ -196,6 +213,32 @@ def test_terminal_line_rejects_values_outside_the_domain():
     with pytest.raises(ProtocolViolationError):
         Transcript.from_jsonl('{"status":"decoded","bob_bit":"x","sonai_bit":0,'
                               '"confidence":NaN,"abort_reason":null}')
+
+
+@st.composite
+def junk_transcripts(draw):
+    """One to three records, each with junk in one or two numeric slots."""
+    reveal = {"round": 1, "party": "bob", "position": 1, "outcome": "+"}
+    terminal = {"status": "decoded", "bob_bit": 0, "sonai_bit": 0, "confidence": 1.0,
+                "abort_reason": None}
+    numeric = {"round", "position", "bob_bit", "sonai_bit", "confidence"}
+    lines = []
+    for record in draw(st.lists(st.sampled_from([reveal, terminal]), min_size=1, max_size=3)):
+        record = dict(record)
+        slots = sorted(numeric & record.keys())
+        for key in draw(st.sets(st.sampled_from(slots), min_size=1, max_size=2)):
+            record[key] = draw(JUNK)
+        lines.append(record)
+    return "\n".join(json.dumps(line) for line in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(junk_transcripts())
+def test_transcript_parser_raises_only_protocol_violations(text):
+    try:
+        Transcript.from_jsonl(text)
+    except ProtocolViolationError:
+        pass
 
 
 # -- receivers and checks -----------------------------------------------------
