@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -196,8 +197,12 @@ def effective_distance(candidate: Pairing, truth: Pairing) -> int:
     """
     if len(candidate) != len(truth):
         raise CodebookError(f"pairing lengths differ: {len(candidate)} vs {len(truth)}")
-    inv_truth = truth.inverse().zero_based()
-    cand = candidate.zero_based()
+    return _effective_distance(candidate.zero_based(), truth.inverse().zero_based())
+
+
+def _effective_distance(cand: Sequence[int], inv_truth: Sequence[int]) -> int:
+    """``effective_distance`` from the 0-based candidate map and the 0-based
+    inverse of the truth's map."""
     sigma = [inv_truth[c] for c in cand]
     mismatched = [k for k in range(len(sigma)) if sigma[k] != k]
     unvisited = set(mismatched)
@@ -231,6 +236,15 @@ class CodebookEntry:
     s_i: SequenceCode
     s_j: SequenceCode
     pairing: Pairing | None = field(default=None, compare=False)
+
+    @cached_property
+    def partner_maps(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """0-based partner positions bob -> sonai and sonai -> bob, built once
+        per entry and shared by every receiver and replay that uses it."""
+        if self.pairing is None:
+            raise ValueError(f"entry {self.bits} has no valid pairing")
+        # with the identity sender ordering, sonai's position p holds label s_j[p]
+        return tuple(p - 1 for p in self.pairing.mapping), tuple(x - 1 for x in self.s_j.order)
 
 
 def make_entry(bits: tuple[int, int], s_j: Sequence[int], n: int) -> CodebookEntry:
@@ -292,16 +306,15 @@ def generate_codebook(
             f"raise n or lower the distance floor"
         )
     entries: list[CodebookEntry] = []
-    pairings: list[Pairing] = []
     rejections = 0
     for bits in BIT_PAIR_ORDER:
         while True:
             order = tuple(int(x) for x in rng.permutation(n) + 1)
             entry = make_entry(bits, order, n)
-            assert entry.pairing is not None
-            if all(effective_distance(entry.pairing, q) >= lam for q in pairings):
+            to_sonai = entry.partner_maps[0]
+            # an accepted entry's sonai -> bob map is the inverse of its pairing
+            if all(_effective_distance(to_sonai, q.partner_maps[1]) >= lam for q in entries):
                 entries.append(entry)
-                pairings.append(entry.pairing)
                 break
             rejections += 1
             if rejections >= max_attempts:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from typing import IO, Sequence
@@ -132,29 +133,28 @@ def run_trial(spec: ExperimentSpec, cb: Codebook, trial: int) -> dict:
     return row
 
 
-def _run_chunk(spec: ExperimentSpec, start: int, stop: int) -> list[dict]:
-    cb = spec.shared_codebook()
+def _run_chunk(spec: ExperimentSpec, cb: Codebook, start: int, stop: int) -> list[dict]:
     return [run_trial(spec, cb, t) for t in range(start, stop)]
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> tuple[list[dict], "StatsReport"]:
     """Run all trials and aggregate. The report is identical for any worker
-    count because trial seeds depend only on the trial index."""
+    count because trial seeds depend only on the trial index. The trials are
+    split into min(workers, trials) chunks, run by at most one process per
+    CPU."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    if workers == 1:
-        rows = _run_chunk(spec, 0, spec.trials)
+    cb = spec.shared_codebook()
+    chunks = min(workers, spec.trials)
+    if chunks == 1:
+        rows = _run_chunk(spec, cb, 0, spec.trials)
     else:
-        bounds = [spec.trials * i // workers for i in range(workers + 1)]
-        spans = [
-            (bounds[i], bounds[i + 1])
-            for i in range(workers)
-            if bounds[i] < bounds[i + 1]
-        ]
-        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-            futures = [pool.submit(_run_chunk, spec, a, b) for a, b in spans]
+        # chunks <= trials, so every chunk holds at least one trial
+        bounds = [spec.trials * i // chunks for i in range(chunks + 1)]
+        with ProcessPoolExecutor(max_workers=min(chunks, os.cpu_count() or 1)) as pool:
+            futures = [pool.submit(_run_chunk, spec, cb, a, b) for a, b in zip(bounds, bounds[1:])]
             rows = [row for fut in futures for row in fut.result()]
-    return rows, aggregate_rows(spec, rows)
+    return rows, aggregate_rows(spec, rows, cb=cb)
 
 
 @dataclass(frozen=True)
@@ -186,14 +186,13 @@ class StatsReport:
         return asdict(self)
 
 
-def _survival_by_distance(spec: ExperimentSpec, rows: Sequence[dict]) -> dict:
+def _survival_by_distance(cb: Codebook, rows: Sequence[dict]) -> dict:
     """Tally wrong-candidate survival events, grouped by effective distance.
 
     The distance between the true entry and each surviving wrong candidate is
     looked up in the experiment's codebook, so a report regenerated from the
     raw CSV lands on the same numbers.
     """
-    cb = spec.shared_codebook()
     lookup: dict[tuple, int] = {}
     for (a, b), d in cb.pairwise_distances().items():
         lookup[(a, b)] = d
@@ -211,8 +210,12 @@ def _survival_by_distance(spec: ExperimentSpec, rows: Sequence[dict]) -> dict:
     return {str(d): counts[d] for d in sorted(counts)}
 
 
-def aggregate_rows(spec: ExperimentSpec, rows: Sequence[dict]) -> StatsReport:
-    """The only path from rows to a report."""
+def aggregate_rows(
+    spec: ExperimentSpec, rows: Sequence[dict], *, cb: Codebook | None = None
+) -> StatsReport:
+    """The only path from rows to a report. ``cb`` is the experiment's
+    codebook if the caller has already resolved it; it is needed only when
+    the rows carry survival results, and resolved from ``spec`` if absent."""
     status_counts: dict[str, int] = {}
     abort_counts: dict[str, int] = {}
     gap_hist: dict[str, int] = {}
@@ -248,7 +251,9 @@ def aggregate_rows(spec: ExperimentSpec, rows: Sequence[dict]) -> StatsReport:
         key.removeprefix("survived_"): survived / present
         for key, (survived, present) in sorted(survival_tallies.items())
     }
-    survival_by_distance = _survival_by_distance(spec, rows) if survival_tallies else {}
+    survival_by_distance = (
+        _survival_by_distance(cb or spec.shared_codebook(), rows) if survival_tallies else {}
+    )
     return StatsReport(
         mode=spec.mode,
         trials=total,

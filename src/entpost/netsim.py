@@ -1,9 +1,12 @@
-"""Deterministic message-passing simulator for one session.
+"""Deterministic tick simulator for one session.
 
-Time advances in integer ticks. Every tick runs a delivery phase (links
-drained in a fixed order, FIFO within a link, one tick of latency) and then
-an act phase (receivers in a fixed order). Determinism therefore depends
-only on the seed, never on wall-clock or scheduling accidents.
+Time advances in integer ticks. Every tick runs a delivery phase and then an
+act phase (receivers in a fixed order, bob then sonai). A reveal sent in one
+tick's act phase waits in the counterpart's in-flight list and is handed
+over in the next tick's delivery phase: sonai's list (bob's reveals) first,
+then bob's, each in send order. Alice hands both receivers their outcomes
+before the first tick. Determinism therefore depends only on the seed, never
+on wall-clock or scheduling accidents.
 
 Pacing: the opener may run at most ``one_ahead_limit`` reveals ahead of what
 it has received; the other receiver stays strictly behind the opener by one
@@ -12,7 +15,6 @@ A receiver stalled for ``timeout_ticks`` consecutive ticks gives up.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,9 +40,6 @@ from .protocol import (
 
 __all__ = [
     "MessageKind",
-    "WireMessage",
-    "Link",
-    "LINK_ORDER",
     "FairnessPolicy",
     "Action",
     "enforce_fairness",
@@ -63,60 +62,6 @@ class MessageKind(str, Enum):
     REVEAL = "reveal"
     DECODE_ANNOUNCE = "decode_announce"
     ABORT = "abort"
-
-
-@dataclass(frozen=True)
-class WireMessage:
-    kind: MessageKind
-    sender: Party
-    receiver: Party
-    payload: dict
-    send_tick: int
-    deliver_tick: int
-    seq: int
-
-
-class Link:
-    """One-way FIFO channel with fixed latency."""
-
-    def __init__(self, sender: Party, receiver: Party, delay: int = 1):
-        self.sender = sender
-        self.receiver = receiver
-        self.delay = delay
-        self.queue: deque[WireMessage] = deque()
-        self._next_seq = 0
-
-    @property
-    def name(self) -> str:
-        return f"{self.sender.value}->{self.receiver.value}"
-
-    def push(self, kind: MessageKind, payload: dict, now: int) -> WireMessage:
-        msg = WireMessage(
-            kind=kind,
-            sender=self.sender,
-            receiver=self.receiver,
-            payload=payload,
-            send_tick=now,
-            deliver_tick=now + self.delay,
-            seq=self._next_seq,
-        )
-        self._next_seq += 1
-        self.queue.append(msg)
-        return msg
-
-    def pop_due(self, now: int) -> list[WireMessage]:
-        due: list[WireMessage] = []
-        while self.queue and self.queue[0].deliver_tick <= now:
-            due.append(self.queue.popleft())
-        return due
-
-
-LINK_ORDER: tuple[tuple[Party, Party], ...] = (
-    (Party.ALICE, Party.BOB),
-    (Party.ALICE, Party.SONAI),
-    (Party.BOB, Party.SONAI),
-    (Party.SONAI, Party.BOB),
-)
 
 
 @dataclass(frozen=True)
@@ -277,7 +222,6 @@ class ReceiverAgent:
         self.policy = policy
         self.is_opener = is_opener
         self.lie_rng = lie_rng
-        self.delivered = False
         self.waiting = 0
         self.finished = False
         self.aborted: AbortReason | None = None
@@ -289,26 +233,18 @@ class ReceiverAgent:
     def done(self) -> bool:
         return self.finished or self.aborted is not None
 
-    def on_message(self, msg: WireMessage, world: "World") -> None:
+    def on_reveal(self, position: int, outcome: int, world: "World") -> None:
         if self.done:
             return
-        if msg.kind is MessageKind.DELIVERY:
-            self.delivered = True
-            self.waiting = 0
+        try:
+            self.receiver.observe_reveal(position, outcome)
+        except ProtocolViolationError:
+            self._abort(AbortReason.FAIRNESS_VIOLATION, world)
             return
-        if msg.kind is MessageKind.REVEAL:
-            try:
-                self.receiver.observe_reveal(msg.payload["position"], msg.payload["outcome"])
-            except ProtocolViolationError:
-                self._abort(AbortReason.FAIRNESS_VIOLATION, world)
-                return
-            self.waiting = 0
+        self.waiting = 0
 
     def act(self, world: "World") -> None:
         if self.done:
-            return
-        if not self.delivered:
-            self._idle_tick(world)
             return
         action = enforce_fairness(
             self.policy,
@@ -329,20 +265,10 @@ class ReceiverAgent:
         if self.receiver.sent_count >= self.receiver.codebook.n and self.receiver.received_all:
             self.finished = True
             self.result = self.receiver.decode()
-            world.log(
-                None,
-                MessageKind.DECODE_ANNOUNCE,
-                self.party,
-                self.party,
-                f"final:{self.result.status.value}",
-            )
+            summary = f"final:{self.result.status.value}"
+            world.log(MessageKind.DECODE_ANNOUNCE, self.party, self.party, summary)
         elif not batch:
             self.waiting += 1
-
-    def _idle_tick(self, world: "World") -> None:
-        self.waiting += 1
-        if self.waiting >= self.policy.timeout_ticks:
-            self._abort(AbortReason.TIMEOUT, world)
 
     def _maybe_announce(self, world: "World") -> None:
         if self.announced:
@@ -355,22 +281,18 @@ class ReceiverAgent:
         result = self.receiver.decode()
         if result.status is DecodeStatus.DECODED:
             self.announced = True
-            world.log(
-                None,
-                MessageKind.DECODE_ANNOUNCE,
-                self.party,
-                self.party,
-                f"early:bits={result.bob_bit}{result.sonai_bit}",
-            )
+            summary = f"early:bits={result.bob_bit}{result.sonai_bit}"
+            world.log(MessageKind.DECODE_ANNOUNCE, self.party, self.party, summary)
 
     def _abort(self, reason: AbortReason, world: "World") -> None:
         self.aborted = reason
         self.result = DecodeResult.aborted(reason)
-        world.log(None, MessageKind.ABORT, self.party, self.party, reason.value)
+        world.log(MessageKind.ABORT, self.party, self.party, reason.value)
 
 
 class World:
-    """All session state: links, agents, the public transcript, event log."""
+    """All session state: agents, the reveals in flight to each receiver, the
+    public transcript and the event log."""
 
     def __init__(
         self,
@@ -383,25 +305,18 @@ class World:
         self.codebook = cb
         self.agents = agents
         self.policy = policy
-        self.links: dict[tuple[Party, Party], Link] = {
-            pair: Link(*pair) for pair in LINK_ORDER
-        }
+        # (position, outcome) reveals sent to each receiver this tick, keyed
+        # in delivery order: sonai, then bob
+        self.in_flight: dict[Party, list[tuple[int, int]]] = {Party.SONAI: [], Party.BOB: []}
         self.transcript = Transcript()
         self.event_log: list[dict] = []
         self.tick = 0
 
-    def log(
-        self,
-        link: Link | None,
-        kind: MessageKind,
-        sender: Party,
-        receiver: Party,
-        summary: str,
-    ) -> None:
+    def log(self, kind: MessageKind, sender: Party, receiver: Party, summary: str) -> None:
         self.event_log.append(
             {
                 "tick": self.tick,
-                "link": link.name if link else "local",
+                "link": "local" if sender is receiver else f"{sender.value}->{receiver.value}",
                 "kind": kind.value,
                 "sender": sender.value,
                 "receiver": receiver.value,
@@ -410,34 +325,21 @@ class World:
         )
 
     def send_reveal(self, party: Party, position: int, outcome: int) -> None:
-        event = RevealEvent(
-            round=len(self.transcript.events) + 1,
-            party=party,
-            position=position,
-            outcome=SpinOutcome(outcome),
-        )
+        event = RevealEvent(len(self.transcript.events) + 1, party, position, SpinOutcome(outcome))
         self.transcript.append(event)
-        link = self.links[(party, party.counterpart())]
-        link.push(
-            MessageKind.REVEAL,
-            {"position": position, "outcome": outcome},
-            self.tick,
-        )
-        self.log(
-            link,
-            MessageKind.REVEAL,
-            party,
-            party.counterpart(),
-            f"{party.value}#{position}:{SpinOutcome(outcome).symbol}",
-        )
+        counterpart = party.counterpart()
+        self.in_flight[counterpart].append((position, outcome))
+        summary = f"{party.value}#{position}:{event.outcome.symbol}"
+        self.log(MessageKind.REVEAL, party, counterpart, summary)
 
     def deliver_phase(self) -> None:
-        for pair in LINK_ORDER:
-            link = self.links[pair]
-            for msg in link.pop_due(self.tick):
-                agent = self.agents.get(msg.receiver)
-                if agent is not None:
-                    agent.on_message(msg, self)
+        """Hand over last tick's reveals: bob's to sonai first, then sonai's
+        to bob, each in send order."""
+        for party, reveals in self.in_flight.items():
+            self.in_flight[party] = []
+            agent = self.agents[party]
+            for position, outcome in reveals:
+                agent.on_reveal(position, outcome, self)
 
     def act_phase(self) -> None:
         for party in (Party.BOB, Party.SONAI):
@@ -470,40 +372,33 @@ def build_world(
         for party, receiver in receivers.items()
     }
     world = World(config, cb, agents, policy)
-    # sender hands each receiver its outcome sequence up front
+    # the sender hands each receiver its outcome sequence before the first tick
     for party in (Party.BOB, Party.SONAI):
-        link = world.links[(Party.ALICE, party)]
-        link.push(MessageKind.DELIVERY, {"count": cb.n}, now=0)
-        world.log(link, MessageKind.DELIVERY, Party.ALICE, party, f"outcomes[n={cb.n}]")
+        world.log(MessageKind.DELIVERY, Party.ALICE, party, f"outcomes[n={cb.n}]")
     return world
 
 
 def run_world(world: World) -> SessionOutcome:
     """Tick until both receivers settle or either aborts."""
-    config = world.config
-    max_ticks = 4 * config.n + world.policy.timeout_ticks + 8
+    bob, sonai = agents = (world.agents[Party.BOB], world.agents[Party.SONAI])
+    max_ticks = 4 * world.config.n + world.policy.timeout_ticks + 8
     while world.tick < max_ticks:
         world.tick += 1
         world.deliver_phase()
         world.act_phase()
-        agents = [world.agents[Party.BOB], world.agents[Party.SONAI]]
         if any(a.aborted is not None for a in agents) or all(a.finished for a in agents):
             break
     else:
         raise RuntimeError("session failed to settle within the tick budget")
 
-    bob = world.agents[Party.BOB]
-    sonai = world.agents[Party.SONAI]
-    for agent in (bob, sonai):
+    for agent in agents:
         if agent.result is None:
             agent.result = agent.receiver.decode()
-    results = {Party.BOB: bob.result, Party.SONAI: sonai.result}
-    transport_abort = next((a.aborted for a in (bob, sonai) if a.aborted is not None), None)
-    terminal = terminal_record(bob.result, sonai.result, transport_abort)
-    world.transcript.close(terminal)
+    transport_abort = next((a.aborted for a in agents if a.aborted is not None), None)
+    world.transcript.close(terminal_record(bob.result, sonai.result, transport_abort))
     return SessionOutcome(
         transcript=world.transcript,
-        results=results,
+        results={Party.BOB: bob.result, Party.SONAI: sonai.result},
         receivers={Party.BOB: bob.receiver, Party.SONAI: sonai.receiver},
         event_log=world.event_log,
         ticks=world.tick,

@@ -181,14 +181,16 @@ def prepare_session(
     config: ProtocolConfig, bits: tuple[int, int], cb: Codebook
 ) -> tuple[PreparedBlock, dict[Party, Receiver]]:
     """Prepare the block from the config seed's prepare and noise substreams
-    and give each receiver its measured outcomes."""
+    and give each receiver its measured outcomes. A noiseless session draws
+    no noise, so its noise substreams are never built."""
+    noisy = not config.noise.noiseless
     block = alice_prepare(
         bits,
         cb,
         config.noise,
         rng_mod.substream(config.seed, rng_mod.KEY_PREPARE),
-        noise_rng_bob=rng_mod.substream(config.seed, rng_mod.KEY_NOISE_BOB),
-        noise_rng_sonai=rng_mod.substream(config.seed, rng_mod.KEY_NOISE_SONAI),
+        noise_rng_bob=rng_mod.substream(config.seed, rng_mod.KEY_NOISE_BOB) if noisy else None,
+        noise_rng_sonai=rng_mod.substream(config.seed, rng_mod.KEY_NOISE_SONAI) if noisy else None,
     )
     receivers = {
         party: Receiver(party, cb, measure_all(party, block), config)
@@ -347,9 +349,12 @@ class CandidateState:
         "check_passed",
     )
 
-    def __init__(self, entry: CodebookEntry, to_counterpart: list[int], from_counterpart: list[int]):
+    def __init__(
+        self, entry: CodebookEntry, to_counterpart: Sequence[int], from_counterpart: Sequence[int]
+    ):
         self.entry = entry
-        # Own 0-based position -> counterpart 0-based position, and back.
+        # Own 0-based position -> counterpart 0-based position, and back;
+        # shared with every other state on the same entry.
         self.to_counterpart = to_counterpart
         self.from_counterpart = from_counterpart
         self.checks_completed = 0
@@ -361,17 +366,8 @@ class CandidateState:
 
 def _candidate_states(cb: Codebook, party: Party) -> list[CandidateState]:
     """Fresh check state for every entry, in ``party``'s position order."""
-    states: list[CandidateState] = []
-    for entry in cb.entries:
-        if entry.pairing is None:
-            raise ValueError(f"entry {entry.bits} has no valid pairing")
-        fwd = entry.pairing.zero_based()
-        inv = entry.pairing.inverse().zero_based()
-        if party is Party.BOB:
-            states.append(CandidateState(entry, fwd, inv))
-        else:
-            states.append(CandidateState(entry, inv, fwd))
-    return states
+    step = 1 if party is Party.BOB else -1  # partner_maps is (bob -> sonai, sonai -> bob)
+    return [CandidateState(entry, *entry.partner_maps[::step]) for entry in cb.entries]
 
 
 def _complete_check(cand: CandidateState, own_pos: int, passed: bool, delta: float) -> None:
@@ -491,7 +487,7 @@ class Receiver:
         own_arr = np.asarray(self.own, dtype=np.int8)
         delta = self.config.delta
         for cand in self.candidates:
-            passed = own_arr[cand.from_counterpart] != values
+            passed = own_arr.take(cand.from_counterpart) != values
             cand.checks_completed = n
             cand.violations = int(n - passed.sum())
             cand.alive = cand.violations <= delta * n

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entpost.cli import EXIT_ABORT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from entpost.codebook import (
@@ -12,6 +13,8 @@ from entpost.codebook import (
     save_codebook,
 )
 from entpost.montecarlo import ExperimentSpec, aggregate_rows, read_rows_csv
+
+from json_junk import junk_transcripts
 
 
 def run_cli(capsys, *argv):
@@ -268,6 +271,38 @@ def test_replay_echoes_timeout_aborts(tmp_path, capsys):
                            "--transcript", str(path))
     assert code == EXIT_OK
     assert "echoed" in out
+
+
+@st.composite
+def well_typed_transcripts(draw):
+    """Records of the right types whose values may still break the rules:
+    positions out of range, repeats, any terminal."""
+    lines = [
+        {"round": r, "party": draw(st.sampled_from(["bob", "sonai"])),
+         "position": draw(st.integers(min_value=0, max_value=9)),
+         "outcome": draw(st.sampled_from(["+", "-"]))}
+        for r in range(1, draw(st.integers(min_value=0, max_value=12)) + 1)
+    ]
+    if draw(st.booleans()):
+        status = draw(st.sampled_from(["decoded", "undecided", "abort"]))
+        lines.append({
+            "status": status,
+            "bob_bit": draw(st.sampled_from([0, 1, None])),
+            "sonai_bit": draw(st.sampled_from([0, 1, None])),
+            "confidence": draw(st.sampled_from([0.0, 0.5, 1.0])),
+            "abort_reason": draw(st.sampled_from(["no_consistent_entry", "timeout"]))
+            if status == "abort" else None,
+        })
+    return "\n".join(json.dumps(line) for line in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(junk_transcripts(), well_typed_transcripts()))
+def test_replay_of_junk_transcripts_exits_0_1_or_3(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "junk.jsonl"
+    path.write_text(text, encoding="utf-8")
+    code = main(["replay", "--codebook", "reference", "--transcript", str(path)])
+    assert code in (EXIT_OK, EXIT_ABORT, EXIT_IO)
 
 
 def test_montecarlo_writes_rows_and_report(tmp_path, capsys):

@@ -2,9 +2,11 @@
 
 import io
 import math
+from concurrent.futures import Future
 
 import pytest
 
+from entpost import montecarlo
 from entpost.codebook import reference_codebook, save_codebook
 from entpost.epr import NoiseModel
 from entpost.montecarlo import (
@@ -168,6 +170,43 @@ def test_worker_count_never_changes_results():
     rows99, report99 = run_experiment(spec, workers=99)
     assert rows99 == rows1
     assert report99 == report1
+
+
+def test_huge_worker_count_starts_at_most_one_process_per_cpu(monkeypatch):
+    spec = ExperimentSpec(mode="soundness", n=8, lam=4, seed=14, trials=9, codebook="reference")
+    rows1, report1 = run_experiment(spec, workers=1)
+    pools, spans = [], []
+
+    class InlinePool:
+        """Runs each chunk in this process and records the requested size."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            spans.append(args[-2:])
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+    rows, report = run_experiment(spec, workers=10**9)
+    assert pools == [3]
+    assert spans == [(t, t + 1) for t in range(9)]  # one chunk per trial
+    assert rows == rows1
+    assert report == report1
+    # fewer chunks than CPUs, and an unknown CPU count
+    run_experiment(ExperimentSpec(mode="honest", n=8, lam=4, seed=14, trials=2), workers=10**9)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+    run_experiment(spec, workers=4)
+    assert pools == [3, 2, 1]
 
 
 def test_report_json_is_stable(tmp_path):

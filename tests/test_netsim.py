@@ -1,5 +1,9 @@
 """Simulator behavior: pacing, timeouts, adversary strategies, determinism."""
 
+import hashlib
+import itertools
+import json
+
 import pytest
 
 from entpost.codebook import reference_codebook
@@ -9,8 +13,6 @@ from entpost.netsim import (
     FairnessPolicy,
     Honest,
     LieWithProb,
-    MessageKind,
-    WireMessage,
     WithholdAfter,
     build_world,
     enforce_fairness,
@@ -134,14 +136,25 @@ def test_honest_event_log_announces_both_decodes():
 
 
 def test_links_deliver_in_fifo_order_with_unit_delay():
-    world = build_world(config8(), (0, 0), cb=REF)
-    link = world.links[(Party.BOB, Party.SONAI)]
-    link.push(MessageKind.REVEAL, {"position": 1, "outcome": 1}, now=5)
-    link.push(MessageKind.REVEAL, {"position": 2, "outcome": -1}, now=5)
-    assert link.pop_due(5) == []
-    due = link.pop_due(6)
-    assert [m.payload["position"] for m in due] == [1, 2]
-    assert [m.seq for m in due] == [0, 1]
+    # a batch-dumping sonai puts all of its reveals in flight in the tick the
+    # opener sends its first, so one delivery phase empties both lists
+    world = build_world(config8(), (0, 0), cb=REF, strategies={Party.SONAI: BatchDump()})
+    arrivals = []
+    for party, agent in world.agents.items():
+        def record(position, outcome, w, party=party, handover=agent.on_reveal):
+            arrivals.append((w.tick, party.value, position))
+            handover(position, outcome, w)
+
+        agent.on_reveal = record
+    outcome = run_world(world)
+    reveals = [e for e in outcome.event_log if e["kind"] == "reveal"]
+    # each reveal arrives in the tick after it was sent, in send order
+    sent = [
+        (entry["tick"] + 1, entry["receiver"], event.position)
+        for entry, event in zip(reveals, outcome.transcript.events, strict=True)
+    ]
+    assert arrivals == sent
+    assert [receiver for tick, receiver, _ in sent if tick == 2] == ["sonai"] + ["bob"] * 8
 
 
 # -- adversaries --------------------------------------------------------------
@@ -211,21 +224,15 @@ def test_lie_with_zero_probability_is_honest():
 
 def test_duplicate_reveal_is_a_fairness_violation():
     world = build_world(config8(), (0, 0), cb=REF)
-    agent = world.agents[Party.BOB]
-    agent.delivered = True
-    msg = WireMessage(
-        kind=MessageKind.REVEAL,
-        sender=Party.SONAI,
-        receiver=Party.BOB,
-        payload={"position": 2, "outcome": 1},
-        send_tick=0,
-        deliver_tick=1,
-        seq=0,
-    )
-    agent.on_message(msg, world)
-    assert agent.aborted is None
-    agent.on_message(msg, world)
-    assert agent.aborted is AbortReason.FAIRNESS_VIOLATION
+    bob = world.agents[Party.BOB]
+    world.send_reveal(Party.SONAI, 2, 1)
+    world.tick += 1
+    world.deliver_phase()
+    assert bob.receiver.received_count == 1
+    assert bob.aborted is None
+    bob.on_reveal(2, 1, world)  # the same reveal handed over again
+    assert bob.aborted is AbortReason.FAIRNESS_VIOLATION
+    assert world.event_log[-1]["payload_summary"] == "fairness_violation"
 
 
 # -- determinism and budgets --------------------------------------------------
@@ -250,3 +257,104 @@ def test_tick_budgets():
         config8(), (0, 0), cb=REF, strategies={Party.SONAI: WithholdAfter(7)}, policy=policy
     )
     assert stalled.ticks <= 4 * 8 + 16 + 8
+
+
+# -- pinned bytes -------------------------------------------------------------
+
+PINNED_STRATEGIES = {
+    "honest": {},
+    "withhold-bob": {Party.BOB: WithholdAfter(3)},
+    "withhold-sonai": {Party.SONAI: WithholdAfter(3)},
+    "batchdump-bob": {Party.BOB: BatchDump()},
+    "batchdump-sonai": {Party.SONAI: BatchDump()},
+    "lie-bob": {Party.BOB: LieWithProb(0.3)},
+    "lie-sonai": {Party.SONAI: LieWithProb(0.3)},
+}
+PINNED_NOISE = {"noiseless": dict(noise=0.0, delta=0.0), "noisy": dict(noise=0.05, delta=0.25)}
+PINNED_SIZES = {"n8-reference": (8, 4, REF), "n32": (32, 8, None)}  # None: generated from the seed
+PINNED_CASES = [
+    "/".join(parts)
+    for parts in itertools.product(PINNED_STRATEGIES, ("bob", "sonai"), PINNED_NOISE, PINNED_SIZES)
+]
+
+
+def pinned_session_digest(case: str) -> str:
+    """sha256 over the transcript, the JSON event log and the tick count of
+    one session of the pinned grid."""
+    strategy, opener, noise, size = case.split("/")
+    n, lam, cb = PINNED_SIZES[size]
+    config = ProtocolConfig(
+        n=n, lam=lam, confidence_target=0.9, reveal_first=opener, seed=29, **PINNED_NOISE[noise]
+    )
+    outcome = run_session(config, (1, 0), strategies=PINNED_STRATEGIES[strategy], cb=cb)
+    record = "\n".join(
+        (outcome.transcript.to_jsonl(), json.dumps(outcome.event_log), str(outcome.ticks))
+    )
+    return hashlib.sha256(record.encode()).hexdigest()
+
+
+# Recorded from the simulator as it stood before its transport was rewritten;
+# any change to the transcripts, the event log or the tick count shows here.
+PINNED_DIGESTS = {
+    "honest/bob/noiseless/n8-reference": "c87151e1bb11b29b327231944157250ac7af81d460db9a3ee8d48ae94b2b4559",
+    "honest/bob/noiseless/n32": "8c4782b1d4694cd387be5be3bcdf5a70ef99f39d81b61f1d8b0c8d14f2b763f0",
+    "honest/bob/noisy/n8-reference": "d3afe5a4f203b1ebd7dcf5c70f8afe6acb04e87d9b1066e19bbb857549c7088b",
+    "honest/bob/noisy/n32": "e44ed6a317302d1254230d8302b6a44deaab4c7baf95bf601add2a49680ed82e",
+    "honest/sonai/noiseless/n8-reference": "55d9ca99a19eee97b23ffbc96914fa6c13f21ec4d93ef5060117797006cc6799",
+    "honest/sonai/noiseless/n32": "3d1461a1f043353c2f744b7895395efc326e9948a9f01a9b4f9fc1e2b0feaeae",
+    "honest/sonai/noisy/n8-reference": "2dda67f3aee313d679b6540ee49294e84c2d3aa3a22df672a3989def1b424ae0",
+    "honest/sonai/noisy/n32": "73defaa6edeaa4f505b7ee29db7ff4577ad360eeabe41707c980a5541b487f17",
+    "withhold-bob/bob/noiseless/n8-reference": "06a86262377bef7ade5ddfc93e83fc15160ffe741ad4e6ad53c50d13c815552a",
+    "withhold-bob/bob/noiseless/n32": "82c3715a9c4e091a7011e748bd9ddf4583520554e2b89189fe8026aba4007fde",
+    "withhold-bob/bob/noisy/n8-reference": "4873a3363349831779fd1417a29ae6107f6ab29b6c6f7e76abc0a5c44c9f1d52",
+    "withhold-bob/bob/noisy/n32": "7a2adc49df773d0817d23aa6c3866e1db321a2b8f1a52d86df2f9ff1aaa47267",
+    "withhold-bob/sonai/noiseless/n8-reference": "7681d8320c234aa24dd2dc521c0f87da186143c7e5b8ec18aa989773fe713b86",
+    "withhold-bob/sonai/noiseless/n32": "451867851ba6862df897d3970b4336d97fbbe9b0234d7e0681a03d6f9142e0fd",
+    "withhold-bob/sonai/noisy/n8-reference": "a1bff19e916c59ebc2fd01725c9949349eb3d3bfa008a9fb8adf94fbdde78d4e",
+    "withhold-bob/sonai/noisy/n32": "7ac70cb1cb8befda6225303d41b55e7f87c6aa88c3c807879ddf550a1121717c",
+    "withhold-sonai/bob/noiseless/n8-reference": "3816d85bb8e35d431f351bba455263fd802583112532b6b5169125d1b97c1ae4",
+    "withhold-sonai/bob/noiseless/n32": "ec9bba1c85aa15b556c1868853a0c32c86c4129491f14488c8f5ba3a2deceead",
+    "withhold-sonai/bob/noisy/n8-reference": "cc0cd1d932736fe2fe9ed5e13bf7b2ddab9b7557e33bf9c35dbdb34494d63519",
+    "withhold-sonai/bob/noisy/n32": "a1109e42bee2574de9a13f1ecf073661028baa5a9364a1d4b3403436833e6ec0",
+    "withhold-sonai/sonai/noiseless/n8-reference": "ba8c47b060067ec69cbecfd41f4b6bdcb5a5ff9b6cb9e33756dff0ebf8459768",
+    "withhold-sonai/sonai/noiseless/n32": "948e22dffbde35ea40a36a6f6076c06efb914f8dec2d4837492d687e2505a036",
+    "withhold-sonai/sonai/noisy/n8-reference": "f8a36f5993769deebbf3c0c08bdd15c492311a101f5d2ce78a16f317a7d76933",
+    "withhold-sonai/sonai/noisy/n32": "d44b833dfc5a61711e9edaf934398db39e18daf58c694215fe626afc6f2fcd29",
+    "batchdump-bob/bob/noiseless/n8-reference": "660d801a0169f46272c09d0f491727e429cb916f4b23f778c6b7da8f801c31e0",
+    "batchdump-bob/bob/noiseless/n32": "61ae4483b2a9dbbebb20377dbe802655eb967155245bd247b55914ff0e842e3e",
+    "batchdump-bob/bob/noisy/n8-reference": "3e4f0aa27952097e2a891de0417616e7896db8e446585c1af3c47369b13b89de",
+    "batchdump-bob/bob/noisy/n32": "de83bd071da94cb31d98f97e02a1c08b478dcf3c5358d3cfb10bca94b5eeaa4f",
+    "batchdump-bob/sonai/noiseless/n8-reference": "b0d7d371d4229bef2ed250bedf62ce04655494baed0d2d8a97c19bbf9b5517f7",
+    "batchdump-bob/sonai/noiseless/n32": "c656d9169acd287e5411b7cf85ca0706bda0b04d62b90db89626e47eb95a466b",
+    "batchdump-bob/sonai/noisy/n8-reference": "fe187c2246e0d48c64db07cb2bc2991a3167836b2a095e58499f98100632bdb2",
+    "batchdump-bob/sonai/noisy/n32": "0565b2f444a5374a118ff0770b5c36b8d8d68778372939b6cf7078d39524e969",
+    "batchdump-sonai/bob/noiseless/n8-reference": "93a3f83be8abac22c536d539d55586e935a24206bf395b962664f44aefffa811",
+    "batchdump-sonai/bob/noiseless/n32": "a61a938dc7e5fe930c8cb0333bedf368ea64febb684bdfa97617cfbca350e8c9",
+    "batchdump-sonai/bob/noisy/n8-reference": "00a5ad0c7bc232c11a8d7047a067ba2ebf25d1dc54388362b519982c96cb99d3",
+    "batchdump-sonai/bob/noisy/n32": "9a6739f84915a8e472d82953c5f30818715c33c7942aaa2f7beca2acc7863d16",
+    "batchdump-sonai/sonai/noiseless/n8-reference": "26aa52ccec77e925d3268de34f0e8a4839abb223e609caf182057b175b3ae9a6",
+    "batchdump-sonai/sonai/noiseless/n32": "7f3ebf208d3a94f5428d4bfff90b5c0c26e8bb7b8c7bf1eac18e041561947e1c",
+    "batchdump-sonai/sonai/noisy/n8-reference": "8c4e0585ca6b3ab19c77710e87f767a9483a046a13cc88ab404582cb2a147989",
+    "batchdump-sonai/sonai/noisy/n32": "0f94c75331f6456fcfeaaa1cd3d7a81093d5dfb10f0ff4a7766058ad24ef2168",
+    "lie-bob/bob/noiseless/n8-reference": "ff1460522c9bd7586949f698f98d5c15a155a6c00ad63231a16a91128d08f0c5",
+    "lie-bob/bob/noiseless/n32": "95e55bfcdd1eee02ef612f7d94150db51ec659ae3271bf803d1897c6d38bcda9",
+    "lie-bob/bob/noisy/n8-reference": "28e467e8b512a840179b7ff84a524ea4e06ea37d7b5264d15028946c8c21307d",
+    "lie-bob/bob/noisy/n32": "456ba550a4737d79b63c0f08f50fc2475d9069615b998b702acfe6c60a25f85e",
+    "lie-bob/sonai/noiseless/n8-reference": "71feed7b8239a0c5c447db4ab09cf53ec5215ad7dece40c8c26ab6a23d5145a2",
+    "lie-bob/sonai/noiseless/n32": "123e0d5461cc82d2e30e4d6417d98f20c548db2c8f39a5720f401441029003df",
+    "lie-bob/sonai/noisy/n8-reference": "7e56f107ca447bb52e3ccadda05047ef49de0778d26e51c9517e2fbda1b7634c",
+    "lie-bob/sonai/noisy/n32": "75bfb835bb9c68a0e5dfb9b87d62469ad42b75c0f5eb14186775c78055f47293",
+    "lie-sonai/bob/noiseless/n8-reference": "87300504987699fed9d9cde37ef95988f8cab0310c101152a496b7b322537fce",
+    "lie-sonai/bob/noiseless/n32": "0c4cccce9ee9e2fe4591a7cd8de390180d0b2585b6f2ab7a7b46a32a5ca2fd11",
+    "lie-sonai/bob/noisy/n8-reference": "271b9d7e97e5f4c8bc8a2ce8258a527b96ffffc56801859e78bcf6b962bbf812",
+    "lie-sonai/bob/noisy/n32": "9a8ffb9d5ea777f10fe4434bd45aa92b31b8491d422bb9197e34e000e0ec4806",
+    "lie-sonai/sonai/noiseless/n8-reference": "c71c524aa2fe4dd36c59025691102ffd36bdab859ee6be03c98d4de73f4a5bc1",
+    "lie-sonai/sonai/noiseless/n32": "9da25892f34336c61e92438e8ea1286d5ecd712de3fd2fe8925880209c0e4be4",
+    "lie-sonai/sonai/noisy/n8-reference": "af3a24445617d5b75fb95d68d153d532f3ce045bb24cf53b2ad7172d1f2afa42",
+    "lie-sonai/sonai/noisy/n32": "d3d68ce27020499d1f1ed97c3429e79bde971dd5b39976f0699c28a14c243819",
+}
+
+
+@pytest.mark.parametrize("case", PINNED_CASES)
+def test_simulator_bytes_are_pinned(case):
+    assert pinned_session_digest(case) == PINNED_DIGESTS[case]

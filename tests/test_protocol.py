@@ -31,7 +31,7 @@ from entpost.protocol import (
 )
 from entpost.rng import substream
 
-from json_junk import JUNK
+from json_junk import junk_transcripts
 from oracle import survival_count
 
 REF = reference_codebook()
@@ -213,23 +213,6 @@ def test_terminal_line_rejects_values_outside_the_domain():
     with pytest.raises(ProtocolViolationError):
         Transcript.from_jsonl('{"status":"decoded","bob_bit":"x","sonai_bit":0,'
                               '"confidence":NaN,"abort_reason":null}')
-
-
-@st.composite
-def junk_transcripts(draw):
-    """One to three records, each with junk in one or two numeric slots."""
-    reveal = {"round": 1, "party": "bob", "position": 1, "outcome": "+"}
-    terminal = {"status": "decoded", "bob_bit": 0, "sonai_bit": 0, "confidence": 1.0,
-                "abort_reason": None}
-    numeric = {"round", "position", "bob_bit", "sonai_bit", "confidence"}
-    lines = []
-    for record in draw(st.lists(st.sampled_from([reveal, terminal]), min_size=1, max_size=3)):
-        record = dict(record)
-        slots = sorted(numeric & record.keys())
-        for key in draw(st.sets(st.sampled_from(slots), min_size=1, max_size=2)):
-            record[key] = draw(JUNK)
-        lines.append(record)
-    return "\n".join(json.dumps(line) for line in lines)
 
 
 @settings(max_examples=300, deadline=None)
