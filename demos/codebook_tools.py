@@ -27,7 +27,7 @@ def show(cb, title):
     print(title)
     for entry in cb.entries:
         letters = sequence_to_letters(entry.s_j) if cb.n <= 26 else "(n > 26)"
-        print(f"  {entry.bits[0]}{entry.bits[1]} -> {letters}  {entry.s_j.order}")
+        print(f"  {entry.bits[0]}{entry.bits[1]} -> {letters}  {entry.s_j}")
     dists = cb.pairwise_distances()
     floor = min(dists.values())
     print(f"  pairwise distances: " + ", ".join(
@@ -48,7 +48,7 @@ def main():
     for defect in validate_sequence(list(raw), 8):
         print(f"  defect: {defect.kind}: {defect.message}")
     fixed = repair_sequence(list(raw), 8)
-    print(f"  repaired to: {sequence_to_letters(fixed)}  {fixed.order}")
+    print(f"  repaired to: {sequence_to_letters(fixed)}  {fixed}")
     print()
 
     # a full book with that raw ordering fails validation with both kinds
@@ -65,7 +65,7 @@ def main():
     print(f"generated n=64 book: distance floor requested 16, achieved {dists[0]}")
     print(f"all six distances: {dists}")
     for bits in BIT_PAIR_ORDER:
-        head = big.entry_for_bits(*bits).s_j.order[:10]
+        head = big.entry_for_bits(*bits).s_j[:10]
         print(f"  {bits[0]}{bits[1]} starts {list(head)} ...")
 
 

@@ -299,7 +299,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if terminal is None:
         print("terminal: absent")
         return EXIT_OK
-    if terminal.status is DecodeStatus.ABORT and terminal.abort_reason is not None:
+    if terminal.status is DecodeStatus.ABORT:
         if terminal.abort_reason.value in ("timeout", "fairness_violation"):
             # transport-level aborts cannot be recomputed from reveals alone
             print(f"terminal: abort ({terminal.abort_reason.value}), echoed")

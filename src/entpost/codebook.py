@@ -1,17 +1,19 @@
 """Permutation-pair codebooks.
 
-A sequence code is an ordering of the pair labels 1..n. The sender keeps her
-own ordering fixed to the identity; the two receivers' orderings induce a
-relative pairing: position k on Bob's side is anti-correlated with position
-map(k) on Sonai's side. A codebook holds one (bits, ordering) entry per
-double-bit value. Decoding security rests on the entries being far apart
-under the effective distance defined below: a wrong entry passes a full
-noiseless consistency check with probability exactly 2**(-distance).
+An ordering lists the pair labels 1..n. The sender's own ordering is fixed
+to the identity and Bob's outcomes follow it, so a codebook entry is one
+double-bit value plus Sonai's ordering s_j: position k on Bob's side is
+anti-correlated with the position of label k in s_j on Sonai's side. A
+codebook holds one entry per double-bit value. Decoding security rests on the
+entries being far apart under the effective distance defined below: a wrong
+entry passes a full noiseless consistency check with probability exactly
+2**(-distance).
 """
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -25,16 +27,11 @@ __all__ = [
     "CodebookError",
     "CapacityError",
     "Defect",
-    "SequenceCode",
-    "Pairing",
     "CodebookEntry",
     "Codebook",
-    "relative_pairing",
     "validate_sequence",
     "repair_sequence",
-    "mismatch_set",
     "effective_distance",
-    "survival_probability",
     "generate_codebook",
     "resolve_codebook",
     "validate_codebook",
@@ -44,7 +41,6 @@ __all__ = [
     "codebook_from_document",
     "save_codebook",
     "load_codebook",
-    "sequence_from_letters",
     "sequence_to_letters",
 ]
 
@@ -67,46 +63,9 @@ class CapacityError(CodebookError):
 class Defect:
     """One validation finding; ``kind`` is stable, ``message`` is for humans."""
 
-    kind: str  # duplicate-label | missing-label | bad-label | length | bits | pairing | distance
+    kind: str  # duplicate-label | missing-label | bad-label | length | bits | distance
     message: str
     labels: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class SequenceCode:
-    """An ordering of the pair labels 1..n (a permutation when valid)."""
-
-    order: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-    @classmethod
-    def identity(cls, n: int) -> "SequenceCode":
-        return cls(tuple(range(1, n + 1)))
-
-
-@dataclass(frozen=True)
-class Pairing:
-    """Relative pairing map: ``position(k)`` is the counterpart position
-    holding the partner of the pair at own position k. A bijection on 1..n."""
-
-    mapping: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.mapping)
-
-    def position(self, k: int) -> int:
-        return self.mapping[k - 1]
-
-    def inverse(self) -> "Pairing":
-        inv = [0] * len(self.mapping)
-        for k, p in enumerate(self.mapping, start=1):
-            inv[p - 1] = k
-        return Pairing(tuple(inv))
-
-    def zero_based(self) -> list[int]:
-        return [p - 1 for p in self.mapping]
 
 
 def validate_sequence(order: Sequence[int], n: int) -> list[Defect]:
@@ -134,7 +93,7 @@ def validate_sequence(order: Sequence[int], n: int) -> list[Defect]:
     return defects
 
 
-def repair_sequence(order: Sequence[int], n: int) -> SequenceCode:
+def repair_sequence(order: Sequence[int], n: int) -> tuple[int, ...]:
     """Minimal fix of a defective ordering: every repeated or out-of-range
     slot after a label's first appearance is refilled with the missing labels
     in ascending order. Valid orderings pass through unchanged."""
@@ -149,43 +108,32 @@ def repair_sequence(order: Sequence[int], n: int) -> SequenceCode:
         else:
             keep.append(None)
     missing = iter(sorted(set(range(1, n + 1)) - seen))
-    repaired = tuple(label if label is not None else next(missing) for label in keep)
-    return SequenceCode(repaired)
+    return tuple(label if label is not None else next(missing) for label in keep)
 
 
-def _as_code(seq: "SequenceCode | Sequence[int]") -> SequenceCode:
-    if isinstance(seq, SequenceCode):
-        return seq
-    return SequenceCode(tuple(int(x) for x in seq))
+@dataclass(frozen=True)
+class CodebookEntry:
+    """One double-bit value with Sonai's ordering ``s_j``: Sonai's position p
+    holds the partner of Bob's position ``s_j[p - 1]`` (positions 1-based)."""
+
+    bits: tuple[int, int]
+    s_j: tuple[int, ...]
+
+    @cached_property
+    def partner_maps(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """0-based partner positions bob -> sonai and sonai -> bob, built once
+        per entry and shared by every receiver and replay that uses it.
+        Raises ValueError when ``s_j`` is not a permutation of 1..n."""
+        n = len(self.s_j)
+        to_sonai: list[int | None] = [None] * n
+        for p, label in enumerate(self.s_j):
+            if type(label) is not int or not 1 <= label <= n or to_sonai[label - 1] is not None:
+                raise ValueError(f"entry {self.bits}: s_j is not a permutation of 1..{n}")
+            to_sonai[label - 1] = p
+        return tuple(to_sonai), tuple(label - 1 for label in self.s_j)
 
 
-def relative_pairing(s_i: "SequenceCode | Sequence[int]", s_j: "SequenceCode | Sequence[int]") -> Pairing:
-    """Pairing induced by two orderings of the same labels.
-
-    map(k) is the position of label s_i[k] inside s_j: the two positions hold
-    the halves of one pair and are therefore anti-correlated.
-    """
-    s_i = _as_code(s_i)
-    s_j = _as_code(s_j)
-    n = len(s_i)
-    if len(s_j) != n:
-        raise CodebookError(f"sequence lengths differ: {n} vs {len(s_j)}")
-    for name, seq in (("s_i", s_i), ("s_j", s_j)):
-        defects = validate_sequence(seq.order, n)
-        if defects:
-            raise CodebookError(f"{name} is not a permutation: " + "; ".join(d.message for d in defects))
-    pos_in_j = {label: p for p, label in enumerate(s_j.order, start=1)}
-    return Pairing(tuple(pos_in_j[label] for label in s_i.order))
-
-
-def mismatch_set(a: Pairing, b: Pairing) -> frozenset[int]:
-    """Positions whose partners differ between the two pairings."""
-    if len(a) != len(b):
-        raise CodebookError(f"pairing lengths differ: {len(a)} vs {len(b)}")
-    return frozenset(k for k, (pa, pb) in enumerate(zip(a.mapping, b.mapping), start=1) if pa != pb)
-
-
-def effective_distance(candidate: Pairing, truth: Pairing) -> int:
+def effective_distance(candidate: CodebookEntry, truth: CodebookEntry) -> int:
     """Number of independent binary constraints a wrong candidate must luck
     through on a full noiseless transcript.
 
@@ -195,15 +143,10 @@ def effective_distance(candidate: Pairing, truth: Pairing) -> int:
     the distance is |mismatch| - (#cycles on the mismatch set) and the
     survive-by-chance probability is exactly 2**(-distance).
     """
-    if len(candidate) != len(truth):
-        raise CodebookError(f"pairing lengths differ: {len(candidate)} vs {len(truth)}")
-    return _effective_distance(candidate.zero_based(), truth.inverse().zero_based())
-
-
-def _effective_distance(cand: Sequence[int], inv_truth: Sequence[int]) -> int:
-    """``effective_distance`` from the 0-based candidate map and the 0-based
-    inverse of the truth's map."""
-    sigma = [inv_truth[c] for c in cand]
+    if len(candidate.s_j) != len(truth.s_j):
+        raise CodebookError(f"ordering lengths differ: {len(candidate.s_j)} vs {len(truth.s_j)}")
+    inv_truth = truth.partner_maps[1]
+    sigma = [inv_truth[c] for c in candidate.partner_maps[0]]
     mismatched = [k for k in range(len(sigma)) if sigma[k] != k]
     unvisited = set(mismatched)
     cycles = 0
@@ -217,45 +160,10 @@ def _effective_distance(cand: Sequence[int], inv_truth: Sequence[int]) -> int:
     return len(mismatched) - cycles
 
 
-def survival_probability(candidate: Pairing, truth: Pairing) -> float:
-    """Chance a wrong candidate passes every noiseless consistency check."""
-    return 2.0 ** -effective_distance(candidate, truth)
-
-
-@dataclass(frozen=True)
-class CodebookEntry:
-    """One double-bit value with its receiver-side ordering.
-
-    The sender-side ordering is always the identity (canonical form), so the
-    pairing is just the inverse of ``s_j`` read as position -> label. The
-    pairing is cached; it is ``None`` only for entries parsed from defective
-    documents, which never validate.
-    """
-
-    bits: tuple[int, int]
-    s_i: SequenceCode
-    s_j: SequenceCode
-    pairing: Pairing | None = field(default=None, compare=False)
-
-    @cached_property
-    def partner_maps(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """0-based partner positions bob -> sonai and sonai -> bob, built once
-        per entry and shared by every receiver and replay that uses it."""
-        if self.pairing is None:
-            raise ValueError(f"entry {self.bits} has no valid pairing")
-        # with the identity sender ordering, sonai's position p holds label s_j[p]
-        return tuple(p - 1 for p in self.pairing.mapping), tuple(x - 1 for x in self.s_j.order)
-
-
-def make_entry(bits: tuple[int, int], s_j: Sequence[int], n: int) -> CodebookEntry:
+def make_entry(bits: tuple[int, int], s_j: Sequence[int]) -> CodebookEntry:
     if tuple(bits) not in BIT_PAIR_ORDER:
         raise ValueError(f"bits must be a pair over 0/1, got {bits!r}")
-    s_i = SequenceCode.identity(n)
-    code_j = _as_code(s_j)
-    pairing = None
-    if not validate_sequence(code_j.order, n):
-        pairing = relative_pairing(s_i, code_j)
-    return CodebookEntry(bits=(int(bits[0]), int(bits[1])), s_i=s_i, s_j=code_j, pairing=pairing)
+    return CodebookEntry(bits=(int(bits[0]), int(bits[1])), s_j=tuple(s_j))
 
 
 @dataclass(frozen=True)
@@ -273,13 +181,11 @@ class Codebook:
         raise CodebookError(f"no entry for bits ({bob_bit}, {sonai_bit})")
 
     def pairwise_distances(self) -> dict[tuple[tuple[int, int], tuple[int, int]], int]:
-        out: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
-        for x in range(len(self.entries)):
-            for y in range(x + 1, len(self.entries)):
-                a, b = self.entries[x], self.entries[y]
-                if a.pairing is not None and b.pairing is not None:
-                    out[(a.bits, b.bits)] = effective_distance(a.pairing, b.pairing)
-        return out
+        """Effective distance of every entry pair; every ordering must be valid."""
+        return {
+            (a.bits, b.bits): effective_distance(a, b)
+            for a, b in itertools.combinations(self.entries, 2)
+        }
 
 
 def generate_codebook(
@@ -310,10 +216,8 @@ def generate_codebook(
     for bits in BIT_PAIR_ORDER:
         while True:
             order = tuple(int(x) for x in rng.permutation(n) + 1)
-            entry = make_entry(bits, order, n)
-            to_sonai = entry.partner_maps[0]
-            # an accepted entry's sonai -> bob map is the inverse of its pairing
-            if all(_effective_distance(to_sonai, q.partner_maps[1]) >= lam for q in entries):
+            entry = make_entry(bits, order)
+            if all(effective_distance(entry, q) >= lam for q in entries):
                 entries.append(entry)
                 break
             rejections += 1
@@ -333,32 +237,22 @@ def validate_codebook(cb: Codebook) -> list[Defect]:
         defects.append(
             Defect("bits", f"entries must cover exactly {list(BIT_PAIR_ORDER)}, got {bits_seen}")
         )
-    for idx, entry in enumerate(cb.entries):
-        for name, seq in (("s_i", entry.s_i), ("s_j", entry.s_j)):
-            for d in validate_sequence(seq.order, cb.n):
-                defects.append(
-                    Defect(d.kind, f"entry {entry.bits} {name}: {d.message}", d.labels)
+    valid: list[CodebookEntry] = []
+    for entry in cb.entries:
+        found = validate_sequence(entry.s_j, cb.n)
+        for d in found:
+            defects.append(Defect(d.kind, f"entry {entry.bits} s_j: {d.message}", d.labels))
+        if not found:
+            valid.append(entry)
+    for a, b in itertools.combinations(valid, 2):
+        d = effective_distance(a, b)
+        if d < cb.lam:
+            defects.append(
+                Defect(
+                    "distance",
+                    f"entries {a.bits} and {b.bits} are at effective distance {d} < {cb.lam}",
                 )
-        if entry.pairing is None:
-            continue
-        if not validate_sequence(entry.s_j.order, cb.n):
-            expected = relative_pairing(entry.s_i, entry.s_j)
-            if entry.pairing != expected:
-                defects.append(
-                    Defect("pairing", f"entry {entry.bits}: cached pairing disagrees with sequences")
-                )
-    valid = [e for e in cb.entries if e.pairing is not None and not validate_sequence(e.s_j.order, cb.n)]
-    for x in range(len(valid)):
-        for y in range(x + 1, len(valid)):
-            a, b = valid[x], valid[y]
-            d = effective_distance(a.pairing, b.pairing)  # type: ignore[arg-type]
-            if d < cb.lam:
-                defects.append(
-                    Defect(
-                        "distance",
-                        f"entries {a.bits} and {b.bits} are at effective distance {d} < {cb.lam}",
-                    )
-                )
+            )
     return defects
 
 
@@ -393,7 +287,7 @@ def codebook_to_document(cb: Codebook) -> dict:
         "n": cb.n,
         "lambda": cb.lam,
         "entries": [
-            {"bits": list(entry.bits), "s_j": list(entry.s_j.order)} for entry in cb.entries
+            {"bits": list(entry.bits), "s_j": list(entry.s_j)} for entry in cb.entries
         ],
     }
 
@@ -420,12 +314,12 @@ def codebook_from_document(doc: dict, validate: bool = True) -> Codebook:
         if lam < 1:
             raise CodebookError(f"lambda must be at least 1, got {lam}")
         orderings = [[_json_int(x, "label") for x in e["s_j"]] for e in doc["entries"]]
-        # lengths first: building the entries costs O(n), and n is untrusted
+        # lengths first: validating the entries costs O(n), and n is untrusted
         for idx, s_j in enumerate(orderings):
             if len(s_j) != n:
                 raise CodebookError(f"entry {idx}: expected {n} labels, got {len(s_j)}")
         entries = tuple(  # make_entry takes exactly two bits
-            make_entry(tuple(_json_int(b, "bit") for b in e["bits"]), s_j, n)
+            make_entry(tuple(_json_int(b, "bit") for b in e["bits"]), s_j)
             for e, s_j in zip(doc["entries"], orderings)
         )
     except (KeyError, TypeError, IndexError, ValueError) as exc:
@@ -469,21 +363,9 @@ def resolve_codebook(source: str | None, n: int, lam: int, seed: int) -> Codeboo
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-def sequence_from_letters(text: str) -> SequenceCode:
-    """Letter display form to labels: A=1, B=2, ... (n <= 26)."""
-    cleaned = text.replace(",", " ").split()
-    letters = cleaned if len(cleaned) > 1 else list(text.strip())
-    order = []
-    for ch in letters:
-        ch = ch.strip().upper()
-        if len(ch) != 1 or ch not in _LETTERS:
-            raise CodebookError(f"not a label letter: {ch!r}")
-        order.append(_LETTERS.index(ch) + 1)
-    return SequenceCode(tuple(order))
-
-
-def sequence_to_letters(seq: SequenceCode | Iterable[int]) -> str:
-    order = seq.order if isinstance(seq, SequenceCode) else tuple(seq)
+def sequence_to_letters(labels: Iterable[int]) -> str:
+    """Labels to their letter display form: 1=A, 2=B, ... (n <= 26)."""
+    order = tuple(labels)
     if any(not 1 <= x <= 26 for x in order):
         raise CodebookError("letter display form needs labels within 1..26")
     return "".join(_LETTERS[x - 1] for x in order)

@@ -141,13 +141,10 @@ class PreparedBlock:
 def prepared_block_from_signs(entry: CodebookEntry, signs: Sequence[int]) -> PreparedBlock:
     """Noiseless block with sender-side orientations forced to ``signs``
     (one +/-1 per pair label, in label order). Used for exhaustive studies."""
-    if entry.pairing is None:
-        raise ValueError("entry has no valid pairing")
     i_side = np.asarray(signs, dtype=np.int8)
-    j_side = -i_side
-    bob = i_side.copy()  # sender ordering is the identity
-    sonai = j_side[[label - 1 for label in entry.s_j.order]]
-    return PreparedBlock(entry=entry, bob_sequence=bob, sonai_sequence=sonai.copy())
+    # bob's ordering is the sender's identity; sonai's position p holds label s_j[p]
+    sonai = (-i_side).take(entry.partner_maps[1])
+    return PreparedBlock(entry=entry, bob_sequence=i_side.copy(), sonai_sequence=sonai)
 
 
 def alice_prepare(
@@ -248,6 +245,9 @@ class TerminalRecord:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TerminalRecord":
+        """Parse a terminal line. Only the three shapes ``terminal_record``
+        writes are accepted: decoded (both bits, no abort reason), undecided
+        (no bits, no reason) and abort (no bits, confidence 0, a reason)."""
         for key in ("bob_bit", "sonai_bit"):
             bit = obj[key]
             if bit is not None and (type(bit) is not int or bit not in (0, 1)):  # bool too
@@ -256,13 +256,19 @@ class TerminalRecord:
         # compare before converting: float() overflows on huge integers
         if type(confidence) not in (int, float) or not 0 <= confidence <= 1:  # NaN fails too
             raise ProtocolViolationError(f"confidence must lie in [0, 1], got {confidence!r}")
-        return cls(
-            status=DecodeStatus(obj["status"]),
-            bob_bit=obj["bob_bit"],
-            sonai_bit=obj["sonai_bit"],
-            confidence=float(confidence),
-            abort_reason=AbortReason(obj["abort_reason"]) if obj["abort_reason"] else None,
-        )
+        status = DecodeStatus(obj["status"])
+        reason = None if obj["abort_reason"] is None else AbortReason(obj["abort_reason"])
+        bits_set = [obj[key] is not None for key in ("bob_bit", "sonai_bit")]
+        if status is DecodeStatus.DECODED:
+            fits, shape = all(bits_set) and reason is None, "both bits and no abort reason"
+        elif status is DecodeStatus.UNDECIDED:
+            fits, shape = not any(bits_set) and reason is None, "no bits and no abort reason"
+        else:
+            fits = not any(bits_set) and confidence == 0 and reason is not None
+            shape = "no bits, confidence 0 and an abort reason"
+        if not fits:
+            raise ProtocolViolationError(f"a {status.value} terminal line must have {shape}")
+        return cls(status, obj["bob_bit"], obj["sonai_bit"], float(confidence), reason)
 
 
 class Transcript:

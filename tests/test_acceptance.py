@@ -13,11 +13,12 @@ import pytest
 
 from entpost.codebook import (
     REFERENCE_RAW_FOURTH,
+    Codebook,
     codebook_from_document,
     codebook_to_document,
     effective_distance,
+    make_entry,
     reference_codebook,
-    relative_pairing,
     validate_codebook,
 )
 from entpost.epr import NoiseModel
@@ -60,8 +61,8 @@ def test_a1_walkthrough_sessions_match_enumeration():
     enumerated probability of a unique survivor."""
     # the frozen table itself must match a fresh enumeration
     for bits in BITS_CASES:
-        wrong = [e.s_j.order for e in REF.entries if e.bits != bits]
-        truth_sj = REF.entry_for_bits(*bits).s_j.order
+        wrong = [e.s_j for e in REF.entries if e.bits != bits]
+        truth_sj = REF.entry_for_bits(*bits).s_j
         assert Fraction(unique_decode_count(truth_sj, wrong), 256) == UNIQUE_DECODE_P[bits]
 
     sessions = 100
@@ -105,10 +106,8 @@ def test_a2_survival_is_exactly_two_to_minus_distance():
     checked = 0
 
     def machine_survival_count(n, truth_sj, cand_sj) -> int:
-        from entpost.codebook import Codebook, make_entry
-
-        truth = make_entry((0, 0), truth_sj, n)
-        cand = make_entry((1, 1), cand_sj, n)
+        truth = make_entry((0, 0), truth_sj)
+        cand = make_entry((1, 1), cand_sj)
         cb = Codebook(n=n, lam=1, entries=(truth, cand))
         config = ProtocolConfig(n=n, lam=1, seed=0)
         alive = 0
@@ -124,10 +123,7 @@ def test_a2_survival_is_exactly_two_to_minus_distance():
     for n in (2, 3, 4):
         for truth_sj in itertools.permutations(range(1, n + 1)):
             for cand_sj in itertools.permutations(range(1, n + 1)):
-                d = effective_distance(
-                    relative_pairing(tuple(range(1, n + 1)), truth_sj),
-                    relative_pairing(tuple(range(1, n + 1)), cand_sj),
-                )
+                d = effective_distance(make_entry((0, 0), truth_sj), make_entry((1, 1), cand_sj))
                 expected = 2 ** (n - d)
                 if survival_count(truth_sj, cand_sj) != expected:
                     mismatches.append(("oracle", n, truth_sj, cand_sj))
@@ -140,10 +136,7 @@ def test_a2_survival_is_exactly_two_to_minus_distance():
         for _ in range(12):
             truth_sj = tuple(int(x) + 1 for x in rng.permutation(n))
             cand_sj = tuple(int(x) + 1 for x in rng.permutation(n))
-            d = effective_distance(
-                relative_pairing(tuple(range(1, n + 1)), truth_sj),
-                relative_pairing(tuple(range(1, n + 1)), cand_sj),
-            )
+            d = effective_distance(make_entry((0, 0), truth_sj), make_entry((1, 1), cand_sj))
             expected = 2 ** (n - d)
             if survival_count(truth_sj, cand_sj) != expected:
                 mismatches.append(("oracle", n, truth_sj, cand_sj))

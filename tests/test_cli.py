@@ -271,6 +271,15 @@ def test_replay_echoes_timeout_aborts(tmp_path, capsys):
                            "--transcript", str(path))
     assert code == EXIT_OK
     assert "echoed" in out
+    # an abort line that also carries bits contradicts itself: not echoed
+    lines = path.read_text().splitlines()
+    lines[-1] = lines[-1].replace('"bob_bit":null,"sonai_bit":null', '"bob_bit":0,"sonai_bit":1')
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "replay", "--codebook", "reference",
+                             "--transcript", str(path))
+    assert code == EXIT_IO
+    assert "echoed" not in out
+    assert "abort terminal line must have" in err
 
 
 @st.composite

@@ -2,6 +2,7 @@
 rest of the suite leans on. Expected numbers here were frozen from the
 brute-force model in oracle.py before the library existed."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -15,24 +16,22 @@ from entpost.codebook import (
     Codebook,
     CodebookError,
     REFERENCE_RAW_FOURTH,
-    SequenceCode,
     codebook_from_document,
     codebook_to_document,
     effective_distance,
     generate_codebook,
     load_codebook,
     make_entry,
-    mismatch_set,
     reference_codebook,
-    relative_pairing,
     repair_sequence,
     save_codebook,
-    sequence_from_letters,
     sequence_to_letters,
-    survival_probability,
     validate_codebook,
     validate_sequence,
 )
+from entpost import codebook
+from entpost.cli import main
+from entpost.montecarlo import ExperimentSpec, run_experiment
 from entpost.rng import substream
 
 from json_junk import JUNK
@@ -46,7 +45,8 @@ SJ = {
     (1, 0): (5, 3, 8, 2, 6, 1, 7, 4),
 }
 
-# pairing maps worked out by hand from the orderings above
+# pairing maps (1-based bob position -> sonai position) worked out by hand
+# from the orderings above
 EXPECTED_MAPS = {
     (0, 0): (4, 1, 8, 7, 5, 2, 3, 6),
     (1, 1): (1, 5, 2, 6, 4, 8, 3, 7),
@@ -64,61 +64,51 @@ EXPECTED_DISTANCES = {
 }
 
 
+ENTRIES = {bits: make_entry(bits, sj) for bits, sj in SJ.items()}
+
+
 def identity(n):
     return tuple(range(1, n + 1))
 
 
 def test_relative_pairing_of_equal_sequences_is_identity():
+    # a receiver ordering equal to the sender's pairs every position with itself
     for n in (1, 2, 5, 8):
-        p = relative_pairing(identity(n), identity(n))
-        assert p.mapping == identity(n)
+        entry = make_entry((0, 0), identity(n))
+        assert entry.partner_maps == (tuple(range(n)), tuple(range(n)))
 
 
 def test_reference_pairing_maps():
-    for bits, sj in SJ.items():
-        p = relative_pairing(identity(8), sj)
-        assert p.mapping == EXPECTED_MAPS[bits], bits
+    for bits, entry in ENTRIES.items():
+        assert entry.partner_maps[0] == tuple(p - 1 for p in EXPECTED_MAPS[bits]), bits
 
 
 def test_pairing_inverse_round_trip():
-    p = relative_pairing(identity(8), SJ[(0, 0)])
-    inv = p.inverse()
-    for k in range(1, 9):
-        assert inv.position(p.position(k)) == k
-
-
-def test_mismatch_set_for_first_two_entries():
-    a = relative_pairing(identity(8), SJ[(0, 0)])
-    b = relative_pairing(identity(8), SJ[(1, 1)])
-    assert mismatch_set(a, b) == {1, 2, 3, 4, 5, 6, 8}
+    # the two partner maps are mutual inverses
+    to_sonai, to_bob = ENTRIES[(0, 0)].partner_maps
+    for k in range(8):
+        assert to_bob[to_sonai[k]] == k
+        assert to_sonai[to_bob[k]] == k
 
 
 def test_effective_distances_match_frozen_table():
-    pairings = {bits: relative_pairing(identity(8), sj) for bits, sj in SJ.items()}
     for pair, expected in EXPECTED_DISTANCES.items():
         a, b = sorted(pair)
-        assert effective_distance(pairings[a], pairings[b]) == expected
+        assert effective_distance(ENTRIES[a], ENTRIES[b]) == expected
 
 
 def test_effective_distance_agrees_with_brute_force_oracle():
     # the library's cycle count against plain 2^n enumeration, all pairs
-    pairings = {bits: relative_pairing(identity(8), sj) for bits, sj in SJ.items()}
     for t, c in itertools.permutations(SJ, 2):
-        d = effective_distance(pairings[t], pairings[c])
+        d = effective_distance(ENTRIES[t], ENTRIES[c])
         assert survival_count(SJ[t], SJ[c]) == 2 ** (8 - d)
-
-
-def test_survival_probability_is_two_to_minus_distance():
-    a = relative_pairing(identity(8), SJ[(0, 0)])
-    b = relative_pairing(identity(8), SJ[(1, 1)])
-    assert survival_probability(a, b) == 2.0 ** -4
 
 
 @settings(max_examples=150)
 @given(st.permutations(list(range(1, 7))), st.permutations(list(range(1, 7))))
 def test_effective_distance_is_symmetric(sa, sb):
-    a = relative_pairing(identity(6), tuple(sa))
-    b = relative_pairing(identity(6), tuple(sb))
+    a = make_entry((0, 0), sa)
+    b = make_entry((1, 1), sb)
     assert effective_distance(a, b) == effective_distance(b, a)
 
 
@@ -129,22 +119,19 @@ def test_effective_distance_is_symmetric(sa, sb):
     st.permutations(list(range(1, 7))),
 )
 def test_effective_distance_survives_relabeling(sa, sb, relabel):
-    # renaming the underlying pair labels consistently changes nothing
-    a0 = relative_pairing(identity(6), tuple(sa))
-    b0 = relative_pairing(identity(6), tuple(sb))
+    # renaming the pair labels consistently in both orderings conjugates
+    # sigma = truth^-1 o candidate, which keeps its cycle structure
     ra = tuple(relabel[x - 1] for x in sa)
     rb = tuple(relabel[x - 1] for x in sb)
-    a1 = relative_pairing(tuple(relabel), ra)
-    b1 = relative_pairing(tuple(relabel), rb)
-    assert effective_distance(a0, b0) == effective_distance(a1, b1)
+    assert effective_distance(make_entry((0, 0), sa), make_entry((1, 1), sb)) == (
+        effective_distance(make_entry((0, 0), ra), make_entry((1, 1), rb))
+    )
 
 
 @settings(max_examples=100)
 @given(st.permutations(list(range(1, 6))), st.permutations(list(range(1, 6))))
 def test_small_survival_counts_match_oracle(sa, sb):
-    a = relative_pairing(identity(5), tuple(sa))
-    b = relative_pairing(identity(5), tuple(sb))
-    d = effective_distance(a, b)
+    d = effective_distance(make_entry((0, 0), sa), make_entry((1, 1), sb))
     assert survival_count(tuple(sa), tuple(sb)) == 2 ** (5 - d)
 
 
@@ -173,13 +160,13 @@ def test_validate_sequence_reports_range_and_length():
 
 
 def test_repair_keeps_first_appearances_and_fills_ascending():
-    assert repair_sequence(REFERENCE_RAW_FOURTH, 8).order == (5, 3, 8, 2, 6, 1, 7, 4)
+    assert repair_sequence(REFERENCE_RAW_FOURTH, 8) == (5, 3, 8, 2, 6, 1, 7, 4)
 
 
 @settings(max_examples=100)
 @given(st.lists(st.integers(min_value=1, max_value=6), min_size=6, max_size=6))
 def test_repair_always_yields_a_permutation(raw):
-    fixed = repair_sequence(tuple(raw), 6).order
+    fixed = repair_sequence(tuple(raw), 6)
     assert sorted(fixed) == list(range(1, 7))
     # first appearance of every in-range label is kept in place
     seen = set()
@@ -191,8 +178,11 @@ def test_repair_always_yields_a_permutation(raw):
 
 def test_letter_round_trip():
     assert sequence_to_letters((5, 3, 8, 2, 6, 1, 7, 4)) == "ECHBFAGD"
-    assert sequence_from_letters("ECHBFAGD").order == (5, 3, 8, 2, 6, 1, 7, 4)
-    assert sequence_from_letters(sequence_to_letters(identity(8))).order == identity(8)
+    assert sequence_to_letters(iter(identity(8))) == "ABCDEFGH"
+    letters = sequence_to_letters(SJ[(1, 0)])
+    assert tuple(ord(ch) - ord("A") + 1 for ch in letters) == SJ[(1, 0)]
+    with pytest.raises(CodebookError):
+        sequence_to_letters((1, 27))
 
 
 # -- whole codebooks ----------------------------------------------------------
@@ -205,7 +195,7 @@ def test_reference_codebook_is_clean():
     assert validate_codebook(cb) == []
     assert tuple(e.bits for e in cb.entries) == BIT_PAIR_ORDER
     for bits, sj in SJ.items():
-        assert cb.entry_for_bits(*bits).s_j.order == sj
+        assert cb.entry_for_bits(*bits).s_j == sj
 
 
 def test_reference_pairwise_distances():
@@ -237,12 +227,13 @@ def test_generate_codebook_capacity_error():
 
 def test_make_entry_rejects_bad_bits():
     with pytest.raises(ValueError):
-        make_entry((0, 2), identity(4), 4)
+        make_entry((0, 2), identity(4))
 
 
 def test_entry_with_defective_sequence_has_no_pairing():
-    entry = make_entry((0, 0), (1, 1, 3, 3), 4)
-    assert entry.pairing is None
+    for s_j in ((1, 1, 3, 3), (0, 1, 2, 3), (1, 2, 3, 5), (True, 2, 3, 4)):
+        with pytest.raises(ValueError):
+            make_entry((0, 0), s_j).partner_maps
 
 
 def test_save_load_round_trip(tmp_path):
@@ -300,11 +291,11 @@ def test_load_rejects_garbage(tmp_path):
 
 
 def test_document_lengths_are_checked_before_any_size_n_work(monkeypatch):
-    def refuse(cls, n):
-        raise AssertionError(f"built an identity ordering of size {n}")
+    def refuse(order, n):
+        raise AssertionError(f"validated an ordering against n={n}")
 
     doc = codebook_to_document(reference_codebook())
-    monkeypatch.setattr(SequenceCode, "identity", classmethod(refuse))
+    monkeypatch.setattr(codebook, "validate_sequence", refuse)
     for n in (10**9, 0):
         doc["n"] = n
         with pytest.raises(CodebookError):
@@ -339,17 +330,132 @@ def test_document_parser_raises_only_codebook_errors(data, validate):
 
 def test_validate_codebook_flags_low_distance():
     # two entries sharing a sequence have distance zero
-    e = make_entry((0, 0), SJ[(0, 0)], 8)
-    f = make_entry((1, 1), SJ[(0, 0)], 8)
-    g = make_entry((0, 1), SJ[(0, 1)], 8)
-    h = make_entry((1, 0), SJ[(1, 0)], 8)
+    e = make_entry((0, 0), SJ[(0, 0)])
+    f = make_entry((1, 1), SJ[(0, 0)])
+    g = make_entry((0, 1), SJ[(0, 1)])
+    h = make_entry((1, 0), SJ[(1, 0)])
     cb = Codebook(n=8, lam=4, entries=(e, f, g, h))
     kinds = {d.kind for d in validate_codebook(cb)}
     assert "distance" in kinds
 
 
 def test_validate_codebook_flags_missing_bits():
-    e = make_entry((0, 0), SJ[(0, 0)], 8)
+    e = make_entry((0, 0), SJ[(0, 0)])
     cb = Codebook(n=8, lam=4, entries=(e,))
     kinds = {d.kind for d in validate_codebook(cb)}
     assert "bits" in kinds
+
+
+# -- pinned bytes -------------------------------------------------------------
+
+PINNED_GEN = {  # case -> (n, lambda, seed)
+    "n8-l3-s1": (8, 3, 1),
+    "n12-l4-s3": (12, 4, 3),
+    "n16-l6-s4": (16, 6, 4),
+    "n32-l8-s29": (32, 8, 29),
+    "n64-l16-s7": (64, 16, 7),
+    "n128-l32-s2": (128, 32, 2),
+}
+
+
+def _reference_with(orderings=None, bits=None, drop=None, **fields):
+    """The reference document with orderings or bits replaced (each given as
+    {entry index: value}), one entry dropped, or top-level fields set."""
+    doc = codebook_to_document(reference_codebook())
+    for index, s_j in (orderings or {}).items():
+        doc["entries"][index]["s_j"] = list(s_j)
+    for index, pair in (bits or {}).items():
+        doc["entries"][index]["bits"] = list(pair)
+    if drop is not None:
+        del doc["entries"][drop]
+    doc.update(fields)
+    return doc
+
+
+PINNED_VALIDATE = {
+    "reference": _reference_with(),
+    "raw-fourth": _reference_with(orderings={3: REFERENCE_RAW_FOURTH}),
+    "repeated-ordering": _reference_with(orderings={1: SJ[(0, 0)]}),
+    "raw-fourth-and-repeated-ordering": _reference_with(
+        orderings={1: SJ[(0, 0)], 3: REFERENCE_RAW_FOURTH}
+    ),
+    "missing-bits": _reference_with(drop=2),
+    "duplicated-bits": _reference_with(bits={3: (0, 1)}),
+    "wrong-length": _reference_with(orderings={2: SJ[(0, 1)][:7]}),
+    "label-out-of-range": _reference_with(orderings={0: (2, 6, 7, 1, 5, 9, 4, 3)}),
+    "label-zero": _reference_with(orderings={1: (0, 3, 7, 5, 2, 4, 8, 6)}),
+    "lambda-above-floor": _reference_with(**{"lambda": 5}),
+    "lambda-at-n": _reference_with(**{"lambda": 8}),
+}
+
+PINNED_SURVIVAL = {  # case -> (n, lambda, codebook, trials, seed)
+    "n8-reference": (8, 4, "reference", 600, 11),
+    "n8-l3-generated": (8, 3, None, 600, 5),
+    "n6-l2-generated": (6, 2, None, 400, 3),
+}
+
+
+def _digest(*parts) -> str:
+    return hashlib.sha256("\n".join(str(p) for p in parts).encode()).hexdigest()
+
+
+def pinned_codebook_digest(kind: str, case: str, tmp_path, capsys) -> str:
+    """sha256 over one pinned output of the codebook layer: a generated file
+    with the command's stdout and exit code, the stdout, stderr and exit code
+    of ``codebook validate`` on a document, or a soundness report's
+    ``survival_by_distance``."""
+    if kind == "gen":
+        n, lam, seed = PINNED_GEN[case]
+        path = tmp_path / "book.json"
+        code = main(["codebook", "gen", "--n", str(n), "--lambda", str(lam),
+                     "--seed", str(seed), "--out", str(path)])
+        out = capsys.readouterr().out.replace(str(path), "<out>")
+        return _digest(code, out, path.read_text())
+    if kind == "validate":
+        path = tmp_path / "book.json"
+        path.write_text(json.dumps(PINNED_VALIDATE[case]))
+        code = main(["codebook", "validate", str(path)])
+        captured = capsys.readouterr()
+        return _digest(code, captured.out, captured.err)
+    n, lam, source, trials, seed = PINNED_SURVIVAL[case]
+    spec = ExperimentSpec(mode="soundness", n=n, lam=lam, seed=seed, trials=trials, codebook=source)
+    _, report = run_experiment(spec)
+    return _digest(json.dumps(report.survival_by_distance, sort_keys=True))
+
+
+PINNED_CODEBOOK_CASES = (
+    [("gen", case) for case in PINNED_GEN]
+    + [("validate", case) for case in PINNED_VALIDATE]
+    + [("survival", case) for case in PINNED_SURVIVAL]
+)
+
+# Recorded from the codebook layer as it stood before entries dropped the
+# general two-ordering model; every case must keep its bytes.
+PINNED_CODEBOOK_DIGESTS = {
+    "gen/n8-l3-s1": "c460e8c554a056ba76c4b38930c0a1925820aff4f53c56b683da6ba18c2674a9",
+    "gen/n12-l4-s3": "df3b0a130cc1de34293292fcad46ff89617d088aa7027216508594bf45c82356",
+    "gen/n16-l6-s4": "167f13569ed8f308eeaa6377dd4d986453a02b0007d579e6c20951470de168b8",
+    "gen/n32-l8-s29": "5ef3a9bd479ae4987b9e1fa2362dabfd0cddc226a77a399e784691128d5d694a",
+    "gen/n64-l16-s7": "34e0155eadb059a5bfb568d6d84796d8ad143a6458e758836dd2da4c556c07cd",
+    "gen/n128-l32-s2": "75d1d27770ae714a3b8886d6109f89dfc3e175980e08600fb5a66bb83c251d80",
+    "validate/reference": "0342afa3489883c04f60c52f21a058159cb1bfcbfe1284ff07e7825be6b26805",
+    "validate/raw-fourth": "7eb417bdc815e3c9374ec3250e64f3cc292b788c7c9816ee3dd54cb8cb8f1d59",
+    "validate/repeated-ordering": "6b8dc5a8eadde4bcb714f3268bdc3841dde368727246ba9a6502a162b453ef59",
+    "validate/raw-fourth-and-repeated-ordering": "127d5eddb9c5aca66207bbbd1861df36cd160bfd38f1b8f5c275f108c6e069f3",
+    "validate/missing-bits": "099b934d1f0a66273c755ccfc7203dc7e73c006c2695650e45c563e6755f7a84",
+    "validate/duplicated-bits": "7d2922a4599b73f6686e3a7d19f2de5f0f16e48507f089190bf9887fe087d24c",
+    "validate/wrong-length": "17b3af608e5bbfc74736a6413f35010847f6c3b4c7c1fecccc117da91f8328ca",
+    "validate/label-out-of-range": "020729c6f9d34b01cc134e3f4423ce1046ad64cdb931c022111515b91438a106",
+    "validate/label-zero": "49e26e291f2ab27c3abe87a309e0a5a92b98507d59db37215406dc7744465687",
+    "validate/lambda-above-floor": "a3e43dd33cfdb5f695b2486e07644b168f46b21a2595202a4842cf243cd31630",
+    "validate/lambda-at-n": "d46cf649032fd4593527e782dd495db8651f557849d601e896b5c331fe4c2f57",
+    "survival/n8-reference": "285d2631e3cdadc5f2b5b5b7a55d19f4259c972a364ca9c92e64a564b6cbca76",
+    "survival/n8-l3-generated": "3eb270a6b7de730dc09034464f3f5d606f97036e9f6303b27ceb3868c60123e2",
+    "survival/n6-l2-generated": "8159e1059ed02665d5e128f879d03b45f1c14b6931ea5c5b5733e88832ec2eaf",
+}
+
+
+@pytest.mark.parametrize("kind,case", PINNED_CODEBOOK_CASES)
+def test_codebook_bytes_are_pinned(kind, case, tmp_path, capsys):
+    digest = pinned_codebook_digest(kind, case, tmp_path, capsys)
+    assert digest == PINNED_CODEBOOK_DIGESTS[f"{kind}/{case}"]

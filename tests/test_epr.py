@@ -13,7 +13,7 @@ REF = reference_codebook()
 def partner_outcomes(block):
     """Sonai's outcome for each of bob's positions, read through the entry's
     pairing: noiseless, the negation of bob's sequence."""
-    return block.sonai_sequence[block.entry.pairing.zero_based()]
+    return block.sonai_sequence.take(block.entry.partner_maps[0])
 
 
 def test_outcome_values_and_symbols():
@@ -134,6 +134,6 @@ def test_flip_outcomes_copies_and_preserves_domain():
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_block_is_perfectly_anti_correlated_noiseless(s_j, seed):
-    entry = make_entry((0, 0), s_j, len(s_j))
+    entry = make_entry((0, 0), s_j)
     block = prepared_block_from_signs(entry, sample_block(len(s_j), substream(seed, 11)))
     assert np.array_equal(block.bob_sequence, -partner_outcomes(block))

@@ -1,8 +1,12 @@
 """Every name a module exports resolves, so deleting code cannot leave a
-stale entry in an ``__all__`` list."""
+stale entry in an ``__all__`` list, and is used by the program itself, so no
+production code exists only for the tests."""
 
+import ast
 import importlib
 import pkgutil
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -16,3 +20,48 @@ def test_every_exported_name_resolves(module_name):
     module = importlib.import_module(module_name)
     exported = getattr(module, "__all__", [])
     assert [name for name in exported if not hasattr(module, name)] == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+PROGRAM_TREES = {
+    path: ast.parse(path.read_text(encoding="utf-8"))
+    for folder in ("src", "demos", "perfbench")
+    for path in sorted((ROOT / folder).rglob("*.py"))
+    if not path.name.startswith("test_")
+}
+
+
+def _references(tree: ast.Module, skip: str | None = None) -> Counter:
+    """Names that ``tree`` reads, as bare names or attributes; imports,
+    ``__all__`` strings and the top-level definition named ``skip`` do not
+    count."""
+    counts: Counter = Counter()
+    stack = [
+        node for node in tree.body
+        if not (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip)
+    ]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+        stack.extend(ast.iter_child_nodes(node))
+    return counts
+
+
+@pytest.mark.parametrize("module_name", [name for name in MODULES if name != "entpost"])
+def test_every_exported_name_is_used_outside_the_tests(module_name):
+    # each exported name must be read somewhere in the program, its demos or
+    # its benchmark, so no production code exists only for the tests
+    module = importlib.import_module(module_name)
+    own_file = Path(module.__file__).resolve()
+    elsewhere = Counter()
+    for path, tree in PROGRAM_TREES.items():
+        if path != own_file:
+            elsewhere.update(_references(tree))
+    unused = [
+        name for name in getattr(module, "__all__", [])
+        if not elsewhere[name] and not _references(PROGRAM_TREES[own_file], skip=name)[name]
+    ]
+    assert unused == []

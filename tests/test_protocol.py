@@ -4,11 +4,13 @@ and decoding. Quantitative expectations were frozen from oracle.py."""
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entpost import protocol
 from entpost.codebook import Codebook, make_entry, reference_codebook
 from entpost.epr import NOISELESS, NoiseModel, SpinOutcome
 from entpost.protocol import (
@@ -25,6 +27,7 @@ from entpost.protocol import (
     decode_transcript,
     encode_message,
     measure_all,
+    prepare_session,
     prepared_block_from_signs,
     run_message,
     run_session,
@@ -81,7 +84,7 @@ def test_prepared_block_honors_every_pairing():
         for signs in [(1,) * 8, (-1,) * 8, (1, -1, 1, -1, 1, -1, 1, -1)]:
             block = prepared_block_from_signs(entry, signs)
             for k in range(1, 9):
-                partner = entry.pairing.position(k)
+                partner = entry.partner_maps[0][k - 1] + 1
                 assert block.bob_sequence[k - 1] == -block.sonai_sequence[partner - 1]
 
 
@@ -90,7 +93,7 @@ def test_alice_prepare_noiseless_passes_all_truth_checks():
         block = alice_prepare(bits, REF, NOISELESS, substream(3, 1))
         entry = REF.entry_for_bits(*bits)
         for k in range(1, 9):
-            partner = entry.pairing.position(k)
+            partner = entry.partner_maps[0][k - 1] + 1
             assert block.bob_sequence[k - 1] == -block.sonai_sequence[partner - 1]
 
 
@@ -213,6 +216,33 @@ def test_terminal_line_rejects_values_outside_the_domain():
     with pytest.raises(ProtocolViolationError):
         Transcript.from_jsonl('{"status":"decoded","bob_bit":"x","sonai_bit":0,'
                               '"confidence":NaN,"abort_reason":null}')
+    # only the three shapes the terminal rule writes: decoded (both bits, no
+    # reason), undecided (no bits, no reason), abort (no bits, confidence 0, a reason)
+    undecided = {**valid, "status": "undecided", "bob_bit": None, "sonai_bit": None}
+    abort = {**undecided, "status": "abort", "confidence": 0.0, "abort_reason": "timeout"}
+    for shape in (undecided, abort, {**abort, "abort_reason": "no_consistent_entry"},
+                  {**abort, "confidence": 0}):
+        Transcript.from_jsonl(reveal + json.dumps(shape))
+    contradictions = [
+        {**valid, "abort_reason": "timeout"},
+        {**valid, "sonai_bit": None},
+        {**valid, "bob_bit": None, "sonai_bit": None},
+        {**undecided, "bob_bit": 1},
+        {**undecided, "abort_reason": "timeout"},
+        {**abort, "bob_bit": 0, "sonai_bit": 1},
+        {**abort, "sonai_bit": 1},
+        {**abort, "confidence": 0.5},
+        {**abort, "abort_reason": None},
+        {**abort, "abort_reason": 0},
+        {**abort, "abort_reason": False},
+        {**abort, "abort_reason": ""},
+        {**abort, "abort_reason": "bored"},
+        {**valid, "abort_reason": 0},
+        {**undecided, "abort_reason": False},
+    ]
+    for line in contradictions:
+        with pytest.raises(ProtocolViolationError, match="line 2"):
+            Transcript.from_jsonl(reveal + json.dumps(line))
 
 
 @settings(max_examples=300, deadline=None)
@@ -315,8 +345,8 @@ def test_survival_rank_is_zero_for_matching_pairing():
 def test_survival_rank_of_single_transposition_is_one_bit():
     # swapping two labels between claimed and true pairing leaves one
     # independent coin: survival chance 1/2
-    truth = make_entry((0, 0), (1, 2, 3), 3)
-    cand = make_entry((1, 1), (2, 1, 3), 3)
+    truth = make_entry((0, 0), (1, 2, 3))
+    cand = make_entry((1, 1), (2, 1, 3))
     cb = Codebook(n=3, lam=1, entries=(truth, cand))
     config = ProtocolConfig(n=3, lam=1, seed=0)
     signs = (1, 1, 1)  # the candidate survives this assignment
@@ -352,7 +382,7 @@ def test_full_machinery_survival_matches_oracle_for_every_pair():
     ):
         truth_entry = REF.entry_for_bits(*truth_bits)
         expected = survival_count(
-            truth_entry.s_j.order, REF.entry_for_bits(*cand_bits).s_j.order
+            truth_entry.s_j, REF.entry_for_bits(*cand_bits).s_j
         )
         alive = 0
         for signs in all_signs(8):
@@ -378,8 +408,8 @@ def test_survival_rank_requires_noiseless_config():
 def test_partial_views_can_disagree_but_full_views_agree():
     # a candidate can die on one side before the other notices: each party
     # checks against its own private half, and those halves differ
-    truth = make_entry((0, 0), (1, 2, 3), 3)
-    cand = make_entry((1, 1), (2, 3, 1), 3)
+    truth = make_entry((0, 0), (1, 2, 3))
+    cand = make_entry((1, 1), (2, 3, 1))
     cb = Codebook(n=3, lam=1, entries=(truth, cand))
     config = ProtocolConfig(n=3, lam=1, seed=0)
     block = prepared_block_from_signs(truth, (1, 1, -1))
@@ -503,6 +533,55 @@ def test_replay_reproduces_private_decodes_exactly(seed, noise, reveal_first, n)
     assert (replayed.status, replayed.bob_bit, replayed.sonai_bit, replayed.confidence) == (
         terminal.status, terminal.bob_bit, terminal.sonai_bit, terminal.confidence
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from([(0.0, 0.0), (0.05, 0.25)]),
+    st.sampled_from([Party.BOB, Party.SONAI]),
+    st.sampled_from([8, 32]),
+    st.sampled_from([(0, 0), (1, 1), (0, 1), (1, 0)]),
+)
+def test_replay_tallies_every_prefix_like_both_receivers(seed, noise, reveal_first, n, bits):
+    # after each reveal, the replay has completed exactly the checks whose two
+    # halves are public, which are the checks both receivers have completed
+    eps, delta = noise
+    config = ProtocolConfig(
+        n=n, lam=n // 4, noise=eps, delta=delta, reveal_first=reveal_first, seed=seed
+    )
+    outcome = run_session(config, bits, cb=REF if n == 8 else None)
+    _, receivers = prepare_session(config, bits, outcome.codebook)
+    replay_states = []
+    real_decode = protocol._decode_candidates
+
+    def capture(candidates, decode_config):
+        replay_states.append(candidates)
+        return real_decode(candidates, decode_config)
+
+    prefix = Transcript()
+    with mock.patch.object(protocol, "_decode_candidates", capture):
+        for event in [None] + outcome.transcript.events:
+            if event is not None:
+                prefix.append(event)
+                receivers[event.party.counterpart()].observe_reveal(
+                    event.position, event.outcome.value
+                )
+            decode_transcript(outcome.codebook, prefix, config)
+            bob_states = receivers[Party.BOB].candidates
+            sonai_states = receivers[Party.SONAI].candidates
+            for replayed, bob, sonai in zip(replay_states.pop(), bob_states, sonai_states):
+                # both sides' checks in bob's positions, with their verdicts
+                bob_checks = dict(zip(bob.checked_positions, bob.check_passed))
+                sonai_checks = {
+                    sonai.to_counterpart[pos]: passed
+                    for pos, passed in zip(sonai.checked_positions, sonai.check_passed)
+                }
+                both = bob_checks.keys() & sonai_checks.keys()
+                assert all(bob_checks[pos] == sonai_checks[pos] for pos in both)
+                assert sorted(replayed.checked_positions) == sorted(both)
+                assert replayed.checks_completed == len(both)
+                assert replayed.violations == sum(not bob_checks[pos] for pos in both)
 
 
 def test_replay_of_truncated_transcript_is_partial():
