@@ -132,6 +132,11 @@ class CodebookEntry:
             to_sonai[label - 1] = p
         return tuple(to_sonai), tuple(label - 1 for label in self.s_j)
 
+    @cached_property
+    def partner_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``partner_maps`` as index arrays, for gathers over whole blocks."""
+        return np.asarray(self.partner_maps[0]), np.asarray(self.partner_maps[1])
+
 
 def effective_distance(candidate: CodebookEntry, truth: CodebookEntry) -> int:
     """Number of independent binary constraints a wrong candidate must luck
@@ -166,13 +171,40 @@ def make_entry(bits: tuple[int, int], s_j: Sequence[int]) -> CodebookEntry:
     return CodebookEntry(bits=(int(bits[0]), int(bits[1])), s_j=tuple(s_j))
 
 
+def _cycle_labels(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cycle of each position, length - 1 of each cycle) of ``perm``: pointer
+    doubling numbers a cycle by its smallest position; unused numbers get n."""
+    label, step = np.arange(len(perm)), perm
+    for _ in range(len(perm).bit_length()):
+        label, step = np.minimum(label, label[step]), step[step]
+    length = np.bincount(label, minlength=len(perm))
+    return label, np.where(length > 0, length - 1, len(perm))
+
+
 @dataclass(frozen=True)
 class Codebook:
-    """Four entries, one per double-bit value, pairwise separated by ``lam``."""
+    """Four entries, one per double-bit value, pairwise separated by ``lam``.
+    ``cycles`` builds and caches all a survival rank needs of an entry pair."""
 
     n: int
     lam: int
     entries: tuple[CodebookEntry, ...]
+
+    @cached_property
+    def _cycle_cache(self) -> dict:
+        return {}
+
+    def cycles(self, side: int, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(labels, excess)`` for the receiver on ``side`` (0 bob, 1 sonai),
+        candidate entry i and reference entry j: ``labels[k]`` numbers the
+        cycle of own position k under pi = ref.from_counterpart o
+        cand.to_counterpart, and ``excess[c]`` is the length of cycle c minus
+        one. Fixed points are cycles of excess 0. Built on first use."""
+        key = (side, i, j)
+        if key not in self._cycle_cache:
+            to, back = self.entries[i].partner_arrays[side], self.entries[j].partner_arrays[1 - side]
+            self._cycle_cache[key] = _cycle_labels(back[to])
+        return self._cycle_cache[key]
 
     def entry_for_bits(self, bob_bit: int, sonai_bit: int) -> CodebookEntry:
         for entry in self.entries:

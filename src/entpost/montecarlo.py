@@ -2,8 +2,9 @@
 
 Every trial draws its randomness from a substream addressed by (base seed,
 trial index), so results never depend on how trials are sliced across
-workers. Reports are produced by one aggregation function over the per-trial
-rows; there is no second bookkeeping path to drift out of sync.
+workers. Honest and soundness trials are prepared one by one but folded and
+checked in blocks. Reports are produced by one aggregation function over the
+per-trial rows; there is no second bookkeeping path to drift out of sync.
 """
 from __future__ import annotations
 
@@ -14,10 +15,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from typing import IO, Sequence
 
+import numpy as np
+
 from . import rng as rng_mod
 from .codebook import BIT_PAIR_ORDER, Codebook, resolve_codebook
 from .netsim import FairnessPolicy, Honest, Strategy, fairness_gap
-from .protocol import Party, ProtocolConfig, prepare_session, run_session, terminal_record
+from .protocol import (Party, ProtocolConfig, TerminalRecord, decode_block, prepare_block,
+                       run_session, terminal_record)
 
 __all__ = [
     "ExperimentSpec",
@@ -32,6 +36,7 @@ __all__ = [
 
 MODES = ("honest", "session", "soundness")
 _CONFIG_FIELDS = tuple(f.name for f in fields(ProtocolConfig))
+_FOLD_BLOCK = 256  # honest and soundness trials folded at once: bounded memory at any count
 
 
 @dataclass(frozen=True)
@@ -39,11 +44,12 @@ class ExperimentSpec(ProtocolConfig):
     """Everything needed to reproduce a batch bit for bit: the session
     parameters it inherits (``seed`` is the base seed) plus the batch ones.
 
-    mode picks the driver: "honest" runs both receivers truthfully without
-    the tick machinery (same end state, far cheaper), "session" runs the
-    full simulator with the given strategies and policy, and "soundness"
-    runs honest sessions and records which wrong entries survived the whole
-    exchange in the opener's view.
+    mode picks how trials run: "honest" folds each receiver's complete view of
+    truthful sessions in blocks of trials, without the tick machinery (the
+    simulator's honest run ends in the same state, far more slowly);
+    "session" runs the full simulator with the given strategies and policy;
+    and "soundness" folds honest sessions the same way and records which
+    wrong entries survived the whole exchange in the opener's view.
     """
 
     mode: str = "honest"
@@ -77,64 +83,57 @@ class ExperimentSpec(ProtocolConfig):
         return resolve_codebook(self.codebook, self.n, self.lam, self.seed)
 
 
-def _drive_honest(config: ProtocolConfig, bits: tuple[int, int], cb: Codebook):
-    """Both receivers, truthful and complete, without the tick loop.
-
-    Reproduces exactly what the simulator's honest run leaves behind: same
-    substream addressing, same check sets, same decode results.
-    """
-    block, receivers = prepare_session(config, bits, cb)
-    receivers[Party.BOB].observe_all(block.sonai_sequence)
-    receivers[Party.SONAI].observe_all(block.bob_sequence)
-    return receivers
+def _row(trial: int, seed: int, bits: tuple[int, int], terminal: TerminalRecord,
+         ticks: int, gap: int) -> dict:
+    reason = terminal.abort_reason.value if terminal.abort_reason else None
+    return dict(trial=trial, seed=seed, truth_bob=bits[0], truth_sonai=bits[1],
+                status=terminal.status.value, bob_bit=terminal.bob_bit,
+                sonai_bit=terminal.sonai_bit, confidence=terminal.confidence,
+                abort_reason=reason, ticks=ticks, fairness_gap=gap)
 
 
 def run_trial(spec: ExperimentSpec, cb: Codebook, trial: int) -> dict:
     """One self-contained trial; the row carries everything reports need."""
+    if spec.mode != "session":
+        return _fold_trials(spec, cb, trial, trial + 1)[0]
     seed = rng_mod.derive_seed(spec.seed, rng_mod.KEY_TRIAL, trial)
     bits = spec.trial_bits(trial)
-    config = spec.config(seed=seed)
-    row: dict = {
-        "trial": trial,
-        "seed": seed,
-        "truth_bob": bits[0],
-        "truth_sonai": bits[1],
-    }
-    if spec.mode == "session":
-        outcome = run_session(
-            config,
-            bits,
-            strategies={Party.BOB: spec.strategy_bob, Party.SONAI: spec.strategy_sonai},
-            cb=cb,
-            policy=spec.policy,
-        )
-        terminal = outcome.terminal
-        ticks, gap = outcome.ticks, fairness_gap(outcome.transcript)
-    else:
-        receivers = _drive_honest(config, bits, cb)
-        terminal = terminal_record(receivers[Party.BOB].decode(), receivers[Party.SONAI].decode())
-        ticks, gap = 2 * spec.n + 1, 1
-    row.update(
-        status=terminal.status.value,
-        bob_bit=terminal.bob_bit,
-        sonai_bit=terminal.sonai_bit,
-        confidence=terminal.confidence,
-        abort_reason=terminal.abort_reason.value if terminal.abort_reason else None,
-        ticks=ticks,
-        fairness_gap=gap,
-    )
-    if spec.mode == "soundness":
-        opener = receivers[spec.reveal_first]
-        for cand in opener.candidates:
-            if cand.entry.bits == bits:
-                continue
-            key = f"survived_{cand.entry.bits[0]}{cand.entry.bits[1]}"
-            row[key] = cand.alive
-    return row
+    strategies = {Party.BOB: spec.strategy_bob, Party.SONAI: spec.strategy_sonai}
+    outcome = run_session(spec.config(seed=seed), bits, strategies, cb=cb, policy=spec.policy)
+    return _row(trial, seed, bits, outcome.terminal, outcome.ticks, fairness_gap(outcome.transcript))
+
+
+def _fold_trials(spec: ExperimentSpec, cb: Codebook, start: int, stop: int) -> list[dict]:
+    """Rows of the honest or soundness trials start..stop-1. Each block is
+    prepared from its trial's own seed, as in ``prepare_session``; each
+    receiver's checks are folded over all of them at once, then decoded per
+    trial. A complete honest run takes 2n + 1 ticks with a lead of one."""
+    trials = range(start, stop)
+    seeds = [rng_mod.derive_seed(spec.seed, rng_mod.KEY_TRIAL, t) for t in trials]
+    bits = [spec.trial_bits(t) for t in trials]
+    blocks = [prepare_block(seed, spec.noise, b, cb) for seed, b in zip(seeds, bits)]
+    bob = np.stack([block.bob_sequence for block in blocks])
+    sonai = np.stack([block.sonai_sequence for block in blocks])
+    results_bob, alive_bob = decode_block(cb, spec, Party.BOB, bob, sonai)
+    results_sonai, alive_sonai = decode_block(cb, spec, Party.SONAI, sonai, bob)
+    opener_alive = alive_bob if spec.reveal_first is Party.BOB else alive_sonai
+    rows = []
+    for i, trial in enumerate(trials):
+        terminal = terminal_record(results_bob[i], results_sonai[i])
+        row = _row(trial, seeds[i], bits[i], terminal, 2 * spec.n + 1, 1)
+        if spec.mode == "soundness":
+            for entry, alive in zip(cb.entries, opener_alive[i]):
+                if entry.bits != bits[i]:
+                    row[f"survived_{entry.bits[0]}{entry.bits[1]}"] = alive
+        rows.append(row)
+    return rows
 
 
 def _run_chunk(spec: ExperimentSpec, cb: Codebook, start: int, stop: int) -> list[dict]:
-    return [run_trial(spec, cb, t) for t in range(start, stop)]
+    if spec.mode == "session":
+        return [run_trial(spec, cb, t) for t in range(start, stop)]
+    blocks = range(start, stop, _FOLD_BLOCK)
+    return [row for a in blocks for row in _fold_trials(spec, cb, a, min(a + _FOLD_BLOCK, stop))]
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> tuple[list[dict], "StatsReport"]:

@@ -273,11 +273,13 @@ class ReceiverAgent:
     def _maybe_announce(self, world: "World") -> None:
         if self.announced:
             return
-        # decode is worth recomputing only when new checks have landed
+        # decode is worth running only on new checks and a lone live entry
         checks = self.receiver.received_count
         if checks == self._checks_at_last_decode:
             return
         self._checks_at_last_decode = checks
+        if sum(cand.alive for cand in self.receiver.candidates) != 1:
+            return
         result = self.receiver.decode()
         if result.status is DecodeStatus.DECODED:
             self.announced = True

@@ -41,7 +41,9 @@ __all__ = [
     "alice_prepare",
     "prepared_block_from_signs",
     "measure_all",
+    "prepare_block",
     "prepare_session",
+    "decode_block",
     "decode_transcript",
     "terminal_record",
     "run_session",
@@ -143,7 +145,7 @@ def prepared_block_from_signs(entry: CodebookEntry, signs: Sequence[int]) -> Pre
     (one +/-1 per pair label, in label order). Used for exhaustive studies."""
     i_side = np.asarray(signs, dtype=np.int8)
     # bob's ordering is the sender's identity; sonai's position p holds label s_j[p]
-    sonai = (-i_side).take(entry.partner_maps[1])
+    sonai = (-i_side).take(entry.partner_arrays[1])
     return PreparedBlock(entry=entry, bob_sequence=i_side.copy(), sonai_sequence=sonai)
 
 
@@ -174,21 +176,21 @@ def measure_all(party: Party, block: PreparedBlock) -> np.ndarray:
     return block.sequence_for(party).copy()
 
 
+def prepare_block(seed: int, noise: NoiseModel, bits: tuple[int, int], cb: Codebook) -> PreparedBlock:
+    """The block of the session at ``seed``, from that seed's prepare and
+    noise substreams. A noiseless block draws no noise, so its noise
+    substreams are never built."""
+    keys = (rng_mod.KEY_NOISE_BOB, rng_mod.KEY_NOISE_SONAI)
+    noise_rngs = [None if noise.noiseless else rng_mod.substream(seed, key) for key in keys]
+    return alice_prepare(bits, cb, noise, rng_mod.substream(seed, rng_mod.KEY_PREPARE), *noise_rngs)
+
+
 def prepare_session(
     config: ProtocolConfig, bits: tuple[int, int], cb: Codebook
 ) -> tuple[PreparedBlock, dict[Party, Receiver]]:
-    """Prepare the block from the config seed's prepare and noise substreams
-    and give each receiver its measured outcomes. A noiseless session draws
-    no noise, so its noise substreams are never built."""
-    noisy = not config.noise.noiseless
-    block = alice_prepare(
-        bits,
-        cb,
-        config.noise,
-        rng_mod.substream(config.seed, rng_mod.KEY_PREPARE),
-        noise_rng_bob=rng_mod.substream(config.seed, rng_mod.KEY_NOISE_BOB) if noisy else None,
-        noise_rng_sonai=rng_mod.substream(config.seed, rng_mod.KEY_NOISE_SONAI) if noisy else None,
-    )
+    """Prepare the config seed's block and give each receiver its measured
+    outcomes."""
+    block = prepare_block(config.seed, config.noise, bits, cb)
     receivers = {
         party: Receiver(party, cb, measure_all(party, block), config)
         for party in (Party.BOB, Party.SONAI)
@@ -302,12 +304,6 @@ class Transcript:
             raise ProtocolViolationError("transcript already closed")
         self.terminal = terminal
 
-    def reveal_counts(self) -> dict[Party, int]:
-        counts = {Party.BOB: 0, Party.SONAI: 0}
-        for event in self.events:
-            counts[event.party] += 1
-        return counts
-
     def to_jsonl(self, fp: IO[str] | None = None) -> str:
         lines = [json.dumps(e.to_json_obj(), separators=(",", ":")) for e in self.events]
         if self.terminal is not None:
@@ -344,16 +340,8 @@ class Transcript:
 class CandidateState:
     """Check tally for one codebook entry as seen by one receiver."""
 
-    __slots__ = (
-        "entry",
-        "to_counterpart",
-        "from_counterpart",
-        "checks_completed",
-        "violations",
-        "alive",
-        "checked_positions",
-        "check_passed",
-    )
+    __slots__ = ("entry", "to_counterpart", "from_counterpart", "checks_completed", "violations",
+                 "alive", "checked", "passed")
 
     def __init__(
         self, entry: CodebookEntry, to_counterpart: Sequence[int], from_counterpart: Sequence[int]
@@ -366,14 +354,21 @@ class CandidateState:
         self.checks_completed = 0
         self.violations = 0
         self.alive = True
-        self.checked_positions: list[int] = []
-        self.check_passed: list[bool] = []
+        # 1 at each own position whose check has completed, and has passed
+        self.checked, self.passed = bytearray(len(to_counterpart)), bytearray(len(to_counterpart))
+
+
+def _side(party: Party) -> int:
+    """Index of ``party``'s own -> counterpart map in ``partner_maps``."""
+    if party not in (Party.BOB, Party.SONAI):
+        raise ValueError("only receivers decode")
+    return 0 if party is Party.BOB else 1
 
 
 def _candidate_states(cb: Codebook, party: Party) -> list[CandidateState]:
     """Fresh check state for every entry, in ``party``'s position order."""
-    step = 1 if party is Party.BOB else -1  # partner_maps is (bob -> sonai, sonai -> bob)
-    return [CandidateState(entry, *entry.partner_maps[::step]) for entry in cb.entries]
+    side = _side(party)
+    return [CandidateState(e, e.partner_maps[side], e.partner_maps[1 - side]) for e in cb.entries]
 
 
 def _complete_check(cand: CandidateState, own_pos: int, passed: bool, delta: float) -> None:
@@ -383,43 +378,33 @@ def _complete_check(cand: CandidateState, own_pos: int, passed: bool, delta: flo
     if not passed:
         cand.violations += 1
     cand.alive = cand.violations <= delta * cand.checks_completed
-    cand.checked_positions.append(own_pos)
-    cand.check_passed.append(passed)
+    cand.checked[own_pos] = 1
+    cand.passed[own_pos] = passed
 
 
-def _survival_log2(candidate: CandidateState, reference: CandidateState) -> int:
-    """log2 of the chance a wrong ``candidate`` would have passed its
-    completed checks, were ``reference`` the true entry (noiseless only).
+def _fold_checks(cb: Codebook, party: Party, own: np.ndarray, values: np.ndarray):
+    """The check kernel: fold ``party``'s own outcomes against the
+    counterpart's, both (trials, n) blocks, for every entry at once. The
+    check on own position k pairs it with the entry's counterpart position
+    and passes when the two outcomes differ. Returns passed[entry, trial, k]
+    and violations[entry, trial]."""
+    side = _side(party)
+    passed = np.stack([own != values.take(e.partner_arrays[side], axis=1) for e in cb.entries])
+    return passed, own.shape[1] - passed.sum(axis=2)
 
-    Each passed check on a position whose pairing differs from the
-    reference's ties two own positions to the same underlying orientation;
-    the rank of that constraint graph (vertices touched minus connected
-    components) counts the independent coin flips the candidate survived.
-    """
-    ref_from = reference.from_counterpart
-    cand_to = candidate.to_counterpart
-    parent: dict[int, int] = {}
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+def _survival_log2(passed, cycles: tuple[np.ndarray, np.ndarray]) -> int:
+    """log2 of the chance a wrong candidate would have passed the checks
+    marked in ``passed`` (0/1 over own positions), were the reference the
+    true entry (noiseless only); ``cycles`` is the pair's ``Codebook.cycles``.
 
-    rank = 0
-    for own_pos, passed in zip(candidate.checked_positions, candidate.check_passed):
-        if not passed:
-            continue
-        partner = ref_from[cand_to[own_pos]]
-        if partner == own_pos:
-            continue  # matching pairings: the check carries no evidence
-        for v in (own_pos, partner):
-            parent.setdefault(v, v)
-        ra, rb = find(own_pos), find(partner)
-        if ra != rb:
-            parent[ra] = rb
-            rank += 1
-    return -rank
+    A passed check on own position k ties k and pi(k) to one orientation.
+    The ties on a cycle of pi are independent coin flips until they close
+    it, so a cycle of length L with m passed checks adds min(m, L - 1), and
+    the rank is the passed checks less one per cycle they fill."""
+    labels, excess = cycles
+    hits = labels[np.frombuffer(passed, dtype=bool)]
+    return int(np.count_nonzero(np.bincount(hits, minlength=len(excess)) > excess)) - len(hits)
 
 
 class Receiver:
@@ -431,12 +416,11 @@ class Receiver:
     """
 
     def __init__(self, party: Party, cb: Codebook, own_outcomes: np.ndarray, config: ProtocolConfig):
-        if party not in (Party.BOB, Party.SONAI):
-            raise ValueError("only receivers decode")
+        self.side = _side(party)
         self.party = party
         self.codebook = cb
         self.config = config
-        self.own = [int(v) for v in own_outcomes]
+        self.own = np.asarray(own_outcomes).tolist()
         self.candidates = _candidate_states(cb, party)
         self._received = bytearray(cb.n)
         self.received_count = 0
@@ -477,28 +461,19 @@ class Receiver:
             _complete_check(cand, own_pos, own[own_pos] != outcome, delta)  # partners differ
 
     def observe_all(self, outcomes: Sequence[int] | np.ndarray) -> None:
-        """Fold the counterpart's complete outcome sequence at once.
-
-        End state matches n observe_reveal calls in ascending position order;
-        kept vectorized because measurement campaigns run this per trial.
-        """
+        """Fold the counterpart's complete outcome sequence at once, as the
+        check kernel's one-trial case. The end state matches n observe_reveal
+        calls in any position order."""
         n = self.codebook.n
         if self.received_count:
             raise ProtocolViolationError("bulk observation only applies to a fresh receiver")
         if len(outcomes) != n:
-            raise ProtocolViolationError(
-                f"expected {n} outcomes, got {len(outcomes)}"
-            )
-        values = np.asarray(outcomes, dtype=np.int8)
-        own_arr = np.asarray(self.own, dtype=np.int8)
-        delta = self.config.delta
-        for cand in self.candidates:
-            passed = own_arr.take(cand.from_counterpart) != values
-            cand.checks_completed = n
-            cand.violations = int(n - passed.sum())
-            cand.alive = cand.violations <= delta * n
-            cand.checked_positions = cand.from_counterpart
-            cand.check_passed = passed.tolist()
+            raise ProtocolViolationError(f"expected {n} outcomes, got {len(outcomes)}")
+        own, values = np.asarray([self.own], dtype=np.int8), np.asarray([outcomes], dtype=np.int8)
+        passed, violations = _fold_checks(self.codebook, self.party, own, values)
+        for cand, mask, v in zip(self.candidates, passed[:, 0], violations[:, 0].tolist()):
+            cand.checks_completed, cand.violations, cand.alive = n, v, v <= self.config.delta * n
+            cand.checked, cand.passed = bytearray(b"\x01" * n), bytearray(mask)
         self._received = bytearray(b"\x01" * n)
         self.received_count = n
 
@@ -508,19 +483,17 @@ class Receiver:
 
     # -- decoding ----------------------------------------------------------
 
-    def alive_candidates(self) -> list[CandidateState]:
-        return [c for c in self.candidates if c.alive]
-
     def survival_log2(self, candidate: CandidateState, reference: CandidateState) -> int:
         """log2 of the chance a wrong ``candidate`` would have passed its
         completed checks, were ``reference`` the true entry. Exact only for
         noiseless sessions, so noisy ones raise."""
         if not self.config.noise.noiseless:
             raise ValueError("exact survival rank applies only to noiseless sessions")
-        return _survival_log2(candidate, reference)
+        i, j = self.candidates.index(candidate), self.candidates.index(reference)
+        return _survival_log2(candidate.passed, self.codebook.cycles(self.side, i, j))
 
     def decode(self) -> "DecodeResult":
-        return _decode_candidates(self.candidates, self.config)
+        return _decode_states(self.codebook, self.side, self.candidates, self.config)
 
     def candidate_for(self, bits: tuple[int, int]) -> CandidateState:
         for cand in self.candidates:
@@ -536,53 +509,68 @@ class DecodeResult:
     sonai_bit: int | None
     confidence: float
     abort_reason: AbortReason | None = None
-    exact_confidence: bool = True
 
     @classmethod
     def aborted(cls, reason: AbortReason) -> "DecodeResult":
         return cls(DecodeStatus.ABORT, None, None, 0.0, reason)
 
 
-def _decode_candidates(candidates: list[CandidateState], config: ProtocolConfig) -> DecodeResult:
-    """Shared decode rule for private receivers and transcript replays."""
-    alive = [c for c in candidates if c.alive]
+def _decode_candidates(cb: Codebook, side: int, checks: Sequence[int], violations: Sequence[int],
+                       passed: Sequence, config: ProtocolConfig) -> DecodeResult:
+    """The one decode rule, shared by private receivers, transcript replays
+    and batches. It reads per-entry counts in codebook order: ``checks``
+    completed and the ``violations`` among them. ``passed[i]``, entry i's
+    passed checks over the own positions of receiver ``side``, is read only
+    for a noiseless survival rank."""
+    delta = config.delta
+    alive = [i for i in range(len(checks)) if violations[i] <= delta * checks[i]]
     if not alive:
         return DecodeResult.aborted(AbortReason.NO_CONSISTENT_ENTRY)
-    noiseless = config.noise.noiseless
-    if noiseless:
-        lead = alive[0]  # candidates stay in the fixed bit-pair order
-        residual = sum(2.0 ** _survival_log2(c, lead) for c in alive[1:])
-        confidence = max(0.0, 1.0 - residual)
-        exact = True
+    if config.noise.noiseless:
+        lead = alive[0]  # entries stay in the fixed bit-pair order
+        ranks = (_survival_log2(passed[i], cb.cycles(side, i, lead)) for i in alive[1:])
+        confidence = max(0.0, 1.0 - sum(2.0 ** rank for rank in ranks))
     else:
-        # Violation counts are binomial: rate 2*eps*(1-eps) for the true
-        # entry, 1/2 for wrong ones. Report a normalized likelihood weight;
-        # it is a heuristic score, not an exact probability.
+        # Given the entry, each completed check pairs two outcomes no other
+        # check touches and is violated with probability q = 2*eps*(1-eps),
+        # independently. A receiver has completed the same k checks for
+        # every entry, so the normalized weight q^v (1-q)^(k-v) is the exact
+        # posterior of each entry under a uniform prior, after any prefix. A
+        # truncated replay completes different counts per entry, and there
+        # the weight is a score, not that posterior.
         eps = config.noise.flip_probability
         q = 2.0 * eps * (1.0 - eps)
         loglik = [
-            c.violations * math.log(q) + (c.checks_completed - c.violations) * math.log1p(-q)
-            if c.checks_completed
-            else 0.0
-            for c in candidates
+            v * math.log(q) + (k - v) * math.log1p(-q) if k else 0.0
+            for k, v in zip(checks, violations)
         ]
-        alive_idx = [i for i, c in enumerate(candidates) if c.alive]
-        lead_idx = min(alive_idx, key=lambda i: (candidates[i].violations, i))
-        lead = candidates[lead_idx]
+        lead = min(alive, key=lambda i: (violations[i], i))
         peak = max(loglik)
-        total = sum(math.exp(v - peak) for v in loglik)
-        confidence = math.exp(loglik[lead_idx] - peak) / total
-        exact = False
+        total = sum(math.exp(w - peak) for w in loglik)
+        confidence = math.exp(loglik[lead] - peak) / total
     if len(alive) == 1 and confidence >= config.confidence_target:
-        return DecodeResult(
-            DecodeStatus.DECODED,
-            lead.entry.bits[0],
-            lead.entry.bits[1],
-            confidence,
-            None,
-            exact,
-        )
-    return DecodeResult(DecodeStatus.UNDECIDED, None, None, confidence, None, exact)
+        bob_bit, sonai_bit = cb.entries[lead].bits
+        return DecodeResult(DecodeStatus.DECODED, bob_bit, sonai_bit, confidence)
+    return DecodeResult(DecodeStatus.UNDECIDED, None, None, confidence)
+
+
+def _decode_states(cb: Codebook, side: int, states: list[CandidateState], config: ProtocolConfig):
+    checks, violations = [c.checks_completed for c in states], [c.violations for c in states]
+    return _decode_candidates(cb, side, checks, violations, [c.passed for c in states], config)
+
+
+def decode_block(cb: Codebook, config: ProtocolConfig, party: Party, own: np.ndarray,
+                 values: np.ndarray) -> tuple[list[DecodeResult], list[list[bool]]]:
+    """Fold and decode ``party``'s complete view of every trial in a block:
+    ``own`` and ``values`` are (trials, n) blocks of its own outcomes and of
+    the counterpart's. Returns each trial's decode result and which entries
+    stayed alive, in codebook order."""
+    passed, violations = _fold_checks(cb, party, own, values)
+    n, side = own.shape[1], _side(party)
+    checks = [n] * len(cb.entries)
+    results = [_decode_candidates(cb, side, checks, v, passed[:, t], config)
+               for t, v in enumerate(violations.T.tolist())]
+    return results, (violations.T <= config.delta * n).tolist()
 
 
 def decode_transcript(cb: Codebook, transcript: Transcript, config: ProtocolConfig) -> DecodeResult:
@@ -621,7 +609,7 @@ def decode_transcript(cb: Codebook, transcript: Transcript, config: ProtocolConf
                 other = bob_vals[bob_pos]
                 if other is not None:
                     _complete_check(cand, bob_pos, other != value, delta)
-    return _decode_candidates(states, config)
+    return _decode_states(cb, 0, states, config)
 
 
 def terminal_record(

@@ -56,3 +56,47 @@ def unique_decode_count(truth_sj: tuple[int, ...], wrong_sjs: list[tuple[int, ..
         if not any(candidate_passes(bob, sonai, pairs) for pairs in wrong_pairs):
             count += 1
     return count
+
+
+def passed_check_rank(
+    truth_sj: tuple[int, ...], cand_sj: tuple[int, ...], party: str, passed_positions
+) -> int:
+    """Independent constraints a wrong candidate satisfied, were the truth
+    sequence the true entry: n minus log2 of the number of sign assignments
+    under which every listed check passes. ``party`` ("bob" or "sonai") owns
+    the checks; ``passed_positions`` are its own 0-based positions."""
+    n = len(truth_sj)
+    own = 0 if party == "bob" else 1
+    listed = [pair for pair in claimed_pairs(cand_sj) if pair[own] in passed_positions]
+    count = sum(
+        1 for signs in product((1, -1), repeat=n)
+        if candidate_passes(*outcome_tables(truth_sj, signs), listed)
+    )
+    assert count & (count - 1) == 0  # equality constraints: a power of two
+    return n - (count.bit_length() - 1)
+
+
+def entry_posterior(sjs, eps: float, party: str, own, revealed: dict) -> list[float]:
+    """Posterior of each sequence in ``sjs`` under a uniform prior, given a
+    receiver's own delivered outcomes ``own`` and the counterpart's delivered
+    outcomes at the revealed positions (``revealed``: position -> value).
+    Every delivered outcome is the ideal one flipped independently with
+    probability ``eps``. The sum runs over sequence x orientation x flips;
+    for one ideal table exactly one flip pattern of the observed outcomes
+    matches, and the unobserved outcomes' flips sum to one, so the flip sum
+    is the product over the observed outcomes."""
+    n = len(sjs[0])
+    weights = []
+    for sj in sjs:
+        total = 0.0
+        for signs in product((1, -1), repeat=n):
+            bob, sonai = outcome_tables(sj, signs)
+            mine, theirs = (bob, sonai) if party == "bob" else (sonai, bob)
+            observed = [(mine[k], own[k]) for k in range(n)]
+            observed += [(theirs[q], value) for q, value in revealed.items()]
+            weight = 1.0
+            for ideal, delivered in observed:
+                weight *= (1.0 - eps) if ideal == delivered else eps
+            total += weight / 2**n
+        weights.append(total)
+    return [w / sum(weights) for w in weights]

@@ -1,5 +1,6 @@
 """Batch runner: trial rows, aggregation, worker independence."""
 
+import hashlib
 import io
 import math
 from concurrent.futures import Future
@@ -230,3 +231,72 @@ def test_noisy_experiment_aggregates_cleanly():
     assert report.correct_rate <= report.decode_success_rate
     if report.mean_confidence is not None:
         assert 0.0 <= report.mean_confidence <= 1.0
+
+
+# sha256 of the CSV followed by the report JSON of run_experiment, recorded
+# before the batch fold replaced the per-trial receivers. Each case is
+# (mode, n, lam, codebook, noise, delta, reveal_first, bits, trials, workers);
+# the base seed is n * 100 + trials.
+PINNED_EXPERIMENTS = [
+    (("honest", 8, 4, "reference", 0.0, 0.0, "bob", None, 40, 1),
+     "0cfabaf60365c7854c6e560e6c59d9e876d9491674b4d74a069de02ac14a29ab"),
+    (("honest", 8, 4, "reference", 0.0, 0.2, "sonai", (1, 1), 40, 1),
+     "81d45957630de177cbde303ca269986efb9a68be5fc553cb0fc34c4e2108483d"),
+    (("honest", 8, 4, "reference", 0.05, 0.0, "bob", None, 30, 1),
+     "e8d6779e780e0b45ecb239261c8d22ab79d70e2c2ebce332450a7ca3a591ec59"),
+    (("soundness", 8, 4, "reference", 0.0, 0.0, "bob", (0, 0), 60, 1),
+     "7e7064fd2c164d0445506b3d4cedefffda2d6735795c9cd765b978aaed5c03d7"),
+    (("soundness", 8, 4, "reference", 0.0, 0.25, "sonai", None, 60, 2),
+     "ebae8c300d7f6c6fe180627b81b5f57ce0fceafc604b2d5f2cbff12f74a71733"),
+    (("soundness", 8, 4, "reference", 0.05, 0.25, "bob", (1, 0), 40, 1),
+     "5858c522ca2cfb4dfb2199c38345ca05e7ebf68d43f0b33e29ca290b2062f50d"),
+    (("soundness", 8, 3, None, 0.0, 0.0, "sonai", None, 50, 1),
+     "afdc86c4551165dc45873187e0e5b71b7f5174dcfeb238ed89796051bd455e75"),
+    (("honest", 32, 8, None, 0.0, 0.0, "sonai", None, 30, 2),
+     "3cfcb69448d8b43d40de53d6600d43916dc8c928eddc2fe76b956e554f1f18d9"),
+    (("honest", 32, 8, None, 0.1, 0.3, "bob", None, 30, 1),
+     "bcc5cededc648853555ed25c3401dde868f984fd23298cb18fa8c9282080316b"),
+    (("soundness", 32, 4, None, 0.0, 0.1, "bob", (0, 1), 40, 1),
+     "db0291a8d98ea33ccf9c41467f581183b92c897e2a19a9569a80ea60da0488fe"),
+    (("soundness", 32, 8, None, 0.05, 0.25, "sonai", None, 30, 2),
+     "9c634349b33becbab0438e1fc177a6858bb473383dc4ad29cae133dea03ecb11"),
+    (("honest", 256, 16, None, 0.05, 0.25, "bob", None, 8, 1),
+     "f4695745183237a16d9360c93d4461bc62df4e3c9ecc9f066cbabc963699c1f7"),
+    (("honest", 256, 16, None, 0.0, 0.0, "sonai", (1, 1), 6, 2),
+     "0528d0b82fefbe2e10ae4624152466ac7be56246f1077ba15b9a721ae3548c0e"),
+    (("soundness", 256, 16, None, 0.0, 0.1, "bob", None, 6, 1),
+     "d899a5cbaa15b5e37f4fbb96e9420dfefcb552112684fc88f61b0255351ee424"),
+]
+
+
+def _case_id(case) -> str:
+    mode, n, lam, book, eps, delta, opener, bits, trials, workers = case
+    bits_id = "cycling" if bits is None else f"{bits[0]}{bits[1]}"
+    return (f"{mode}-n{n}-{book or 'gen'}-eps{eps}-delta{delta}-{opener}-{bits_id}"
+            f"-t{trials}-w{workers}")
+
+
+@pytest.mark.parametrize(
+    "case, digest", PINNED_EXPERIMENTS, ids=[_case_id(case) for case, _ in PINNED_EXPERIMENTS]
+)
+def test_montecarlo_bytes_are_pinned(case, digest):
+    mode, n, lam, book, eps, delta, opener, bits, trials, workers = case
+    spec = ExperimentSpec(mode=mode, n=n, lam=lam, codebook=book, noise=eps, delta=delta,
+                          reveal_first=opener, bits=bits, trials=trials, seed=n * 100 + trials)
+    rows, report = run_experiment(spec, workers=workers)
+    buf = io.StringIO()
+    write_rows_csv(rows, buf)
+    write_report_json(report, buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("mode, noise, delta", [
+    ("honest", 0.0, 0.0), ("soundness", 0.0, 0.2), ("soundness", 0.05, 0.25),
+])
+def test_fold_block_size_never_changes_rows(monkeypatch, mode, noise, delta):
+    spec = ExperimentSpec(mode=mode, n=8, lam=4, seed=21, trials=20, noise=noise, delta=delta,
+                          codebook="reference", reveal_first="sonai")
+    rows, report = run_experiment(spec)
+    monkeypatch.setattr(montecarlo, "_FOLD_BLOCK", 3)
+    assert run_experiment(spec) == (rows, report)
+    assert [run_trial(spec, spec.shared_codebook(), t) for t in range(20)] == rows

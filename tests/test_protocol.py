@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entpost import protocol
-from entpost.codebook import Codebook, make_entry, reference_codebook
+from entpost.codebook import Codebook, effective_distance, make_entry, reference_codebook
 from entpost.epr import NOISELESS, NoiseModel, SpinOutcome
 from entpost.protocol import (
     AbortReason,
@@ -35,7 +35,7 @@ from entpost.protocol import (
 from entpost.rng import substream
 
 from json_junk import junk_transcripts
-from oracle import survival_count
+from oracle import entry_posterior, passed_check_rank, survival_count
 
 REF = reference_codebook()
 
@@ -48,6 +48,10 @@ def small_config(**kw):
 
 def all_signs(n):
     return itertools.product((1, -1), repeat=n)
+
+
+def alive_states(receiver):
+    return [c for c in receiver.candidates if c.alive]
 
 
 # -- configuration ------------------------------------------------------------
@@ -307,8 +311,8 @@ def test_observe_all_matches_sequential_observation():
         assert fast.checks_completed == slow.checks_completed
         assert fast.violations == slow.violations
         assert fast.alive == slow.alive
-        assert list(fast.checked_positions) == list(slow.checked_positions)
-        assert list(fast.check_passed) == list(slow.check_passed)
+        assert fast.checked == slow.checked == bytearray(b"\x01" * 8)
+        assert fast.passed == slow.passed
     assert bob.decode() == bob_seq.decode()
 
 
@@ -418,16 +422,16 @@ def test_partial_views_can_disagree_but_full_views_agree():
 
     bob.observe_reveal(1, int(block.sonai_sequence[0]))
     sonai.observe_reveal(1, int(block.bob_sequence[0]))
-    bob_alive = {c.entry.bits for c in bob.alive_candidates()}
-    sonai_alive = {c.entry.bits for c in sonai.alive_candidates()}
+    bob_alive = {c.entry.bits for c in alive_states(bob)}
+    sonai_alive = {c.entry.bits for c in alive_states(sonai)}
     assert bob_alive == {(0, 0), (1, 1)}
     assert sonai_alive == {(0, 0)}  # the asymmetric moment
 
     for q in range(1, 3):
         bob.observe_reveal(q + 1, int(block.sonai_sequence[q]))
         sonai.observe_reveal(q + 1, int(block.bob_sequence[q]))
-    assert {c.entry.bits for c in bob.alive_candidates()} == {(0, 0)}
-    assert {c.entry.bits for c in sonai.alive_candidates()} == {(0, 0)}
+    assert {c.entry.bits for c in alive_states(bob)} == {(0, 0)}
+    assert {c.entry.bits for c in alive_states(sonai)} == {(0, 0)}
 
 
 def test_full_transcript_views_always_agree():
@@ -437,8 +441,8 @@ def test_full_transcript_views_always_agree():
             block, bob, sonai = build_receivers(bits, config, seed=seed)
             bob.observe_all(block.sonai_sequence)
             sonai.observe_all(block.bob_sequence)
-            assert {c.entry.bits for c in bob.alive_candidates()} == {
-                c.entry.bits for c in sonai.alive_candidates()
+            assert {c.entry.bits for c in alive_states(bob)} == {
+                c.entry.bits for c in alive_states(sonai)
             }
             for cb_state, cs_state in zip(bob.candidates, sonai.candidates):
                 assert cb_state.violations == cs_state.violations
@@ -455,11 +459,10 @@ def test_decode_unique_survivor_has_full_confidence():
         bob = Receiver(Party.BOB, REF, block.bob_sequence, config)
         bob.observe_all(block.sonai_sequence)
         result = bob.decode()
-        if len(bob.alive_candidates()) == 1:
+        if len(alive_states(bob)) == 1:
             assert result.status is DecodeStatus.DECODED
             assert (result.bob_bit, result.sonai_bit) == (0, 1)
             assert result.confidence == 1.0
-            assert result.exact_confidence
         else:
             assert result.status is DecodeStatus.UNDECIDED
 
@@ -472,7 +475,7 @@ def test_decode_multi_survivor_confidence_discounts_by_rank():
         block = prepared_block_from_signs(truth_entry, signs)
         bob = Receiver(Party.BOB, REF, block.bob_sequence, config)
         bob.observe_all(block.sonai_sequence)
-        alive = bob.alive_candidates()
+        alive = alive_states(bob)
         if len(alive) < 2:
             continue
         seen_multi = True
@@ -493,19 +496,56 @@ def test_decode_aborts_when_nothing_is_consistent():
     corrupted = -np.asarray(block.sonai_sequence)
     corrupted[0] = block.sonai_sequence[0]
     bob.observe_all(corrupted)
-    if not bob.alive_candidates():
+    if not alive_states(bob):
         result = bob.decode()
         assert result.status is DecodeStatus.ABORT
         assert result.abort_reason is AbortReason.NO_CONSISTENT_ENTRY
 
 
-def test_noisy_decode_reports_heuristic_confidence():
+def test_noisy_decode_confidence_is_the_exact_posterior():
+    # a noisy receiver's confidence is the posterior of its lead entry under
+    # a uniform prior, enumerated over entry x orientation x flips, both
+    # after the full exchange and after every prefix of it
     config = ProtocolConfig(n=64, lam=16, noise=NoiseModel(0.05), delta=0.25, seed=5)
     outcome = run_session(config, (1, 0))
     res = outcome.results[Party.BOB]
     assert res.status is DecodeStatus.DECODED
-    assert not res.exact_confidence
     assert 0.0 <= res.confidence <= 1.0
+
+    rng = substream(77, 4)
+    compared = 0
+    for eps in (0.05, 0.15, 0.3):
+        for session in range(4):
+            orderings = []
+            while len(orderings) < 4:
+                s_j = tuple(int(x) + 1 for x in rng.permutation(4))
+                if s_j not in orderings:
+                    orderings.append(s_j)
+            cb = Codebook(n=4, lam=1, entries=tuple(
+                make_entry(bits, s_j) for bits, s_j in zip([(0, 0), (1, 1), (0, 1), (1, 0)], orderings)
+            ))
+            config = ProtocolConfig(n=4, lam=1, noise=eps, delta=0.49, seed=session)
+            block = alice_prepare((0, 1), cb, config.noise, substream(session, 9))
+            for party in (Party.BOB, Party.SONAI):
+                receiver = Receiver(party, cb, measure_all(party, block), config)
+                theirs = block.sequence_for(party.counterpart())
+                revealed = {}
+                for q in [None, *range(4)]:
+                    if q is not None:
+                        receiver.observe_reveal(q + 1, int(theirs[q]))
+                        revealed[q] = int(theirs[q])
+                    result = receiver.decode()
+                    if result.status is DecodeStatus.ABORT:
+                        continue
+                    posterior = entry_posterior(
+                        orderings, eps, party.value, receiver.own, revealed
+                    )
+                    alive = [i for i, c in enumerate(receiver.candidates) if c.alive]
+                    assert result.confidence == pytest.approx(
+                        max(posterior[i] for i in alive), rel=1e-12, abs=1e-15
+                    )
+                    compared += 1
+    assert compared > 100
 
 
 # -- public-record decoding ---------------------------------------------------
@@ -553,14 +593,14 @@ def test_replay_tallies_every_prefix_like_both_receivers(seed, noise, reveal_fir
     outcome = run_session(config, bits, cb=REF if n == 8 else None)
     _, receivers = prepare_session(config, bits, outcome.codebook)
     replay_states = []
-    real_decode = protocol._decode_candidates
+    real_decode = protocol._decode_states
 
-    def capture(candidates, decode_config):
+    def capture(cb, side, candidates, decode_config):
         replay_states.append(candidates)
-        return real_decode(candidates, decode_config)
+        return real_decode(cb, side, candidates, decode_config)
 
     prefix = Transcript()
-    with mock.patch.object(protocol, "_decode_candidates", capture):
+    with mock.patch.object(protocol, "_decode_states", capture):
         for event in [None] + outcome.transcript.events:
             if event is not None:
                 prefix.append(event)
@@ -572,14 +612,16 @@ def test_replay_tallies_every_prefix_like_both_receivers(seed, noise, reveal_fir
             sonai_states = receivers[Party.SONAI].candidates
             for replayed, bob, sonai in zip(replay_states.pop(), bob_states, sonai_states):
                 # both sides' checks in bob's positions, with their verdicts
-                bob_checks = dict(zip(bob.checked_positions, bob.check_passed))
+                bob_checks = {pos: bob.passed[pos] for pos in range(n) if bob.checked[pos]}
                 sonai_checks = {
-                    sonai.to_counterpart[pos]: passed
-                    for pos, passed in zip(sonai.checked_positions, sonai.check_passed)
+                    sonai.to_counterpart[pos]: sonai.passed[pos]
+                    for pos in range(n)
+                    if sonai.checked[pos]
                 }
                 both = bob_checks.keys() & sonai_checks.keys()
                 assert all(bob_checks[pos] == sonai_checks[pos] for pos in both)
-                assert sorted(replayed.checked_positions) == sorted(both)
+                assert [pos for pos in range(n) if replayed.checked[pos]] == sorted(both)
+                assert all(replayed.passed[pos] == bob_checks[pos] for pos in both)
                 assert replayed.checks_completed == len(both)
                 assert replayed.violations == sum(not bob_checks[pos] for pos in both)
 
@@ -646,3 +688,46 @@ def test_session_decodes_are_never_wrong_noiseless(seed, bits):
     assert terminal.status in (DecodeStatus.DECODED, DecodeStatus.UNDECIDED)
     if terminal.status is DecodeStatus.DECODED:
         assert (terminal.bob_bit, terminal.sonai_bit) == bits
+
+
+@st.composite
+def rank_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    truth = tuple(draw(st.permutations(range(1, n + 1))))
+    cand = tuple(draw(st.permutations(range(1, n + 1))))
+    party = draw(st.sampled_from([Party.BOB, Party.SONAI]))
+    # None: never checked; True/False: checked, and passed or failed
+    verdicts = draw(st.lists(st.sampled_from([None, True, False]), min_size=n, max_size=n))
+    return truth, cand, party, verdicts
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_cases(), st.integers(min_value=0, max_value=2**31 - 1))
+def test_survival_rank_matches_constraint_graph_oracle(case, seed):
+    truth_sj, cand_sj, party, verdicts = case
+    n = len(truth_sj)
+    truth, cand = make_entry((0, 0), truth_sj), make_entry((1, 1), cand_sj)
+    cb = Codebook(n=n, lam=1, entries=(truth, cand))
+    config = ProtocolConfig(n=n, lam=1, delta=0.49, seed=seed)
+    block = alice_prepare((0, 0), cb, NOISELESS, substream(seed, 1))
+    receiver = Receiver(party, cb, measure_all(party, block), config)
+    truth_state, cand_state = receiver.candidates
+    # reveal counterpart values that give the candidate the drawn verdicts
+    for q in range(n):
+        own_pos = cand_state.from_counterpart[q]
+        verdict = verdicts[own_pos]
+        if verdict is not None:
+            own = receiver.own[own_pos]
+            receiver.observe_reveal(q + 1, -own if verdict else own)
+    assert [bool(b) for b in cand_state.checked] == [v is not None for v in verdicts]
+    assert [bool(b) for b in cand_state.passed] == [v is True for v in verdicts]
+    passed = {k for k, v in enumerate(verdicts) if v}
+    rank = passed_check_rank(truth_sj, cand_sj, party.value, passed)
+    assert receiver.survival_log2(cand_state, truth_state) == -rank
+    assert receiver.survival_log2(truth_state, truth_state) == 0
+    # with every check passed, the rank is the effective distance
+    full = Receiver(party, cb, measure_all(party, block), config)
+    full_cand = full.candidates[1]
+    full.observe_all([-full.own[full_cand.from_counterpart[q]] for q in range(n)])
+    assert full_cand.violations == 0
+    assert full.survival_log2(full_cand, full.candidates[0]) == -effective_distance(cand, truth)
