@@ -299,23 +299,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if terminal is None:
         print("terminal: absent")
         return EXIT_OK
-    if terminal.status is DecodeStatus.ABORT:
-        if terminal.abort_reason.value in ("timeout", "fairness_violation"):
-            # transport-level aborts cannot be recomputed from reveals alone
-            print(f"terminal: abort ({terminal.abort_reason.value}), echoed")
-            return EXIT_OK
-        consistent = (
-            result.status is DecodeStatus.ABORT
-            and result.abort_reason == terminal.abort_reason
-        )
-        print(f"terminal: {'consistent' if consistent else 'MISMATCH'}")
-        return EXIT_OK if consistent else EXIT_IO
-    consistent = (
-        result.status == terminal.status
-        and result.bob_bit == terminal.bob_bit
-        and result.sonai_bit == terminal.sonai_bit
-        and abs(result.confidence - terminal.confidence) <= 1e-12
-    )
+    if terminal.abort_reason in ("timeout", "fairness_violation"):
+        # transport-level aborts cannot be recomputed from reveals alone
+        print(f"terminal: abort ({terminal.abort_reason.value}), echoed")
+        return EXIT_OK
+    # terminal lines come only in the shapes terminal_record writes, so compare field by field
+    consistent = (result.status, result.bob_bit, result.sonai_bit, result.abort_reason) == (
+        terminal.status, terminal.bob_bit, terminal.sonai_bit, terminal.abort_reason
+    ) and abs(result.confidence - terminal.confidence) <= 1e-12
     print(f"terminal: {'consistent' if consistent else 'MISMATCH'}")
     return EXIT_OK if consistent else EXIT_IO
 

@@ -326,7 +326,7 @@ def codebook_to_document(cb: Codebook) -> dict:
 
 def _json_int(value, name: str) -> int:
     """``value`` if it is a JSON integer; floats, strings and bools raise
-    TypeError, which both record parsers report as malformed input."""
+    TypeError, which the document parser reports as malformed input."""
     if type(value) is not int:
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return value

@@ -327,7 +327,7 @@ class World:
         )
 
     def send_reveal(self, party: Party, position: int, outcome: int) -> None:
-        event = RevealEvent(len(self.transcript.events) + 1, party, position, SpinOutcome(outcome))
+        event = RevealEvent(len(self.transcript) + 1, party, position, SpinOutcome(outcome))
         self.transcript.append(event)
         counterpart = party.counterpart()
         self.in_flight[counterpart].append((position, outcome))
@@ -410,9 +410,8 @@ def run_world(world: World) -> SessionOutcome:
 
 def fairness_gap(transcript: Transcript) -> int:
     """Largest lead either receiver held at any prefix of the public record."""
-    count = {Party.BOB: 0, Party.SONAI: 0}
-    worst = 0
-    for event in transcript.events:
-        count[event.party] += 1
-        worst = max(worst, abs(count[Party.BOB] - count[Party.SONAI]))
+    lead = worst = 0
+    for side in transcript.sides:
+        lead += 1 if side == 0 else -1
+        worst = max(worst, abs(lead))
     return worst

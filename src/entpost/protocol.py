@@ -20,7 +20,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import rng as rng_mod
-from .codebook import Codebook, CodebookEntry, _json_int, generate_codebook, resolve_codebook
+from .codebook import Codebook, CodebookEntry, generate_codebook, resolve_codebook
 from .epr import NOISELESS, NoiseModel, SpinOutcome, flip_outcomes, sample_block
 
 __all__ = [
@@ -208,23 +208,6 @@ class RevealEvent:
     position: int
     outcome: SpinOutcome
 
-    def to_json_obj(self) -> dict:
-        return {
-            "round": self.round,
-            "party": self.party.value,
-            "position": self.position,
-            "outcome": self.outcome.symbol,
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "RevealEvent":
-        return cls(
-            round=_json_int(obj["round"], "round"),
-            party=Party(obj["party"]),
-            position=_json_int(obj["position"], "position"),
-            outcome=SpinOutcome.from_symbol(obj["outcome"]),
-        )
-
 
 @dataclass(frozen=True)
 class TerminalRecord:
@@ -273,31 +256,68 @@ class TerminalRecord:
         return cls(status, obj["bob_bit"], obj["sonai_bit"], float(confidence), reason)
 
 
+_RECEIVERS = (Party.BOB, Party.SONAI)
+_SIDES = {party: side for side, party in enumerate(_RECEIVERS)}  # "bob" finds Party.BOB too
+_OUTCOMES = {"+": 1, "-": -1}
+_raw_decode = json.JSONDecoder().raw_decode  # json.loads without its checks around the document
+
+
 class Transcript:
-    """Append-only public record of a session: reveals plus a terminal line."""
+    """Append-only public record of a session: reveals plus a terminal line.
+
+    The reveals are columns in round order: the revealer's side (0 bob, 1
+    sonai), its 1-based position, the outcome (+1 or -1) and the line of the
+    JSON text it sits on. Every reveal passes ``_admit``, the one site of
+    the public rules."""
 
     def __init__(self) -> None:
-        self.events: list[RevealEvent] = []
         self.terminal: TerminalRecord | None = None
-        self._seen: set[tuple[Party, int]] = set()
+        self._sides, self._positions, self._outcomes, self._lines = [], [], [], []
+        self._seen: set[int] = set()  # 2 * position + side of every reveal
 
-    def append(self, event: RevealEvent) -> None:
+    def __len__(self) -> int:
+        """The number of reveals."""
+        return len(self._sides)
+
+    def _admit(self, round_, party, position, outcome: int, line: int) -> None:
+        """Record one reveal if it keeps the rules: integer round and
+        position, outcome +1 or -1, a receiver revealing, an open transcript,
+        rounds rising by one and no repeated (party, position)."""
+        if type(round_) is not int or type(position) is not int or outcome not in (1, -1):
+            raise ProtocolViolationError(f"malformed record: round {round_!r} and position "
+                                         f"{position!r} must be integers, the outcome + or -")
+        side = _SIDES.get(party)
+        if side is None:  # Party() calls an unknown party malformed (ValueError)
+            raise ProtocolViolationError(f"{Party(party).value} is not a receiver and cannot reveal")
         if self.terminal is not None:
             raise ProtocolViolationError("transcript already closed by a terminal record")
-        if event.party not in (Party.BOB, Party.SONAI):
-            raise ProtocolViolationError(f"{event.party.value} is not a receiver and cannot reveal")
-        if event.round != len(self.events) + 1:
+        if round_ != len(self._sides) + 1:
+            raise ProtocolViolationError(f"round numbers must increase by one: expected "
+                                         f"{len(self._sides) + 1}, got {round_}")
+        if 2 * position + side in self._seen:
             raise ProtocolViolationError(
-                f"round numbers must increase by one: expected {len(self.events) + 1}, "
-                f"got {event.round}"
-            )
-        key = (event.party, event.position)
-        if key in self._seen:
-            raise ProtocolViolationError(
-                f"duplicate reveal of {event.party.value} position {event.position}"
-            )
-        self._seen.add(key)
-        self.events.append(event)
+                f"duplicate reveal of {_RECEIVERS[side].value} position {position}")
+        self._seen.add(2 * position + side)
+        self._sides.append(side)
+        self._positions.append(position)
+        self._outcomes.append(outcome)
+        self._lines.append(line)
+
+    def append(self, event: RevealEvent) -> None:
+        """Record ``event``, which sits on line ``event.round`` of ``to_jsonl``."""
+        self._admit(event.round, event.party, event.position, int(event.outcome), event.round)
+
+    @property
+    def events(self) -> list[RevealEvent]:
+        """The reveals in round order, in a new list: editing it changes nothing."""
+        columns = zip(self._sides, self._positions, self._outcomes)
+        return [RevealEvent(round_, _RECEIVERS[side], position, SpinOutcome(outcome))
+                for round_, (side, position, outcome) in enumerate(columns, start=1)]
+
+    @property
+    def sides(self) -> tuple[int, ...]:
+        """Who made each reveal, in round order: 0 for bob, 1 for sonai."""
+        return tuple(self._sides)
 
     def close(self, terminal: TerminalRecord) -> None:
         if self.terminal is not None:
@@ -305,7 +325,8 @@ class Transcript:
         self.terminal = terminal
 
     def to_jsonl(self, fp: IO[str] | None = None) -> str:
-        lines = [json.dumps(e.to_json_obj(), separators=(",", ":")) for e in self.events]
+        lines = [json.dumps({"round": e.round, "party": e.party.value, "position": e.position,
+                             "outcome": e.outcome.symbol}, separators=(",", ":")) for e in self.events]
         if self.terminal is not None:
             lines.append(json.dumps(self.terminal.to_json_obj(), separators=(",", ":")))
         text = "\n".join(lines) + ("\n" if lines else "")
@@ -316,20 +337,25 @@ class Transcript:
     @classmethod
     def from_jsonl(cls, text: str) -> "Transcript":
         """Parse a recorded transcript; raises ProtocolViolationError with the
-        offending line number on malformed or rule-breaking lines."""
+        offending line number on malformed or rule-breaking lines. Each line
+        is one JSON document, read exactly as ``json.loads`` reads it."""
         transcript = cls()
+        admit = transcript._admit
         for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
             try:
-                obj = json.loads(line)
+                obj, end = _raw_decode(line) if line[:1] == "{" else (None, -1)
+                if end != len(line):  # blank, padded, trailing data or not a record
+                    if not line.strip():
+                        continue
+                    obj = json.loads(line)
             except ValueError as exc:  # bad JSON, or an integer past the digit limit
                 raise ProtocolViolationError(f"line {lineno}: not valid JSON: {exc}") from exc
             try:
                 if "status" in obj:
                     transcript.close(TerminalRecord.from_json_obj(obj))
                 else:
-                    transcript.append(RevealEvent.from_json_obj(obj))
+                    outcome = _OUTCOMES.get(obj["outcome"], 0)
+                    admit(obj["round"], obj["party"], obj["position"], outcome, lineno)
             except ProtocolViolationError as exc:
                 raise ProtocolViolationError(f"line {lineno}: {exc}") from exc
             except (KeyError, ValueError, TypeError) as exc:
@@ -360,15 +386,9 @@ class CandidateState:
 
 def _side(party: Party) -> int:
     """Index of ``party``'s own -> counterpart map in ``partner_maps``."""
-    if party not in (Party.BOB, Party.SONAI):
+    if party not in _SIDES:
         raise ValueError("only receivers decode")
-    return 0 if party is Party.BOB else 1
-
-
-def _candidate_states(cb: Codebook, party: Party) -> list[CandidateState]:
-    """Fresh check state for every entry, in ``party``'s position order."""
-    side = _side(party)
-    return [CandidateState(e, e.partner_maps[side], e.partner_maps[1 - side]) for e in cb.entries]
+    return _SIDES[party]
 
 
 def _complete_check(cand: CandidateState, own_pos: int, passed: bool, delta: float) -> None:
@@ -421,7 +441,8 @@ class Receiver:
         self.codebook = cb
         self.config = config
         self.own = np.asarray(own_outcomes).tolist()
-        self.candidates = _candidate_states(cb, party)
+        self.candidates = [CandidateState(e, e.partner_maps[self.side], e.partner_maps[1 - self.side])
+                           for e in cb.entries]
         self._received = bytearray(cb.n)
         self.received_count = 0
         self.next_position = 0  # 0-based pointer into own reveal order
@@ -493,7 +514,10 @@ class Receiver:
         return _survival_log2(candidate.passed, self.codebook.cycles(self.side, i, j))
 
     def decode(self) -> "DecodeResult":
-        return _decode_states(self.codebook, self.side, self.candidates, self.config)
+        states = self.candidates
+        checks, violations = [c.checks_completed for c in states], [c.violations for c in states]
+        return _decode_candidates(self.codebook, self.side, checks, violations,
+                                  [c.passed for c in states], self.config)
 
     def candidate_for(self, bits: tuple[int, int]) -> CandidateState:
         for cand in self.candidates:
@@ -554,11 +578,6 @@ def _decode_candidates(cb: Codebook, side: int, checks: Sequence[int], violation
     return DecodeResult(DecodeStatus.UNDECIDED, None, None, confidence)
 
 
-def _decode_states(cb: Codebook, side: int, states: list[CandidateState], config: ProtocolConfig):
-    checks, violations = [c.checks_completed for c in states], [c.violations for c in states]
-    return _decode_candidates(cb, side, checks, violations, [c.passed for c in states], config)
-
-
 def decode_block(cb: Codebook, config: ProtocolConfig, party: Party, own: np.ndarray,
                  values: np.ndarray) -> tuple[list[DecodeResult], list[list[bool]]]:
     """Fold and decode ``party``'s complete view of every trial in a block:
@@ -573,43 +592,32 @@ def decode_block(cb: Codebook, config: ProtocolConfig, party: Party, own: np.nda
     return results, (violations.T <= config.delta * n).tolist()
 
 
-def decode_transcript(cb: Codebook, transcript: Transcript, config: ProtocolConfig) -> DecodeResult:
-    """Decode from the public record alone.
+def _replay_checks(cb: Codebook, transcript: Transcript) -> tuple[np.ndarray, np.ndarray]:
+    """The checks a public record completes, in bob's positions: ``done``
+    and ``passed``, each (entries, n). A check completes once both of its
+    positions have been revealed and passes when the two outcomes differ, so
+    reveal order does not matter."""
+    n, positions = cb.n, transcript._positions
+    if positions and not (min(positions) >= 1 and max(positions) <= n):
+        k = next(k for k, position in enumerate(positions) if not 1 <= position <= n)
+        raise ProtocolViolationError(f"line {transcript._lines[k]}: reveal position out of range: "
+                                     f"{positions[k]}")
+    revealed = np.zeros((2, n), dtype=np.int8)  # 0 where a position is still private
+    revealed[transcript._sides, np.array(positions, dtype=np.intp) - 1] = transcript._outcomes
+    bob, sonai = revealed
+    other = np.stack([sonai.take(e.partner_arrays[0]) for e in cb.entries])
+    done = (bob != 0) & (other != 0)
+    return done, done & (bob != other)
 
-    A check completes once both of its positions have been revealed, so a
-    complete transcript reaches exactly the per-party end state, while a
-    truncated one yields a partial, usually undecided, view. Checks are
-    tallied in bob's positions, so the end state is bob's.
-    """
-    n = cb.n
-    states = _candidate_states(cb, Party.BOB)
-    revealed: dict[Party, list[int | None]] = {Party.BOB: [None] * n, Party.SONAI: [None] * n}
-    bob_vals, sonai_vals = revealed[Party.BOB], revealed[Party.SONAI]
-    delta = config.delta
-    for event in transcript.events:
-        values = revealed.get(event.party)
-        if values is None:
-            raise ProtocolViolationError(f"{event.party.value} is not a receiver and cannot reveal")
-        pos = event.position - 1
-        if not 0 <= pos < n:
-            raise ProtocolViolationError(f"reveal position out of range: {event.position}")
-        if values[pos] is not None:
-            raise ProtocolViolationError(
-                f"duplicate reveal of {event.party.value} position {event.position}"
-            )
-        value = values[pos] = int(event.outcome.value)
-        if event.party is Party.BOB:
-            for cand in states:
-                other = sonai_vals[cand.to_counterpart[pos]]
-                if other is not None:
-                    _complete_check(cand, pos, value != other, delta)
-        else:
-            for cand in states:
-                bob_pos = cand.from_counterpart[pos]
-                other = bob_vals[bob_pos]
-                if other is not None:
-                    _complete_check(cand, bob_pos, other != value, delta)
-    return _decode_states(cb, 0, states, config)
+
+def decode_transcript(cb: Codebook, transcript: Transcript, config: ProtocolConfig) -> DecodeResult:
+    """Decode from the public record alone. Checks are tallied in bob's
+    positions, so a complete transcript reaches exactly bob's end state,
+    while a truncated one yields a partial, usually undecided, view."""
+    done, passed = _replay_checks(cb, transcript)
+    checks = done.sum(axis=1)
+    violations = checks - passed.sum(axis=1)
+    return _decode_candidates(cb, 0, checks.tolist(), violations.tolist(), passed, config)
 
 
 def terminal_record(

@@ -1,5 +1,6 @@
 """Command line behavior: output, artifacts, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -259,6 +260,18 @@ def test_replay_rejects_duplicate_reveals(tmp_path, capsys):
                    "--transcript", str(path))[0] == EXIT_IO
 
 
+def test_replay_position_range_errors_name_the_line(tmp_path, capsys):
+    path = tmp_path / "range.jsonl"
+    reveal = '{"round":%d,"party":"%s","position":%s,"outcome":"+"}\n'
+    for position in ("0", "-1", "9", str(10**30)):  # the reference book has n=8
+        path.write_text(reveal % (1, "bob", "1") + "\n" + reveal % (2, "sonai", position))
+        code, out, err = run_cli(capsys, "replay", "--codebook", "reference",
+                                 "--transcript", str(path))
+        assert code == EXIT_IO, position
+        assert out == ""
+        assert err == f"error: line 3: reveal position out of range: {position}\n"
+
+
 def test_replay_echoes_timeout_aborts(tmp_path, capsys):
     path = tmp_path / "abort.jsonl"
     code, _, _ = run_cli(
@@ -363,3 +376,146 @@ def test_montecarlo_run_events_out(tmp_path, capsys):
     lines = [json.loads(line) for line in events.read_text().splitlines()]
     assert any(e["kind"] == "reveal" for e in lines)
     assert any(e["kind"] == "delivery" for e in lines)
+
+
+# -- pinned replay output -----------------------------------------------------
+
+REPLAY_SIZES = {"n8-reference": ("8", "4", "reference"), "n32": ("32", "8", None)}
+REPLAY_NOISE = {"noiseless": (), "noisy": ("--noise", "0.05", "--delta", "0.25")}
+REPLAY_STRATEGIES = {
+    "honest": (),
+    "withhold-bob": ("--strategy-bob", "withhold:3"),
+    "withhold-sonai": ("--strategy-sonai", "withhold:3"),
+    "batchdump-bob": ("--strategy-bob", "batchdump"),
+    "batchdump-sonai": ("--strategy-sonai", "batchdump"),
+}
+
+
+def record_session(tmp_path, capsys, strategy, opener, noise, size):
+    """(transcript text, replay flags) of one session run through the CLI; a
+    generated book is written first, so replay can read it back."""
+    n, lam, book = REPLAY_SIZES[size]
+    if book is None:
+        book = str(tmp_path / f"{size}.json")
+        run_cli(capsys, "codebook", "gen", "--n", n, "--lambda", lam, "--seed", "7", "--out", book)
+    path = tmp_path / "session.jsonl"
+    run_cli(capsys, "run", "--n", n, "--lambda", lam, "--codebook", book, "--bits", "10",
+            "--seed", "29", "--reveal-first", opener, *REPLAY_NOISE[noise],
+            *REPLAY_STRATEGIES[strategy], "--out", str(path))
+    return path.read_text(encoding="utf-8"), ("--codebook", book, *REPLAY_NOISE[noise])
+
+
+def replay_texts(tmp_path, capsys, case):
+    """(transcript text, replay flags) for each replay of a pinned case."""
+    kind, *session = case.split("/")
+    if kind == "rejected":
+        flags = ("--codebook", "reference")
+        reveal = '{"round":%d,"party":"%s","position":%s,"outcome":"+"}\n'
+        terminal = ('{"status":"undecided","bob_bit":null,"sonai_bit":null,'
+                    '"confidence":0.5,"abort_reason":null}\n')
+        texts = {
+            "position-0": reveal % (1, "bob", "0"),
+            "position-minus-1": reveal % (1, "sonai", "-1"),
+            "position-n-plus-1": reveal % (1, "bob", "1") + reveal % (2, "sonai", "9"),
+            "position-huge": reveal % (1, "bob", "1") + reveal % (2, "bob", str(10**30)),
+            "duplicate": reveal % (1, "sonai", "2") + reveal % (2, "sonai", "2"),
+            "round-gap": reveal % (1, "bob", "1") + reveal % (3, "sonai", "1"),
+            "alice": reveal % (1, "alice", "1"),
+            "after-terminal": terminal + reveal % (1, "bob", "1"),
+            "two-terminals": terminal + terminal,
+            "bom": "\ufeff" + reveal % (1, "bob", "1"),
+            "trailing-data": (reveal % (1, "bob", "1")).rstrip("\n") + " {}\n",
+            "two-records-on-one-line": (reveal % (1, "bob", "1")).rstrip("\n") + reveal % (2, "sonai", "1"),
+        }
+        return [(texts[session[0]], flags)]
+    text, flags = record_session(tmp_path, capsys, *session)
+    lines = text.splitlines(keepends=True)
+    if kind == "prefixes":
+        return [("".join(lines[:k]), flags) for k in range(len(lines) + 1)]
+    if kind == "tampered-terminal":
+        last = json.loads(lines[-1])
+        last["bob_bit"] = 1 - last["bob_bit"]
+        lines[-1] = json.dumps(last, separators=(",", ":")) + "\n"
+    if kind == "padded":  # whitespace JSON allows, CRLF line ends and blank lines
+        lines = [f" \t{line.rstrip()}\t \r\n\n" for line in lines]
+    if kind == "fairness-abort":  # as a receiver that refused an early reveal would close it
+        lines[-1] = ('{"status":"abort","bob_bit":null,"sonai_bit":null,"confidence":0.0,'
+                     '"abort_reason":"fairness_violation"}\n')
+    return [("".join(lines), flags)]
+
+
+def replay_outputs(tmp_path, capsys, case):
+    """(exit code, stdout) of each replay of a pinned case."""
+    path = tmp_path / "replayed.jsonl"
+    outputs = []
+    for text, flags in replay_texts(tmp_path, capsys, case):
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "replay", *flags, "--transcript", str(path))
+        outputs.append((code, out))
+    return outputs
+
+
+PINNED_REPLAY_CASES = (
+    [f"complete/honest/{opener}/{noise}/{size}"
+     for opener in ("bob", "sonai") for noise in REPLAY_NOISE for size in REPLAY_SIZES]
+    + ["prefixes/honest/bob/noiseless/n8-reference", "prefixes/honest/sonai/noisy/n32"]
+    + [f"complete/{strategy}/{opener}/{noise}/n8-reference"
+       for strategy in ("withhold-bob", "withhold-sonai", "batchdump-bob", "batchdump-sonai")
+       for opener in ("bob", "sonai") for noise in REPLAY_NOISE]
+    + ["padded/honest/sonai/noisy/n8-reference"]
+    + [f"fairness-abort/batchdump-{cheat}/bob/noiseless/n8-reference" for cheat in ("bob", "sonai")]
+    + ["tampered-terminal/honest/bob/noiseless/n8-reference", "tampered-terminal/honest/sonai/noisy/n32"]
+)
+PINNED_REJECTIONS = [
+    f"rejected/{name}" for name in (
+        "position-0", "position-minus-1", "position-n-plus-1", "position-huge", "duplicate",
+        "round-gap", "alice", "after-terminal", "two-terminals", "bom", "trailing-data",
+        "two-records-on-one-line",
+    )
+]
+
+# Recorded before replay moved to the columnar parse and the one-pass fold:
+# sha256 over the exit code and stdout of each replay of the case.
+PINNED_REPLAY_DIGESTS = {
+    "complete/honest/bob/noiseless/n8-reference": "a55e2ee609d48841ad9e43c7df09bdb6cf219744fcdef4d1a8112247a318444b",
+    "complete/honest/bob/noiseless/n32": "a55e2ee609d48841ad9e43c7df09bdb6cf219744fcdef4d1a8112247a318444b",
+    "complete/honest/bob/noisy/n8-reference": "a3ad85f789c04885d87ed496b80cc2f1e857bf42d1c6cb7569932b8a5b86c4b4",
+    "complete/honest/bob/noisy/n32": "a55e2ee609d48841ad9e43c7df09bdb6cf219744fcdef4d1a8112247a318444b",
+    "complete/honest/sonai/noiseless/n8-reference": "a55e2ee609d48841ad9e43c7df09bdb6cf219744fcdef4d1a8112247a318444b",
+    "complete/honest/sonai/noiseless/n32": "a55e2ee609d48841ad9e43c7df09bdb6cf219744fcdef4d1a8112247a318444b",
+    "complete/honest/sonai/noisy/n8-reference": "a3ad85f789c04885d87ed496b80cc2f1e857bf42d1c6cb7569932b8a5b86c4b4",
+    "complete/honest/sonai/noisy/n32": "a55e2ee609d48841ad9e43c7df09bdb6cf219744fcdef4d1a8112247a318444b",
+    "prefixes/honest/bob/noiseless/n8-reference": "dffb567c86d5ec9d358ee4bd7cd039bc44ff3eb82ad05d3219bf7f8cbf3d4f43",
+    "prefixes/honest/sonai/noisy/n32": "86f9c808474530eb3b2aab3df02ada2efaa97f914f9a5f13bbc70d73edf90df6",
+    "complete/withhold-bob/bob/noiseless/n8-reference": "4d72c6a8e6c5ec47d4fe6dd9c972b81ab2b23caeb97d814f044c764436b27a0e",
+    "complete/withhold-bob/bob/noisy/n8-reference": "a074b6975e02aea8e8b977ddd1018b3e159534fd68bce96e0c8796b684968df2",
+    "complete/withhold-bob/sonai/noiseless/n8-reference": "4d72c6a8e6c5ec47d4fe6dd9c972b81ab2b23caeb97d814f044c764436b27a0e",
+    "complete/withhold-bob/sonai/noisy/n8-reference": "55d50584782dec2f2c366993a1a851e925e8ea018cfa96b309c24a1c2d936019",
+    "complete/withhold-sonai/bob/noiseless/n8-reference": "4d72c6a8e6c5ec47d4fe6dd9c972b81ab2b23caeb97d814f044c764436b27a0e",
+    "complete/withhold-sonai/bob/noisy/n8-reference": "a074b6975e02aea8e8b977ddd1018b3e159534fd68bce96e0c8796b684968df2",
+    "complete/withhold-sonai/sonai/noiseless/n8-reference": "4d72c6a8e6c5ec47d4fe6dd9c972b81ab2b23caeb97d814f044c764436b27a0e",
+    "complete/withhold-sonai/sonai/noisy/n8-reference": "a074b6975e02aea8e8b977ddd1018b3e159534fd68bce96e0c8796b684968df2",
+    "complete/batchdump-bob/bob/noiseless/n8-reference": "a55e2ee609d48841ad9e43c7df09bdb6cf219744fcdef4d1a8112247a318444b",
+    "complete/batchdump-bob/bob/noisy/n8-reference": "a3ad85f789c04885d87ed496b80cc2f1e857bf42d1c6cb7569932b8a5b86c4b4",
+    "complete/batchdump-bob/sonai/noiseless/n8-reference": "a55e2ee609d48841ad9e43c7df09bdb6cf219744fcdef4d1a8112247a318444b",
+    "complete/batchdump-bob/sonai/noisy/n8-reference": "a3ad85f789c04885d87ed496b80cc2f1e857bf42d1c6cb7569932b8a5b86c4b4",
+    "complete/batchdump-sonai/bob/noiseless/n8-reference": "a55e2ee609d48841ad9e43c7df09bdb6cf219744fcdef4d1a8112247a318444b",
+    "complete/batchdump-sonai/bob/noisy/n8-reference": "a3ad85f789c04885d87ed496b80cc2f1e857bf42d1c6cb7569932b8a5b86c4b4",
+    "complete/batchdump-sonai/sonai/noiseless/n8-reference": "a55e2ee609d48841ad9e43c7df09bdb6cf219744fcdef4d1a8112247a318444b",
+    "complete/batchdump-sonai/sonai/noisy/n8-reference": "a3ad85f789c04885d87ed496b80cc2f1e857bf42d1c6cb7569932b8a5b86c4b4",
+    "padded/honest/sonai/noisy/n8-reference": "a3ad85f789c04885d87ed496b80cc2f1e857bf42d1c6cb7569932b8a5b86c4b4",
+    "fairness-abort/batchdump-bob/bob/noiseless/n8-reference": "66dad9d4424139a8a5b9b0753590840f1968f6d0116580c3ac1f967fdd52cd69",
+    "fairness-abort/batchdump-sonai/bob/noiseless/n8-reference": "66dad9d4424139a8a5b9b0753590840f1968f6d0116580c3ac1f967fdd52cd69",
+    "tampered-terminal/honest/bob/noiseless/n8-reference": "d2503c71db84e7dd185491e0ba177f9c269bb4411427b5d626b7798f017c1029",
+    "tampered-terminal/honest/sonai/noisy/n32": "d2503c71db84e7dd185491e0ba177f9c269bb4411427b5d626b7798f017c1029",
+}
+
+
+@pytest.mark.parametrize("case", PINNED_REPLAY_CASES + PINNED_REJECTIONS)
+def test_replay_bytes_are_pinned(tmp_path, capsys, case):
+    outputs = replay_outputs(tmp_path, capsys, case)
+    if case in PINNED_REJECTIONS:  # stderr wording may change, the exit code may not
+        assert [code for code, _ in outputs] == [EXIT_IO]
+        return
+    record = "\x00".join(f"{code}\n{out}" for code, out in outputs)
+    assert hashlib.sha256(record.encode()).hexdigest() == PINNED_REPLAY_DIGESTS[case]

@@ -191,9 +191,16 @@ def test_transcript_parse_errors_carry_line_numbers():
         '{"round":2,"party":"bob","position":3.7,"outcome":"+"}',
         '{"round":2,"party":"bob","position":true,"outcome":"+"}',
         '{"round":2,"party":"bob","position":%s,"outcome":"+"}' % ("1" * 5000),
+        '{"round":2.0,"party":"bob","position":1,"outcome":"+"}',
+        '{"round":2,"party":"bob","position":1,"outcome":"x"}',
+        '{"round":2,"party":"bob","position":1,"outcome":1}',
+        '{"round":2,"party":"bob","position":1,"outcome":["+"]}',
+        '{"round":2,"party":"bob","position":1,"outcome":null}',
     ):
         with pytest.raises(ProtocolViolationError, match="line 2"):
             Transcript.from_jsonl(first + line)
+    with pytest.raises(ProtocolViolationError, match="line 1"):  # true == 1, but not an integer
+        Transcript.from_jsonl('{"round":true,"party":"bob","position":1,"outcome":"+"}')
 
 
 def test_terminal_record_round_trip():
@@ -592,15 +599,20 @@ def test_replay_tallies_every_prefix_like_both_receivers(seed, noise, reveal_fir
     )
     outcome = run_session(config, bits, cb=REF if n == 8 else None)
     _, receivers = prepare_session(config, bits, outcome.codebook)
-    replay_states = []
-    real_decode = protocol._decode_states
+    replay_checks, replay_tallies = [], []
+    real_checks, real_decode = protocol._replay_checks, protocol._decode_candidates
 
-    def capture(cb, side, candidates, decode_config):
-        replay_states.append(candidates)
-        return real_decode(cb, side, candidates, decode_config)
+    def capture_checks(cb, transcript):
+        replay_checks.append(real_checks(cb, transcript))
+        return replay_checks[-1]
+
+    def capture_decode(cb, side, checks, violations, passed, decode_config):
+        replay_tallies.append((checks, violations))
+        return real_decode(cb, side, checks, violations, passed, decode_config)
 
     prefix = Transcript()
-    with mock.patch.object(protocol, "_decode_states", capture):
+    with mock.patch.object(protocol, "_replay_checks", capture_checks), \
+            mock.patch.object(protocol, "_decode_candidates", capture_decode):
         for event in [None] + outcome.transcript.events:
             if event is not None:
                 prefix.append(event)
@@ -608,9 +620,11 @@ def test_replay_tallies_every_prefix_like_both_receivers(seed, noise, reveal_fir
                     event.position, event.outcome.value
                 )
             decode_transcript(outcome.codebook, prefix, config)
+            done, passed = replay_checks.pop()
+            checks, violations = replay_tallies.pop()
             bob_states = receivers[Party.BOB].candidates
             sonai_states = receivers[Party.SONAI].candidates
-            for replayed, bob, sonai in zip(replay_states.pop(), bob_states, sonai_states):
+            for i, (bob, sonai) in enumerate(zip(bob_states, sonai_states)):
                 # both sides' checks in bob's positions, with their verdicts
                 bob_checks = {pos: bob.passed[pos] for pos in range(n) if bob.checked[pos]}
                 sonai_checks = {
@@ -620,10 +634,11 @@ def test_replay_tallies_every_prefix_like_both_receivers(seed, noise, reveal_fir
                 }
                 both = bob_checks.keys() & sonai_checks.keys()
                 assert all(bob_checks[pos] == sonai_checks[pos] for pos in both)
-                assert [pos for pos in range(n) if replayed.checked[pos]] == sorted(both)
-                assert all(replayed.passed[pos] == bob_checks[pos] for pos in both)
-                assert replayed.checks_completed == len(both)
-                assert replayed.violations == sum(not bob_checks[pos] for pos in both)
+                assert [pos for pos in range(n) if done[i, pos]] == sorted(both)
+                assert all(passed[i, pos] == bob_checks[pos] for pos in both)
+                assert not passed[i][~done[i]].any()
+                assert checks[i] == len(both)
+                assert violations[i] == sum(not bob_checks[pos] for pos in both)
 
 
 def test_replay_of_truncated_transcript_is_partial():
@@ -639,13 +654,36 @@ def test_replay_of_truncated_transcript_is_partial():
 def test_replay_rejects_duplicate_reveals():
     t = Transcript()
     t.append(make_event(1, Party.BOB, 1, 1))
-    t.append(make_event(2, Party.BOB, 1, -1).__class__(
-        round=2, party=Party.BOB, position=2, outcome=SpinOutcome.MINUS
-    ))
-    # craft duplicate by bypassing Transcript.append
-    t.events.append(make_event(3, Party.BOB, 1, -1))
-    with pytest.raises(ProtocolViolationError):
-        decode_transcript(REF, t, small_config())
+    t.append(make_event(2, Party.BOB, 2, -1))
+    duplicate = make_event(3, Party.BOB, 1, -1)
+    # events is read-only: neither changing the list it returns nor
+    # replacing it slips a reveal past the rules
+    t.events.append(duplicate)
+    t.events[1] = duplicate
+    with pytest.raises(AttributeError):
+        t.events = [*t.events, duplicate]
+    assert [e.position for e in t.events] == [1, 2] and len(t) == 2
+    with pytest.raises(ProtocolViolationError, match="duplicate"):
+        t.append(duplicate)
+    assert len(t) == 2
+    text = t.to_jsonl() + '{"round":3,"party":"bob","position":1,"outcome":"-"}\n'
+    with pytest.raises(ProtocolViolationError, match="line 3: duplicate"):
+        Transcript.from_jsonl(text)
+
+
+def test_reveal_positions_are_checked_before_any_size_n_work(monkeypatch):
+    def refuse(shape, dtype=float):
+        raise AssertionError(f"allocated a {shape} table")
+
+    reveal = '{"round":%d,"party":"%s","position":%d,"outcome":"+"}\n'
+    huge = Codebook(n=10**15, lam=1, entries=REF.entries)
+    monkeypatch.setattr(np, "zeros", refuse)
+    for position in (0, -1, 10**15 + 1, 10**30):
+        t = Transcript.from_jsonl(reveal % (1, "bob", 1) + "\n" + reveal % (2, "sonai", position))
+        with pytest.raises(ProtocolViolationError, match="line 3: reveal position out of range"):
+            decode_transcript(huge, t, small_config())
+    with pytest.raises(AssertionError, match="allocated"):  # the sentinel sits on the path
+        decode_transcript(REF, Transcript.from_jsonl(reveal % (1, "bob", 1)), small_config())
 
 
 # -- messages -----------------------------------------------------------------
