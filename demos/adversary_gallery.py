@@ -58,15 +58,11 @@ def main():
         worst_gap = max(worst_gap, fairness_gap(out.transcript))
         bob = out.receivers[Party.BOB]
         sonai = out.receivers[Party.SONAI]
-        truth_b = bob.candidate_for((1, 1))
-        truth_s = sonai.candidate_for((1, 1))
-        for bits in ((0, 0), (0, 1), (1, 0)):
-            cand_b = bob.candidate_for(bits)
-            cand_s = sonai.candidate_for(bits)
-            if cand_b.alive and cand_s.alive:
+        for entry, alive_b, alive_s in zip(CB.entries, bob.alive, sonai.alive):
+            if entry.bits != (1, 1) and alive_b and alive_s:
                 diff = abs(
-                    bob.survival_log2(cand_b, truth_b)
-                    - sonai.survival_log2(cand_s, truth_s)
+                    bob.survival_log2(entry.bits, (1, 1))
+                    - sonai.survival_log2(entry.bits, (1, 1))
                 )
                 worst_evidence = max(worst_evidence, diff)
     print(f"  every one aborted; worst reveal-count gap: {worst_gap}")

@@ -29,7 +29,8 @@ BITS = (1, 0)
 
 
 def alive_bits(receiver):
-    return [c.entry.bits for c in receiver.candidates if c.alive]
+    entries = receiver.codebook.entries
+    return [entry.bits for entry, alive in zip(entries, receiver.alive) if alive]
 
 
 def fmt(bits_list):

@@ -194,17 +194,23 @@ class Codebook:
     def _cycle_cache(self) -> dict:
         return {}
 
-    def cycles(self, side: int, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(labels, excess)`` for the receiver on ``side`` (0 bob, 1 sonai),
-        candidate entry i and reference entry j: ``labels[k]`` numbers the
-        cycle of own position k under pi = ref.from_counterpart o
-        cand.to_counterpart, and ``excess[c]`` is the length of cycle c minus
-        one. Fixed points are cycles of excess 0. Built on first use."""
-        key = (side, i, j)
-        if key not in self._cycle_cache:
-            to, back = self.entries[i].partner_arrays[side], self.entries[j].partner_arrays[1 - side]
-            self._cycle_cache[key] = _cycle_labels(back[to])
-        return self._cycle_cache[key]
+    @cached_property
+    def partner_index(self) -> np.ndarray:
+        """(entries, n): each entry's bob -> sonai partner positions, for
+        gathers over whole tables."""
+        return np.stack([entry.partner_arrays[0] for entry in self.entries])
+
+    def cycles(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(labels, excess)`` for candidate entry i and reference entry j, in
+        bob's positions: ``labels[k]`` numbers the cycle of k under pi =
+        ref.from_sonai o cand.to_sonai, and ``excess[c]`` is the length of
+        cycle c minus one (0 for a fixed point). The candidate's partner map
+        carries each cycle of sonai's own pi onto one of bob's pi^-1, so a
+        rank is equal from either side. Built on first use."""
+        if (i, j) not in self._cycle_cache:
+            to, back = self.entries[i].partner_arrays[0], self.entries[j].partner_arrays[1]
+            self._cycle_cache[i, j] = _cycle_labels(back[to])
+        return self._cycle_cache[i, j]
 
     def entry_for_bits(self, bob_bit: int, sonai_bit: int) -> CodebookEntry:
         for entry in self.entries:
@@ -373,7 +379,7 @@ def save_codebook(cb: Codebook, path: str | Path) -> None:
 def load_codebook(path: str | Path, validate: bool = True) -> Codebook:
     try:
         doc = json.loads(Path(path).read_text())
-    except ValueError as exc:  # bad JSON, undecodable text, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad, undecodable, too long or too deep
         raise CodebookError(f"codebook file is not valid JSON: {exc}") from exc
     return codebook_from_document(doc, validate=validate)
 

@@ -34,14 +34,6 @@ class SpinOutcome(IntEnum):
     def symbol(self) -> str:
         return "+" if self is SpinOutcome.PLUS else "-"
 
-    @classmethod
-    def from_symbol(cls, text: str) -> "SpinOutcome":
-        if text == "+":
-            return cls.PLUS
-        if text == "-":
-            return cls.MINUS
-        raise ValueError(f"not a spin outcome symbol: {text!r}")
-
 
 @dataclass(frozen=True)
 class NoiseModel:

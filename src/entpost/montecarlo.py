@@ -3,8 +3,9 @@
 Every trial draws its randomness from a substream addressed by (base seed,
 trial index), so results never depend on how trials are sliced across
 workers. Honest and soundness trials are prepared one by one but folded and
-checked in blocks. Reports are produced by one aggregation function over the
-per-trial rows; there is no second bookkeeping path to drift out of sync.
+checked in blocks, one fold per block for both receivers. Reports are
+produced by one aggregation function over the per-trial rows; there is no
+second bookkeeping path to drift out of sync.
 """
 from __future__ import annotations
 
@@ -44,12 +45,13 @@ class ExperimentSpec(ProtocolConfig):
     """Everything needed to reproduce a batch bit for bit: the session
     parameters it inherits (``seed`` is the base seed) plus the batch ones.
 
-    mode picks how trials run: "honest" folds each receiver's complete view of
-    truthful sessions in blocks of trials, without the tick machinery (the
-    simulator's honest run ends in the same state, far more slowly);
-    "session" runs the full simulator with the given strategies and policy;
-    and "soundness" folds honest sessions the same way and records which
-    wrong entries survived the whole exchange in the opener's view.
+    mode picks how trials run: "honest" folds the complete tables of
+    truthful sessions in blocks of trials, one fold per block serving both
+    receivers, without the tick machinery (the simulator's honest run ends
+    in the same state, far more slowly); "session" runs the full simulator
+    with the given strategies and policy; and "soundness" folds honest
+    sessions the same way and records which wrong entries survived the
+    whole exchange, in both receivers' view.
     """
 
     mode: str = "honest"
@@ -105,24 +107,23 @@ def run_trial(spec: ExperimentSpec, cb: Codebook, trial: int) -> dict:
 
 def _fold_trials(spec: ExperimentSpec, cb: Codebook, start: int, stop: int) -> list[dict]:
     """Rows of the honest or soundness trials start..stop-1. Each block is
-    prepared from its trial's own seed, as in ``prepare_session``; each
-    receiver's checks are folded over all of them at once, then decoded per
-    trial. A complete honest run takes 2n + 1 ticks with a lead of one."""
+    prepared from its trial's own seed, as in ``prepare_session``. Both
+    receivers end holding the same table, so it is folded over all trials at
+    once and decoded once per trial for both. A complete honest run takes
+    2n + 1 ticks with a lead of one."""
     trials = range(start, stop)
     seeds = [rng_mod.derive_seed(spec.seed, rng_mod.KEY_TRIAL, t) for t in trials]
     bits = [spec.trial_bits(t) for t in trials]
     blocks = [prepare_block(seed, spec.noise, b, cb) for seed, b in zip(seeds, bits)]
     bob = np.stack([block.bob_sequence for block in blocks])
     sonai = np.stack([block.sonai_sequence for block in blocks])
-    results_bob, alive_bob = decode_block(cb, spec, Party.BOB, bob, sonai)
-    results_sonai, alive_sonai = decode_block(cb, spec, Party.SONAI, sonai, bob)
-    opener_alive = alive_bob if spec.reveal_first is Party.BOB else alive_sonai
+    results, alive_entries = decode_block(cb, spec, bob, sonai)
     rows = []
     for i, trial in enumerate(trials):
-        terminal = terminal_record(results_bob[i], results_sonai[i])
+        terminal = terminal_record(results[i], results[i])
         row = _row(trial, seeds[i], bits[i], terminal, 2 * spec.n + 1, 1)
         if spec.mode == "soundness":
-            for entry, alive in zip(cb.entries, opener_alive[i]):
+            for entry, alive in zip(cb.entries, alive_entries[i]):
                 if entry.bits != bits[i]:
                     row[f"survived_{entry.bits[0]}{entry.bits[1]}"] = alive
         rows.append(row)

@@ -278,7 +278,7 @@ class ReceiverAgent:
         if checks == self._checks_at_last_decode:
             return
         self._checks_at_last_decode = checks
-        if sum(cand.alive for cand in self.receiver.candidates) != 1:
+        if sum(self.receiver.alive) != 1:
             return
         result = self.receiver.decode()
         if result.status is DecodeStatus.DECODED:

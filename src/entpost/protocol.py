@@ -31,7 +31,6 @@ __all__ = [
     "RevealEvent",
     "TerminalRecord",
     "Transcript",
-    "CandidateState",
     "Receiver",
     "DecodeStatus",
     "AbortReason",
@@ -348,7 +347,7 @@ class Transcript:
                     if not line.strip():
                         continue
                     obj = json.loads(line)
-            except ValueError as exc:  # bad JSON, or an integer past the digit limit
+            except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
                 raise ProtocolViolationError(f"line {lineno}: not valid JSON: {exc}") from exc
             try:
                 if "status" in obj:
@@ -363,87 +362,56 @@ class Transcript:
         return transcript
 
 
-class CandidateState:
-    """Check tally for one codebook entry as seen by one receiver."""
-
-    __slots__ = ("entry", "to_counterpart", "from_counterpart", "checks_completed", "violations",
-                 "alive", "checked", "passed")
-
-    def __init__(
-        self, entry: CodebookEntry, to_counterpart: Sequence[int], from_counterpart: Sequence[int]
-    ):
-        self.entry = entry
-        # Own 0-based position -> counterpart 0-based position, and back;
-        # shared with every other state on the same entry.
-        self.to_counterpart = to_counterpart
-        self.from_counterpart = from_counterpart
-        self.checks_completed = 0
-        self.violations = 0
-        self.alive = True
-        # 1 at each own position whose check has completed, and has passed
-        self.checked, self.passed = bytearray(len(to_counterpart)), bytearray(len(to_counterpart))
+def _fold_checks(cb: Codebook, bob: np.ndarray, sonai: np.ndarray):
+    """The check kernel, shared by receivers, batches and replay. ``bob`` and
+    ``sonai`` are (..., n) blocks of the table of known values, each row in
+    its own position order, with 0 where a value is still private. For each
+    entry, the check on bob's position k pairs it with sonai's partner
+    position: the product of the two values is 0 while either is private,
+    -1 when the check passes and +1 when it is violated. Returns done and
+    passed, each (..., entries, n) in bob's positions, so reveal order does
+    not matter."""
+    product = bob[..., None, :] * sonai.take(cb.partner_index, axis=-1)
+    return product != 0, product < 0
 
 
-def _side(party: Party) -> int:
-    """Index of ``party``'s own -> counterpart map in ``partner_maps``."""
-    if party not in _SIDES:
-        raise ValueError("only receivers decode")
-    return _SIDES[party]
-
-
-def _complete_check(cand: CandidateState, own_pos: int, passed: bool, delta: float) -> None:
-    """Record one completed check on ``own_pos`` and re-judge the entry:
-    it stays alive while violations <= delta * checks_completed."""
-    cand.checks_completed += 1
-    if not passed:
-        cand.violations += 1
-    cand.alive = cand.violations <= delta * cand.checks_completed
-    cand.checked[own_pos] = 1
-    cand.passed[own_pos] = passed
-
-
-def _fold_checks(cb: Codebook, party: Party, own: np.ndarray, values: np.ndarray):
-    """The check kernel: fold ``party``'s own outcomes against the
-    counterpart's, both (trials, n) blocks, for every entry at once. The
-    check on own position k pairs it with the entry's counterpart position
-    and passes when the two outcomes differ. Returns passed[entry, trial, k]
-    and violations[entry, trial]."""
-    side = _side(party)
-    passed = np.stack([own != values.take(e.partner_arrays[side], axis=1) for e in cb.entries])
-    return passed, own.shape[1] - passed.sum(axis=2)
-
-
-def _survival_log2(passed, cycles: tuple[np.ndarray, np.ndarray]) -> int:
+def _survival_log2(passed: np.ndarray, cycles: tuple[np.ndarray, np.ndarray]) -> int:
     """log2 of the chance a wrong candidate would have passed the checks
-    marked in ``passed`` (0/1 over own positions), were the reference the
-    true entry (noiseless only); ``cycles`` is the pair's ``Codebook.cycles``.
+    marked in ``passed`` (booleans over bob's positions), were the reference
+    the true entry (noiseless only); ``cycles`` is the pair's
+    ``Codebook.cycles``.
 
-    A passed check on own position k ties k and pi(k) to one orientation.
+    A passed check on position k ties k and pi(k) to one orientation.
     The ties on a cycle of pi are independent coin flips until they close
     it, so a cycle of length L with m passed checks adds min(m, L - 1), and
     the rank is the passed checks less one per cycle they fill."""
     labels, excess = cycles
-    hits = labels[np.frombuffer(passed, dtype=bool)]
+    hits = labels[passed]
     return int(np.count_nonzero(np.bincount(hits, minlength=len(excess)) > excess)) - len(hits)
 
 
 class Receiver:
-    """One receiver's private view: own outcomes plus per-entry check state.
+    """One receiver's view of the public table: its own row of outcomes and
+    the counterpart's row as revealed so far (``theirs``, 0 while private).
 
     Each counterpart reveal completes exactly one check per entry: the
     revealed outcome is compared with the own outcome at the entry's paired
-    position, expecting opposite signs.
+    position, expecting opposite signs. ``violations`` counts, per entry,
+    the checks completed so far that failed; decoding folds the whole view.
     """
 
     def __init__(self, party: Party, cb: Codebook, own_outcomes: np.ndarray, config: ProtocolConfig):
-        self.side = _side(party)
+        if party not in _SIDES:
+            raise ValueError("only receivers decode")
+        self.side = _SIDES[party]  # the row of the table holding own outcomes
         self.party = party
         self.codebook = cb
         self.config = config
         self.own = np.asarray(own_outcomes).tolist()
-        self.candidates = [CandidateState(e, e.partner_maps[self.side], e.partner_maps[1 - self.side])
-                           for e in cb.entries]
-        self._received = bytearray(cb.n)
+        self.theirs = [0] * cb.n
+        self.violations = [0] * len(cb.entries)
+        # per entry: counterpart 0-based position -> own 0-based position
+        self._own_partner = [e.partner_maps[1 - self.side] for e in cb.entries]
         self.received_count = 0
         self.next_position = 0  # 0-based pointer into own reveal order
 
@@ -465,65 +433,55 @@ class Receiver:
     # -- observation side --------------------------------------------------
 
     def observe_reveal(self, position: int, outcome: int) -> None:
-        """Fold one counterpart reveal into every entry's check state."""
+        """Fill one counterpart value into the view and count the checks it
+        violates: those whose paired own outcome has the same sign."""
         q = position - 1
         if not 0 <= q < len(self.own):
             raise ProtocolViolationError(f"reveal position out of range: {position}")
-        if self._received[q]:
-            raise ProtocolViolationError(
-                f"duplicate reveal of {self.party.counterpart().value} position {position}"
-            )
-        self._received[q] = 1
+        if outcome not in (1, -1):
+            raise ProtocolViolationError(f"reveal outcome must be +1 or -1, got {outcome!r}")
+        if self.theirs[q]:
+            counterpart = self.party.counterpart().value
+            raise ProtocolViolationError(f"duplicate reveal of {counterpart} position {position}")
+        self.theirs[q] = outcome
         self.received_count += 1
-        delta = self.config.delta
         own = self.own
-        for cand in self.candidates:
-            own_pos = cand.from_counterpart[q]
-            _complete_check(cand, own_pos, own[own_pos] != outcome, delta)  # partners differ
-
-    def observe_all(self, outcomes: Sequence[int] | np.ndarray) -> None:
-        """Fold the counterpart's complete outcome sequence at once, as the
-        check kernel's one-trial case. The end state matches n observe_reveal
-        calls in any position order."""
-        n = self.codebook.n
-        if self.received_count:
-            raise ProtocolViolationError("bulk observation only applies to a fresh receiver")
-        if len(outcomes) != n:
-            raise ProtocolViolationError(f"expected {n} outcomes, got {len(outcomes)}")
-        own, values = np.asarray([self.own], dtype=np.int8), np.asarray([outcomes], dtype=np.int8)
-        passed, violations = _fold_checks(self.codebook, self.party, own, values)
-        for cand, mask, v in zip(self.candidates, passed[:, 0], violations[:, 0].tolist()):
-            cand.checks_completed, cand.violations, cand.alive = n, v, v <= self.config.delta * n
-            cand.checked, cand.passed = bytearray(b"\x01" * n), bytearray(mask)
-        self._received = bytearray(b"\x01" * n)
-        self.received_count = n
+        self.violations = [v + (own[partner[q]] == outcome)
+                           for v, partner in zip(self.violations, self._own_partner)]
 
     @property
     def received_all(self) -> bool:
         return self.received_count >= self.codebook.n
 
+    @property
+    def alive(self) -> list[bool]:
+        """Per entry, in codebook order: whether its violations stay within
+        delta times the checks completed so far."""
+        limit = self.config.delta * self.received_count
+        return [v <= limit for v in self.violations]
+
     # -- decoding ----------------------------------------------------------
 
-    def survival_log2(self, candidate: CandidateState, reference: CandidateState) -> int:
-        """log2 of the chance a wrong ``candidate`` would have passed its
-        completed checks, were ``reference`` the true entry. Exact only for
-        noiseless sessions, so noisy ones raise."""
+    def _view(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bob's and sonai's rows of the table as this receiver knows them,
+        as one-trial (1, n) blocks."""
+        rows = (self.own, self.theirs) if self.side == 0 else (self.theirs, self.own)
+        table = np.array(rows, dtype=np.int8)
+        return table[:1], table[1:]
+
+    def survival_log2(self, bits: tuple[int, int], reference_bits: tuple[int, int]) -> int:
+        """log2 of the chance the entry for ``bits`` would have passed its
+        completed checks were the entry for ``reference_bits`` the true one.
+        Exact only for noiseless sessions, so noisy ones raise."""
         if not self.config.noise.noiseless:
             raise ValueError("exact survival rank applies only to noiseless sessions")
-        i, j = self.candidates.index(candidate), self.candidates.index(reference)
-        return _survival_log2(candidate.passed, self.codebook.cycles(self.side, i, j))
+        order = [e.bits for e in self.codebook.entries]
+        i, j = order.index(tuple(bits)), order.index(tuple(reference_bits))
+        _, passed = _fold_checks(self.codebook, *self._view())
+        return _survival_log2(passed[0, i], self.codebook.cycles(i, j))
 
     def decode(self) -> "DecodeResult":
-        states = self.candidates
-        checks, violations = [c.checks_completed for c in states], [c.violations for c in states]
-        return _decode_candidates(self.codebook, self.side, checks, violations,
-                                  [c.passed for c in states], self.config)
-
-    def candidate_for(self, bits: tuple[int, int]) -> CandidateState:
-        for cand in self.candidates:
-            if cand.entry.bits == bits:
-                return cand
-        raise KeyError(bits)
+        return decode_block(self.codebook, self.config, *self._view())[0][0]
 
 
 @dataclass(frozen=True)
@@ -539,20 +497,20 @@ class DecodeResult:
         return cls(DecodeStatus.ABORT, None, None, 0.0, reason)
 
 
-def _decode_candidates(cb: Codebook, side: int, checks: Sequence[int], violations: Sequence[int],
-                       passed: Sequence, config: ProtocolConfig) -> DecodeResult:
+def _decode_candidates(cb: Codebook, checks: Sequence[int], violations: Sequence[int],
+                       passed: np.ndarray, config: ProtocolConfig) -> DecodeResult:
     """The one decode rule, shared by private receivers, transcript replays
     and batches. It reads per-entry counts in codebook order: ``checks``
     completed and the ``violations`` among them. ``passed[i]``, entry i's
-    passed checks over the own positions of receiver ``side``, is read only
-    for a noiseless survival rank."""
+    passed checks over bob's positions, is read only for a noiseless
+    survival rank."""
     delta = config.delta
     alive = [i for i in range(len(checks)) if violations[i] <= delta * checks[i]]
     if not alive:
         return DecodeResult.aborted(AbortReason.NO_CONSISTENT_ENTRY)
     if config.noise.noiseless:
         lead = alive[0]  # entries stay in the fixed bit-pair order
-        ranks = (_survival_log2(passed[i], cb.cycles(side, i, lead)) for i in alive[1:])
+        ranks = (_survival_log2(passed[i], cb.cycles(i, lead)) for i in alive[1:])
         confidence = max(0.0, 1.0 - sum(2.0 ** rank for rank in ranks))
     else:
         # Given the entry, each completed check pairs two outcomes no other
@@ -578,46 +536,41 @@ def _decode_candidates(cb: Codebook, side: int, checks: Sequence[int], violation
     return DecodeResult(DecodeStatus.UNDECIDED, None, None, confidence)
 
 
-def decode_block(cb: Codebook, config: ProtocolConfig, party: Party, own: np.ndarray,
-                 values: np.ndarray) -> tuple[list[DecodeResult], list[list[bool]]]:
-    """Fold and decode ``party``'s complete view of every trial in a block:
-    ``own`` and ``values`` are (trials, n) blocks of its own outcomes and of
-    the counterpart's. Returns each trial's decode result and which entries
-    stayed alive, in codebook order."""
-    passed, violations = _fold_checks(cb, party, own, values)
-    n, side = own.shape[1], _side(party)
-    checks = [n] * len(cb.entries)
-    results = [_decode_candidates(cb, side, checks, v, passed[:, t], config)
-               for t, v in enumerate(violations.T.tolist())]
-    return results, (violations.T <= config.delta * n).tolist()
+def decode_block(cb: Codebook, config: ProtocolConfig, bob: np.ndarray,
+                 sonai: np.ndarray) -> tuple[list[DecodeResult], list[list[bool]]]:
+    """Fold and decode (trials, n) blocks of the table's two rows. Returns
+    each trial's decode result and which entries stayed alive, in codebook
+    order. Both receivers of a complete exchange hold the same table, so one
+    result serves both."""
+    done, passed = _fold_checks(cb, bob, sonai)
+    checks = done.sum(axis=-1)
+    checks, violations = checks.tolist(), (checks - passed.sum(axis=-1)).tolist()
+    results = [_decode_candidates(cb, k, v, passed[t], config)
+               for t, (k, v) in enumerate(zip(checks, violations))]
+    alive = [[v <= config.delta * k for k, v in zip(ks, vs)] for ks, vs in zip(checks, violations)]
+    return results, alive
 
 
-def _replay_checks(cb: Codebook, transcript: Transcript) -> tuple[np.ndarray, np.ndarray]:
-    """The checks a public record completes, in bob's positions: ``done``
-    and ``passed``, each (entries, n). A check completes once both of its
-    positions have been revealed and passes when the two outcomes differ, so
-    reveal order does not matter."""
+def _public_table(cb: Codebook, transcript: Transcript) -> np.ndarray:
+    """The (2, n) table of the values a public record reveals: bob's row,
+    then sonai's, with 0 where a value is still private. Positions are
+    checked against ``cb.n`` before anything of size n is allocated."""
     n, positions = cb.n, transcript._positions
     if positions and not (min(positions) >= 1 and max(positions) <= n):
         k = next(k for k, position in enumerate(positions) if not 1 <= position <= n)
         raise ProtocolViolationError(f"line {transcript._lines[k]}: reveal position out of range: "
                                      f"{positions[k]}")
-    revealed = np.zeros((2, n), dtype=np.int8)  # 0 where a position is still private
-    revealed[transcript._sides, np.array(positions, dtype=np.intp) - 1] = transcript._outcomes
-    bob, sonai = revealed
-    other = np.stack([sonai.take(e.partner_arrays[0]) for e in cb.entries])
-    done = (bob != 0) & (other != 0)
-    return done, done & (bob != other)
+    table = np.zeros((2, n), dtype=np.int8)
+    table[transcript._sides, np.array(positions, dtype=np.intp) - 1] = transcript._outcomes
+    return table
 
 
 def decode_transcript(cb: Codebook, transcript: Transcript, config: ProtocolConfig) -> DecodeResult:
-    """Decode from the public record alone. Checks are tallied in bob's
-    positions, so a complete transcript reaches exactly bob's end state,
-    while a truncated one yields a partial, usually undecided, view."""
-    done, passed = _replay_checks(cb, transcript)
-    checks = done.sum(axis=1)
-    violations = checks - passed.sum(axis=1)
-    return _decode_candidates(cb, 0, checks.tolist(), violations.tolist(), passed, config)
+    """Decode from the public record alone. A complete transcript reveals
+    the table both receivers end with, so replay reaches their end state; a
+    truncated one yields a partial, usually undecided, view."""
+    table = _public_table(cb, transcript)
+    return decode_block(cb, config, table[:1], table[1:])[0][0]
 
 
 def terminal_record(

@@ -81,8 +81,9 @@ def test_a1_walkthrough_sessions_match_enumeration():
                 decoded += 1
                 if (terminal.bob_bit, terminal.sonai_bit) != bits:
                     failures.append(f"{bits} session {i} decoded wrongly")
+            truth = [entry.bits for entry in REF.entries].index(bits)
             for party in (Party.BOB, Party.SONAI):
-                if not outcome.receivers[party].candidate_for(bits).alive:
+                if not outcome.receivers[party].alive[truth]:
                     failures.append(f"{bits} session {i} eliminated the truth")
         p = float(UNIQUE_DECODE_P[bits])
         sigma = (p * (1 - p) / sessions) ** 0.5
@@ -114,8 +115,9 @@ def test_a2_survival_is_exactly_two_to_minus_distance():
         for signs in itertools.product((1, -1), repeat=n):
             block = prepared_block_from_signs(truth, signs)
             receiver = Receiver(Party.BOB, cb, block.bob_sequence, config)
-            receiver.observe_all(block.sonai_sequence)
-            if receiver.candidates[1].alive:
+            for q, value in enumerate(block.sonai_sequence.tolist()):
+                receiver.observe_reveal(q + 1, value)
+            if receiver.alive[1]:
                 alive += 1
         return alive
 
@@ -247,19 +249,16 @@ def test_a6_fairness_under_withholding():
         if fairness_gap(outcome.transcript) > 1:
             failures.append(f"session {i}: reveal lead {fairness_gap(outcome.transcript)}")
         bob, sonai = outcome.receivers[Party.BOB], outcome.receivers[Party.SONAI]
-        truth_bob = bob.candidate_for(bits)
-        truth_sonai = sonai.candidate_for(bits)
-        for cand_bob, cand_sonai in zip(bob.candidates, sonai.candidates):
-            if not (cand_bob.alive and cand_sonai.alive):
+        for entry, alive_bob, alive_sonai in zip(cb.entries, bob.alive, sonai.alive):
+            if not (alive_bob and alive_sonai):
                 continue
             diff = abs(
-                bob.survival_log2(cand_bob, truth_bob)
-                - sonai.survival_log2(cand_sonai, truth_sonai)
+                bob.survival_log2(entry.bits, bits) - sonai.survival_log2(entry.bits, bits)
             )
             max_evidence_diff = max(max_evidence_diff, diff)
             if diff > 1:
                 failures.append(
-                    f"session {i} k={k}: evidence gap {diff} bits on {cand_bob.entry.bits}"
+                    f"session {i} k={k}: evidence gap {diff} bits on {entry.bits}"
                 )
     elapsed = time.perf_counter() - t0
     ok = honest_ok and not failures

@@ -272,6 +272,25 @@ def test_replay_position_range_errors_name_the_line(tmp_path, capsys):
         assert err == f"error: line 3: reveal position out of range: {position}\n"
 
 
+def test_deeply_nested_json_is_unreadable_data(tmp_path, capsys):
+    # nesting past the parser's recursion limit exits 3 with an error line,
+    # not with a RecursionError traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    transcript = tmp_path / "deep.jsonl"
+    transcript.write_text('{"round":1,"party":"bob","position":1,"outcome":"+"}\n'
+                          '{"round":' + "[" * 200_000 + "\n")
+    for argv in (("replay", "--codebook", "reference", "--transcript", str(transcript)),
+                 ("replay", "--codebook", str(deep), "--transcript", str(transcript)),
+                 ("codebook", "validate", str(deep))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_IO, argv
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err[:200]
+    assert run_cli(capsys, "replay", "--codebook", "reference",
+                   "--transcript", str(transcript))[2].startswith("error: line 2: not valid JSON")
+
+
 def test_replay_echoes_timeout_aborts(tmp_path, capsys):
     path = tmp_path / "abort.jsonl"
     code, _, _ = run_cli(

@@ -21,10 +21,6 @@ def test_outcome_values_and_symbols():
     assert SpinOutcome.MINUS.value == -1
     assert SpinOutcome.PLUS.symbol == "+"
     assert SpinOutcome.MINUS.symbol == "-"
-    assert SpinOutcome.from_symbol("+") is SpinOutcome.PLUS
-    assert SpinOutcome.from_symbol("-") is SpinOutcome.MINUS
-    with pytest.raises(ValueError):
-        SpinOutcome.from_symbol("0")
 
 
 def test_singlet_always_anti_correlated():

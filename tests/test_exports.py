@@ -31,10 +31,10 @@ PROGRAM_TREES = {
 }
 
 
-def _references(tree: ast.Module, skip: str | None = None) -> Counter:
+def _references(tree: ast.Module, skip: str | ast.AST | None = None) -> Counter:
     """Names that ``tree`` reads, as bare names or attributes; imports,
-    ``__all__`` strings and the top-level definition named ``skip`` do not
-    count."""
+    ``__all__`` strings and the definition ``skip`` (a node, or the name of
+    a top-level definition) do not count."""
     counts: Counter = Counter()
     stack = [
         node for node in tree.body
@@ -42,6 +42,8 @@ def _references(tree: ast.Module, skip: str | None = None) -> Counter:
     ]
     while stack:
         node = stack.pop()
+        if node is skip:
+            continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             counts[node.id] += 1
         elif isinstance(node, ast.Attribute):
@@ -64,4 +66,23 @@ def test_every_exported_name_is_used_outside_the_tests(module_name):
         name for name in getattr(module, "__all__", [])
         if not elsewhere[name] and not _references(PROGRAM_TREES[own_file], skip=name)[name]
     ]
+    assert unused == []
+
+
+def test_every_public_method_is_used_outside_the_tests():
+    # each public method and property a class in the package defines must be
+    # read somewhere in the program, its demos or its benchmark, outside its
+    # own definition
+    everywhere = {path: _references(tree) for path, tree in PROGRAM_TREES.items()}
+    unused = []
+    for path, tree in PROGRAM_TREES.items():
+        if (ROOT / "src" / "entpost") not in path.parents:
+            continue
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+                    continue
+                elsewhere = sum(refs[method.name] for other, refs in everywhere.items() if other != path)
+                if not elsewhere and not _references(tree, skip=method)[method.name]:
+                    unused.append(f"{cls.name}.{method.name}")
     assert unused == []

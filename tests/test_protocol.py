@@ -50,8 +50,29 @@ def all_signs(n):
     return itertools.product((1, -1), repeat=n)
 
 
-def alive_states(receiver):
-    return [c for c in receiver.candidates if c.alive]
+def alive_bits(receiver):
+    """The bits of the entries ``receiver`` still holds alive, in codebook order."""
+    return [entry.bits for entry, alive in zip(receiver.codebook.entries, receiver.alive) if alive]
+
+
+def entry_index(cb, bits):
+    return [entry.bits for entry in cb.entries].index(bits)
+
+
+def reveal_all(receiver, outcomes, order=None):
+    """Reveal every counterpart position to ``receiver`` through
+    ``observe_reveal``, in ``order`` (0-based positions; default ascending)."""
+    values = [int(v) for v in outcomes]
+    for q in range(len(values)) if order is None else order:
+        receiver.observe_reveal(q + 1, values[q])
+
+
+def kernel_tallies(receiver):
+    """(checks, violations) per entry, as the check kernel folds the
+    receiver's own view of the table."""
+    done, passed = protocol._fold_checks(receiver.codebook, *receiver._view())
+    checks = done.sum(axis=-1)[0]
+    return checks.tolist(), (checks - passed.sum(axis=-1)[0]).tolist()
 
 
 # -- configuration ------------------------------------------------------------
@@ -299,36 +320,54 @@ def test_truth_entry_survives_every_noiseless_session():
     for bits in [(0, 0), (1, 1), (0, 1), (1, 0)]:
         for seed in range(20):
             block, bob, sonai = build_receivers(bits, config, seed=seed)
-            bob.observe_all(block.sonai_sequence)
-            sonai.observe_all(block.bob_sequence)
-            assert bob.candidate_for(bits).alive
-            assert sonai.candidate_for(bits).alive
-            assert bob.candidate_for(bits).violations == 0
-            assert sonai.candidate_for(bits).violations == 0
+            reveal_all(bob, block.sonai_sequence)
+            reveal_all(sonai, block.bob_sequence)
+            truth = entry_index(REF, bits)
+            assert bob.alive[truth]
+            assert sonai.alive[truth]
+            assert bob.violations[truth] == 0
+            assert sonai.violations[truth] == 0
 
 
-def test_observe_all_matches_sequential_observation():
-    config = small_config()
-    block, bob, _ = build_receivers((1, 1), config, seed=7)
-    _, bob_seq, _ = build_receivers((1, 1), config, seed=7)
-    bob.observe_all(block.sonai_sequence)
-    for q in range(8):
-        bob_seq.observe_reveal(q + 1, int(block.sonai_sequence[q]))
-    for fast, slow in zip(bob.candidates, bob_seq.candidates):
-        assert fast.checks_completed == slow.checks_completed
-        assert fast.violations == slow.violations
-        assert fast.alive == slow.alive
-        assert fast.checked == slow.checked == bytearray(b"\x01" * 8)
-        assert fast.passed == slow.passed
-    assert bob.decode() == bob_seq.decode()
+def test_reveal_order_does_not_change_the_end_state():
+    rng = np.random.default_rng(7)
+    for noise, delta, seed in itertools.product((0.0, 0.05), (0.0, 0.25), range(5)):
+        config = small_config(noise=noise, delta=delta)
+        block, bob, sonai = build_receivers((1, 1), config, seed=seed)
+        _, bob_shuffled, sonai_shuffled = build_receivers((1, 1), config, seed=seed)
+        reveal_all(bob, block.sonai_sequence)
+        reveal_all(sonai, block.bob_sequence)
+        reveal_all(bob_shuffled, block.sonai_sequence, order=rng.permutation(8).tolist())
+        reveal_all(sonai_shuffled, block.bob_sequence, order=rng.permutation(8).tolist())
+        for ordered, shuffled in ((bob, bob_shuffled), (sonai, sonai_shuffled)):
+            assert ordered.theirs == shuffled.theirs
+            assert ordered.received_all and shuffled.received_all
+            assert ordered.violations == shuffled.violations
+            assert ordered.alive == shuffled.alive
+            assert ordered.decode() == shuffled.decode()
 
 
-def test_observe_all_requires_fresh_receiver():
-    config = small_config()
-    block, bob, _ = build_receivers((0, 0), config)
-    bob.observe_reveal(1, int(block.sonai_sequence[0]))
-    with pytest.raises(ProtocolViolationError):
-        bob.observe_all(block.sonai_sequence)
+def test_violation_counter_matches_the_kernel_after_every_reveal():
+    # the per-reveal counter that ``alive`` reads agrees with the check
+    # kernel folding the receiver's view, reveal by reveal, on either side
+    rng = np.random.default_rng(11)
+    for seed in range(10):
+        config = small_config(noise=0.15, delta=0.3)
+        block, bob, sonai = build_receivers((0, 1), config, seed=seed)
+        for receiver, theirs in ((bob, block.sonai_sequence), (sonai, block.bob_sequence)):
+            assert kernel_tallies(receiver) == ([0] * 4, receiver.violations)
+            for count, q in enumerate(rng.permutation(8).tolist(), start=1):
+                receiver.observe_reveal(q + 1, int(theirs[q]))
+                assert kernel_tallies(receiver) == ([count] * 4, receiver.violations)
+                assert receiver.alive == [v <= 0.3 * count for v in receiver.violations]
+
+
+def test_observe_rejects_outcomes_other_than_plus_or_minus_one():
+    _, bob, _ = build_receivers((0, 0), small_config())
+    for outcome in (0, 2, None):
+        with pytest.raises(ProtocolViolationError, match="outcome"):
+            bob.observe_reveal(1, outcome)
+    assert bob.received_count == 0 and bob.theirs == [0] * 8
 
 
 def test_next_reveal_walks_positions_in_order():
@@ -348,9 +387,8 @@ def test_next_reveal_walks_positions_in_order():
 def test_survival_rank_is_zero_for_matching_pairing():
     config = small_config()
     block, bob, _ = build_receivers((0, 0), config)
-    bob.observe_all(block.sonai_sequence)
-    truth = bob.candidate_for((0, 0))
-    assert bob.survival_log2(truth, truth) == 0
+    reveal_all(bob, block.sonai_sequence)
+    assert bob.survival_log2((0, 0), (0, 0)) == 0
 
 
 def test_survival_rank_of_single_transposition_is_one_bit():
@@ -363,10 +401,9 @@ def test_survival_rank_of_single_transposition_is_one_bit():
     signs = (1, 1, 1)  # the candidate survives this assignment
     block = prepared_block_from_signs(truth, signs)
     bob = Receiver(Party.BOB, cb, block.bob_sequence, config)
-    bob.observe_all(block.sonai_sequence)
-    cand_state = bob.candidate_for((1, 1))
-    assert cand_state.alive
-    assert bob.survival_log2(cand_state, bob.candidate_for((0, 0))) == -1
+    reveal_all(bob, block.sonai_sequence)
+    assert bob.alive[1]
+    assert bob.survival_log2((1, 1), (0, 0)) == -1
 
 
 def test_survival_rank_matches_distance_for_survivors():
@@ -378,11 +415,10 @@ def test_survival_rank_matches_distance_for_survivors():
     for signs in all_signs(8):
         block = prepared_block_from_signs(truth_entry, signs)
         bob = Receiver(Party.BOB, REF, block.bob_sequence, config)
-        bob.observe_all(block.sonai_sequence)
-        cand = bob.candidate_for((1, 1))
-        if cand.alive:
+        reveal_all(bob, block.sonai_sequence)
+        if bob.alive[entry_index(REF, (1, 1))]:
             survivors += 1
-            assert bob.survival_log2(cand, bob.candidate_for((0, 0))) == -4
+            assert bob.survival_log2((1, 1), (0, 0)) == -4
     assert survivors == 16
 
 
@@ -399,8 +435,8 @@ def test_full_machinery_survival_matches_oracle_for_every_pair():
         for signs in all_signs(8):
             block = prepared_block_from_signs(truth_entry, signs)
             bob = Receiver(Party.BOB, REF, block.bob_sequence, config)
-            bob.observe_all(block.sonai_sequence)
-            if bob.candidate_for(cand_bits).alive:
+            reveal_all(bob, block.sonai_sequence)
+            if bob.alive[entry_index(REF, cand_bits)]:
                 alive += 1
         assert alive == expected, (truth_bits, cand_bits)
 
@@ -408,9 +444,9 @@ def test_full_machinery_survival_matches_oracle_for_every_pair():
 def test_survival_rank_requires_noiseless_config():
     config = small_config(noise=NoiseModel(0.05), delta=0.25)
     block, bob, _ = build_receivers((0, 0), config)
-    bob.observe_all(block.sonai_sequence)
+    reveal_all(bob, block.sonai_sequence)
     with pytest.raises(ValueError):
-        bob.survival_log2(bob.candidates[1], bob.candidates[0])
+        bob.survival_log2((1, 1), (0, 0))
 
 
 # -- mid-session views --------------------------------------------------------
@@ -429,30 +465,29 @@ def test_partial_views_can_disagree_but_full_views_agree():
 
     bob.observe_reveal(1, int(block.sonai_sequence[0]))
     sonai.observe_reveal(1, int(block.bob_sequence[0]))
-    bob_alive = {c.entry.bits for c in alive_states(bob)}
-    sonai_alive = {c.entry.bits for c in alive_states(sonai)}
-    assert bob_alive == {(0, 0), (1, 1)}
-    assert sonai_alive == {(0, 0)}  # the asymmetric moment
+    assert alive_bits(bob) == [(0, 0), (1, 1)]
+    assert alive_bits(sonai) == [(0, 0)]  # the asymmetric moment
 
     for q in range(1, 3):
         bob.observe_reveal(q + 1, int(block.sonai_sequence[q]))
         sonai.observe_reveal(q + 1, int(block.bob_sequence[q]))
-    assert {c.entry.bits for c in alive_states(bob)} == {(0, 0)}
-    assert {c.entry.bits for c in alive_states(sonai)} == {(0, 0)}
+    assert alive_bits(bob) == [(0, 0)]
+    assert alive_bits(sonai) == [(0, 0)]
 
 
 def test_full_transcript_views_always_agree():
-    config = small_config()
-    for bits in [(0, 0), (1, 1), (0, 1), (1, 0)]:
-        for seed in range(10):
+    # after a complete exchange both receivers hold the same table, so they
+    # hold the same evidence and decode alike, survival ranks included
+    for noise, delta in [(0.0, 0.0), (0.05, 0.25), (0.3, 0.45)]:
+        config = small_config(noise=noise, delta=delta)
+        for bits, seed in itertools.product([(0, 0), (1, 1), (0, 1), (1, 0)], range(10)):
             block, bob, sonai = build_receivers(bits, config, seed=seed)
-            bob.observe_all(block.sonai_sequence)
-            sonai.observe_all(block.bob_sequence)
-            assert {c.entry.bits for c in alive_states(bob)} == {
-                c.entry.bits for c in alive_states(sonai)
-            }
-            for cb_state, cs_state in zip(bob.candidates, sonai.candidates):
-                assert cb_state.violations == cs_state.violations
+            reveal_all(bob, block.sonai_sequence)
+            reveal_all(sonai, block.bob_sequence)
+            assert np.array_equal(np.concatenate(bob._view()), np.concatenate(sonai._view()))
+            assert alive_bits(bob) == alive_bits(sonai)
+            assert bob.violations == sonai.violations
+            assert bob.decode() == sonai.decode()
 
 
 # -- decoding -----------------------------------------------------------------
@@ -464,9 +499,9 @@ def test_decode_unique_survivor_has_full_confidence():
     for signs in list(all_signs(8))[:64]:
         block = prepared_block_from_signs(truth_entry, signs)
         bob = Receiver(Party.BOB, REF, block.bob_sequence, config)
-        bob.observe_all(block.sonai_sequence)
+        reveal_all(bob, block.sonai_sequence)
         result = bob.decode()
-        if len(alive_states(bob)) == 1:
+        if len(alive_bits(bob)) == 1:
             assert result.status is DecodeStatus.DECODED
             assert (result.bob_bit, result.sonai_bit) == (0, 1)
             assert result.confidence == 1.0
@@ -481,8 +516,8 @@ def test_decode_multi_survivor_confidence_discounts_by_rank():
     for signs in all_signs(8):
         block = prepared_block_from_signs(truth_entry, signs)
         bob = Receiver(Party.BOB, REF, block.bob_sequence, config)
-        bob.observe_all(block.sonai_sequence)
-        alive = alive_states(bob)
+        reveal_all(bob, block.sonai_sequence)
+        alive = alive_bits(bob)
         if len(alive) < 2:
             continue
         seen_multi = True
@@ -502,8 +537,8 @@ def test_decode_aborts_when_nothing_is_consistent():
     # feed garbage that violates every pairing somewhere
     corrupted = -np.asarray(block.sonai_sequence)
     corrupted[0] = block.sonai_sequence[0]
-    bob.observe_all(corrupted)
-    if not alive_states(bob):
+    reveal_all(bob, corrupted)
+    if not alive_bits(bob):
         result = bob.decode()
         assert result.status is DecodeStatus.ABORT
         assert result.abort_reason is AbortReason.NO_CONSISTENT_ENTRY
@@ -547,7 +582,7 @@ def test_noisy_decode_confidence_is_the_exact_posterior():
                     posterior = entry_posterior(
                         orderings, eps, party.value, receiver.own, revealed
                     )
-                    alive = [i for i, c in enumerate(receiver.candidates) if c.alive]
+                    alive = [i for i, alive in enumerate(receiver.alive) if alive]
                     assert result.confidence == pytest.approx(
                         max(posterior[i] for i in alive), rel=1e-12, abs=1e-15
                     )
@@ -591,54 +626,51 @@ def test_replay_reproduces_private_decodes_exactly(seed, noise, reveal_first, n)
     st.sampled_from([(0, 0), (1, 1), (0, 1), (1, 0)]),
 )
 def test_replay_tallies_every_prefix_like_both_receivers(seed, noise, reveal_first, n, bits):
-    # after each reveal, the replay has completed exactly the checks whose two
-    # halves are public, which are the checks both receivers have completed
+    # after each reveal, the public table is what both receivers know, and
+    # the replay has completed exactly the checks both receivers have
+    # completed, with their verdicts; each receiver's violation counter is
+    # the kernel's count over its own view
     eps, delta = noise
     config = ProtocolConfig(
         n=n, lam=n // 4, noise=eps, delta=delta, reveal_first=reveal_first, seed=seed
     )
     outcome = run_session(config, bits, cb=REF if n == 8 else None)
-    _, receivers = prepare_session(config, bits, outcome.codebook)
-    replay_checks, replay_tallies = [], []
-    real_checks, real_decode = protocol._replay_checks, protocol._decode_candidates
+    cb = outcome.codebook
+    _, receivers = prepare_session(config, bits, cb)
+    bob, sonai = receivers[Party.BOB], receivers[Party.SONAI]
+    replay_tallies = []
+    real_decode = protocol._decode_candidates
 
-    def capture_checks(cb, transcript):
-        replay_checks.append(real_checks(cb, transcript))
-        return replay_checks[-1]
-
-    def capture_decode(cb, side, checks, violations, passed, decode_config):
+    def capture_decode(cb, checks, violations, passed, decode_config):
         replay_tallies.append((checks, violations))
-        return real_decode(cb, side, checks, violations, passed, decode_config)
+        return real_decode(cb, checks, violations, passed, decode_config)
 
     prefix = Transcript()
-    with mock.patch.object(protocol, "_replay_checks", capture_checks), \
-            mock.patch.object(protocol, "_decode_candidates", capture_decode):
+    with mock.patch.object(protocol, "_decode_candidates", capture_decode):
         for event in [None] + outcome.transcript.events:
             if event is not None:
                 prefix.append(event)
                 receivers[event.party.counterpart()].observe_reveal(
                     event.position, event.outcome.value
                 )
-            decode_transcript(outcome.codebook, prefix, config)
-            done, passed = replay_checks.pop()
+            decode_transcript(cb, prefix, config)
             checks, violations = replay_tallies.pop()
-            bob_states = receivers[Party.BOB].candidates
-            sonai_states = receivers[Party.SONAI].candidates
-            for i, (bob, sonai) in enumerate(zip(bob_states, sonai_states)):
-                # both sides' checks in bob's positions, with their verdicts
-                bob_checks = {pos: bob.passed[pos] for pos in range(n) if bob.checked[pos]}
-                sonai_checks = {
-                    sonai.to_counterpart[pos]: sonai.passed[pos]
-                    for pos in range(n)
-                    if sonai.checked[pos]
-                }
-                both = bob_checks.keys() & sonai_checks.keys()
-                assert all(bob_checks[pos] == sonai_checks[pos] for pos in both)
-                assert [pos for pos in range(n) if done[i, pos]] == sorted(both)
-                assert all(passed[i, pos] == bob_checks[pos] for pos in both)
-                assert not passed[i][~done[i]].any()
-                assert checks[i] == len(both)
-                assert violations[i] == sum(not bob_checks[pos] for pos in both)
+            table = protocol._public_table(cb, prefix)
+            bob_view, sonai_view = np.concatenate(bob._view()), np.concatenate(sonai._view())
+            assert np.array_equal(table, np.where(bob_view == sonai_view, bob_view, 0))
+            done, passed = protocol._fold_checks(cb, table[:1], table[1:])
+            bob_done, bob_passed = protocol._fold_checks(cb, *bob._view())
+            sonai_done, sonai_passed = protocol._fold_checks(cb, *sonai._view())
+            assert np.array_equal(done, bob_done & sonai_done)
+            assert np.array_equal(passed, bob_passed & done)
+            assert np.array_equal(passed, sonai_passed & done)
+            assert not passed[~done].any()
+            assert checks == done.sum(axis=-1)[0].tolist()
+            assert violations == (done & ~passed).sum(axis=-1)[0].tolist()
+            for receiver in (bob, sonai):
+                assert kernel_tallies(receiver) == (
+                    [receiver.received_count] * len(cb.entries), receiver.violations
+                )
 
 
 def test_replay_of_truncated_transcript_is_partial():
@@ -749,23 +781,27 @@ def test_survival_rank_matches_constraint_graph_oracle(case, seed):
     config = ProtocolConfig(n=n, lam=1, delta=0.49, seed=seed)
     block = alice_prepare((0, 0), cb, NOISELESS, substream(seed, 1))
     receiver = Receiver(party, cb, measure_all(party, block), config)
-    truth_state, cand_state = receiver.candidates
+    side = 0 if party is Party.BOB else 1
+    own_partner = cand.partner_maps[1 - side]  # counterpart position -> own position
     # reveal counterpart values that give the candidate the drawn verdicts
     for q in range(n):
-        own_pos = cand_state.from_counterpart[q]
+        own_pos = own_partner[q]
         verdict = verdicts[own_pos]
         if verdict is not None:
             own = receiver.own[own_pos]
             receiver.observe_reveal(q + 1, -own if verdict else own)
-    assert [bool(b) for b in cand_state.checked] == [v is not None for v in verdicts]
-    assert [bool(b) for b in cand_state.passed] == [v is True for v in verdicts]
-    passed = {k for k, v in enumerate(verdicts) if v}
-    rank = passed_check_rank(truth_sj, cand_sj, party.value, passed)
-    assert receiver.survival_log2(cand_state, truth_state) == -rank
-    assert receiver.survival_log2(truth_state, truth_state) == 0
+    # the kernel reports the verdicts in bob's positions; the candidate's
+    # partner map carries sonai's own positions there
+    done, passed = protocol._fold_checks(cb, *receiver._view())
+    to_bob = range(n) if party is Party.BOB else cand.partner_maps[1]
+    assert [bool(done[0, 1, k]) for k in to_bob] == [v is not None for v in verdicts]
+    assert [bool(passed[0, 1, k]) for k in to_bob] == [v is True for v in verdicts]
+    passed_own = {k for k, v in enumerate(verdicts) if v}
+    rank = passed_check_rank(truth_sj, cand_sj, party.value, passed_own)
+    assert receiver.survival_log2((1, 1), (0, 0)) == -rank
+    assert receiver.survival_log2((0, 0), (0, 0)) == 0
     # with every check passed, the rank is the effective distance
     full = Receiver(party, cb, measure_all(party, block), config)
-    full_cand = full.candidates[1]
-    full.observe_all([-full.own[full_cand.from_counterpart[q]] for q in range(n)])
-    assert full_cand.violations == 0
-    assert full.survival_log2(full_cand, full.candidates[0]) == -effective_distance(cand, truth)
+    reveal_all(full, [-full.own[own_partner[q]] for q in range(n)])
+    assert full.violations[1] == 0
+    assert full.survival_log2((1, 1), (0, 0)) == -effective_distance(cand, truth)
