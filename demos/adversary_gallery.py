@@ -12,7 +12,6 @@ differ by at most one power of two).
 
 from entpost import (
     BatchDump,
-    FairnessPolicy,
     Honest,
     LieWithProb,
     Party,
@@ -28,12 +27,9 @@ CB = reference_codebook()
 
 
 def one(strategy, seed, timeout=6):
-    config = ProtocolConfig(n=N, lam=4, seed=seed, confidence_target=0.9)
-    return run_session(
-        config, (1, 1), cb=CB,
-        strategies={Party.SONAI: strategy},
-        policy=FairnessPolicy(one_ahead_limit=1, timeout_ticks=timeout),
-    )
+    config = ProtocolConfig(n=N, lam=4, seed=seed, confidence_target=0.9,
+                            one_ahead_limit=1, timeout_ticks=timeout)
+    return run_session(config, (1, 1), cb=CB, strategies={Party.SONAI: strategy})
 
 
 def main():

@@ -14,7 +14,6 @@ Run:  python demos/session_walkthrough.py
 import numpy as np
 
 from entpost import (
-    NOISELESS,
     Party,
     ProtocolConfig,
     Receiver,
@@ -42,7 +41,7 @@ def main():
     config = ProtocolConfig(n=8, lam=4, seed=SEED, confidence_target=0.9)
     rng = np.random.default_rng(SEED)
 
-    block = alice_prepare(BITS, cb, NOISELESS, rng)
+    block = alice_prepare(BITS, cb, 0.0, rng)
     bob = Receiver(Party.BOB, cb, measure_all(Party.BOB, block), config)
     sonai = Receiver(Party.SONAI, cb, measure_all(Party.SONAI, block), config)
 

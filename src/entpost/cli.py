@@ -33,7 +33,7 @@ from .montecarlo import (
     write_report_json,
     write_rows_csv,
 )
-from .netsim import FairnessPolicy, fairness_gap, parse_strategy
+from .netsim import fairness_gap, parse_strategy
 from .protocol import (
     DecodeStatus,
     Party,
@@ -123,7 +123,8 @@ def _add_adversary_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace, seed: int, cls=ProtocolConfig, **extra):
-    """The protocol flags as a ``cls`` (a ProtocolConfig or a subclass)."""
+    """The protocol and pacing flags as a ``cls`` (a ProtocolConfig or a
+    subclass)."""
     return cls(
         n=args.n,
         lam=args.lam,
@@ -132,17 +133,18 @@ def _config_from_args(args: argparse.Namespace, seed: int, cls=ProtocolConfig, *
         confidence_target=args.confidence_target,
         reveal_first=args.reveal_first,
         seed=seed,
+        one_ahead_limit=args.policy_one_ahead,
+        timeout_ticks=args.timeout,
         **extra,
     )
 
 
-def _adversary_from_args(args: argparse.Namespace) -> tuple[dict, FairnessPolicy]:
-    """(strategy per receiver, pacing policy) from the adversary flags."""
-    strategies = {
+def _adversary_from_args(args: argparse.Namespace) -> dict:
+    """The strategy per receiver from the adversary flags."""
+    return {
         Party.BOB: parse_strategy(args.strategy_bob),
         Party.SONAI: parse_strategy(args.strategy_sonai),
     }
-    return strategies, FairnessPolicy(one_ahead_limit=args.policy_one_ahead, timeout_ticks=args.timeout)
 
 
 def _write_events(path: str, event_log: list[dict]) -> None:
@@ -167,16 +169,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     print(f"seed: {seed}")
     config = _config_from_args(args, seed)
-    strategies, policy = _adversary_from_args(args)
+    strategies = _adversary_from_args(args)
 
     if args.bob_msg is not None or args.sonai_msg is not None:
-        if args.bits is not None:
-            raise _UsageError("--bits and --bob-msg/--sonai-msg are mutually exclusive")
+        for flag, value in (("--bits", args.bits), ("--codebook", args.codebook),
+                            ("--events-out", args.events_out)):
+            if value is not None:
+                raise _UsageError(f"{flag} and --bob-msg/--sonai-msg are mutually exclusive")
         if args.bob_msg is None or args.sonai_msg is None:
             raise _UsageError("--bob-msg and --sonai-msg must be given together")
         try:
             outcomes, (bob_msg, sonai_msg) = run_message(
-                args.bob_msg, args.sonai_msg, config, strategies=strategies, policy=policy
+                args.bob_msg, args.sonai_msg, config, strategies=strategies
             )
         except ProtocolViolationError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -196,7 +200,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     bits = _parse_bit_pair(args.bits if args.bits is not None else "00")
     cb = resolve_codebook(args.codebook, config.n, config.lam, config.seed)
-    outcome = run_session(config, bits, strategies=strategies, cb=cb, policy=policy)
+    outcome = run_session(config, bits, strategies=strategies, cb=cb)
     _print_terminal(outcome.terminal, outcome.ticks, fairness_gap(outcome.transcript))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fp:
@@ -209,7 +213,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_montecarlo(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     print(f"seed: {seed}")
-    strategies, policy = _adversary_from_args(args)
+    strategies = _adversary_from_args(args)
     spec = _config_from_args(
         args,
         seed,
@@ -219,7 +223,6 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         bits=_parse_bit_pair(args.bits) if args.bits is not None else None,
         strategy_bob=strategies[Party.BOB],
         strategy_sonai=strategies[Party.SONAI],
-        policy=policy,
         codebook=args.codebook,
     )
     rows, report = run_experiment(spec, workers=args.workers)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from .codebook import BIT_PAIR_ORDER, Codebook, resolve_codebook
-from .netsim import FairnessPolicy, Honest, Strategy, fairness_gap
+from .netsim import Honest, Strategy, fairness_gap
 from .protocol import (Party, ProtocolConfig, TerminalRecord, decode_block, prepare_block,
                        run_session, terminal_record)
 
@@ -43,13 +43,14 @@ _FOLD_BLOCK = 256  # honest and soundness trials folded at once: bounded memory 
 @dataclass(frozen=True)
 class ExperimentSpec(ProtocolConfig):
     """Everything needed to reproduce a batch bit for bit: the session
-    parameters it inherits (``seed`` is the base seed) plus the batch ones.
+    parameters it inherits, pacing included (``seed`` is the base seed),
+    plus the batch ones.
 
     mode picks how trials run: "honest" folds the complete tables of
     truthful sessions in blocks of trials, one fold per block serving both
     receivers, without the tick machinery (the simulator's honest run ends
     in the same state, far more slowly); "session" runs the full simulator
-    with the given strategies and policy; and "soundness" folds honest
+    with the given strategies and pacing; and "soundness" folds honest
     sessions the same way and records which wrong entries survived the
     whole exchange, in both receivers' view.
     """
@@ -59,7 +60,6 @@ class ExperimentSpec(ProtocolConfig):
     bits: tuple[int, int] | None = None
     strategy_bob: Strategy = field(default_factory=Honest)
     strategy_sonai: Strategy = field(default_factory=Honest)
-    policy: FairnessPolicy = field(default_factory=FairnessPolicy)
     codebook: str | None = None  # None: generate from seed; "reference"; else a JSON path
 
     def __post_init__(self) -> None:
@@ -101,7 +101,7 @@ def run_trial(spec: ExperimentSpec, cb: Codebook, trial: int) -> dict:
     seed = rng_mod.derive_seed(spec.seed, rng_mod.KEY_TRIAL, trial)
     bits = spec.trial_bits(trial)
     strategies = {Party.BOB: spec.strategy_bob, Party.SONAI: spec.strategy_sonai}
-    outcome = run_session(spec.config(seed=seed), bits, strategies, cb=cb, policy=spec.policy)
+    outcome = run_session(spec.config(seed=seed), bits, strategies, cb=cb)
     return _row(trial, seed, bits, outcome.terminal, outcome.ticks, fairness_gap(outcome.transcript))
 
 
@@ -260,7 +260,7 @@ def aggregate_rows(
         seed=spec.seed,
         n=spec.n,
         lam=spec.lam,
-        flip_probability=spec.noise.flip_probability,
+        flip_probability=spec.noise,
         delta=spec.delta,
         confidence_target=spec.confidence_target,
         status_counts=dict(sorted(status_counts.items())),

@@ -8,10 +8,11 @@ then bob's, each in send order. Alice hands both receivers their outcomes
 before the first tick. Determinism therefore depends only on the seed, never
 on wall-clock or scheduling accidents.
 
-Pacing: the opener may run at most ``one_ahead_limit`` reveals ahead of what
-it has received; the other receiver stays strictly behind the opener by one
-less. With the default limit of 1 this is exactly the alternating schedule.
-A receiver stalled for ``timeout_ticks`` consecutive ticks gives up.
+Pacing reads the config: the opener may run at most ``one_ahead_limit``
+reveals ahead of what it has received; the other receiver stays strictly
+behind the opener by one less. With the default limit of 1 this is exactly
+the alternating schedule. A receiver stalled for ``timeout_ticks``
+consecutive ticks gives up.
 """
 from __future__ import annotations
 
@@ -40,7 +41,6 @@ from .protocol import (
 
 __all__ = [
     "MessageKind",
-    "FairnessPolicy",
     "Action",
     "enforce_fairness",
     "Strategy",
@@ -64,22 +64,6 @@ class MessageKind(str, Enum):
     ABORT = "abort"
 
 
-@dataclass(frozen=True)
-class FairnessPolicy:
-    """Pacing window plus patience. one_ahead_limit is how far the opener may
-    lead; timeout_ticks is how many consecutive stalled ticks a receiver
-    tolerates before aborting."""
-
-    one_ahead_limit: int = 1
-    timeout_ticks: int = 16
-
-    def __post_init__(self) -> None:
-        if self.one_ahead_limit < 1:
-            raise ValueError(f"one_ahead_limit must be at least 1, got {self.one_ahead_limit}")
-        if self.timeout_ticks < 1:
-            raise ValueError(f"timeout_ticks must be at least 1, got {self.timeout_ticks}")
-
-
 class Action(Enum):
     PROCEED = "proceed"
     STALL = "stall"
@@ -87,12 +71,12 @@ class Action(Enum):
 
 
 def enforce_fairness(
-    policy: FairnessPolicy, sent: int, received: int, waiting: int, is_opener: bool
+    config: ProtocolConfig, sent: int, received: int, waiting: int, is_opener: bool
 ) -> Action:
     """Pure pacing decision for one receiver at one instant."""
-    if waiting >= policy.timeout_ticks:
+    if waiting >= config.timeout_ticks:
         return Action.ABORT_TIMEOUT
-    lead_limit = policy.one_ahead_limit if is_opener else policy.one_ahead_limit - 1
+    lead_limit = config.one_ahead_limit if is_opener else config.one_ahead_limit - 1
     if sent - received < lead_limit:
         return Action.PROCEED
     return Action.STALL
@@ -212,14 +196,12 @@ class ReceiverAgent:
         party: Party,
         receiver: Receiver,
         strategy: Strategy,
-        policy: FairnessPolicy,
         is_opener: bool,
         lie_rng: np.random.Generator,
     ):
         self.party = party
         self.receiver = receiver
         self.strategy = strategy
-        self.policy = policy
         self.is_opener = is_opener
         self.lie_rng = lie_rng
         self.waiting = 0
@@ -247,7 +229,7 @@ class ReceiverAgent:
         if self.done:
             return
         action = enforce_fairness(
-            self.policy,
+            self.receiver.config,
             self.receiver.sent_count,
             self.receiver.received_count,
             self.waiting,
@@ -301,12 +283,10 @@ class World:
         config: ProtocolConfig,
         cb: Codebook,
         agents: dict[Party, ReceiverAgent],
-        policy: FairnessPolicy,
     ):
         self.config = config
         self.codebook = cb
         self.agents = agents
-        self.policy = policy
         # (position, outcome) reveals sent to each receiver this tick, keyed
         # in delivery order: sonai, then bob
         self.in_flight: dict[Party, list[tuple[int, int]]] = {Party.SONAI: [], Party.BOB: []}
@@ -353,13 +333,11 @@ def build_world(
     bits: tuple[int, int],
     cb: Codebook,
     strategies: dict[Party, Strategy] | None = None,
-    policy: FairnessPolicy | None = None,
 ) -> World:
     """Prepare a block from the config seed and wire up both receivers."""
     if cb.n != config.n:
         raise ValueError(f"codebook size {cb.n} does not match config n {config.n}")
     strategies = dict(strategies or {})
-    policy = policy or FairnessPolicy()
     _, receivers = prepare_session(config, bits, cb)
     lie_keys = {Party.BOB: rng_mod.KEY_LIE_BOB, Party.SONAI: rng_mod.KEY_LIE_SONAI}
     agents = {
@@ -367,13 +345,12 @@ def build_world(
             party=party,
             receiver=receiver,
             strategy=strategies.get(party, Honest()),
-            policy=policy,
             is_opener=(party is config.reveal_first),
             lie_rng=rng_mod.substream(config.seed, lie_keys[party]),
         )
         for party, receiver in receivers.items()
     }
-    world = World(config, cb, agents, policy)
+    world = World(config, cb, agents)
     # the sender hands each receiver its outcome sequence before the first tick
     for party in (Party.BOB, Party.SONAI):
         world.log(MessageKind.DELIVERY, Party.ALICE, party, f"outcomes[n={cb.n}]")
@@ -383,7 +360,7 @@ def build_world(
 def run_world(world: World) -> SessionOutcome:
     """Tick until both receivers settle or either aborts."""
     bob, sonai = agents = (world.agents[Party.BOB], world.agents[Party.SONAI])
-    max_ticks = 4 * world.config.n + world.policy.timeout_ticks + 8
+    max_ticks = 4 * world.config.n + world.config.timeout_ticks + 8
     while world.tick < max_ticks:
         world.tick += 1
         world.deliver_phase()

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from .codebook import Codebook, CodebookEntry, generate_codebook, resolve_codebook
-from .epr import NOISELESS, NoiseModel, SpinOutcome, flip_outcomes, sample_block
+from .epr import SpinOutcome, flip_outcomes, sample_block
 
 __all__ = [
     "Party",
@@ -85,24 +85,34 @@ class AbortReason(str, Enum):
 class ProtocolConfig:
     """Session parameters.
 
+    noise is the independent flip probability eps of each delivered outcome.
     delta is the per-entry violation fraction tolerated before elimination.
     Keep it well below the midpoint between the honest check-violation rate
     2*eps*(1-eps) and the wrong-entry rate 1/2, otherwise the two outcome
     populations overlap. reveal_first names the receiver who opens.
+
+    Pacing: the opener may lead what it has received by at most
+    one_ahead_limit reveals, and a receiver stalled for timeout_ticks
+    consecutive ticks aborts.
     """
 
     n: int = 64
     lam: int = 16
-    noise: NoiseModel = NOISELESS
+    noise: float = 0.0
     delta: float = 0.0
     confidence_target: float = 0.999
     reveal_first: Party = Party.BOB
     seed: int = 0
+    one_ahead_limit: int = 1
+    timeout_ticks: int = 16
 
     def __post_init__(self) -> None:
-        if isinstance(self.noise, (int, float)) and not isinstance(self.noise, bool):
-            # `or 0.0` turns -0.0 into 0.0, so reports never print "-0.0"
-            object.__setattr__(self, "noise", NoiseModel(float(self.noise) or 0.0))
+        if isinstance(self.noise, bool) or not isinstance(self.noise, (int, float)):
+            raise ValueError(f"noise must be a number, got {self.noise!r}")
+        # `or 0.0` turns -0.0 into 0.0, so reports never print "-0.0"
+        object.__setattr__(self, "noise", float(self.noise) or 0.0)
+        if not (0.0 <= self.noise <= 0.5):
+            raise ValueError(f"flip probability must lie in [0, 0.5], got {self.noise}")
         if isinstance(self.reveal_first, str):
             object.__setattr__(self, "reveal_first", Party(self.reveal_first))
         if self.n < 1:
@@ -117,6 +127,10 @@ class ProtocolConfig:
             )
         if self.reveal_first not in (Party.BOB, Party.SONAI):
             raise ValueError("reveal_first must be a receiver")
+        if self.one_ahead_limit < 1:
+            raise ValueError(f"one_ahead_limit must be at least 1, got {self.one_ahead_limit}")
+        if self.timeout_ticks < 1:
+            raise ValueError(f"timeout_ticks must be at least 1, got {self.timeout_ticks}")
 
 
 @dataclass(eq=False)
@@ -151,16 +165,16 @@ def prepared_block_from_signs(entry: CodebookEntry, signs: Sequence[int]) -> Pre
 def alice_prepare(
     bits: tuple[int, int],
     cb: Codebook,
-    noise: NoiseModel,
+    noise: float,
     rng: np.random.Generator,
     noise_rng_bob: np.random.Generator | None = None,
     noise_rng_sonai: np.random.Generator | None = None,
 ) -> PreparedBlock:
     """Pick the entry for ``bits``, draw a fresh block, arrange both sides,
-    then corrupt each delivered side independently per the noise model."""
+    then flip each delivered outcome independently with probability ``noise``."""
     entry = cb.entry_for_bits(*bits)
     prepared = prepared_block_from_signs(entry, sample_block(cb.n, rng))
-    if not noise.noiseless:
+    if noise:
         rng_b = noise_rng_bob if noise_rng_bob is not None else rng
         rng_s = noise_rng_sonai if noise_rng_sonai is not None else rng
         prepared.bob_sequence = flip_outcomes(prepared.bob_sequence, noise, rng_b)
@@ -175,12 +189,12 @@ def measure_all(party: Party, block: PreparedBlock) -> np.ndarray:
     return block.sequence_for(party).copy()
 
 
-def prepare_block(seed: int, noise: NoiseModel, bits: tuple[int, int], cb: Codebook) -> PreparedBlock:
+def prepare_block(seed: int, noise: float, bits: tuple[int, int], cb: Codebook) -> PreparedBlock:
     """The block of the session at ``seed``, from that seed's prepare and
     noise substreams. A noiseless block draws no noise, so its noise
     substreams are never built."""
     keys = (rng_mod.KEY_NOISE_BOB, rng_mod.KEY_NOISE_SONAI)
-    noise_rngs = [None if noise.noiseless else rng_mod.substream(seed, key) for key in keys]
+    noise_rngs = [rng_mod.substream(seed, key) if noise else None for key in keys]
     return alice_prepare(bits, cb, noise, rng_mod.substream(seed, rng_mod.KEY_PREPARE), *noise_rngs)
 
 
@@ -473,7 +487,7 @@ class Receiver:
         """log2 of the chance the entry for ``bits`` would have passed its
         completed checks were the entry for ``reference_bits`` the true one.
         Exact only for noiseless sessions, so noisy ones raise."""
-        if not self.config.noise.noiseless:
+        if self.config.noise:
             raise ValueError("exact survival rank applies only to noiseless sessions")
         order = [e.bits for e in self.codebook.entries]
         i, j = order.index(tuple(bits)), order.index(tuple(reference_bits))
@@ -508,7 +522,7 @@ def _decode_candidates(cb: Codebook, checks: Sequence[int], violations: Sequence
     alive = [i for i in range(len(checks)) if violations[i] <= delta * checks[i]]
     if not alive:
         return DecodeResult.aborted(AbortReason.NO_CONSISTENT_ENTRY)
-    if config.noise.noiseless:
+    if not config.noise:
         lead = alive[0]  # entries stay in the fixed bit-pair order
         ranks = (_survival_log2(passed[i], cb.cycles(i, lead)) for i in alive[1:])
         confidence = max(0.0, 1.0 - sum(2.0 ** rank for rank in ranks))
@@ -520,7 +534,7 @@ def _decode_candidates(cb: Codebook, checks: Sequence[int], violations: Sequence
         # posterior of each entry under a uniform prior, after any prefix. A
         # truncated replay completes different counts per entry, and there
         # the weight is a score, not that posterior.
-        eps = config.noise.flip_probability
+        eps = config.noise
         q = 2.0 * eps * (1.0 - eps)
         loglik = [
             v * math.log(q) + (k - v) * math.log1p(-q) if k else 0.0
@@ -621,7 +635,6 @@ def run_session(
     bits: tuple[int, int],
     strategies: dict[Party, object] | None = None,
     cb: Codebook | None = None,
-    policy: object | None = None,
 ) -> SessionOutcome:
     """Run one complete session on the deterministic network simulator.
 
@@ -632,7 +645,7 @@ def run_session(
 
     if cb is None:
         cb = resolve_codebook(None, config.n, config.lam, config.seed)
-    world = netsim.build_world(config, bits, cb=cb, strategies=strategies, policy=policy)
+    world = netsim.build_world(config, bits, cb=cb, strategies=strategies)
     return netsim.run_world(world)
 
 
@@ -675,21 +688,17 @@ def encode_message(bob_msg: str, sonai_msg: str, config: ProtocolConfig) -> Mess
 
 
 def decode_message(outcomes: Sequence[SessionOutcome]) -> tuple[str, str]:
-    """Concatenate per-session decodes; any non-decoded session fails the
-    whole message."""
+    """Concatenate the sessions' terminal bits; a session whose terminal
+    record is not decoded fails the whole message."""
     bob: list[str] = []
     sonai: list[str] = []
     for index, outcome in enumerate(outcomes):
-        result = outcome.results[Party.BOB]
-        other = outcome.results[Party.SONAI]
-        for res in (result, other):
-            if res.status is not DecodeStatus.DECODED:
-                reason = res.abort_reason.value if res.abort_reason else res.status.value
-                raise ProtocolViolationError(f"message block {index} did not decode: {reason}")
-        if (result.bob_bit, result.sonai_bit) != (other.bob_bit, other.sonai_bit):
-            raise ProtocolViolationError(f"message block {index}: receivers disagree")
-        bob.append(str(result.bob_bit))
-        sonai.append(str(result.sonai_bit))
+        terminal = outcome.terminal
+        if terminal.status is not DecodeStatus.DECODED:
+            reason = terminal.abort_reason.value if terminal.abort_reason else terminal.status.value
+            raise ProtocolViolationError(f"message block {index} did not decode: {reason}")
+        bob.append(str(terminal.bob_bit))
+        sonai.append(str(terminal.sonai_bit))
     return "".join(bob), "".join(sonai)
 
 
@@ -698,7 +707,6 @@ def run_message(
     sonai_msg: str,
     config: ProtocolConfig,
     strategies: dict[Party, object] | None = None,
-    policy: object | None = None,
 ) -> tuple[list[SessionOutcome], tuple[str, str]]:
     """Encode, run one session per bit pair, decode. Raises on any block
     that fails to decode, mirroring decode_message."""
@@ -712,7 +720,6 @@ def run_message(
                 (frame.bob_bits[index], frame.sonai_bits[index]),
                 strategies=strategies,
                 cb=frame.codebooks[index],
-                policy=policy,
             )
         )
     return outcomes, decode_message(outcomes)

@@ -21,7 +21,6 @@ from entpost.codebook import (
     reference_codebook,
     validate_codebook,
 )
-from entpost.epr import NoiseModel
 from entpost.montecarlo import ExperimentSpec, run_experiment
 from entpost.netsim import WithholdAfter, fairness_gap
 from entpost.protocol import (
@@ -201,7 +200,7 @@ def test_a5_noise_margin():
     t0 = time.perf_counter()
     spec = ExperimentSpec(
         mode="honest", n=256, lam=16, seed=4242, trials=10_000,
-        noise=NoiseModel(0.05), delta=0.25,
+        noise=0.05, delta=0.25,
     )
     _, rep = run_experiment(spec)
     elapsed = time.perf_counter() - t0

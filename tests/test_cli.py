@@ -1,12 +1,14 @@
 """Command line behavior: output, artifacts, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entpost.cli import EXIT_ABORT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from entpost.cli import (EXIT_ABORT, EXIT_IO, EXIT_OK, EXIT_USAGE, _config_from_args, build_parser,
+                         main)
 from entpost.codebook import (
     REFERENCE_RAW_FOURTH,
     codebook_to_document,
@@ -14,6 +16,7 @@ from entpost.codebook import (
     save_codebook,
 )
 from entpost.montecarlo import ExperimentSpec, aggregate_rows, read_rows_csv
+from entpost.protocol import ProtocolConfig
 
 from json_junk import junk_transcripts
 
@@ -103,6 +106,41 @@ def test_message_mode(capsys):
     assert "bob_message: 101" in out
     assert "sonai_message: 110" in out
     assert out.count("block ") == 3
+
+
+def test_message_mode_rejects_single_session_flags(tmp_path, capsys):
+    events = tmp_path / "ev.jsonl"
+    for flag, value in (("--codebook", str(tmp_path / "absent.json")),
+                        ("--codebook", "reference"), ("--events-out", str(events))):
+        code, _, err = run_cli(capsys, "run", "--bob-msg", "1", "--sonai-msg", "0",
+                               flag, value, "--seed", "1")
+        assert code == EXIT_USAGE
+        assert f"error: {flag} and --bob-msg/--sonai-msg are mutually exclusive" in err
+    assert not events.exists()
+
+
+def test_message_block_that_fails_reports_the_terminal_reason(capsys):
+    code, out, err = run_cli(capsys, "run", "--bob-msg", "10", "--sonai-msg", "01",
+                             "--strategy-bob", "lie:1.0", "--seed", "1")
+    assert code == EXIT_ABORT
+    assert err == "error: message block 0 did not decode: no_consistent_entry\n"
+    assert "bob_message" not in out
+
+
+@pytest.mark.parametrize("command", ["run", "montecarlo"])
+def test_every_config_field_has_a_flag(command):
+    # every flag set off its default must reach its config field, so a field
+    # without a flag, or a flag that is dropped, fails here
+    args = build_parser().parse_args([
+        command, "--n", "16", "--lambda", "4", "--noise", "0.05", "--delta", "0.25",
+        "--confidence-target", "0.9", "--reveal-first", "sonai",
+        "--policy-one-ahead", "2", "--timeout", "5",
+    ])
+    config = _config_from_args(args, seed=7)
+    default = ProtocolConfig()
+    assert config.seed == 7
+    assert [f.name for f in dataclasses.fields(ProtocolConfig) if f.name != "seed"
+            and getattr(config, f.name) == getattr(default, f.name)] == []
 
 
 def test_codebook_gen_and_validate(tmp_path, capsys):

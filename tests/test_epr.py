@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from entpost.codebook import make_entry, reference_codebook
-from entpost.epr import NOISELESS, NoiseModel, SpinOutcome, flip_outcomes, sample_block
-from entpost.protocol import alice_prepare, prepared_block_from_signs
+from entpost.epr import SpinOutcome, flip_outcomes, sample_block
+from entpost.protocol import ProtocolConfig, alice_prepare, prepared_block_from_signs
 from entpost.rng import substream
 
 REF = reference_codebook()
@@ -27,7 +27,7 @@ def test_singlet_always_anti_correlated():
     seen = set()
     for seed in range(50):
         for bits in ((0, 0), (1, 1), (0, 1), (1, 0)):
-            block = alice_prepare(bits, REF, NOISELESS, substream(seed, 1))
+            block = alice_prepare(bits, REF, 0.0, substream(seed, 1))
             assert np.array_equal(block.bob_sequence, -partner_outcomes(block))
             seen.update(zip(block.bob_sequence.tolist(), partner_outcomes(block).tolist()))
     # both orientations occur
@@ -41,21 +41,19 @@ def test_singlet_orientation_is_unbiased():
 
 
 def test_noise_model_validation():
-    NoiseModel(0.0)
-    NoiseModel(0.5)
-    with pytest.raises(ValueError):
-        NoiseModel(-0.01)
-    with pytest.raises(ValueError):
-        NoiseModel(0.51)
-    assert NOISELESS.noiseless
-    assert not NoiseModel(0.05).noiseless
+    assert ProtocolConfig(noise=0.0).noise == 0.0
+    assert ProtocolConfig(noise=0.5).noise == 0.5
+    with pytest.raises(ValueError, match=r"flip probability must lie in \[0, 0.5\], got -0.01"):
+        ProtocolConfig(noise=-0.01)
+    with pytest.raises(ValueError, match=r"flip probability must lie in \[0, 0.5\], got 0.51"):
+        ProtocolConfig(noise=0.51)
 
 
 def test_flip_outcomes_noiseless_is_identity():
     rng = substream(5, 3)
     values = sample_block(50, rng)
     state = rng.bit_generator.state
-    assert np.array_equal(flip_outcomes(values, NOISELESS, rng), values)
+    assert np.array_equal(flip_outcomes(values, 0.0, rng), values)
     # no draws, so a noiseless run leaves the noise streams untouched
     assert rng.bit_generator.state == state
 
@@ -64,7 +62,7 @@ def test_flip_outcomes_flip_rate():
     rng = substream(11, 4)
     trials = 40000
     values = sample_block(trials, rng)
-    flips = int(np.sum(flip_outcomes(values, NoiseModel(0.25), rng) != values))
+    flips = int(np.sum(flip_outcomes(values, 0.25, rng) != values))
     rate = flips / trials
     assert abs(rate - 0.25) < 5 * (0.25 * 0.75 / trials) ** 0.5
 
@@ -73,7 +71,7 @@ def noisy_anti_correlated_fraction(eps, blocks, stream):
     anti = 0
     for seed in range(blocks):
         block = alice_prepare(
-            (0, 1), REF, NoiseModel(eps), substream(seed, stream),
+            (0, 1), REF, eps, substream(seed, stream),
             noise_rng_bob=substream(seed, stream + 1),
             noise_rng_sonai=substream(seed, stream + 2),
         )
@@ -116,11 +114,11 @@ def test_flip_outcomes_copies_and_preserves_domain():
     rng = substream(31, 10)
     values = sample_block(64, rng)
     before = values.copy()
-    flipped = flip_outcomes(values, NoiseModel(0.5), rng)
+    flipped = flip_outcomes(values, 0.5, rng)
     assert np.array_equal(values, before)
     assert flipped is not values
     assert set(np.unique(flipped)) <= {-1, 1}
-    same = flip_outcomes(values, NOISELESS, rng)
+    same = flip_outcomes(values, 0.0, rng)
     assert np.array_equal(same, values)
     assert same is not values
 

@@ -9,7 +9,6 @@ import pytest
 
 from entpost import montecarlo
 from entpost.codebook import reference_codebook, save_codebook
-from entpost.epr import NoiseModel
 from entpost.montecarlo import (
     ExperimentSpec,
     aggregate_rows,
@@ -19,7 +18,7 @@ from entpost.montecarlo import (
     write_report_json,
     write_rows_csv,
 )
-from entpost.netsim import WithholdAfter
+from entpost.netsim import WithholdAfter, parse_strategy
 from entpost.protocol import Party, ProtocolConfig, run_session
 from entpost.rng import KEY_TRIAL, derive_seed
 
@@ -37,18 +36,19 @@ def test_spec_validation():
             ProtocolConfig(**bad)
         with pytest.raises(ValueError):
             ExperimentSpec(**bad)
-    assert ExperimentSpec(noise=0.1).noise.flip_probability == 0.1
+    assert ExperimentSpec(noise=0.1).noise == 0.1
     assert ExperimentSpec(reveal_first="sonai").reveal_first is Party.SONAI
 
 
 def test_spec_is_a_protocol_config():
     spec = ExperimentSpec(mode="soundness", n=8, lam=4, noise=0.05, delta=0.25,
-                          reveal_first="sonai", seed=3, trials=7, codebook="reference")
+                          reveal_first="sonai", seed=3, one_ahead_limit=2, timeout_ticks=5,
+                          trials=7, codebook="reference")
     assert isinstance(spec, ProtocolConfig)
     config = spec.config(seed=99)
     assert type(config) is ProtocolConfig
-    assert config == ProtocolConfig(n=8, lam=4, noise=0.05, delta=0.25,
-                                    reveal_first="sonai", seed=99)
+    assert config == ProtocolConfig(n=8, lam=4, noise=0.05, delta=0.25, reveal_first="sonai",
+                                    seed=99, one_ahead_limit=2, timeout_ticks=5)
 
 
 def test_trial_bits_cycles_all_four_by_default():
@@ -223,7 +223,7 @@ def test_report_json_is_stable(tmp_path):
 def test_noisy_experiment_aggregates_cleanly():
     spec = ExperimentSpec(
         mode="honest", n=64, lam=16, seed=6, trials=30,
-        noise=NoiseModel(0.05), delta=0.25,
+        noise=0.05, delta=0.25,
     )
     rows, report = run_experiment(spec)
     assert report.trials == 30
@@ -234,9 +234,11 @@ def test_noisy_experiment_aggregates_cleanly():
 
 
 # sha256 of the CSV followed by the report JSON of run_experiment, recorded
-# before the batch fold replaced the per-trial receivers. Each case is
-# (mode, n, lam, codebook, noise, delta, reveal_first, bits, trials, workers);
-# the base seed is n * 100 + trials.
+# before the batch fold replaced the per-trial receivers (the session cases
+# before pacing moved into ProtocolConfig). Each case is (mode, n, lam,
+# codebook, noise, delta, reveal_first, bits, trials, workers), optionally
+# followed by a dict of extra spec keywords: strategy texts and pacing
+# fields. The base seed is n * 100 + trials.
 PINNED_EXPERIMENTS = [
     (("honest", 8, 4, "reference", 0.0, 0.0, "bob", None, 40, 1),
      "0cfabaf60365c7854c6e560e6c59d9e876d9491674b4d74a069de02ac14a29ab"),
@@ -266,23 +268,52 @@ PINNED_EXPERIMENTS = [
      "0528d0b82fefbe2e10ae4624152466ac7be56246f1077ba15b9a721ae3548c0e"),
     (("soundness", 256, 16, None, 0.0, 0.1, "bob", None, 6, 1),
      "d899a5cbaa15b5e37f4fbb96e9420dfefcb552112684fc88f61b0255351ee424"),
+    (("session", 8, 4, "reference", 0.0, 0.0, "bob", None, 24, 1),
+     "43adb54a80b27c70d346173bef13e0737a21405af28eb8962ec2e5181f91adc8"),
+    (("session", 8, 4, "reference", 0.0, 0.0, "sonai", None, 20, 2,
+      dict(strategy_sonai="withhold:3")),
+     "550558f612d7b824c7012d19c666b21c6d72d0cb6903b30aa59c99226277f975"),
+    (("session", 8, 4, "reference", 0.05, 0.25, "bob", (1, 0), 22, 1,
+      dict(strategy_bob="batchdump")),
+     "2627fd3c3c9c7601ad7286fd46da09aea0fcb109d62769744c9c42aed4a7008b"),
+    (("session", 32, 8, None, 0.05, 0.25, "sonai", None, 16, 2,
+      dict(strategy_bob="lie:0.3")),
+     "779e0d33faa37066a81d922573dc372a6d049ff00013ce70b0bb8a19eb984c5e"),
+    (("session", 32, 8, None, 0.0, 0.0, "bob", None, 18, 1,
+      dict(strategy_sonai="withhold:9", one_ahead_limit=2, timeout_ticks=5)),
+     "07e21d0095359f09f755a5dca7c1f387983af1b05c4ca2ceaafd255f577d3a18"),
+    (("session", 8, 4, "reference", 0.05, 0.25, "sonai", None, 26, 2,
+      dict(strategy_bob="withhold:4", strategy_sonai="lie:0.3", one_ahead_limit=2,
+           timeout_ticks=5)),
+     "17a665e650d26db6a0fa520bc9d1d658cd2b89d0afb6985fe42b4a7a27740451"),
+    (("session", 32, 8, None, 0.0, 0.0, "sonai", (0, 1), 14, 1,
+      dict(strategy_sonai="batchdump", one_ahead_limit=2, timeout_ticks=5)),
+     "eec8f284becfc3342b5502ab2bd27f63d0e119f3e6e13bdc10b8861eee1d9d67"),
 ]
 
 
 def _case_id(case) -> str:
-    mode, n, lam, book, eps, delta, opener, bits, trials, workers = case
+    mode, n, lam, book, eps, delta, opener, bits, trials, workers, *extra = case
     bits_id = "cycling" if bits is None else f"{bits[0]}{bits[1]}"
+    extra_id = "".join(f"-{key}={value}" for keywords in extra for key, value in keywords.items())
     return (f"{mode}-n{n}-{book or 'gen'}-eps{eps}-delta{delta}-{opener}-{bits_id}"
-            f"-t{trials}-w{workers}")
+            f"-t{trials}-w{workers}{extra_id}")
+
+
+def _extra_keywords(extra: list) -> dict:
+    """The spec keywords of a case's optional trailing dict, strategies parsed."""
+    return {key: parse_strategy(value) if key.startswith("strategy_") else value
+            for keywords in extra for key, value in keywords.items()}
 
 
 @pytest.mark.parametrize(
     "case, digest", PINNED_EXPERIMENTS, ids=[_case_id(case) for case, _ in PINNED_EXPERIMENTS]
 )
 def test_montecarlo_bytes_are_pinned(case, digest):
-    mode, n, lam, book, eps, delta, opener, bits, trials, workers = case
+    mode, n, lam, book, eps, delta, opener, bits, trials, workers, *extra = case
     spec = ExperimentSpec(mode=mode, n=n, lam=lam, codebook=book, noise=eps, delta=delta,
-                          reveal_first=opener, bits=bits, trials=trials, seed=n * 100 + trials)
+                          reveal_first=opener, bits=bits, trials=trials, seed=n * 100 + trials,
+                          **_extra_keywords(extra))
     rows, report = run_experiment(spec, workers=workers)
     buf = io.StringIO()
     write_rows_csv(rows, buf)

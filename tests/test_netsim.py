@@ -11,7 +11,6 @@ from entpost.codebook import reference_codebook
 from entpost.netsim import (
     Action,
     BatchDump,
-    FairnessPolicy,
     Honest,
     LieWithProb,
     WithholdAfter,
@@ -42,30 +41,30 @@ def config8(**kw):
 
 
 def test_enforce_fairness_opener_window():
-    policy = FairnessPolicy(one_ahead_limit=1, timeout_ticks=16)
-    assert enforce_fairness(policy, 0, 0, 0, True) is Action.PROCEED
-    assert enforce_fairness(policy, 1, 0, 0, True) is Action.STALL
-    assert enforce_fairness(policy, 1, 1, 0, True) is Action.PROCEED
+    config = config8(one_ahead_limit=1, timeout_ticks=16)
+    assert enforce_fairness(config, 0, 0, 0, True) is Action.PROCEED
+    assert enforce_fairness(config, 1, 0, 0, True) is Action.STALL
+    assert enforce_fairness(config, 1, 1, 0, True) is Action.PROCEED
 
 
 def test_enforce_fairness_non_opener_stays_behind():
-    policy = FairnessPolicy(one_ahead_limit=1, timeout_ticks=16)
-    assert enforce_fairness(policy, 0, 0, 0, False) is Action.STALL
-    assert enforce_fairness(policy, 0, 1, 0, False) is Action.PROCEED
-    assert enforce_fairness(policy, 1, 1, 0, False) is Action.STALL
+    config = config8(one_ahead_limit=1, timeout_ticks=16)
+    assert enforce_fairness(config, 0, 0, 0, False) is Action.STALL
+    assert enforce_fairness(config, 0, 1, 0, False) is Action.PROCEED
+    assert enforce_fairness(config, 1, 1, 0, False) is Action.STALL
 
 
 def test_enforce_fairness_timeout_takes_precedence():
-    policy = FairnessPolicy(one_ahead_limit=1, timeout_ticks=4)
-    assert enforce_fairness(policy, 0, 1, 4, False) is Action.ABORT_TIMEOUT
-    assert enforce_fairness(policy, 0, 1, 3, False) is Action.PROCEED
+    config = config8(one_ahead_limit=1, timeout_ticks=4)
+    assert enforce_fairness(config, 0, 1, 4, False) is Action.ABORT_TIMEOUT
+    assert enforce_fairness(config, 0, 1, 3, False) is Action.PROCEED
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        FairnessPolicy(one_ahead_limit=0)
-    with pytest.raises(ValueError):
-        FairnessPolicy(timeout_ticks=0)
+    with pytest.raises(ValueError, match="one_ahead_limit must be at least 1, got 0"):
+        config8(one_ahead_limit=0)
+    with pytest.raises(ValueError, match="timeout_ticks must be at least 1, got 0"):
+        config8(timeout_ticks=0)
 
 
 # -- strategy parsing ---------------------------------------------------------
@@ -173,9 +172,8 @@ def test_withholding_counterpart_forces_timeout_abort():
 
 
 def test_withholding_opener_stalls_everyone():
-    policy = FairnessPolicy(timeout_ticks=5)
     outcome = run_session(
-        config8(), (1, 0), cb=REF, strategies={Party.BOB: WithholdAfter(0)}, policy=policy
+        config8(timeout_ticks=5), (1, 0), cb=REF, strategies={Party.BOB: WithholdAfter(0)}
     )
     assert outcome.terminal.status is DecodeStatus.ABORT
     assert outcome.terminal.abort_reason is AbortReason.TIMEOUT
@@ -253,9 +251,8 @@ def test_tick_budgets():
     honest = run_session(config8(), (0, 0), cb=REF)
     assert honest.ticks == 17
     # worst case stays inside the hard budget used by the runner
-    policy = FairnessPolicy(timeout_ticks=16)
     stalled = run_session(
-        config8(), (0, 0), cb=REF, strategies={Party.SONAI: WithholdAfter(7)}, policy=policy
+        config8(timeout_ticks=16), (0, 0), cb=REF, strategies={Party.SONAI: WithholdAfter(7)}
     )
     assert stalled.ticks <= 4 * 8 + 16 + 8
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from entpost import protocol
 from entpost.codebook import Codebook, effective_distance, make_entry, reference_codebook
-from entpost.epr import NOISELESS, NoiseModel, SpinOutcome
+from entpost.epr import SpinOutcome
 from entpost.protocol import (
     AbortReason,
     DecodeStatus,
@@ -91,14 +91,19 @@ def test_config_validation():
         ProtocolConfig(confidence_target=0.0)
     with pytest.raises(ValueError):
         ProtocolConfig(reveal_first=Party.ALICE)
-    # bare numbers and party names are accepted and wrapped
+    # numbers and party names are accepted and converted
     cfg = ProtocolConfig(noise=0.05, reveal_first="sonai")
-    assert cfg.noise == NoiseModel(0.05)
+    assert cfg.noise == 0.05
     assert cfg.reveal_first is Party.SONAI
+    assert type(ProtocolConfig(noise=0).noise) is float
     # a negative zero is stored as 0.0, so no report prints "-0.0"
-    assert math.copysign(1.0, ProtocolConfig(noise=-0.0).noise.flip_probability) == 1.0
-    with pytest.raises(ValueError):
-        ProtocolConfig(noise=NoiseModel(0.6))
+    assert math.copysign(1.0, ProtocolConfig(noise=-0.0).noise) == 1.0
+    with pytest.raises(ValueError, match=r"flip probability must lie in \[0, 0.5\], got 0.6"):
+        ProtocolConfig(noise=0.6)
+    # anything but a number is refused at construction, a numeric string too
+    for bad in (True, False, "0.1", None):
+        with pytest.raises(ValueError, match="noise must be a number"):
+            ProtocolConfig(noise=bad)
 
 
 # -- preparation --------------------------------------------------------------
@@ -115,7 +120,7 @@ def test_prepared_block_honors_every_pairing():
 
 def test_alice_prepare_noiseless_passes_all_truth_checks():
     for bits in [(0, 0), (1, 1), (0, 1), (1, 0)]:
-        block = alice_prepare(bits, REF, NOISELESS, substream(3, 1))
+        block = alice_prepare(bits, REF, 0.0, substream(3, 1))
         entry = REF.entry_for_bits(*bits)
         for k in range(1, 9):
             partner = entry.partner_maps[0][k - 1] + 1
@@ -123,11 +128,11 @@ def test_alice_prepare_noiseless_passes_all_truth_checks():
 
 
 def test_alice_prepare_noise_uses_dedicated_streams():
-    clean = alice_prepare((0, 0), REF, NOISELESS, substream(5, 1))
+    clean = alice_prepare((0, 0), REF, 0.0, substream(5, 1))
     noisy = alice_prepare(
         (0, 0),
         REF,
-        NoiseModel(0.5),
+        0.5,
         substream(5, 1),
         noise_rng_bob=substream(5, 2),
         noise_rng_sonai=substream(5, 3),
@@ -139,7 +144,7 @@ def test_alice_prepare_noise_uses_dedicated_streams():
 
 
 def test_measure_all_is_a_stable_readout():
-    block = alice_prepare((1, 0), REF, NOISELESS, substream(6, 1))
+    block = alice_prepare((1, 0), REF, 0.0, substream(6, 1))
     first = measure_all(Party.BOB, block)
     second = measure_all(Party.BOB, block)
     assert np.array_equal(first, second)
@@ -442,7 +447,7 @@ def test_full_machinery_survival_matches_oracle_for_every_pair():
 
 
 def test_survival_rank_requires_noiseless_config():
-    config = small_config(noise=NoiseModel(0.05), delta=0.25)
+    config = small_config(noise=0.05, delta=0.25)
     block, bob, _ = build_receivers((0, 0), config)
     reveal_all(bob, block.sonai_sequence)
     with pytest.raises(ValueError):
@@ -548,7 +553,7 @@ def test_noisy_decode_confidence_is_the_exact_posterior():
     # a noisy receiver's confidence is the posterior of its lead entry under
     # a uniform prior, enumerated over entry x orientation x flips, both
     # after the full exchange and after every prefix of it
-    config = ProtocolConfig(n=64, lam=16, noise=NoiseModel(0.05), delta=0.25, seed=5)
+    config = ProtocolConfig(n=64, lam=16, noise=0.05, delta=0.25, seed=5)
     outcome = run_session(config, (1, 0))
     res = outcome.results[Party.BOB]
     assert res.status is DecodeStatus.DECODED
@@ -779,7 +784,7 @@ def test_survival_rank_matches_constraint_graph_oracle(case, seed):
     truth, cand = make_entry((0, 0), truth_sj), make_entry((1, 1), cand_sj)
     cb = Codebook(n=n, lam=1, entries=(truth, cand))
     config = ProtocolConfig(n=n, lam=1, delta=0.49, seed=seed)
-    block = alice_prepare((0, 0), cb, NOISELESS, substream(seed, 1))
+    block = alice_prepare((0, 0), cb, 0.0, substream(seed, 1))
     receiver = Receiver(party, cb, measure_all(party, block), config)
     side = 0 if party is Party.BOB else 1
     own_partner = cand.partner_maps[1 - side]  # counterpart position -> own position
