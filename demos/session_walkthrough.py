@@ -17,11 +17,11 @@ from entpost import (
     Party,
     ProtocolConfig,
     Receiver,
-    alice_prepare,
-    measure_all,
     reference_codebook,
     run_session,
+    sample_block,
 )
+from entpost.protocol import prepared_block_from_signs
 
 SEED = 20240712
 BITS = (1, 0)
@@ -41,13 +41,14 @@ def main():
     config = ProtocolConfig(n=8, lam=4, seed=SEED, confidence_target=0.9)
     rng = np.random.default_rng(SEED)
 
-    block = alice_prepare(BITS, cb, 0.0, rng)
-    bob = Receiver(Party.BOB, cb, measure_all(Party.BOB, block), config)
-    sonai = Receiver(Party.SONAI, cb, measure_all(Party.SONAI, block), config)
+    # the session table: bob's outcomes, then sonai's, each in its own order
+    table = prepared_block_from_signs(cb.entry_for_bits(*BITS), sample_block(cb.n, rng))
+    bob = Receiver(Party.BOB, cb, table[0], config)
+    sonai = Receiver(Party.SONAI, cb, table[1], config)
 
     print(f"encoded double bit: {BITS[0]}{BITS[1]}  (bob bit, sonai bit)")
-    print(f"bob outcomes:   {' '.join('+' if v > 0 else '-' for v in bob.own)}")
-    print(f"sonai outcomes: {' '.join('+' if v > 0 else '-' for v in sonai.own)}")
+    print(f"bob outcomes:   {' '.join('+' if v > 0 else '-' for v in table[0])}")
+    print(f"sonai outcomes: {' '.join('+' if v > 0 else '-' for v in table[1])}")
     print()
     print("round  revealer  pos  val   bob alive            sonai alive")
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import rng as rng_mod
 from .codebook import BIT_PAIR_ORDER, Codebook, resolve_codebook
 from .netsim import Honest, Strategy, fairness_gap
-from .protocol import (Party, ProtocolConfig, TerminalRecord, decode_block, prepare_block,
+from .protocol import (Party, ProtocolConfig, TerminalRecord, alice_prepare, decode_block,
                        run_session, terminal_record)
 
 __all__ = [
@@ -106,18 +106,16 @@ def run_trial(spec: ExperimentSpec, cb: Codebook, trial: int) -> dict:
 
 
 def _fold_trials(spec: ExperimentSpec, cb: Codebook, start: int, stop: int) -> list[dict]:
-    """Rows of the honest or soundness trials start..stop-1. Each block is
-    prepared from its trial's own seed, as in ``prepare_session``. Both
-    receivers end holding the same table, so it is folded over all trials at
-    once and decoded once per trial for both. A complete honest run takes
-    2n + 1 ticks with a lead of one."""
+    """Rows of the honest or soundness trials start..stop-1. Each table is
+    prepared from its trial's own seed, as ``build_world`` prepares it. Both
+    receivers end holding that table, so the (trials, 2, n) stack of them is
+    folded at once and decoded once per trial for both. A complete honest
+    run takes 2n + 1 ticks with a lead of one."""
     trials = range(start, stop)
     seeds = [rng_mod.derive_seed(spec.seed, rng_mod.KEY_TRIAL, t) for t in trials]
     bits = [spec.trial_bits(t) for t in trials]
-    blocks = [prepare_block(seed, spec.noise, b, cb) for seed, b in zip(seeds, bits)]
-    bob = np.stack([block.bob_sequence for block in blocks])
-    sonai = np.stack([block.sonai_sequence for block in blocks])
-    results, alive_entries = decode_block(cb, spec, bob, sonai)
+    tables = np.stack([alice_prepare(seed, spec.noise, b, cb) for seed, b in zip(seeds, bits)])
+    results, alive_entries = decode_block(cb, spec, tables)
     rows = []
     for i, trial in enumerate(trials):
         terminal = terminal_record(results[i], results[i])

@@ -35,7 +35,7 @@ from .protocol import (
     RevealEvent,
     SessionOutcome,
     Transcript,
-    prepare_session,
+    alice_prepare,
     terminal_record,
 )
 
@@ -334,21 +334,22 @@ def build_world(
     cb: Codebook,
     strategies: dict[Party, Strategy] | None = None,
 ) -> World:
-    """Prepare a block from the config seed and wire up both receivers."""
+    """Prepare the table of the config seed and wire up both receivers, each
+    holding its own row."""
     if cb.n != config.n:
         raise ValueError(f"codebook size {cb.n} does not match config n {config.n}")
     strategies = dict(strategies or {})
-    _, receivers = prepare_session(config, bits, cb)
+    table = alice_prepare(config.seed, config.noise, bits, cb)
     lie_keys = {Party.BOB: rng_mod.KEY_LIE_BOB, Party.SONAI: rng_mod.KEY_LIE_SONAI}
     agents = {
         party: ReceiverAgent(
             party=party,
-            receiver=receiver,
+            receiver=Receiver(party, cb, table[side], config),
             strategy=strategies.get(party, Honest()),
             is_opener=(party is config.reveal_first),
             lie_rng=rng_mod.substream(config.seed, lie_keys[party]),
         )
-        for party, receiver in receivers.items()
+        for side, party in enumerate((Party.BOB, Party.SONAI))
     }
     world = World(config, cb, agents)
     # the sender hands each receiver its outcome sequence before the first tick

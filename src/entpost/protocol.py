@@ -27,7 +27,6 @@ __all__ = [
     "Party",
     "ProtocolConfig",
     "ProtocolViolationError",
-    "PreparedBlock",
     "RevealEvent",
     "TerminalRecord",
     "Transcript",
@@ -36,18 +35,12 @@ __all__ = [
     "AbortReason",
     "DecodeResult",
     "SessionOutcome",
-    "MessageFrame",
     "alice_prepare",
     "prepared_block_from_signs",
-    "measure_all",
-    "prepare_block",
-    "prepare_session",
     "decode_block",
     "decode_transcript",
     "terminal_record",
     "run_session",
-    "encode_message",
-    "decode_message",
     "run_message",
 ]
 
@@ -107,8 +100,15 @@ class ProtocolConfig:
     timeout_ticks: int = 16
 
     def __post_init__(self) -> None:
-        if isinstance(self.noise, bool) or not isinstance(self.noise, (int, float)):
-            raise ValueError(f"noise must be a number, got {self.noise!r}")
+        # type before range: a float size fails later in numpy, a string range here
+        for names, kinds, kind in (
+            (("n", "lam", "one_ahead_limit", "timeout_ticks"), int, "an integer"),
+            (("noise", "delta", "confidence_target"), (int, float), "a number"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kinds):
+                    raise ValueError(f"{name} must be {kind}, got {value!r}")
         # `or 0.0` turns -0.0 into 0.0, so reports never print "-0.0"
         object.__setattr__(self, "noise", float(self.noise) or 0.0)
         if not (0.0 <= self.noise <= 0.5):
@@ -133,82 +133,29 @@ class ProtocolConfig:
             raise ValueError(f"timeout_ticks must be at least 1, got {self.timeout_ticks}")
 
 
-@dataclass(eq=False)
-class PreparedBlock:
-    """Delivered outcomes for one session, arranged by each party's ordering.
-
-    Noiseless, bob_sequence[k] == -sonai_sequence[map(k)] for the entry's
-    pairing map at every position.
-    """
-
-    entry: CodebookEntry
-    bob_sequence: np.ndarray
-    sonai_sequence: np.ndarray
-
-    def sequence_for(self, party: Party) -> np.ndarray:
-        if party is Party.BOB:
-            return self.bob_sequence
-        if party is Party.SONAI:
-            return self.sonai_sequence
-        raise ValueError("only receivers hold outcome sequences")
-
-
-def prepared_block_from_signs(entry: CodebookEntry, signs: Sequence[int]) -> PreparedBlock:
-    """Noiseless block with sender-side orientations forced to ``signs``
-    (one +/-1 per pair label, in label order). Used for exhaustive studies."""
+def prepared_block_from_signs(entry: CodebookEntry, signs: Sequence[int]) -> np.ndarray:
+    """The noiseless (2, n) table of a session whose sender-side
+    orientations are ``signs`` (one +/-1 per pair label, in label order):
+    bob's row, then sonai's, each in its own position order, so that
+    table[0, k] == -table[1, map(k)] for the entry's pairing map at every
+    position. Used for exhaustive studies."""
     i_side = np.asarray(signs, dtype=np.int8)
     # bob's ordering is the sender's identity; sonai's position p holds label s_j[p]
-    sonai = (-i_side).take(entry.partner_arrays[1])
-    return PreparedBlock(entry=entry, bob_sequence=i_side.copy(), sonai_sequence=sonai)
+    return np.stack((i_side, (-i_side).take(entry.partner_arrays[1])))
 
 
-def alice_prepare(
-    bits: tuple[int, int],
-    cb: Codebook,
-    noise: float,
-    rng: np.random.Generator,
-    noise_rng_bob: np.random.Generator | None = None,
-    noise_rng_sonai: np.random.Generator | None = None,
-) -> PreparedBlock:
-    """Pick the entry for ``bits``, draw a fresh block, arrange both sides,
-    then flip each delivered outcome independently with probability ``noise``."""
-    entry = cb.entry_for_bits(*bits)
-    prepared = prepared_block_from_signs(entry, sample_block(cb.n, rng))
+def alice_prepare(seed: int, noise: float, bits: tuple[int, int], cb: Codebook) -> np.ndarray:
+    """The (2, n) table of the session at ``seed``: the entry for ``bits``
+    arranges a block drawn from the seed's prepare substream, then each
+    delivered outcome flips with probability ``noise``, each row drawing
+    from its own receiver's noise substream. A noiseless table draws no
+    noise, so its noise substreams are never built."""
+    rng = rng_mod.substream(seed, rng_mod.KEY_PREPARE)
+    table = prepared_block_from_signs(cb.entry_for_bits(*bits), sample_block(cb.n, rng))
     if noise:
-        rng_b = noise_rng_bob if noise_rng_bob is not None else rng
-        rng_s = noise_rng_sonai if noise_rng_sonai is not None else rng
-        prepared.bob_sequence = flip_outcomes(prepared.bob_sequence, noise, rng_b)
-        prepared.sonai_sequence = flip_outcomes(prepared.sonai_sequence, noise, rng_s)
-    return prepared
-
-
-def measure_all(party: Party, block: PreparedBlock) -> np.ndarray:
-    """The party's outcomes in its own position order. Outcomes are
-    predetermined at preparation, so measuring is a read-out and repeating it
-    changes nothing."""
-    return block.sequence_for(party).copy()
-
-
-def prepare_block(seed: int, noise: float, bits: tuple[int, int], cb: Codebook) -> PreparedBlock:
-    """The block of the session at ``seed``, from that seed's prepare and
-    noise substreams. A noiseless block draws no noise, so its noise
-    substreams are never built."""
-    keys = (rng_mod.KEY_NOISE_BOB, rng_mod.KEY_NOISE_SONAI)
-    noise_rngs = [rng_mod.substream(seed, key) if noise else None for key in keys]
-    return alice_prepare(bits, cb, noise, rng_mod.substream(seed, rng_mod.KEY_PREPARE), *noise_rngs)
-
-
-def prepare_session(
-    config: ProtocolConfig, bits: tuple[int, int], cb: Codebook
-) -> tuple[PreparedBlock, dict[Party, Receiver]]:
-    """Prepare the config seed's block and give each receiver its measured
-    outcomes."""
-    block = prepare_block(config.seed, config.noise, bits, cb)
-    receivers = {
-        party: Receiver(party, cb, measure_all(party, block), config)
-        for party in (Party.BOB, Party.SONAI)
-    }
-    return block, receivers
+        for side, key in enumerate((rng_mod.KEY_NOISE_BOB, rng_mod.KEY_NOISE_SONAI)):
+            table[side] = flip_outcomes(table[side], noise, rng_mod.substream(seed, key))
+    return table
 
 
 @dataclass(frozen=True)
@@ -376,16 +323,16 @@ class Transcript:
         return transcript
 
 
-def _fold_checks(cb: Codebook, bob: np.ndarray, sonai: np.ndarray):
-    """The check kernel, shared by receivers, batches and replay. ``bob`` and
-    ``sonai`` are (..., n) blocks of the table of known values, each row in
-    its own position order, with 0 where a value is still private. For each
-    entry, the check on bob's position k pairs it with sonai's partner
-    position: the product of the two values is 0 while either is private,
-    -1 when the check passes and +1 when it is violated. Returns done and
-    passed, each (..., entries, n) in bob's positions, so reveal order does
-    not matter."""
-    product = bob[..., None, :] * sonai.take(cb.partner_index, axis=-1)
+def _fold_checks(cb: Codebook, table: np.ndarray):
+    """The check kernel, shared by receivers, batches and replay. ``table``
+    is a (..., 2, n) block of tables of known values: bob's row, then
+    sonai's, each in its own position order, with 0 where a value is still
+    private. For each entry, the check on bob's position k pairs it with
+    sonai's partner position: the product of the two values is 0 while
+    either is private, -1 when the check passes and +1 when it is violated.
+    Returns done and passed, each (..., entries, n) in bob's positions, so
+    reveal order does not matter."""
+    product = table[..., 0, None, :] * table[..., 1, :].take(cb.partner_index, axis=-1)
     return product != 0, product < 0
 
 
@@ -405,13 +352,14 @@ def _survival_log2(passed: np.ndarray, cycles: tuple[np.ndarray, np.ndarray]) ->
 
 
 class Receiver:
-    """One receiver's view of the public table: its own row of outcomes and
-    the counterpart's row as revealed so far (``theirs``, 0 while private).
+    """One receiver's view of the session: the (2, n) ``table`` holding its
+    own row of outcomes and the counterpart's row as revealed so far (0
+    while private).
 
     Each counterpart reveal completes exactly one check per entry: the
     revealed outcome is compared with the own outcome at the entry's paired
     position, expecting opposite signs. ``violations`` counts, per entry,
-    the checks completed so far that failed; decoding folds the whole view.
+    the checks completed so far that failed; decoding folds the whole table.
     """
 
     def __init__(self, party: Party, cb: Codebook, own_outcomes: np.ndarray, config: ProtocolConfig):
@@ -421,8 +369,13 @@ class Receiver:
         self.party = party
         self.codebook = cb
         self.config = config
-        self.own = np.asarray(own_outcomes).tolist()
-        self.theirs = [0] * cb.n
+        self.table = np.zeros((2, cb.n), dtype=np.int8)
+        self.table[self.side] = own_outcomes
+        self._theirs = self.table[1 - self.side]  # a view: reveals write into the table
+        # Python ints of the own row for next_reveal and the violation
+        # counter: read from the int8 row instead, each access builds a numpy
+        # scalar, and an n=64 session mix ran about 11% slower
+        self._own = self.table[self.side].tolist()
         self.violations = [0] * len(cb.entries)
         # per entry: counterpart 0-based position -> own 0-based position
         self._own_partner = [e.partner_maps[1 - self.side] for e in cb.entries]
@@ -434,11 +387,11 @@ class Receiver:
     def next_reveal(self) -> tuple[int, int] | None:
         """(1-based position, own outcome) for the lowest unrevealed own
         position, or None when everything is out."""
-        if self.next_position >= len(self.own):
+        if self.next_position >= len(self._own):
             return None
         pos = self.next_position
         self.next_position += 1
-        return pos + 1, self.own[pos]
+        return pos + 1, self._own[pos]
 
     @property
     def sent_count(self) -> int:
@@ -447,19 +400,20 @@ class Receiver:
     # -- observation side --------------------------------------------------
 
     def observe_reveal(self, position: int, outcome: int) -> None:
-        """Fill one counterpart value into the view and count the checks it
-        violates: those whose paired own outcome has the same sign."""
+        """Fill one counterpart value into the table and count the checks it
+        violates: those whose paired own outcome has the same sign. A value
+        already filled in is a duplicate reveal."""
         q = position - 1
-        if not 0 <= q < len(self.own):
+        if not 0 <= q < len(self._own):
             raise ProtocolViolationError(f"reveal position out of range: {position}")
         if outcome not in (1, -1):
             raise ProtocolViolationError(f"reveal outcome must be +1 or -1, got {outcome!r}")
-        if self.theirs[q]:
+        if self._theirs[q]:
             counterpart = self.party.counterpart().value
             raise ProtocolViolationError(f"duplicate reveal of {counterpart} position {position}")
-        self.theirs[q] = outcome
+        self._theirs[q] = outcome
         self.received_count += 1
-        own = self.own
+        own = self._own
         self.violations = [v + (own[partner[q]] == outcome)
                            for v, partner in zip(self.violations, self._own_partner)]
 
@@ -476,13 +430,6 @@ class Receiver:
 
     # -- decoding ----------------------------------------------------------
 
-    def _view(self) -> tuple[np.ndarray, np.ndarray]:
-        """Bob's and sonai's rows of the table as this receiver knows them,
-        as one-trial (1, n) blocks."""
-        rows = (self.own, self.theirs) if self.side == 0 else (self.theirs, self.own)
-        table = np.array(rows, dtype=np.int8)
-        return table[:1], table[1:]
-
     def survival_log2(self, bits: tuple[int, int], reference_bits: tuple[int, int]) -> int:
         """log2 of the chance the entry for ``bits`` would have passed its
         completed checks were the entry for ``reference_bits`` the true one.
@@ -491,11 +438,11 @@ class Receiver:
             raise ValueError("exact survival rank applies only to noiseless sessions")
         order = [e.bits for e in self.codebook.entries]
         i, j = order.index(tuple(bits)), order.index(tuple(reference_bits))
-        _, passed = _fold_checks(self.codebook, *self._view())
-        return _survival_log2(passed[0, i], self.codebook.cycles(i, j))
+        _, passed = _fold_checks(self.codebook, self.table)
+        return _survival_log2(passed[i], self.codebook.cycles(i, j))
 
     def decode(self) -> "DecodeResult":
-        return decode_block(self.codebook, self.config, *self._view())[0][0]
+        return decode_block(self.codebook, self.config, self.table[None])[0][0]
 
 
 @dataclass(frozen=True)
@@ -550,13 +497,13 @@ def _decode_candidates(cb: Codebook, checks: Sequence[int], violations: Sequence
     return DecodeResult(DecodeStatus.UNDECIDED, None, None, confidence)
 
 
-def decode_block(cb: Codebook, config: ProtocolConfig, bob: np.ndarray,
-                 sonai: np.ndarray) -> tuple[list[DecodeResult], list[list[bool]]]:
-    """Fold and decode (trials, n) blocks of the table's two rows. Returns
-    each trial's decode result and which entries stayed alive, in codebook
+def decode_block(cb: Codebook, config: ProtocolConfig,
+                 tables: np.ndarray) -> tuple[list[DecodeResult], list[list[bool]]]:
+    """Fold and decode a (trials, 2, n) block of tables. Returns each
+    trial's decode result and which entries stayed alive, in codebook
     order. Both receivers of a complete exchange hold the same table, so one
     result serves both."""
-    done, passed = _fold_checks(cb, bob, sonai)
+    done, passed = _fold_checks(cb, tables)
     checks = done.sum(axis=-1)
     checks, violations = checks.tolist(), (checks - passed.sum(axis=-1)).tolist()
     results = [_decode_candidates(cb, k, v, passed[t], config)
@@ -583,8 +530,7 @@ def decode_transcript(cb: Codebook, transcript: Transcript, config: ProtocolConf
     """Decode from the public record alone. A complete transcript reveals
     the table both receivers end with, so replay reaches their end state; a
     truncated one yields a partial, usually undecided, view."""
-    table = _public_table(cb, transcript)
-    return decode_block(cb, config, table[:1], table[1:])[0][0]
+    return decode_block(cb, config, _public_table(cb, transcript)[None])[0][0]
 
 
 def terminal_record(
@@ -649,57 +595,10 @@ def run_session(
     return netsim.run_world(world)
 
 
-@dataclass(frozen=True)
-class MessageFrame:
-    """A multi-bit payload for each receiver, one prepared session per index."""
-
-    bob_bits: tuple[int, ...]
-    sonai_bits: tuple[int, ...]
-    codebooks: tuple[Codebook, ...]
-
-    def __len__(self) -> int:
-        return len(self.bob_bits)
-
-
 def _parse_bits(text: str) -> tuple[int, ...]:
     if not text or any(ch not in "01" for ch in text):
         raise ValueError(f"bit string must be non-empty over 0/1, got {text!r}")
     return tuple(int(ch) for ch in text)
-
-
-def encode_message(bob_msg: str, sonai_msg: str, config: ProtocolConfig) -> MessageFrame:
-    """Frame two equal-length bit strings: one session (and one fresh
-    codebook) per bit-pair index."""
-    bob_bits = _parse_bits(bob_msg)
-    sonai_bits = _parse_bits(sonai_msg)
-    if len(bob_bits) != len(sonai_bits):
-        raise ValueError(
-            f"message lengths differ: {len(bob_bits)} vs {len(sonai_bits)}"
-        )
-    codebooks = tuple(
-        generate_codebook(
-            config.n,
-            config.lam,
-            rng_mod.substream(config.seed, rng_mod.KEY_BLOCK, index, rng_mod.KEY_CODEBOOK),
-        )
-        for index in range(len(bob_bits))
-    )
-    return MessageFrame(bob_bits=bob_bits, sonai_bits=sonai_bits, codebooks=codebooks)
-
-
-def decode_message(outcomes: Sequence[SessionOutcome]) -> tuple[str, str]:
-    """Concatenate the sessions' terminal bits; a session whose terminal
-    record is not decoded fails the whole message."""
-    bob: list[str] = []
-    sonai: list[str] = []
-    for index, outcome in enumerate(outcomes):
-        terminal = outcome.terminal
-        if terminal.status is not DecodeStatus.DECODED:
-            reason = terminal.abort_reason.value if terminal.abort_reason else terminal.status.value
-            raise ProtocolViolationError(f"message block {index} did not decode: {reason}")
-        bob.append(str(terminal.bob_bit))
-        sonai.append(str(terminal.sonai_bit))
-    return "".join(bob), "".join(sonai)
 
 
 def run_message(
@@ -708,18 +607,26 @@ def run_message(
     config: ProtocolConfig,
     strategies: dict[Party, object] | None = None,
 ) -> tuple[list[SessionOutcome], tuple[str, str]]:
-    """Encode, run one session per bit pair, decode. Raises on any block
-    that fails to decode, mirroring decode_message."""
-    frame = encode_message(bob_msg, sonai_msg, config)
+    """Send two equal-length bit strings, one session per bit pair. Block i
+    runs at the seed derived from the config seed at (KEY_BLOCK, i) on a
+    fresh codebook from that address's codebook substream. Returns the
+    sessions and the two messages concatenated from their terminal bits;
+    raises ProtocolViolationError at the first block whose terminal record
+    is not decoded."""
+    bob_bits, sonai_bits = _parse_bits(bob_msg), _parse_bits(sonai_msg)
+    if len(bob_bits) != len(sonai_bits):
+        raise ValueError(f"message lengths differ: {len(bob_bits)} vs {len(sonai_bits)}")
     outcomes: list[SessionOutcome] = []
-    for index in range(len(frame)):
+    for index, bits in enumerate(zip(bob_bits, sonai_bits)):
+        cb = generate_codebook(config.n, config.lam, rng_mod.substream(
+            config.seed, rng_mod.KEY_BLOCK, index, rng_mod.KEY_CODEBOOK))
         block_config = replace(config, seed=rng_mod.derive_seed(config.seed, rng_mod.KEY_BLOCK, index))
-        outcomes.append(
-            run_session(
-                block_config,
-                (frame.bob_bits[index], frame.sonai_bits[index]),
-                strategies=strategies,
-                cb=frame.codebooks[index],
-            )
-        )
-    return outcomes, decode_message(outcomes)
+        outcome = run_session(block_config, bits, strategies=strategies, cb=cb)
+        terminal = outcome.terminal
+        if terminal.status is not DecodeStatus.DECODED:
+            reason = terminal.abort_reason.value if terminal.abort_reason else terminal.status.value
+            raise ProtocolViolationError(f"message block {index} did not decode: {reason}")
+        outcomes.append(outcome)
+    bob = "".join(str(outcome.terminal.bob_bit) for outcome in outcomes)
+    sonai = "".join(str(outcome.terminal.sonai_bit) for outcome in outcomes)
+    return outcomes, (bob, sonai)

@@ -112,9 +112,9 @@ def test_a2_survival_is_exactly_two_to_minus_distance():
         config = ProtocolConfig(n=n, lam=1, seed=0)
         alive = 0
         for signs in itertools.product((1, -1), repeat=n):
-            block = prepared_block_from_signs(truth, signs)
-            receiver = Receiver(Party.BOB, cb, block.bob_sequence, config)
-            for q, value in enumerate(block.sonai_sequence.tolist()):
+            table = prepared_block_from_signs(truth, signs)
+            receiver = Receiver(Party.BOB, cb, table[0], config)
+            for q, value in enumerate(table[1].tolist()):
                 receiver.observe_reveal(q + 1, value)
             if receiver.alive[1]:
                 alive += 1

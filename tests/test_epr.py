@@ -10,10 +10,10 @@ from entpost.rng import substream
 REF = reference_codebook()
 
 
-def partner_outcomes(block):
+def partner_outcomes(table, entry):
     """Sonai's outcome for each of bob's positions, read through the entry's
-    pairing: noiseless, the negation of bob's sequence."""
-    return block.sonai_sequence.take(block.entry.partner_maps[0])
+    pairing: noiseless, the negation of bob's row."""
+    return table[1].take(entry.partner_maps[0])
 
 
 def test_outcome_values_and_symbols():
@@ -27,9 +27,9 @@ def test_singlet_always_anti_correlated():
     seen = set()
     for seed in range(50):
         for bits in ((0, 0), (1, 1), (0, 1), (1, 0)):
-            block = alice_prepare(bits, REF, 0.0, substream(seed, 1))
-            assert np.array_equal(block.bob_sequence, -partner_outcomes(block))
-            seen.update(zip(block.bob_sequence.tolist(), partner_outcomes(block).tolist()))
+            table, entry = alice_prepare(seed, 0.0, bits, REF), REF.entry_for_bits(*bits)
+            assert np.array_equal(table[0], -partner_outcomes(table, entry))
+            seen.update(zip(table[0].tolist(), partner_outcomes(table, entry).tolist()))
     # both orientations occur
     assert seen == {(1, -1), (-1, 1)}
 
@@ -67,15 +67,11 @@ def test_flip_outcomes_flip_rate():
     assert abs(rate - 0.25) < 5 * (0.25 * 0.75 / trials) ** 0.5
 
 
-def noisy_anti_correlated_fraction(eps, blocks, stream):
-    anti = 0
-    for seed in range(blocks):
-        block = alice_prepare(
-            (0, 1), REF, eps, substream(seed, stream),
-            noise_rng_bob=substream(seed, stream + 1),
-            noise_rng_sonai=substream(seed, stream + 2),
-        )
-        anti += int(np.sum(block.bob_sequence != partner_outcomes(block)))
+def noisy_anti_correlated_fraction(eps, blocks, first_seed):
+    anti, entry = 0, REF.entry_for_bits(0, 1)
+    for seed in range(first_seed, first_seed + blocks):
+        table = alice_prepare(seed, eps, (0, 1), REF)
+        anti += int(np.sum(table[0] != partner_outcomes(table, entry)))
     return anti / (blocks * REF.n)
 
 
@@ -84,7 +80,7 @@ def test_anti_correlation_rate_under_noise():
     # one side flips, so the anti-correlated fraction is 1 - 2 e (1 - e)
     eps = 0.05
     pairs = 2500 * REF.n
-    anti = noisy_anti_correlated_fraction(eps, 2500, 5)
+    anti = noisy_anti_correlated_fraction(eps, 2500, 0)
     expected = 1 - 2 * eps * (1 - eps)
     sigma = (expected * (1 - expected) / pairs) ** 0.5
     assert abs(anti - expected) < 5 * sigma
@@ -105,7 +101,7 @@ def test_sample_block_rejects_empty():
 
 
 def test_noisy_block_breaks_some_pairs():
-    broken = 1 - noisy_anti_correlated_fraction(0.2, 256, 9)
+    broken = 1 - noisy_anti_correlated_fraction(0.2, 256, 2500)
     # expected broken fraction 2 e (1 - e) = 0.32
     assert 0.25 < broken < 0.39
 
@@ -129,5 +125,5 @@ def test_flip_outcomes_copies_and_preserves_domain():
 )
 def test_block_is_perfectly_anti_correlated_noiseless(s_j, seed):
     entry = make_entry((0, 0), s_j)
-    block = prepared_block_from_signs(entry, sample_block(len(s_j), substream(seed, 11)))
-    assert np.array_equal(block.bob_sequence, -partner_outcomes(block))
+    table = prepared_block_from_signs(entry, sample_block(len(s_j), substream(seed, 11)))
+    assert np.array_equal(table[0], -partner_outcomes(table, entry))

@@ -4,6 +4,8 @@ production code exists only for the tests."""
 
 import ast
 import importlib
+import importlib.util
+import inspect
 import pkgutil
 from collections import Counter
 from pathlib import Path
@@ -86,3 +88,32 @@ def test_every_public_method_is_used_outside_the_tests():
                 if not elsewhere and not _references(tree, skip=method)[method.name]:
                     unused.append(f"{cls.name}.{method.name}")
     assert unused == []
+
+
+def _perfbench(name: str):
+    """A module of the benchmark, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_required_span_names_a_traced_member():
+    # a traced benchmark run fails when a span it requires never fires, but
+    # only the benchmark's own tests notice a deleted or renamed one; each
+    # name must be a function of its module, or a member of a class the
+    # module defines that the tracer wraps
+    traced_members = _perfbench("tracer")._traced_members
+    missing = []
+    for workload in _perfbench("workloads").WORKLOADS.values():
+        for span in workload.required_spans:
+            module_name, *path = span.split(".")
+            module = importlib.import_module(f"entpost.{module_name}")
+            owner = getattr(module, path[0], None)
+            if len(path) == 1:
+                found = inspect.isfunction(owner)
+            else:
+                found = len(path) == 2 and inspect.isclass(owner) and path[1] in traced_members(owner)
+            if not (found and owner.__module__ == module.__name__):
+                missing.append(f"{workload.name}: {span}")
+    assert missing == []

@@ -25,14 +25,13 @@ from entpost.protocol import (
     Transcript,
     alice_prepare,
     decode_transcript,
-    encode_message,
-    measure_all,
-    prepare_session,
     prepared_block_from_signs,
     run_message,
     run_session,
 )
-from entpost.rng import substream
+from entpost.epr import flip_outcomes, sample_block
+from entpost.montecarlo import ExperimentSpec
+from entpost.rng import KEY_NOISE_BOB, KEY_NOISE_SONAI, KEY_PREPARE, substream
 
 from json_junk import junk_transcripts
 from oracle import entry_posterior, passed_check_rank, survival_count
@@ -70,9 +69,9 @@ def reveal_all(receiver, outcomes, order=None):
 def kernel_tallies(receiver):
     """(checks, violations) per entry, as the check kernel folds the
     receiver's own view of the table."""
-    done, passed = protocol._fold_checks(receiver.codebook, *receiver._view())
-    checks = done.sum(axis=-1)[0]
-    return checks.tolist(), (checks - passed.sum(axis=-1)[0]).tolist()
+    done, passed = protocol._fold_checks(receiver.codebook, receiver.table)
+    checks = done.sum(axis=-1)
+    return checks.tolist(), (checks - passed.sum(axis=-1)).tolist()
 
 
 # -- configuration ------------------------------------------------------------
@@ -104,6 +103,20 @@ def test_config_validation():
     for bad in (True, False, "0.1", None):
         with pytest.raises(ValueError, match="noise must be a number"):
             ProtocolConfig(noise=bad)
+    # sizes and pacing are integers and tolerances numbers, checked before
+    # their ranges, directly and through a batch spec
+    for make in (ProtocolConfig, ExperimentSpec):
+        for field, bad, message in (
+            ("n", 8.5, "n must be an integer, got 8.5"),
+            ("timeout_ticks", 2.5, "timeout_ticks must be an integer, got 2.5"),
+            ("one_ahead_limit", True, "one_ahead_limit must be an integer, got True"),
+            ("delta", "0.1", "delta must be a number, got '0.1'"),
+            ("lam", 4.0, "lam must be an integer, got 4.0"),
+            ("confidence_target", True, "confidence_target must be a number, got True"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                make(**{field: bad})
+    assert ProtocolConfig(delta=0).delta == 0  # an int is a number
 
 
 # -- preparation --------------------------------------------------------------
@@ -112,46 +125,46 @@ def test_config_validation():
 def test_prepared_block_honors_every_pairing():
     for entry in REF.entries:
         for signs in [(1,) * 8, (-1,) * 8, (1, -1, 1, -1, 1, -1, 1, -1)]:
-            block = prepared_block_from_signs(entry, signs)
+            table = prepared_block_from_signs(entry, signs)
+            assert table.shape == (2, 8) and table.dtype == np.int8
             for k in range(1, 9):
                 partner = entry.partner_maps[0][k - 1] + 1
-                assert block.bob_sequence[k - 1] == -block.sonai_sequence[partner - 1]
+                assert table[0, k - 1] == -table[1, partner - 1]
 
 
 def test_alice_prepare_noiseless_passes_all_truth_checks():
     for bits in [(0, 0), (1, 1), (0, 1), (1, 0)]:
-        block = alice_prepare(bits, REF, 0.0, substream(3, 1))
+        table = alice_prepare(3, 0.0, bits, REF)
         entry = REF.entry_for_bits(*bits)
         for k in range(1, 9):
             partner = entry.partner_maps[0][k - 1] + 1
-            assert block.bob_sequence[k - 1] == -block.sonai_sequence[partner - 1]
+            assert table[0, k - 1] == -table[1, partner - 1]
 
 
 def test_alice_prepare_noise_uses_dedicated_streams():
-    clean = alice_prepare((0, 0), REF, 0.0, substream(5, 1))
-    noisy = alice_prepare(
-        (0, 0),
-        REF,
-        0.5,
-        substream(5, 1),
-        noise_rng_bob=substream(5, 2),
-        noise_rng_sonai=substream(5, 3),
-    )
-    # same base draw, so differences are exactly the applied flips
-    assert not np.array_equal(clean.bob_sequence, noisy.bob_sequence) or not np.array_equal(
-        clean.sonai_sequence, noisy.sonai_sequence
-    )
+    # the block comes from the seed's prepare substream, and each row's
+    # flips from that receiver's own noise substream
+    clean = alice_prepare(5, 0.0, (0, 0), REF)
+    entry = REF.entry_for_bits(0, 0)
+    assert np.array_equal(clean, prepared_block_from_signs(
+        entry, sample_block(8, substream(5, KEY_PREPARE))))
+    noisy = alice_prepare(5, 0.5, (0, 0), REF)
+    for side, key in enumerate((KEY_NOISE_BOB, KEY_NOISE_SONAI)):
+        assert np.array_equal(noisy[side], flip_outcomes(clean[side], 0.5, substream(5, key)))
+    assert not np.array_equal(clean, noisy)
 
 
-def test_measure_all_is_a_stable_readout():
-    block = alice_prepare((1, 0), REF, 0.0, substream(6, 1))
-    first = measure_all(Party.BOB, block)
-    second = measure_all(Party.BOB, block)
-    assert np.array_equal(first, second)
-    first[0] = -first[0]
-    assert np.array_equal(second, block.bob_sequence)  # copies, not views
+def test_receiver_holds_its_own_copy_of_its_row():
+    table = alice_prepare(6, 0.0, (1, 0), REF)
+    config = small_config()
+    for side, party in enumerate((Party.BOB, Party.SONAI)):
+        receiver = Receiver(party, REF, table[side], config)
+        assert np.array_equal(receiver.table[side], table[side])
+        assert not receiver.table[1 - side].any()  # the counterpart's row is private
+        table[side, 0] = -table[side, 0]
+        assert receiver.table[side, 0] == -table[side, 0]  # a copy, not a view
     with pytest.raises(ValueError):
-        measure_all(Party.ALICE, block)
+        Receiver(Party.ALICE, REF, table[0], config)
 
 
 # -- transcripts --------------------------------------------------------------
@@ -295,17 +308,10 @@ def test_transcript_parser_raises_only_protocol_violations(text):
 
 
 def build_receivers(bits, config, seed=1):
-    block = alice_prepare(
-        bits,
-        REF,
-        config.noise,
-        substream(seed, 10),
-        noise_rng_bob=substream(seed, 11),
-        noise_rng_sonai=substream(seed, 12),
-    )
-    bob = Receiver(Party.BOB, REF, measure_all(Party.BOB, block), config)
-    sonai = Receiver(Party.SONAI, REF, measure_all(Party.SONAI, block), config)
-    return block, bob, sonai
+    table = alice_prepare(seed, config.noise, bits, REF)
+    bob = Receiver(Party.BOB, REF, table[0], config)
+    sonai = Receiver(Party.SONAI, REF, table[1], config)
+    return table, bob, sonai
 
 
 def test_observe_rejects_duplicates_and_out_of_range():
@@ -325,8 +331,8 @@ def test_truth_entry_survives_every_noiseless_session():
     for bits in [(0, 0), (1, 1), (0, 1), (1, 0)]:
         for seed in range(20):
             block, bob, sonai = build_receivers(bits, config, seed=seed)
-            reveal_all(bob, block.sonai_sequence)
-            reveal_all(sonai, block.bob_sequence)
+            reveal_all(bob, block[1])
+            reveal_all(sonai, block[0])
             truth = entry_index(REF, bits)
             assert bob.alive[truth]
             assert sonai.alive[truth]
@@ -340,12 +346,12 @@ def test_reveal_order_does_not_change_the_end_state():
         config = small_config(noise=noise, delta=delta)
         block, bob, sonai = build_receivers((1, 1), config, seed=seed)
         _, bob_shuffled, sonai_shuffled = build_receivers((1, 1), config, seed=seed)
-        reveal_all(bob, block.sonai_sequence)
-        reveal_all(sonai, block.bob_sequence)
-        reveal_all(bob_shuffled, block.sonai_sequence, order=rng.permutation(8).tolist())
-        reveal_all(sonai_shuffled, block.bob_sequence, order=rng.permutation(8).tolist())
+        reveal_all(bob, block[1])
+        reveal_all(sonai, block[0])
+        reveal_all(bob_shuffled, block[1], order=rng.permutation(8).tolist())
+        reveal_all(sonai_shuffled, block[0], order=rng.permutation(8).tolist())
         for ordered, shuffled in ((bob, bob_shuffled), (sonai, sonai_shuffled)):
-            assert ordered.theirs == shuffled.theirs
+            assert np.array_equal(ordered.table, shuffled.table)
             assert ordered.received_all and shuffled.received_all
             assert ordered.violations == shuffled.violations
             assert ordered.alive == shuffled.alive
@@ -359,7 +365,7 @@ def test_violation_counter_matches_the_kernel_after_every_reveal():
     for seed in range(10):
         config = small_config(noise=0.15, delta=0.3)
         block, bob, sonai = build_receivers((0, 1), config, seed=seed)
-        for receiver, theirs in ((bob, block.sonai_sequence), (sonai, block.bob_sequence)):
+        for receiver, theirs in ((bob, block[1]), (sonai, block[0])):
             assert kernel_tallies(receiver) == ([0] * 4, receiver.violations)
             for count, q in enumerate(rng.permutation(8).tolist(), start=1):
                 receiver.observe_reveal(q + 1, int(theirs[q]))
@@ -372,7 +378,7 @@ def test_observe_rejects_outcomes_other_than_plus_or_minus_one():
     for outcome in (0, 2, None):
         with pytest.raises(ProtocolViolationError, match="outcome"):
             bob.observe_reveal(1, outcome)
-    assert bob.received_count == 0 and bob.theirs == [0] * 8
+    assert bob.received_count == 0 and not bob.table[1].any()
 
 
 def test_next_reveal_walks_positions_in_order():
@@ -381,7 +387,7 @@ def test_next_reveal_walks_positions_in_order():
     positions = []
     while (item := bob.next_reveal()) is not None:
         positions.append(item[0])
-        assert item[1] == bob.own[item[0] - 1]
+        assert item[1] == bob.table[0, item[0] - 1]
     assert positions == list(range(1, 9))
     assert bob.sent_count == 8
 
@@ -392,7 +398,7 @@ def test_next_reveal_walks_positions_in_order():
 def test_survival_rank_is_zero_for_matching_pairing():
     config = small_config()
     block, bob, _ = build_receivers((0, 0), config)
-    reveal_all(bob, block.sonai_sequence)
+    reveal_all(bob, block[1])
     assert bob.survival_log2((0, 0), (0, 0)) == 0
 
 
@@ -405,8 +411,8 @@ def test_survival_rank_of_single_transposition_is_one_bit():
     config = ProtocolConfig(n=3, lam=1, seed=0)
     signs = (1, 1, 1)  # the candidate survives this assignment
     block = prepared_block_from_signs(truth, signs)
-    bob = Receiver(Party.BOB, cb, block.bob_sequence, config)
-    reveal_all(bob, block.sonai_sequence)
+    bob = Receiver(Party.BOB, cb, block[0], config)
+    reveal_all(bob, block[1])
     assert bob.alive[1]
     assert bob.survival_log2((1, 1), (0, 0)) == -1
 
@@ -419,8 +425,8 @@ def test_survival_rank_matches_distance_for_survivors():
     survivors = 0
     for signs in all_signs(8):
         block = prepared_block_from_signs(truth_entry, signs)
-        bob = Receiver(Party.BOB, REF, block.bob_sequence, config)
-        reveal_all(bob, block.sonai_sequence)
+        bob = Receiver(Party.BOB, REF, block[0], config)
+        reveal_all(bob, block[1])
         if bob.alive[entry_index(REF, (1, 1))]:
             survivors += 1
             assert bob.survival_log2((1, 1), (0, 0)) == -4
@@ -439,8 +445,8 @@ def test_full_machinery_survival_matches_oracle_for_every_pair():
         alive = 0
         for signs in all_signs(8):
             block = prepared_block_from_signs(truth_entry, signs)
-            bob = Receiver(Party.BOB, REF, block.bob_sequence, config)
-            reveal_all(bob, block.sonai_sequence)
+            bob = Receiver(Party.BOB, REF, block[0], config)
+            reveal_all(bob, block[1])
             if bob.alive[entry_index(REF, cand_bits)]:
                 alive += 1
         assert alive == expected, (truth_bits, cand_bits)
@@ -449,7 +455,7 @@ def test_full_machinery_survival_matches_oracle_for_every_pair():
 def test_survival_rank_requires_noiseless_config():
     config = small_config(noise=0.05, delta=0.25)
     block, bob, _ = build_receivers((0, 0), config)
-    reveal_all(bob, block.sonai_sequence)
+    reveal_all(bob, block[1])
     with pytest.raises(ValueError):
         bob.survival_log2((1, 1), (0, 0))
 
@@ -465,17 +471,17 @@ def test_partial_views_can_disagree_but_full_views_agree():
     cb = Codebook(n=3, lam=1, entries=(truth, cand))
     config = ProtocolConfig(n=3, lam=1, seed=0)
     block = prepared_block_from_signs(truth, (1, 1, -1))
-    bob = Receiver(Party.BOB, cb, block.bob_sequence, config)
-    sonai = Receiver(Party.SONAI, cb, block.sonai_sequence, config)
+    bob = Receiver(Party.BOB, cb, block[0], config)
+    sonai = Receiver(Party.SONAI, cb, block[1], config)
 
-    bob.observe_reveal(1, int(block.sonai_sequence[0]))
-    sonai.observe_reveal(1, int(block.bob_sequence[0]))
+    bob.observe_reveal(1, int(block[1][0]))
+    sonai.observe_reveal(1, int(block[0][0]))
     assert alive_bits(bob) == [(0, 0), (1, 1)]
     assert alive_bits(sonai) == [(0, 0)]  # the asymmetric moment
 
     for q in range(1, 3):
-        bob.observe_reveal(q + 1, int(block.sonai_sequence[q]))
-        sonai.observe_reveal(q + 1, int(block.bob_sequence[q]))
+        bob.observe_reveal(q + 1, int(block[1][q]))
+        sonai.observe_reveal(q + 1, int(block[0][q]))
     assert alive_bits(bob) == [(0, 0)]
     assert alive_bits(sonai) == [(0, 0)]
 
@@ -487,9 +493,10 @@ def test_full_transcript_views_always_agree():
         config = small_config(noise=noise, delta=delta)
         for bits, seed in itertools.product([(0, 0), (1, 1), (0, 1), (1, 0)], range(10)):
             block, bob, sonai = build_receivers(bits, config, seed=seed)
-            reveal_all(bob, block.sonai_sequence)
-            reveal_all(sonai, block.bob_sequence)
-            assert np.array_equal(np.concatenate(bob._view()), np.concatenate(sonai._view()))
+            reveal_all(bob, block[1])
+            reveal_all(sonai, block[0])
+            assert np.array_equal(bob.table, sonai.table)
+            assert np.array_equal(bob.table, block)
             assert alive_bits(bob) == alive_bits(sonai)
             assert bob.violations == sonai.violations
             assert bob.decode() == sonai.decode()
@@ -503,8 +510,8 @@ def test_decode_unique_survivor_has_full_confidence():
     truth_entry = REF.entry_for_bits(0, 1)
     for signs in list(all_signs(8))[:64]:
         block = prepared_block_from_signs(truth_entry, signs)
-        bob = Receiver(Party.BOB, REF, block.bob_sequence, config)
-        reveal_all(bob, block.sonai_sequence)
+        bob = Receiver(Party.BOB, REF, block[0], config)
+        reveal_all(bob, block[1])
         result = bob.decode()
         if len(alive_bits(bob)) == 1:
             assert result.status is DecodeStatus.DECODED
@@ -520,8 +527,8 @@ def test_decode_multi_survivor_confidence_discounts_by_rank():
     seen_multi = False
     for signs in all_signs(8):
         block = prepared_block_from_signs(truth_entry, signs)
-        bob = Receiver(Party.BOB, REF, block.bob_sequence, config)
-        reveal_all(bob, block.sonai_sequence)
+        bob = Receiver(Party.BOB, REF, block[0], config)
+        reveal_all(bob, block[1])
         alive = alive_bits(bob)
         if len(alive) < 2:
             continue
@@ -540,8 +547,8 @@ def test_decode_aborts_when_nothing_is_consistent():
     config = small_config()
     block, bob, _ = build_receivers((0, 0), config)
     # feed garbage that violates every pairing somewhere
-    corrupted = -np.asarray(block.sonai_sequence)
-    corrupted[0] = block.sonai_sequence[0]
+    corrupted = -np.asarray(block[1])
+    corrupted[0] = block[1][0]
     reveal_all(bob, corrupted)
     if not alive_bits(bob):
         result = bob.decode()
@@ -572,10 +579,10 @@ def test_noisy_decode_confidence_is_the_exact_posterior():
                 make_entry(bits, s_j) for bits, s_j in zip([(0, 0), (1, 1), (0, 1), (1, 0)], orderings)
             ))
             config = ProtocolConfig(n=4, lam=1, noise=eps, delta=0.49, seed=session)
-            block = alice_prepare((0, 1), cb, config.noise, substream(session, 9))
-            for party in (Party.BOB, Party.SONAI):
-                receiver = Receiver(party, cb, measure_all(party, block), config)
-                theirs = block.sequence_for(party.counterpart())
+            block = alice_prepare(session, config.noise, (0, 1), cb)
+            for side, party in enumerate((Party.BOB, Party.SONAI)):
+                receiver = Receiver(party, cb, block[side], config)
+                theirs = block[1 - side]
                 revealed = {}
                 for q in [None, *range(4)]:
                     if q is not None:
@@ -585,7 +592,7 @@ def test_noisy_decode_confidence_is_the_exact_posterior():
                     if result.status is DecodeStatus.ABORT:
                         continue
                     posterior = entry_posterior(
-                        orderings, eps, party.value, receiver.own, revealed
+                        orderings, eps, party.value, block[side].tolist(), revealed
                     )
                     alive = [i for i, alive in enumerate(receiver.alive) if alive]
                     assert result.confidence == pytest.approx(
@@ -634,14 +641,17 @@ def test_replay_tallies_every_prefix_like_both_receivers(seed, noise, reveal_fir
     # after each reveal, the public table is what both receivers know, and
     # the replay has completed exactly the checks both receivers have
     # completed, with their verdicts; each receiver's violation counter is
-    # the kernel's count over its own view
+    # the kernel's count over its own view; at the end both receivers hold
+    # the prepared table
     eps, delta = noise
     config = ProtocolConfig(
         n=n, lam=n // 4, noise=eps, delta=delta, reveal_first=reveal_first, seed=seed
     )
     outcome = run_session(config, bits, cb=REF if n == 8 else None)
     cb = outcome.codebook
-    _, receivers = prepare_session(config, bits, cb)
+    prepared = alice_prepare(config.seed, config.noise, bits, cb)
+    receivers = {party: Receiver(party, cb, prepared[side], config)
+                 for side, party in enumerate((Party.BOB, Party.SONAI))}
     bob, sonai = receivers[Party.BOB], receivers[Party.SONAI]
     replay_tallies = []
     real_decode = protocol._decode_candidates
@@ -661,21 +671,22 @@ def test_replay_tallies_every_prefix_like_both_receivers(seed, noise, reveal_fir
             decode_transcript(cb, prefix, config)
             checks, violations = replay_tallies.pop()
             table = protocol._public_table(cb, prefix)
-            bob_view, sonai_view = np.concatenate(bob._view()), np.concatenate(sonai._view())
-            assert np.array_equal(table, np.where(bob_view == sonai_view, bob_view, 0))
-            done, passed = protocol._fold_checks(cb, table[:1], table[1:])
-            bob_done, bob_passed = protocol._fold_checks(cb, *bob._view())
-            sonai_done, sonai_passed = protocol._fold_checks(cb, *sonai._view())
+            assert np.array_equal(table, np.where(bob.table == sonai.table, bob.table, 0))
+            done, passed = protocol._fold_checks(cb, table)
+            bob_done, bob_passed = protocol._fold_checks(cb, bob.table)
+            sonai_done, sonai_passed = protocol._fold_checks(cb, sonai.table)
             assert np.array_equal(done, bob_done & sonai_done)
             assert np.array_equal(passed, bob_passed & done)
             assert np.array_equal(passed, sonai_passed & done)
             assert not passed[~done].any()
-            assert checks == done.sum(axis=-1)[0].tolist()
-            assert violations == (done & ~passed).sum(axis=-1)[0].tolist()
+            assert checks == done.sum(axis=-1).tolist()
+            assert violations == (done & ~passed).sum(axis=-1).tolist()
             for receiver in (bob, sonai):
                 assert kernel_tallies(receiver) == (
                     [receiver.received_count] * len(cb.entries), receiver.violations
                 )
+    for receiver in (bob, sonai, *outcome.receivers.values()):
+        assert np.array_equal(receiver.table, prepared)
 
 
 def test_replay_of_truncated_transcript_is_partial():
@@ -728,12 +739,14 @@ def test_reveal_positions_are_checked_before_any_size_n_work(monkeypatch):
 
 def test_message_framing_validation():
     config = ProtocolConfig(n=8, lam=2, seed=3)
-    with pytest.raises(ValueError):
-        encode_message("101", "10", config)
-    with pytest.raises(ValueError):
-        encode_message("", "", config)
-    with pytest.raises(ValueError):
-        encode_message("102", "100", config)
+    with mock.patch.object(protocol, "generate_codebook", side_effect=AssertionError):
+        # refused before any codebook is built
+        with pytest.raises(ValueError, match="message lengths differ"):
+            run_message("101", "10", config)
+        with pytest.raises(ValueError, match="non-empty"):
+            run_message("", "", config)
+        with pytest.raises(ValueError, match="over 0/1"):
+            run_message("102", "100", config)
 
 
 def test_message_round_trip():
@@ -784,29 +797,29 @@ def test_survival_rank_matches_constraint_graph_oracle(case, seed):
     truth, cand = make_entry((0, 0), truth_sj), make_entry((1, 1), cand_sj)
     cb = Codebook(n=n, lam=1, entries=(truth, cand))
     config = ProtocolConfig(n=n, lam=1, delta=0.49, seed=seed)
-    block = alice_prepare((0, 0), cb, 0.0, substream(seed, 1))
-    receiver = Receiver(party, cb, measure_all(party, block), config)
     side = 0 if party is Party.BOB else 1
+    own_row = alice_prepare(seed, 0.0, (0, 0), cb)[side]
+    receiver = Receiver(party, cb, own_row, config)
     own_partner = cand.partner_maps[1 - side]  # counterpart position -> own position
     # reveal counterpart values that give the candidate the drawn verdicts
     for q in range(n):
         own_pos = own_partner[q]
         verdict = verdicts[own_pos]
         if verdict is not None:
-            own = receiver.own[own_pos]
+            own = int(own_row[own_pos])
             receiver.observe_reveal(q + 1, -own if verdict else own)
     # the kernel reports the verdicts in bob's positions; the candidate's
     # partner map carries sonai's own positions there
-    done, passed = protocol._fold_checks(cb, *receiver._view())
+    done, passed = protocol._fold_checks(cb, receiver.table)
     to_bob = range(n) if party is Party.BOB else cand.partner_maps[1]
-    assert [bool(done[0, 1, k]) for k in to_bob] == [v is not None for v in verdicts]
-    assert [bool(passed[0, 1, k]) for k in to_bob] == [v is True for v in verdicts]
+    assert [bool(done[1, k]) for k in to_bob] == [v is not None for v in verdicts]
+    assert [bool(passed[1, k]) for k in to_bob] == [v is True for v in verdicts]
     passed_own = {k for k, v in enumerate(verdicts) if v}
     rank = passed_check_rank(truth_sj, cand_sj, party.value, passed_own)
     assert receiver.survival_log2((1, 1), (0, 0)) == -rank
     assert receiver.survival_log2((0, 0), (0, 0)) == 0
     # with every check passed, the rank is the effective distance
-    full = Receiver(party, cb, measure_all(party, block), config)
-    reveal_all(full, [-full.own[own_partner[q]] for q in range(n)])
+    full = Receiver(party, cb, own_row, config)
+    reveal_all(full, [-own_row[own_partner[q]] for q in range(n)])
     assert full.violations[1] == 0
     assert full.survival_log2((1, 1), (0, 0)) == -effective_distance(cand, truth)
