@@ -135,7 +135,7 @@ class CodebookEntry:
     @cached_property
     def partner_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``partner_maps`` as index arrays, for gathers over whole blocks."""
-        return np.asarray(self.partner_maps[0]), np.asarray(self.partner_maps[1])
+        return tuple(np.asarray(side, dtype=np.intp) for side in self.partner_maps)
 
 
 def effective_distance(candidate: CodebookEntry, truth: CodebookEntry) -> int:
@@ -150,19 +150,8 @@ def effective_distance(candidate: CodebookEntry, truth: CodebookEntry) -> int:
     """
     if len(candidate.s_j) != len(truth.s_j):
         raise CodebookError(f"ordering lengths differ: {len(candidate.s_j)} vs {len(truth.s_j)}")
-    inv_truth = truth.partner_maps[1]
-    sigma = [inv_truth[c] for c in candidate.partner_maps[0]]
-    mismatched = [k for k in range(len(sigma)) if sigma[k] != k]
-    unvisited = set(mismatched)
-    cycles = 0
-    while unvisited:
-        cycles += 1
-        k = unvisited.pop()
-        step = sigma[k]
-        while step != k:
-            unvisited.remove(step)
-            step = sigma[step]
-    return len(mismatched) - cycles
+    _, excess = _cycle_labels(truth.partner_arrays[1][candidate.partner_arrays[0]])
+    return int(excess[excess < len(excess)].sum())  # unused cycle numbers hold n
 
 
 def make_entry(bits: tuple[int, int], s_j: Sequence[int]) -> CodebookEntry:

@@ -13,6 +13,10 @@ reveals ahead of what it has received; the other receiver stays strictly
 behind the opener by one less. With the default limit of 1 this is exactly
 the alternating schedule. A receiver stalled for ``timeout_ticks``
 consecutive ticks gives up.
+
+A receiver decodes only when it finishes: its early announce comes from one
+prefix fold when the session ends, written into the event log at the tick
+and place of the first act whose view decoded.
 """
 from __future__ import annotations
 
@@ -27,7 +31,6 @@ from .epr import SpinOutcome
 from .protocol import (
     AbortReason,
     DecodeResult,
-    DecodeStatus,
     Party,
     ProtocolConfig,
     ProtocolViolationError,
@@ -116,6 +119,10 @@ class WithholdAfter(Strategy):
 
     limit: int
 
+    def __post_init__(self) -> None:
+        if isinstance(self.limit, bool) or not isinstance(self.limit, int) or self.limit < 0:
+            raise ValueError(f"withhold count must be a non-negative integer, got {self.limit!r}")
+
     def plan(self, agent: "ReceiverAgent", pacing_ok: bool) -> list[tuple[int, int]]:
         if not pacing_ok or agent.receiver.sent_count >= self.limit:
             return []
@@ -178,7 +185,7 @@ def parse_strategy(text: str) -> Strategy:
         try:
             return WithholdAfter(int(arg))
         except ValueError as exc:
-            raise ValueError(f"withhold needs an integer count, got {arg!r}") from exc
+            raise ValueError(f"withhold needs a non-negative integer count, got {arg!r}") from exc
     if name == "lie":
         try:
             return LieWithProb(float(arg))
@@ -207,9 +214,9 @@ class ReceiverAgent:
         self.waiting = 0
         self.finished = False
         self.aborted: AbortReason | None = None
-        self.announced = False
         self.result: DecodeResult | None = None
-        self._checks_at_last_decode = -1
+        # received count -> (log length, tick) at the first act that saw it
+        self.decode_points: dict[int, tuple[int, int]] = {}
 
     @property
     def done(self) -> bool:
@@ -243,7 +250,7 @@ class ReceiverAgent:
             for position, outcome in batch:
                 world.send_reveal(self.party, position, outcome)
             self.waiting = 0
-        self._maybe_announce(world)
+        self.decode_points.setdefault(self.receiver.received_count, (len(world.event_log), world.tick))
         if self.receiver.sent_count >= self.receiver.codebook.n and self.receiver.received_all:
             self.finished = True
             self.result = self.receiver.decode()
@@ -251,22 +258,6 @@ class ReceiverAgent:
             world.log(MessageKind.DECODE_ANNOUNCE, self.party, self.party, summary)
         elif not batch:
             self.waiting += 1
-
-    def _maybe_announce(self, world: "World") -> None:
-        if self.announced:
-            return
-        # decode is worth running only on new checks and a lone live entry
-        checks = self.receiver.received_count
-        if checks == self._checks_at_last_decode:
-            return
-        self._checks_at_last_decode = checks
-        if sum(self.receiver.alive) != 1:
-            return
-        result = self.receiver.decode()
-        if result.status is DecodeStatus.DECODED:
-            self.announced = True
-            summary = f"early:bits={result.bob_bit}{result.sonai_bit}"
-            world.log(MessageKind.DECODE_ANNOUNCE, self.party, self.party, summary)
 
     def _abort(self, reason: AbortReason, world: "World") -> None:
         self.aborted = reason
@@ -294,10 +285,13 @@ class World:
         self.event_log: list[dict] = []
         self.tick = 0
 
-    def log(self, kind: MessageKind, sender: Party, receiver: Party, summary: str) -> None:
-        self.event_log.append(
+    def log(self, kind: MessageKind, sender: Party, receiver: Party, summary: str,
+            tick: int | None = None, index: int | None = None) -> None:
+        """Append an entry, or write one dated ``tick`` in at ``index``."""
+        self.event_log.insert(
+            len(self.event_log) if index is None else index,
             {
-                "tick": self.tick,
+                "tick": self.tick if tick is None else tick,
                 "link": "local" if sender is receiver else f"{sender.value}->{receiver.value}",
                 "kind": kind.value,
                 "sender": sender.value,
@@ -371,6 +365,15 @@ def run_world(world: World) -> SessionOutcome:
     else:
         raise RuntimeError("session failed to settle within the tick budget")
 
+    # the first act view that decoded, per receiver; later places go in first
+    early = []
+    for act_order, agent in enumerate(agents):
+        first = agent.receiver.first_decode(list(agent.decode_points))
+        if first is not None:
+            early.append((*agent.decode_points[first[0]], act_order, agent.party, first[1]))
+    for index, tick, _, party, result in sorted(early, reverse=True):
+        summary = f"early:bits={result.bob_bit}{result.sonai_bit}"
+        world.log(MessageKind.DECODE_ANNOUNCE, party, party, summary, tick, index)
     for agent in agents:
         if agent.result is None:
             agent.result = agent.receiver.decode()

@@ -354,12 +354,13 @@ def _survival_log2(passed: np.ndarray, cycles: tuple[np.ndarray, np.ndarray]) ->
 class Receiver:
     """One receiver's view of the session: the (2, n) ``table`` holding its
     own row of outcomes and the counterpart's row as revealed so far (0
-    while private).
+    while private), and ``arrivals``, the counterpart's 0-based positions
+    in the order they arrived.
 
     Each counterpart reveal completes exactly one check per entry: the
     revealed outcome is compared with the own outcome at the entry's paired
-    position, expecting opposite signs. ``violations`` counts, per entry,
-    the checks completed so far that failed; decoding folds the whole table.
+    position, expecting opposite signs. Decoding folds the whole table, and
+    ``first_decode`` folds it once for every prefix of the arrivals.
     """
 
     def __init__(self, party: Party, cb: Codebook, own_outcomes: np.ndarray, config: ProtocolConfig):
@@ -372,13 +373,9 @@ class Receiver:
         self.table = np.zeros((2, cb.n), dtype=np.int8)
         self.table[self.side] = own_outcomes
         self._theirs = self.table[1 - self.side]  # a view: reveals write into the table
-        # Python ints of the own row for next_reveal and the violation
-        # counter: read from the int8 row instead, each access builds a numpy
-        # scalar, and an n=64 session mix ran about 11% slower
+        # Python ints for next_reveal: each read of the int8 row builds a numpy scalar
         self._own = self.table[self.side].tolist()
-        self.violations = [0] * len(cb.entries)
-        # per entry: counterpart 0-based position -> own 0-based position
-        self._own_partner = [e.partner_maps[1 - self.side] for e in cb.entries]
+        self.arrivals: list[int] = []
         self.received_count = 0
         self.next_position = 0  # 0-based pointer into own reveal order
 
@@ -400,9 +397,8 @@ class Receiver:
     # -- observation side --------------------------------------------------
 
     def observe_reveal(self, position: int, outcome: int) -> None:
-        """Fill one counterpart value into the table and count the checks it
-        violates: those whose paired own outcome has the same sign. A value
-        already filled in is a duplicate reveal."""
+        """Fill one counterpart value into the table and note its arrival. A
+        value already filled in is a duplicate reveal."""
         q = position - 1
         if not 0 <= q < len(self._own):
             raise ProtocolViolationError(f"reveal position out of range: {position}")
@@ -412,10 +408,8 @@ class Receiver:
             counterpart = self.party.counterpart().value
             raise ProtocolViolationError(f"duplicate reveal of {counterpart} position {position}")
         self._theirs[q] = outcome
+        self.arrivals.append(q)
         self.received_count += 1
-        own = self._own
-        self.violations = [v + (own[partner[q]] == outcome)
-                           for v, partner in zip(self.violations, self._own_partner)]
 
     @property
     def received_all(self) -> bool:
@@ -423,10 +417,8 @@ class Receiver:
 
     @property
     def alive(self) -> list[bool]:
-        """Per entry, in codebook order: whether its violations stay within
-        delta times the checks completed so far."""
-        limit = self.config.delta * self.received_count
-        return [v <= limit for v in self.violations]
+        """Per entry, in codebook order: whether the current view keeps it alive."""
+        return decode_block(self.codebook, self.config, self.table[None])[1][0]
 
     # -- decoding ----------------------------------------------------------
 
@@ -443,6 +435,28 @@ class Receiver:
 
     def decode(self) -> "DecodeResult":
         return decode_block(self.codebook, self.config, self.table[None])[0][0]
+
+    def first_decode(self, counts: Sequence[int]) -> "tuple[int, DecodeResult] | None":
+        """``(c, result)`` for the first of the rising arrival ``counts`` c
+        whose view, cut back to its first c arrivals, decodes; None if none
+        does. One fold serves every prefix: each check is stamped with the
+        arrival that completed it, and after c arrivals each entry has c."""
+        cb, n, entries = self.codebook, self.codebook.n, len(self.codebook.entries)
+        done, passed = _fold_checks(cb, self.table)
+        order = np.full(n, n)
+        order[self.arrivals] = np.arange(len(self.arrivals))
+        step = order.take(cb.partner_index) if self.side == 0 else order
+        # bin e * (n + 1) + c counts entry e's violations the c-th arrival completed
+        bins = (np.arange(entries)[:, None] * (n + 1) + step + 1)[done & ~passed]
+        violations = np.bincount(bins, minlength=entries * (n + 1)).reshape(entries, n + 1).cumsum(1)
+        counts = np.asarray(counts, dtype=np.intp)
+        lone = np.count_nonzero(violations[:, counts] <= self.config.delta * counts, axis=0) == 1
+        for c in counts[lone].tolist():
+            result = _decode_candidates(cb, [c] * entries, violations[:, c].tolist(),
+                                        passed & (step < c), self.config)
+            if result.status is DecodeStatus.DECODED:
+                return c, result
+        return None
 
 
 @dataclass(frozen=True)

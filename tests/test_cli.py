@@ -87,6 +87,10 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "run", "--bits", "abc", "--seed", "1")[0] == EXIT_USAGE
     assert run_cli(capsys, "run", "--bits", "1", "--seed", "1")[0] == EXIT_USAGE
     assert run_cli(capsys, "run", "--strategy-bob", "sneaky", "--seed", "1")[0] == EXIT_USAGE
+    code, _, err = run_cli(capsys, "run", "--strategy-bob", "withhold:-1", "--n", "8",
+                           "--lambda", "4", "--seed", "1")
+    assert code == EXIT_USAGE
+    assert "withhold needs a non-negative integer count, got '-1'" in err
     assert run_cli(capsys, "run", "--bob-msg", "101", "--seed", "1")[0] == EXIT_USAGE
     assert run_cli(capsys, "nonsense")[0] == EXIT_USAGE
     assert run_cli(capsys, "run", "--bits", "00", "--bob-msg", "1", "--sonai-msg", "1",

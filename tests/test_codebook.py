@@ -128,6 +128,25 @@ def test_effective_distance_survives_relabeling(sa, sb, relabel):
     )
 
 
+@settings(max_examples=60)
+@given(st.integers(0, 300).flatmap(lambda n: st.tuples(
+    st.permutations(list(range(1, n + 1))), st.permutations(list(range(1, n + 1))))))
+def test_effective_distance_matches_a_cycle_walk(orderings):
+    # n less the number of cycles of sigma = truth^-1 o candidate, walked
+    # one position at a time, from the empty ordering to sizes no
+    # enumeration reaches
+    truth, cand = make_entry((0, 0), orderings[0]), make_entry((1, 1), orderings[1])
+    sigma = [truth.partner_maps[1][c] for c in cand.partner_maps[0]]
+    seen, cycles = set(), 0
+    for start in range(len(sigma)):
+        cycles += start not in seen
+        k = start
+        while k not in seen:
+            seen.add(k)
+            k = sigma[k]
+    assert effective_distance(cand, truth) == len(sigma) - cycles
+
+
 @settings(max_examples=100)
 @given(st.permutations(list(range(1, 6))), st.permutations(list(range(1, 6))))
 def test_small_survival_counts_match_oracle(sa, sb):

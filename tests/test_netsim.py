@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from entpost.codebook import reference_codebook
+from entpost.codebook import reference_codebook, resolve_codebook
 from entpost.netsim import (
     Action,
     BatchDump,
@@ -79,9 +79,16 @@ def test_parse_strategy_accepts_all_forms():
 
 
 def test_parse_strategy_rejects_garbage():
-    for text in ("sneaky", "withhold", "withhold:x", "lie", "lie:two", "honest:1"):
+    for text in ("sneaky", "withhold", "withhold:x", "withhold:-1", "lie", "lie:two", "honest:1"):
         with pytest.raises(ValueError):
             parse_strategy(text)
+
+
+def test_withhold_count_bounds():
+    for limit in (-1, 2.0, True, "3"):
+        with pytest.raises(ValueError, match="withhold count must be a non-negative integer"):
+            WithholdAfter(limit)
+    assert WithholdAfter(0).limit == 0
 
 
 def test_lie_probability_bounds():
@@ -356,3 +363,55 @@ PINNED_DIGESTS = {
 @pytest.mark.parametrize("case", PINNED_CASES)
 def test_simulator_bytes_are_pinned(case):
     assert pinned_session_digest(case) == PINNED_DIGESTS[case]
+
+
+# -- the early-announce rule --------------------------------------------------
+
+
+@pytest.mark.parametrize("opener", ("bob", "sonai"))
+@pytest.mark.parametrize("strategy", PINNED_STRATEGIES)
+def test_early_announce_marks_the_first_act_whose_view_decodes(strategy, opener):
+    # step a world by hand and decode each live receiver's view after every
+    # act; a session's log is the other entries as they come, plus one early
+    # entry per receiver at the first act whose view decodes, ahead of that
+    # act's final entry
+    announces = 0
+    for noise, one_ahead, (n, lam, cb) in itertools.product(
+        PINNED_NOISE.values(), (1, 2), PINNED_SIZES.values()
+    ):
+        config = ProtocolConfig(n=n, lam=lam, confidence_target=0.9, reveal_first=opener,
+                                seed=29, one_ahead_limit=one_ahead, **noise)
+        cb = cb or resolve_codebook(None, n, lam, config.seed)
+        world = build_world(config, (1, 0), cb=cb, strategies=PINNED_STRATEGIES[strategy])
+        agents = [world.agents[party] for party in (Party.BOB, Party.SONAI)]
+        expected, announced, seen = [], set(), 0
+
+        def fresh():
+            """The entries logged since the last call, early ones left out."""
+            nonlocal seen
+            new, seen = world.event_log[seen:], len(world.event_log)
+            return [e for e in new if not e["payload_summary"].startswith("early:")]
+
+        expected += fresh()
+        while not (any(a.aborted is not None for a in agents) or all(a.finished for a in agents)):
+            world.tick += 1
+            world.deliver_phase()
+            expected += fresh()
+            for agent in agents:
+                live = not agent.done
+                agent.act(world)
+                new = fresh()
+                party = agent.party
+                if live and agent.aborted is None and party not in announced:
+                    result = agent.receiver.decode()
+                    if result.status is DecodeStatus.DECODED:
+                        announced.add(party)
+                        early = {"tick": world.tick, "link": "local", "kind": "decode_announce",
+                                 "sender": party.value, "receiver": party.value,
+                                 "payload_summary": f"early:bits={result.bob_bit}{result.sonai_bit}"}
+                        new.insert(len(new) - agent.finished, early)
+                expected += new
+        outcome = run_session(config, (1, 0), strategies=PINNED_STRATEGIES[strategy], cb=cb)
+        assert outcome.event_log == expected
+        announces += len(announced)
+    assert announces

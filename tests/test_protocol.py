@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entpost import protocol
-from entpost.codebook import Codebook, effective_distance, make_entry, reference_codebook
+from entpost.codebook import (
+    Codebook,
+    effective_distance,
+    make_entry,
+    reference_codebook,
+    resolve_codebook,
+)
 from entpost.epr import SpinOutcome
 from entpost.protocol import (
     AbortReason,
@@ -336,8 +342,8 @@ def test_truth_entry_survives_every_noiseless_session():
             truth = entry_index(REF, bits)
             assert bob.alive[truth]
             assert sonai.alive[truth]
-            assert bob.violations[truth] == 0
-            assert sonai.violations[truth] == 0
+            assert kernel_tallies(bob)[1][truth] == 0
+            assert kernel_tallies(sonai)[1][truth] == 0
 
 
 def test_reveal_order_does_not_change_the_end_state():
@@ -353,24 +359,42 @@ def test_reveal_order_does_not_change_the_end_state():
         for ordered, shuffled in ((bob, bob_shuffled), (sonai, sonai_shuffled)):
             assert np.array_equal(ordered.table, shuffled.table)
             assert ordered.received_all and shuffled.received_all
-            assert ordered.violations == shuffled.violations
+            assert kernel_tallies(ordered) == kernel_tallies(shuffled)
             assert ordered.alive == shuffled.alive
             assert ordered.decode() == shuffled.decode()
 
 
-def test_violation_counter_matches_the_kernel_after_every_reveal():
-    # the per-reveal counter that ``alive`` reads agrees with the check
-    # kernel folding the receiver's view, reveal by reveal, on either side
+def test_first_decode_answers_for_every_prefix_of_the_arrivals():
+    # one fold of the final view stands for every prefix: at each count the
+    # prefix method decodes exactly when decode_block does on a snapshot of
+    # the view after that many arrivals, with the same result, on either side
     rng = np.random.default_rng(11)
-    for seed in range(10):
-        config = small_config(noise=0.15, delta=0.3)
-        block, bob, sonai = build_receivers((0, 1), config, seed=seed)
-        for receiver, theirs in ((bob, block[1]), (sonai, block[0])):
-            assert kernel_tallies(receiver) == ([0] * 4, receiver.violations)
-            for count, q in enumerate(rng.permutation(8).tolist(), start=1):
-                receiver.observe_reveal(q + 1, int(theirs[q]))
-                assert kernel_tallies(receiver) == ([count] * 4, receiver.violations)
-                assert receiver.alive == [v <= 0.3 * count for v in receiver.violations]
+    early = 0
+    books = {8: REF, 32: resolve_codebook(None, 32, 8, 5)}
+    for (noise, delta), n, seed in itertools.product(
+        ((0.0, 0.0), (0.05, 0.25), (0.15, 0.3)), books, range(8)
+    ):
+        cb = books[n]
+        config = ProtocolConfig(n=n, lam=cb.lam, noise=noise, delta=delta,
+                                confidence_target=0.9, seed=seed)
+        table = alice_prepare(seed, noise, (0, 1), cb)
+        for side, party in enumerate((Party.BOB, Party.SONAI)):
+            receiver = Receiver(party, cb, table[side], config)
+            snapshots = [receiver.table.copy()]
+            for q in rng.permutation(n).tolist():
+                receiver.observe_reveal(q + 1, int(table[1 - side, q]))
+                snapshots.append(receiver.table.copy())
+            results, _ = protocol.decode_block(cb, config, np.stack(snapshots))
+            decoded = [(count, result) for count, result in enumerate(results)
+                       if result.status is DecodeStatus.DECODED]
+            for count, result in enumerate(results):
+                expected = (count, result) if result.status is DecodeStatus.DECODED else None
+                assert receiver.first_decode([count]) == expected
+            assert receiver.first_decode(range(n + 1)) == (decoded[0] if decoded else None)
+            assert receiver.first_decode(range(0, n + 1, 3)) == next(
+                (hit for hit in decoded if hit[0] % 3 == 0), None)
+            early += bool(decoded) and decoded[0][0] < n
+    assert early
 
 
 def test_observe_rejects_outcomes_other_than_plus_or_minus_one():
@@ -498,7 +522,7 @@ def test_full_transcript_views_always_agree():
             assert np.array_equal(bob.table, sonai.table)
             assert np.array_equal(bob.table, block)
             assert alive_bits(bob) == alive_bits(sonai)
-            assert bob.violations == sonai.violations
+            assert kernel_tallies(bob) == kernel_tallies(sonai)
             assert bob.decode() == sonai.decode()
 
 
@@ -640,9 +664,9 @@ def test_replay_reproduces_private_decodes_exactly(seed, noise, reveal_first, n)
 def test_replay_tallies_every_prefix_like_both_receivers(seed, noise, reveal_first, n, bits):
     # after each reveal, the public table is what both receivers know, and
     # the replay has completed exactly the checks both receivers have
-    # completed, with their verdicts; each receiver's violation counter is
-    # the kernel's count over its own view; at the end both receivers hold
-    # the prepared table
+    # completed, with their verdicts; each receiver has completed one check
+    # per entry for each arrival; at the end both receivers hold the
+    # prepared table
     eps, delta = noise
     config = ProtocolConfig(
         n=n, lam=n // 4, noise=eps, delta=delta, reveal_first=reveal_first, seed=seed
@@ -682,9 +706,7 @@ def test_replay_tallies_every_prefix_like_both_receivers(seed, noise, reveal_fir
             assert checks == done.sum(axis=-1).tolist()
             assert violations == (done & ~passed).sum(axis=-1).tolist()
             for receiver in (bob, sonai):
-                assert kernel_tallies(receiver) == (
-                    [receiver.received_count] * len(cb.entries), receiver.violations
-                )
+                assert kernel_tallies(receiver)[0] == [len(receiver.arrivals)] * len(cb.entries)
     for receiver in (bob, sonai, *outcome.receivers.values()):
         assert np.array_equal(receiver.table, prepared)
 
@@ -821,5 +843,5 @@ def test_survival_rank_matches_constraint_graph_oracle(case, seed):
     # with every check passed, the rank is the effective distance
     full = Receiver(party, cb, own_row, config)
     reveal_all(full, [-own_row[own_partner[q]] for q in range(n)])
-    assert full.violations[1] == 0
+    assert kernel_tallies(full)[1][1] == 0
     assert full.survival_log2((1, 1), (0, 0)) == -effective_distance(cand, truth)
