@@ -289,6 +289,21 @@ PINNED_EXPERIMENTS = [
     (("session", 32, 8, None, 0.0, 0.0, "sonai", (0, 1), 14, 1,
       dict(strategy_sonai="batchdump", one_ahead_limit=2, timeout_ticks=5)),
      "eec8f284becfc3342b5502ab2bd27f63d0e119f3e6e13bdc10b8861eee1d9d67"),
+    # recorded while every session trial still ran the tick loop
+    (("session", 16, 4, None, 0.05, 0.25, "bob", None, 20, 1,
+      dict(strategy_bob="lie:1.0", strategy_sonai="lie:0.5")),
+     "c6b8dfd17c107ca271985be37d41a867f8e5b71305079e58ea64ac7a293f94a0"),
+    (("session", 8, 4, "reference", 0.05, 0.25, "bob", None, 12, 2,
+      dict(strategy_bob="withhold:0", strategy_sonai="lie:0.5", timeout_ticks=3)),
+     "7ffa0758fa495c78c94ff5ce8f1c259b6d64182d7248f400b7ed59a4b79b6f58"),
+    (("session", 8, 4, "reference", 0.0, 0.0, "sonai", (0, 1), 2, 2,
+      dict(strategy_sonai="lie:0.5")),
+     "161c4d58c0595aa819b492abf4c377766a97aeaaffede931b4d198be82e29f3b"),
+    (("session", 64, 16, None, 0.0, 0.0, "bob", None, 40, 1, dict(strategy_bob="lie:0.1")),
+     "1882fb379beaa4fe300635df9de58ecd6b65ef23c45384b9b5074feb00240a56"),
+    (("session", 16, 4, None, 0.1, 0.3, "sonai", None, 15, 2,
+      dict(strategy_bob="batchdump", strategy_sonai="lie:0.2", one_ahead_limit=3)),
+     "a9546fb2b49df32488e6b0b4e04cc72b633b6d8fbc279bac8da4a50eddc8f13a"),
 ]
 
 
