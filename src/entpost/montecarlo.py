@@ -2,10 +2,14 @@
 
 Every trial draws its randomness from a substream addressed by (base seed,
 trial index), so results never depend on how trials are sliced across
-workers. Honest and soundness trials are prepared one by one but folded and
-checked in blocks, one fold per block for both receivers. Reports are
-produced by one aggregation function over the per-trial rows; there is no
-second bookkeeping path to drift out of sync.
+workers. A session's timing never reads its data: the reveal order, the
+ticks, any timeout and the fairness gap are the same in every trial of one
+strategy pair and config. So trials are prepared one by one but folded and
+checked in blocks on one schedule: the complete exchange of two honest
+receivers in honest and soundness mode, and in session mode the schedule of
+one simulated session per chunk. Reports are produced by one aggregation
+function over the per-trial rows; there is no second bookkeeping path to
+drift out of sync.
 """
 from __future__ import annotations
 
@@ -20,14 +24,13 @@ import numpy as np
 
 from . import rng as rng_mod
 from .codebook import BIT_PAIR_ORDER, Codebook, resolve_codebook
-from .netsim import Honest, Strategy, fairness_gap
-from .protocol import (Party, ProtocolConfig, TerminalRecord, alice_prepare, decode_block,
-                       run_session, terminal_record)
+from .netsim import Honest, LieWithProb, Strategy, fairness_gap
+from .protocol import (AbortReason, DecodeResult, Party, ProtocolConfig, SessionOutcome,
+                       TerminalRecord, alice_prepare, decode_block, run_session, terminal_record)
 
 __all__ = [
     "ExperimentSpec",
     "StatsReport",
-    "run_trial",
     "run_experiment",
     "aggregate_rows",
     "write_rows_csv",
@@ -37,7 +40,7 @@ __all__ = [
 
 MODES = ("honest", "session", "soundness")
 _CONFIG_FIELDS = tuple(f.name for f in fields(ProtocolConfig))
-_FOLD_BLOCK = 256  # honest and soundness trials folded at once: bounded memory at any count
+_FOLD_BLOCK = 256  # trials folded at once: bounded memory at any count
 
 
 @dataclass(frozen=True)
@@ -49,10 +52,13 @@ class ExperimentSpec(ProtocolConfig):
     mode picks how trials run: "honest" folds the complete tables of
     truthful sessions in blocks of trials, one fold per block serving both
     receivers, without the tick machinery (the simulator's honest run ends
-    in the same state, far more slowly); "session" runs the full simulator
-    with the given strategies and pacing; and "soundness" folds honest
-    sessions the same way and records which wrong entries survived the
-    whole exchange, in both receivers' view.
+    in the same state, far more slowly); "session" plays the given
+    strategies and pacing: each chunk of trials runs its first trial on the
+    simulator and folds the others on that session's schedule, with each
+    trial's own values and lie draws, to the rows the simulator would give
+    them; and "soundness" folds honest sessions the same way as "honest"
+    and records which wrong entries survived the whole exchange, in both
+    receivers' view. Strategies must keep the ``Strategy`` contract.
     """
 
     mode: str = "honest"
@@ -65,6 +71,14 @@ class ExperimentSpec(ProtocolConfig):
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        # type before range, as ProtocolConfig does: True would run one trial
+        if isinstance(self.trials, bool) or not isinstance(self.trials, int):
+            raise ValueError(f"trials must be an integer, got {self.trials!r}")
+        if self.bits is not None and not (
+            type(self.bits) is tuple and len(self.bits) == 2
+            and all(type(bit) is int and bit in (0, 1) for bit in self.bits)
+        ):
+            raise ValueError(f"bits must be None or a pair of 0/1 integers, got {self.bits!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         super().__post_init__()
@@ -94,33 +108,78 @@ def _row(trial: int, seed: int, bits: tuple[int, int], terminal: TerminalRecord,
                 abort_reason=reason, ticks=ticks, fairness_gap=gap)
 
 
-def run_trial(spec: ExperimentSpec, cb: Codebook, trial: int) -> dict:
-    """One self-contained trial; the row carries everything reports need."""
-    if spec.mode != "session":
-        return _fold_trials(spec, cb, trial, trial + 1)[0]
-    seed = rng_mod.derive_seed(spec.seed, rng_mod.KEY_TRIAL, trial)
-    bits = spec.trial_bits(trial)
-    strategies = {Party.BOB: spec.strategy_bob, Party.SONAI: spec.strategy_sonai}
-    outcome = run_session(spec.config(seed=seed), bits, strategies, cb=cb)
-    return _row(trial, seed, bits, outcome.terminal, outcome.ticks, fairness_gap(outcome.transcript))
+_LIE_KEYS = (rng_mod.KEY_LIE_BOB, rng_mod.KEY_LIE_SONAI)
+_TRANSPORT_ABORTS = (AbortReason.TIMEOUT, AbortReason.FAIRNESS_VIOLATION)
 
 
-def _fold_trials(spec: ExperimentSpec, cb: Codebook, start: int, stop: int) -> list[dict]:
-    """Rows of the honest or soundness trials start..stop-1. Each table is
-    prepared from its trial's own seed, as ``build_world`` prepares it. Both
-    receivers end holding that table, so the (trials, 2, n) stack of them is
-    folded at once and decoded once per trial for both. A complete honest
-    run takes 2n + 1 ticks with a lead of one."""
-    trials = range(start, stop)
+@dataclass(frozen=True)
+class _Schedule:
+    """What a session's timing fixes, whatever its data: the chance that
+    each value bob, then sonai, publishes is a lie, the transport abort if
+    any, the tick count and the fairness gap. Strategies plan from counters
+    alone, so one schedule serves every trial of a strategy pair and
+    config. A session that does not abort ends with each receiver holding
+    all of the counterpart's published values."""
+
+    lies: tuple[float, float]
+    abort: AbortReason | None
+    ticks: int
+    gap: int
+
+    @classmethod
+    def complete(cls, config: ProtocolConfig) -> "_Schedule":
+        """Two honest receivers, with a lead of one. At a one-ahead limit of
+        1 they alternate, one reveal a tick, and the last arrives at tick
+        2n + 1; above it both reveal every tick, so it arrives at n + 1."""
+        ticks = 2 * config.n + 1 if config.one_ahead_limit == 1 else config.n + 1
+        return cls((0.0, 0.0), None, ticks, 1)
+
+    @classmethod
+    def of(cls, outcome: SessionOutcome, strategies: dict[Party, Strategy]) -> "_Schedule":
+        """The schedule ``outcome`` followed under ``strategies``. A decode
+        abort depends on the data, so only a timeout or a fairness
+        violation is kept."""
+        reason = outcome.terminal.abort_reason
+        return cls(
+            lies=tuple(s.p if isinstance(s, LieWithProb) else 0.0
+                       for s in (strategies[Party.BOB], strategies[Party.SONAI])),
+            abort=reason if reason in _TRANSPORT_ABORTS else None,
+            ticks=outcome.ticks,
+            gap=fairness_gap(outcome.transcript),
+        )
+
+
+def _fold_trials(spec: ExperimentSpec, cb: Codebook, trials: range, schedule: _Schedule) -> list[dict]:
+    """Rows of ``trials`` run on ``schedule``. Each table is prepared from
+    its trial's own seed, as ``build_world`` prepares it. A receiver ends
+    holding its own row and the counterpart's published one, where a liar's
+    values flip at the draws of its lie substream below its chance: the
+    doubles the simulator draws one reveal at a time. All views are folded
+    at once. When nobody lies both views are the table, so each trial
+    decodes once for both; after a transport abort nothing is decoded."""
     seeds = [rng_mod.derive_seed(spec.seed, rng_mod.KEY_TRIAL, t) for t in trials]
     bits = [spec.trial_bits(t) for t in trials]
+    if schedule.abort is not None:  # the terminal is the abort, whatever the receivers hold
+        aborted = DecodeResult.aborted(schedule.abort)
+        terminal = terminal_record(aborted, aborted, schedule.abort)
+        return [_row(t, seed, b, terminal, schedule.ticks, schedule.gap)
+                for t, seed, b in zip(trials, seeds, bits)]
     tables = np.stack([alice_prepare(seed, spec.noise, b, cb) for seed, b in zip(seeds, bits)])
-    results, alive_entries = decode_block(cb, spec, tables)
+    if not any(schedule.lies):
+        results, alive_entries = decode_block(cb, spec, tables)
+        pairs = list(zip(results, results))
+    else:
+        views = np.stack((tables, tables), axis=1)  # (trials, receiver, 2, n)
+        for side, (p, key) in enumerate(zip(schedule.lies, _LIE_KEYS)):
+            if p:
+                lies = np.stack([rng_mod.substream(seed, key).random(cb.n) < p for seed in seeds])
+                views[:, 1 - side, side][lies] *= -1  # only the counterpart sees the lies
+        results, _ = decode_block(cb, spec, views.reshape(-1, 2, cb.n))
+        pairs = list(zip(results[0::2], results[1::2]))
     rows = []
     for i, trial in enumerate(trials):
-        terminal = terminal_record(results[i], results[i])
-        row = _row(trial, seeds[i], bits[i], terminal, 2 * spec.n + 1, 1)
-        if spec.mode == "soundness":
+        row = _row(trial, seeds[i], bits[i], terminal_record(*pairs[i]), schedule.ticks, schedule.gap)
+        if spec.mode == "soundness":  # always the complete schedule, one view per trial
             for entry, alive in zip(cb.entries, alive_entries[i]):
                 if entry.bits != bits[i]:
                     row[f"survived_{entry.bits[0]}{entry.bits[1]}"] = alive
@@ -129,10 +188,24 @@ def _fold_trials(spec: ExperimentSpec, cb: Codebook, start: int, stop: int) -> l
 
 
 def _run_chunk(spec: ExperimentSpec, cb: Codebook, start: int, stop: int) -> list[dict]:
+    """Rows of trials start..stop-1, folded in blocks of _FOLD_BLOCK. A
+    session chunk runs its first trial on the simulator, which gives that
+    row and the schedule the rest are folded on; an honest or soundness
+    chunk folds every trial on the complete exchange."""
+    rows = []
     if spec.mode == "session":
-        return [run_trial(spec, cb, t) for t in range(start, stop)]
-    blocks = range(start, stop, _FOLD_BLOCK)
-    return [row for a in blocks for row in _fold_trials(spec, cb, a, min(a + _FOLD_BLOCK, stop))]
+        seed = rng_mod.derive_seed(spec.seed, rng_mod.KEY_TRIAL, start)
+        bits = spec.trial_bits(start)
+        strategies = {Party.BOB: spec.strategy_bob, Party.SONAI: spec.strategy_sonai}
+        outcome = run_session(spec.config(seed=seed), bits, strategies, cb=cb)
+        schedule = _Schedule.of(outcome, strategies)
+        rows.append(_row(start, seed, bits, outcome.terminal, schedule.ticks, schedule.gap))
+        start += 1
+    else:
+        schedule = _Schedule.complete(spec)
+    for a in range(start, stop, _FOLD_BLOCK):
+        rows += _fold_trials(spec, cb, range(a, min(a + _FOLD_BLOCK, stop)), schedule)
+    return rows
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> tuple[list[dict], "StatsReport"]:

@@ -89,7 +89,14 @@ def enforce_fairness(
 
 
 class Strategy:
-    """Decides which of the agent's own outcomes go out this tick."""
+    """Decides which of the agent's own outcomes go out this tick.
+
+    The contract: ``plan`` decides from the agent's counters (sent,
+    received, waiting) and its own lie stream only, never from outcome
+    values, and sends its own outcomes in position order, changed only as
+    ``LieWithProb`` changes them. A session's timing then ignores its data,
+    so a session batch runs one session per chunk and reuses its schedule
+    for every other trial, redrawing only the values and the lies."""
 
     def plan(self, agent: "ReceiverAgent", pacing_ok: bool) -> list[tuple[int, int]]:
         raise NotImplementedError

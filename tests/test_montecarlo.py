@@ -3,6 +3,7 @@
 import hashlib
 import io
 import math
+import random
 from concurrent.futures import Future
 
 import pytest
@@ -14,13 +15,44 @@ from entpost.montecarlo import (
     aggregate_rows,
     read_rows_csv,
     run_experiment,
-    run_trial,
     write_report_json,
     write_rows_csv,
 )
-from entpost.netsim import WithholdAfter, parse_strategy
+from entpost import netsim
+from entpost.netsim import WithholdAfter, fairness_gap, parse_strategy
 from entpost.protocol import Party, ProtocolConfig, run_session
 from entpost.rng import KEY_TRIAL, derive_seed
+
+
+class InlinePool:
+    """Stands in for the process pool: runs each chunk in this process and
+    records the requested size and each chunk's trial span."""
+
+    sizes: list = []
+    spans: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.spans.append(args[-2:])
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(InlinePool, "spans", [])
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    return InlinePool
 
 
 def test_spec_validation():
@@ -38,6 +70,15 @@ def test_spec_validation():
             ExperimentSpec(**bad)
     assert ExperimentSpec(noise=0.1).noise == 0.1
     assert ExperimentSpec(reveal_first="sonai").reveal_first is Party.SONAI
+    # batch fields are typed at construction, not deep inside a run
+    for trials in (2.5, True, "5", None):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            ExperimentSpec(trials=trials)
+    for bits in ((0,), (2, 0), (0, 1, 1), (True, 0), (0.0, 1), "01", [0, 1], 0):
+        with pytest.raises(ValueError, match="bits must be"):
+            ExperimentSpec(bits=bits)
+    assert ExperimentSpec(bits=(1, 0)).bits == (1, 0)
+    assert ExperimentSpec(bits=None, trials=3).trials == 3
 
 
 def test_spec_is_a_protocol_config():
@@ -78,8 +119,7 @@ def test_shared_codebook_sources(tmp_path):
 
 def test_honest_row_shape_and_seed_addressing():
     spec = ExperimentSpec(mode="honest", n=8, lam=4, seed=9, trials=4, codebook="reference")
-    cb = spec.shared_codebook()
-    row = run_trial(spec, cb, 2)
+    row = run_experiment(spec)[0][2]
     assert row["trial"] == 2
     assert row["seed"] == derive_seed(9, KEY_TRIAL, 2)
     assert (row["truth_bob"], row["truth_sonai"]) == spec.trial_bits(2)
@@ -92,7 +132,7 @@ def test_soundness_rows_track_every_wrong_entry():
     spec = ExperimentSpec(
         mode="soundness", n=8, lam=4, seed=2, trials=1, bits=(0, 0), codebook="reference"
     )
-    row = run_trial(spec, spec.shared_codebook(), 0)
+    row = run_experiment(spec)[0][0]
     assert set(k for k in row if k.startswith("survived_")) == {
         "survived_11", "survived_01", "survived_10"
     }
@@ -121,8 +161,7 @@ def test_soundness_report_buckets_survivals_by_distance():
 def test_honest_driver_matches_full_simulator():
     spec = ExperimentSpec(mode="honest", n=8, lam=4, seed=31, trials=6, codebook="reference")
     cb = spec.shared_codebook()
-    for trial in range(spec.trials):
-        row = run_trial(spec, cb, trial)
+    for trial, row in enumerate(run_experiment(spec)[0]):
         outcome = run_session(spec.config(seed=row["seed"]), spec.trial_bits(trial), cb=cb)
         terminal = outcome.terminal
         assert row["status"] == terminal.status.value
@@ -173,30 +212,10 @@ def test_worker_count_never_changes_results():
     assert report99 == report1
 
 
-def test_huge_worker_count_starts_at_most_one_process_per_cpu(monkeypatch):
+def test_huge_worker_count_starts_at_most_one_process_per_cpu(monkeypatch, inline_pool):
     spec = ExperimentSpec(mode="soundness", n=8, lam=4, seed=14, trials=9, codebook="reference")
     rows1, report1 = run_experiment(spec, workers=1)
-    pools, spans = [], []
-
-    class InlinePool:
-        """Runs each chunk in this process and records the requested size."""
-
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            spans.append(args[-2:])
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    pools, spans = inline_pool.sizes, inline_pool.spans
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
     rows, report = run_experiment(spec, workers=10**9)
     assert pools == [3]
@@ -343,6 +362,84 @@ def test_fold_block_size_never_changes_rows(monkeypatch, mode, noise, delta):
     spec = ExperimentSpec(mode=mode, n=8, lam=4, seed=21, trials=20, noise=noise, delta=delta,
                           codebook="reference", reveal_first="sonai")
     rows, report = run_experiment(spec)
-    monkeypatch.setattr(montecarlo, "_FOLD_BLOCK", 3)
-    assert run_experiment(spec) == (rows, report)
-    assert [run_trial(spec, spec.shared_codebook(), t) for t in range(20)] == rows
+    for block in (3, 1):
+        monkeypatch.setattr(montecarlo, "_FOLD_BLOCK", block)
+        assert run_experiment(spec) == (rows, report)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_honest_rows_take_their_ticks_from_the_pacing(n):
+    # the complete exchange alternates at a one-ahead limit of 1 and runs
+    # both receivers every tick above it
+    for one_ahead in range(1, 5):
+        for opener in ("bob", "sonai"):
+            spec = ExperimentSpec(mode="honest", n=n, lam=4, seed=n + one_ahead, trials=2,
+                                  reveal_first=opener, one_ahead_limit=one_ahead)
+            cb = spec.shared_codebook()
+            for trial, row in enumerate(run_experiment(spec)[0]):
+                outcome = run_session(spec.config(seed=row["seed"]), spec.trial_bits(trial), cb=cb)
+                assert (row["status"], row["confidence"]) == (outcome.terminal.status.value,
+                                                              outcome.terminal.confidence)
+                assert row["ticks"] == outcome.ticks == (2 * n + 1 if one_ahead == 1 else n + 1)
+                assert row["fairness_gap"] == fairness_gap(outcome.transcript) == 1
+
+
+def _simulator_rows(spec: ExperimentSpec) -> list[dict]:
+    """The rows of ``spec``'s trials, each run on its own simulated session."""
+    cb = spec.shared_codebook()
+    strategies = {Party.BOB: spec.strategy_bob, Party.SONAI: spec.strategy_sonai}
+    rows = []
+    for trial in range(spec.trials):
+        seed = derive_seed(spec.seed, KEY_TRIAL, trial)
+        bits = spec.trial_bits(trial)
+        outcome = run_session(spec.config(seed=seed), bits, strategies, cb=cb)
+        t = outcome.terminal
+        rows.append(dict(
+            trial=trial, seed=seed, truth_bob=bits[0], truth_sonai=bits[1], status=t.status.value,
+            bob_bit=t.bob_bit, sonai_bit=t.sonai_bit, confidence=t.confidence,
+            abort_reason=t.abort_reason.value if t.abort_reason else None, ticks=outcome.ticks,
+            fairness_gap=fairness_gap(outcome.transcript),
+        ))
+    return rows
+
+
+STRATEGY_TEXTS = ("honest", "batchdump", "lie:0.05", "lie:1.0", "withhold:0", "withhold:3")
+STRATEGY_PAIRS = [(bob, sonai) for bob in STRATEGY_TEXTS for sonai in STRATEGY_TEXTS]
+
+
+@pytest.mark.parametrize("index, pair", list(enumerate(STRATEGY_PAIRS)),
+                         ids=["-".join(pair) for pair in STRATEGY_PAIRS])
+def test_session_batches_match_one_simulated_session_per_trial(index, pair, inline_pool):
+    draw = random.Random(index)  # the rest of the spec, seeded per case
+    noise, delta = draw.choice([(0.0, 0.0), (0.05, 0.25), (0.1, 0.3)])
+    spec = ExperimentSpec(
+        mode="session", n=draw.choice([8, 12, 16]), lam=4, noise=noise, delta=delta,
+        reveal_first=draw.choice(["bob", "sonai"]), seed=draw.randrange(10**6),
+        one_ahead_limit=draw.randint(1, 3), timeout_ticks=draw.randint(2, 16),
+        trials=draw.randint(2, 7), bits=draw.choice([None, (1, 0)]),
+        strategy_bob=parse_strategy(pair[0]), strategy_sonai=parse_strategy(pair[1]),
+    )
+    expected = _simulator_rows(spec)
+    for workers in (1, 2):
+        assert run_experiment(spec, workers=workers)[0] == expected
+
+
+def test_a_session_batch_runs_the_tick_loop_once_per_chunk(monkeypatch, inline_pool):
+    calls = []
+    run_world = netsim.run_world
+
+    def counting(world):
+        calls.append(world.config.seed)
+        return run_world(world)
+
+    monkeypatch.setattr(netsim, "run_world", counting)
+    spec = ExperimentSpec(mode="session", n=8, lam=4, seed=3, trials=7, codebook="reference",
+                          strategy_bob=parse_strategy("lie:0.3"))
+    for workers, chunks in ((1, 1), (3, 3), (7, 7)):
+        calls.clear()
+        rows = run_experiment(spec, workers=workers)[0]
+        starts = [a for a, _ in inline_pool.spans[-chunks:]] if workers > 1 else [0]
+        assert calls == [rows[a]["seed"] for a in starts]
+    calls.clear()
+    run_experiment(ExperimentSpec(mode="honest", n=8, lam=4, seed=3, trials=7), workers=2)
+    assert calls == []
