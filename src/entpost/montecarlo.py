@@ -109,7 +109,6 @@ def _row(trial: int, seed: int, bits: tuple[int, int], terminal: TerminalRecord,
 
 
 _LIE_KEYS = (rng_mod.KEY_LIE_BOB, rng_mod.KEY_LIE_SONAI)
-_TRANSPORT_ABORTS = (AbortReason.TIMEOUT, AbortReason.FAIRNESS_VIOLATION)
 
 
 @dataclass(frozen=True)
@@ -137,13 +136,13 @@ class _Schedule:
     @classmethod
     def of(cls, outcome: SessionOutcome, strategies: dict[Party, Strategy]) -> "_Schedule":
         """The schedule ``outcome`` followed under ``strategies``. A decode
-        abort depends on the data, so only a timeout or a fairness
-        violation is kept."""
+        abort (no consistent entry) depends on the data, so only a timeout
+        or a fairness violation is kept."""
         reason = outcome.terminal.abort_reason
         return cls(
             lies=tuple(s.p if isinstance(s, LieWithProb) else 0.0
                        for s in (strategies[Party.BOB], strategies[Party.SONAI])),
-            abort=reason if reason in _TRANSPORT_ABORTS else None,
+            abort=None if reason is AbortReason.NO_CONSISTENT_ENTRY else reason,
             ticks=outcome.ticks,
             gap=fairness_gap(outcome.transcript),
         )

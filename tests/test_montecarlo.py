@@ -2,13 +2,14 @@
 
 import hashlib
 import io
+import itertools
 import math
 import random
 from concurrent.futures import Future
 
 import pytest
 
-from entpost import montecarlo
+from entpost import montecarlo, netsim
 from entpost.codebook import reference_codebook, save_codebook
 from entpost.montecarlo import (
     ExperimentSpec,
@@ -18,7 +19,6 @@ from entpost.montecarlo import (
     write_report_json,
     write_rows_csv,
 )
-from entpost import netsim
 from entpost.netsim import WithholdAfter, fairness_gap, parse_strategy
 from entpost.protocol import Party, ProtocolConfig, run_session
 from entpost.rng import KEY_TRIAL, derive_seed
@@ -159,16 +159,21 @@ def test_soundness_report_buckets_survivals_by_distance():
 
 
 def test_honest_driver_matches_full_simulator():
-    spec = ExperimentSpec(mode="honest", n=8, lam=4, seed=31, trials=6, codebook="reference")
-    cb = spec.shared_codebook()
-    for trial, row in enumerate(run_experiment(spec)[0]):
-        outcome = run_session(spec.config(seed=row["seed"]), spec.trial_bits(trial), cb=cb)
-        terminal = outcome.terminal
-        assert row["status"] == terminal.status.value
-        assert row["bob_bit"] == terminal.bob_bit
-        assert row["sonai_bit"] == terminal.sonai_bit
-        assert row["confidence"] == terminal.confidence
-        assert row["ticks"] == outcome.ticks
+    # the complete exchange alternates at a one-ahead limit of 1 and runs
+    # both receivers every tick above it, so its ticks follow the pacing
+    for n, one_ahead, opener in itertools.product((8, 16, 32), range(1, 5), ("bob", "sonai")):
+        spec = ExperimentSpec(mode="honest", n=n, lam=4, seed=31 + n + one_ahead, trials=4,
+                              reveal_first=opener, one_ahead_limit=one_ahead)
+        cb = spec.shared_codebook()
+        for trial, row in enumerate(run_experiment(spec)[0]):
+            outcome = run_session(spec.config(seed=row["seed"]), spec.trial_bits(trial), cb=cb)
+            terminal = outcome.terminal
+            assert row["status"] == terminal.status.value
+            assert row["bob_bit"] == terminal.bob_bit
+            assert row["sonai_bit"] == terminal.sonai_bit
+            assert row["confidence"] == terminal.confidence
+            assert row["ticks"] == outcome.ticks == (2 * n + 1 if one_ahead == 1 else n + 1)
+            assert row["fairness_gap"] == fairness_gap(outcome.transcript) == 1
 
 
 def test_session_mode_counts_aborts():
@@ -367,23 +372,6 @@ def test_fold_block_size_never_changes_rows(monkeypatch, mode, noise, delta):
         assert run_experiment(spec) == (rows, report)
 
 
-@pytest.mark.parametrize("n", [8, 16, 32])
-def test_honest_rows_take_their_ticks_from_the_pacing(n):
-    # the complete exchange alternates at a one-ahead limit of 1 and runs
-    # both receivers every tick above it
-    for one_ahead in range(1, 5):
-        for opener in ("bob", "sonai"):
-            spec = ExperimentSpec(mode="honest", n=n, lam=4, seed=n + one_ahead, trials=2,
-                                  reveal_first=opener, one_ahead_limit=one_ahead)
-            cb = spec.shared_codebook()
-            for trial, row in enumerate(run_experiment(spec)[0]):
-                outcome = run_session(spec.config(seed=row["seed"]), spec.trial_bits(trial), cb=cb)
-                assert (row["status"], row["confidence"]) == (outcome.terminal.status.value,
-                                                              outcome.terminal.confidence)
-                assert row["ticks"] == outcome.ticks == (2 * n + 1 if one_ahead == 1 else n + 1)
-                assert row["fairness_gap"] == fairness_gap(outcome.transcript) == 1
-
-
 def _simulator_rows(spec: ExperimentSpec) -> list[dict]:
     """The rows of ``spec``'s trials, each run on its own simulated session."""
     cb = spec.shared_codebook()
@@ -435,11 +423,13 @@ def test_a_session_batch_runs_the_tick_loop_once_per_chunk(monkeypatch, inline_p
     monkeypatch.setattr(netsim, "run_world", counting)
     spec = ExperimentSpec(mode="session", n=8, lam=4, seed=3, trials=7, codebook="reference",
                           strategy_bob=parse_strategy("lie:0.3"))
-    for workers, chunks in ((1, 1), (3, 3), (7, 7)):
+    for workers in (1, 3, 7):  # one chunk per worker, each simulating its first trial
         calls.clear()
+        inline_pool.spans.clear()
         rows = run_experiment(spec, workers=workers)[0]
-        starts = [a for a, _ in inline_pool.spans[-chunks:]] if workers > 1 else [0]
+        starts = [a for a, _ in inline_pool.spans] or [0]
         assert calls == [rows[a]["seed"] for a in starts]
+        assert len(calls) == workers
     calls.clear()
     run_experiment(ExperimentSpec(mode="honest", n=8, lam=4, seed=3, trials=7), workers=2)
     assert calls == []
