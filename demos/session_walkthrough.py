@@ -52,11 +52,12 @@ def main():
     print()
     print("round  revealer  pos  val   bob alive            sonai alive")
 
-    # strict alternation, bob opens
+    # strict alternation, bob opens: round r reveals the speaker's next position
     turn = 0
     for rnd in range(1, 2 * 8 + 1):
         speaker, listener = (bob, sonai) if turn == 0 else (sonai, bob)
-        pos, val = speaker.next_reveal()
+        pos = (rnd + 1) // 2
+        val = int(table[turn, pos - 1])
         listener.observe_reveal(pos, val)
         sym = "+" if val > 0 else "-"
         print(

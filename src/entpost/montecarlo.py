@@ -2,9 +2,10 @@
 
 Every trial draws its randomness from a substream addressed by (base seed,
 trial index), so results never depend on how trials are sliced across
-workers. A session's timing never reads its data: the reveal order, the
-ticks, any timeout and the fairness gap are the same in every trial of one
-strategy pair and config. So trials are prepared one by one but folded and
+workers. A session's timing never reads its data, since a strategy plans
+from counters alone (``Strategy.plan``): the reveal order, the ticks, any
+timeout and the fairness gap are the same in every trial of one strategy
+pair and config. So trials are prepared one by one but folded and
 checked in blocks on one schedule: the complete exchange of two honest
 receivers in honest and soundness mode, and in session mode the schedule of
 one simulated session per chunk. Reports are produced by one aggregation
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from .codebook import BIT_PAIR_ORDER, Codebook, resolve_codebook
-from .netsim import Honest, LieWithProb, Strategy, fairness_gap
+from .netsim import Honest, Strategy, fairness_gap, lie_flips
 from .protocol import (AbortReason, DecodeResult, Party, ProtocolConfig, SessionOutcome,
                        TerminalRecord, alice_prepare, decode_block, run_session, terminal_record)
 
@@ -55,10 +56,11 @@ class ExperimentSpec(ProtocolConfig):
     in the same state, far more slowly); "session" plays the given
     strategies and pacing: each chunk of trials runs its first trial on the
     simulator and folds the others on that session's schedule, with each
-    trial's own values and lie draws, to the rows the simulator would give
+    trial's own values and lie flips, to the rows the simulator would give
     them; and "soundness" folds honest sessions the same way as "honest"
     and records which wrong entries survived the whole exchange, in both
-    receivers' view. Strategies must keep the ``Strategy`` contract.
+    receivers' view. Only session mode plays strategies, so the other modes
+    take honest ones only.
     """
 
     mode: str = "honest"
@@ -81,6 +83,13 @@ class ExperimentSpec(ProtocolConfig):
             raise ValueError(f"bits must be None or a pair of 0/1 integers, got {self.bits!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
+        for name in ("strategy_bob", "strategy_sonai"):
+            strategy = getattr(self, name)
+            if not isinstance(strategy, Strategy):
+                raise ValueError(f"{name} must be a Strategy, got {strategy!r}")
+            if self.mode != "session" and not isinstance(strategy, Honest):
+                raise ValueError(f"{name} {strategy.describe()} plays only in session mode, "
+                                 f"not in {self.mode} mode")
         super().__post_init__()
 
     def config(self, seed: int) -> ProtocolConfig:
@@ -108,17 +117,14 @@ def _row(trial: int, seed: int, bits: tuple[int, int], terminal: TerminalRecord,
                 abort_reason=reason, ticks=ticks, fairness_gap=gap)
 
 
-_LIE_KEYS = (rng_mod.KEY_LIE_BOB, rng_mod.KEY_LIE_SONAI)
-
-
 @dataclass(frozen=True)
 class _Schedule:
-    """What a session's timing fixes, whatever its data: the chance that
-    each value bob, then sonai, publishes is a lie, the transport abort if
-    any, the tick count and the fairness gap. Strategies plan from counters
-    alone, so one schedule serves every trial of a strategy pair and
-    config. A session that does not abort ends with each receiver holding
-    all of the counterpart's published values."""
+    """What a session's timing fixes, whatever its data: the ``lie`` chance
+    of bob's, then sonai's strategy, the transport abort if any, the tick
+    count and the fairness gap. ``Strategy.plan`` reads counters alone, so
+    one schedule serves every trial of a strategy pair and config. A
+    session that does not abort ends with each receiver holding all of the
+    counterpart's published values."""
 
     lies: tuple[float, float]
     abort: AbortReason | None
@@ -140,8 +146,7 @@ class _Schedule:
         or a fairness violation is kept."""
         reason = outcome.terminal.abort_reason
         return cls(
-            lies=tuple(s.p if isinstance(s, LieWithProb) else 0.0
-                       for s in (strategies[Party.BOB], strategies[Party.SONAI])),
+            lies=(strategies[Party.BOB].lie, strategies[Party.SONAI].lie),
             abort=None if reason is AbortReason.NO_CONSISTENT_ENTRY else reason,
             ticks=outcome.ticks,
             gap=fairness_gap(outcome.transcript),
@@ -151,10 +156,9 @@ class _Schedule:
 def _fold_trials(spec: ExperimentSpec, cb: Codebook, trials: range, schedule: _Schedule) -> list[dict]:
     """Rows of ``trials`` run on ``schedule``. Each table is prepared from
     its trial's own seed, as ``build_world`` prepares it. A receiver ends
-    holding its own row and the counterpart's published one, where a liar's
-    values flip at the draws of its lie substream below its chance: the
-    doubles the simulator draws one reveal at a time. All views are folded
-    at once. When nobody lies both views are the table, so each trial
+    holding its own row and the counterpart's published one, a liar's
+    flipped at its ``lie_flips`` as ``build_world`` flips it. All views are
+    folded at once. When nobody lies both views are the table, so each trial
     decodes once for both; after a transport abort nothing is decoded."""
     seeds = [rng_mod.derive_seed(spec.seed, rng_mod.KEY_TRIAL, t) for t in trials]
     bits = [spec.trial_bits(t) for t in trials]
@@ -169,9 +173,9 @@ def _fold_trials(spec: ExperimentSpec, cb: Codebook, trials: range, schedule: _S
         pairs = list(zip(results, results))
     else:
         views = np.stack((tables, tables), axis=1)  # (trials, receiver, 2, n)
-        for side, (p, key) in enumerate(zip(schedule.lies, _LIE_KEYS)):
+        for side, p in enumerate(schedule.lies):
             if p:
-                lies = np.stack([rng_mod.substream(seed, key).random(cb.n) < p for seed in seeds])
+                lies = np.stack([lie_flips(seed, side, p, cb.n) for seed in seeds])
                 views[:, 1 - side, side][lies] *= -1  # only the counterpart sees the lies
         results, _ = decode_block(cb, spec, views.reshape(-1, 2, cb.n))
         pairs = list(zip(results[0::2], results[1::2]))

@@ -51,6 +51,7 @@ __all__ = [
     "WithholdAfter",
     "BatchDump",
     "LieWithProb",
+    "lie_flips",
     "parse_strategy",
     "ReceiverAgent",
     "World",
@@ -89,16 +90,21 @@ def enforce_fairness(
 
 
 class Strategy:
-    """Decides which of the agent's own outcomes go out this tick.
+    """Decides how many of the agent's next own outcomes go out this tick.
 
-    The contract: ``plan`` decides from the agent's counters (sent,
-    received, waiting) and its own lie stream only, never from outcome
-    values, and sends its own outcomes in position order, changed only as
-    ``LieWithProb`` changes them. A session's timing then ignores its data,
-    so a session batch runs one session per chunk and reuses its schedule
-    for every other trial, redrawing only the values and the lies."""
+    The contract is the signature of ``plan``: it sees how many own outcomes
+    the agent has sent, how many it holds (n) and whether pacing allows a
+    reveal now, never a value or a random draw. The agent sends that many of
+    its published values in position order. ``lie`` is the chance that each
+    published value is the true one flipped; a liar's published row is drawn
+    once, when the world is built (``lie_flips``). A session's timing then
+    ignores its data, so a session batch runs one session per chunk and
+    reuses its schedule for every other trial, redrawing only the values and
+    the lies."""
 
-    def plan(self, agent: "ReceiverAgent", pacing_ok: bool) -> list[tuple[int, int]]:
+    lie = 0.0
+
+    def plan(self, sent: int, n: int, pacing_ok: bool) -> int:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -110,11 +116,8 @@ class Honest(Strategy):
     """Reveal the next outcome whenever pacing allows, truthfully, to the end
     of the sequence even after decoding early."""
 
-    def plan(self, agent: "ReceiverAgent", pacing_ok: bool) -> list[tuple[int, int]]:
-        if not pacing_ok:
-            return []
-        item = agent.receiver.next_reveal()
-        return [item] if item is not None else []
+    def plan(self, sent: int, n: int, pacing_ok: bool) -> int:
+        return int(pacing_ok)
 
     def describe(self) -> str:
         return "honest"
@@ -130,11 +133,8 @@ class WithholdAfter(Strategy):
         if isinstance(self.limit, bool) or not isinstance(self.limit, int) or self.limit < 0:
             raise ValueError(f"withhold count must be a non-negative integer, got {self.limit!r}")
 
-    def plan(self, agent: "ReceiverAgent", pacing_ok: bool) -> list[tuple[int, int]]:
-        if not pacing_ok or agent.receiver.sent_count >= self.limit:
-            return []
-        item = agent.receiver.next_reveal()
-        return [item] if item is not None else []
+    def plan(self, sent: int, n: int, pacing_ok: bool) -> int:
+        return int(pacing_ok and sent < self.limit)
 
     def describe(self) -> str:
         return f"withhold:{self.limit}"
@@ -145,11 +145,8 @@ class BatchDump(Strategy):
     """Ignore pacing and dump every remaining outcome in a single tick.
     Generous rather than withholding; it can only speed the counterpart up."""
 
-    def plan(self, agent: "ReceiverAgent", pacing_ok: bool) -> list[tuple[int, int]]:
-        batch: list[tuple[int, int]] = []
-        while (item := agent.receiver.next_reveal()) is not None:
-            batch.append(item)
-        return batch
+    def plan(self, sent: int, n: int, pacing_ok: bool) -> int:
+        return n - sent
 
     def describe(self) -> str:
         return "batchdump"
@@ -163,22 +160,32 @@ class LieWithProb(Strategy):
     p: float
 
     def __post_init__(self) -> None:
+        if isinstance(self.p, bool) or not isinstance(self.p, (int, float)):
+            raise ValueError(f"lie probability must be a number, got {self.p!r}")
         if not (0.0 <= self.p <= 1.0):
             raise ValueError(f"lie probability must lie in [0, 1], got {self.p}")
+        object.__setattr__(self, "p", float(self.p))
 
-    def plan(self, agent: "ReceiverAgent", pacing_ok: bool) -> list[tuple[int, int]]:
-        if not pacing_ok:
-            return []
-        item = agent.receiver.next_reveal()
-        if item is None:
-            return []
-        pos, outcome = item
-        if agent.lie_rng.random() < self.p:
-            outcome = -outcome
-        return [(pos, outcome)]
+    @property
+    def lie(self) -> float:
+        return self.p
+
+    def plan(self, sent: int, n: int, pacing_ok: bool) -> int:
+        return int(pacing_ok)
 
     def describe(self) -> str:
         return f"lie:{self.p}"
+
+
+_LIE_KEYS = (rng_mod.KEY_LIE_BOB, rng_mod.KEY_LIE_SONAI)
+
+
+def lie_flips(seed: int, side: int, p: float, n: int) -> np.ndarray:
+    """Which of the n values receiver ``side`` (0 bob, 1 sonai) publishes
+    in the session at ``seed`` are lies, each with chance ``p``, drawn from
+    that receiver's lie substream: the one lie rule of the simulator and of
+    session batches."""
+    return rng_mod.substream(seed, _LIE_KEYS[side]).random(n) < p
 
 
 def parse_strategy(text: str) -> Strategy:
@@ -205,19 +212,23 @@ def parse_strategy(text: str) -> Strategy:
 
 
 class ReceiverAgent:
+    """One receiver in the simulator: its ``Receiver`` view, and the values
+    it publishes, sent in position order (``sent`` of them so far)."""
+
     def __init__(
         self,
         party: Party,
         receiver: Receiver,
         strategy: Strategy,
         is_opener: bool,
-        lie_rng: np.random.Generator,
+        published: list[int],
     ):
         self.party = party
         self.receiver = receiver
         self.strategy = strategy
         self.is_opener = is_opener
-        self.lie_rng = lie_rng
+        self.published = published
+        self.sent = 0
         self.waiting = 0
         self.finished = False
         self.aborted: AbortReason | None = None
@@ -242,23 +253,20 @@ class ReceiverAgent:
     def act(self, world: "World") -> None:
         if self.done:
             return
-        action = enforce_fairness(
-            self.receiver.config,
-            self.receiver.sent_count,
-            self.receiver.received_count,
-            self.waiting,
-            self.is_opener,
-        )
+        n, received = len(self.published), len(self.receiver.arrivals)
+        action = enforce_fairness(self.receiver.config, self.sent, received, self.waiting, self.is_opener)
         if action is Action.ABORT_TIMEOUT:
             self._abort(AbortReason.TIMEOUT, world)
             return
-        batch = self.strategy.plan(self, action is Action.PROCEED)
+        count = self.strategy.plan(self.sent, n, action is Action.PROCEED)
+        batch = self.published[self.sent:self.sent + count]
         if batch:
-            for position, outcome in batch:
+            for position, outcome in enumerate(batch, start=self.sent + 1):
                 world.send_reveal(self.party, position, outcome)
+            self.sent += len(batch)
             self.waiting = 0
-        self.decode_points.setdefault(self.receiver.received_count, (len(world.event_log), world.tick))
-        if self.receiver.sent_count >= self.receiver.codebook.n and self.receiver.received_all:
+        self.decode_points.setdefault(received, (len(world.event_log), world.tick))
+        if self.sent >= n and received >= n:
             self.finished = True
             self.result = self.receiver.decode()
             summary = f"final:{self.result.status.value}"
@@ -336,22 +344,20 @@ def build_world(
     strategies: dict[Party, Strategy] | None = None,
 ) -> World:
     """Prepare the table of the config seed and wire up both receivers, each
-    holding its own row."""
+    holding its own row and publishing it, a liar's flipped at its
+    ``lie_flips``."""
     if cb.n != config.n:
         raise ValueError(f"codebook size {cb.n} does not match config n {config.n}")
     strategies = dict(strategies or {})
     table = alice_prepare(config.seed, config.noise, bits, cb)
-    lie_keys = {Party.BOB: rng_mod.KEY_LIE_BOB, Party.SONAI: rng_mod.KEY_LIE_SONAI}
-    agents = {
-        party: ReceiverAgent(
-            party=party,
-            receiver=Receiver(party, cb, table[side], config),
-            strategy=strategies.get(party, Honest()),
-            is_opener=(party is config.reveal_first),
-            lie_rng=rng_mod.substream(config.seed, lie_keys[party]),
-        )
-        for side, party in enumerate((Party.BOB, Party.SONAI))
-    }
+    agents = {}
+    for side, party in enumerate((Party.BOB, Party.SONAI)):
+        strategy, row = strategies.get(party, Honest()), table[side]
+        if strategy.lie:
+            row = np.where(lie_flips(config.seed, side, strategy.lie, cb.n), -row, row)
+        receiver = Receiver(party, cb, table[side], config)
+        agents[party] = ReceiverAgent(party, receiver, strategy, party is config.reveal_first,
+                                      row.tolist())
     world = World(config, cb, agents)
     # the sender hands each receiver its outcome sequence before the first tick
     for party in (Party.BOB, Party.SONAI):

@@ -373,34 +373,13 @@ class Receiver:
         self.table = np.zeros((2, cb.n), dtype=np.int8)
         self.table[self.side] = own_outcomes
         self._theirs = self.table[1 - self.side]  # a view: reveals write into the table
-        # Python ints for next_reveal: each read of the int8 row builds a numpy scalar
-        self._own = self.table[self.side].tolist()
         self.arrivals: list[int] = []
-        self.received_count = 0
-        self.next_position = 0  # 0-based pointer into own reveal order
-
-    # -- reveal side ------------------------------------------------------
-
-    def next_reveal(self) -> tuple[int, int] | None:
-        """(1-based position, own outcome) for the lowest unrevealed own
-        position, or None when everything is out."""
-        if self.next_position >= len(self._own):
-            return None
-        pos = self.next_position
-        self.next_position += 1
-        return pos + 1, self._own[pos]
-
-    @property
-    def sent_count(self) -> int:
-        return self.next_position
-
-    # -- observation side --------------------------------------------------
 
     def observe_reveal(self, position: int, outcome: int) -> None:
         """Fill one counterpart value into the table and note its arrival. A
         value already filled in is a duplicate reveal."""
         q = position - 1
-        if not 0 <= q < len(self._own):
+        if not 0 <= q < self.codebook.n:
             raise ProtocolViolationError(f"reveal position out of range: {position}")
         if outcome not in (1, -1):
             raise ProtocolViolationError(f"reveal outcome must be +1 or -1, got {outcome!r}")
@@ -409,11 +388,6 @@ class Receiver:
             raise ProtocolViolationError(f"duplicate reveal of {counterpart} position {position}")
         self._theirs[q] = outcome
         self.arrivals.append(q)
-        self.received_count += 1
-
-    @property
-    def received_all(self) -> bool:
-        return self.received_count >= self.codebook.n
 
     @property
     def alive(self) -> list[bool]:

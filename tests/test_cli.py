@@ -427,6 +427,24 @@ def test_montecarlo_soundness_cycling_bits_writes_rows_and_report(tmp_path, caps
         assert rate == sum(present) / len(present) == sum(present) / 6
 
 
+def test_montecarlo_refuses_strategies_outside_session_mode(tmp_path, capsys):
+    # only session mode plays strategies; pacing flags still apply elsewhere
+    base = tmp_path / "refused"
+    for mode in ("honest", "soundness"):
+        for flag, text in (("--strategy-bob", "lie:1.0"), ("--strategy-sonai", "withhold:2"),
+                           ("--strategy-bob", "batchdump")):
+            code, _, err = run_cli(capsys, "montecarlo", "--mode", mode, "--n", "8",
+                                   "--lambda", "4", "--trials", "4", "--seed", "1",
+                                   flag, text, "--out", str(base))
+            assert code == EXIT_USAGE
+            assert f"plays only in session mode, not in {mode} mode" in err
+    assert not list(tmp_path.iterdir())
+    code, _, _ = run_cli(capsys, "montecarlo", "--mode", "honest", "--n", "8", "--lambda", "4",
+                         "--trials", "4", "--seed", "1", "--policy-one-ahead", "2",
+                         "--timeout", "5", "--out", str(base))
+    assert code == EXIT_OK
+
+
 def test_montecarlo_run_events_out(tmp_path, capsys):
     events = tmp_path / "events.jsonl"
     code, _, _ = run_cli(

@@ -79,6 +79,17 @@ def test_spec_validation():
             ExperimentSpec(bits=bits)
     assert ExperimentSpec(bits=(1, 0)).bits == (1, 0)
     assert ExperimentSpec(bits=None, trials=3).trials == 3
+    # a strategy must be a Strategy, and only session mode plays one
+    for name in ("strategy_bob", "strategy_sonai"):
+        for bad in ("lie:0.5", None, netsim.Honest):
+            with pytest.raises(ValueError, match=f"{name} must be a Strategy"):
+                ExperimentSpec(mode="session", **{name: bad})
+        for mode in ("honest", "soundness"):
+            for strategy in (netsim.LieWithProb(1.0), WithholdAfter(2), netsim.BatchDump()):
+                with pytest.raises(ValueError, match="plays only in session mode"):
+                    ExperimentSpec(mode=mode, **{name: strategy})
+            assert ExperimentSpec(mode=mode, **{name: netsim.Honest()}).mode == mode
+        assert ExperimentSpec(mode="session", **{name: WithholdAfter(2)}).mode == "session"
 
 
 def test_spec_is_a_protocol_config():

@@ -5,6 +5,7 @@ from collections import Counter
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from entpost.codebook import reference_codebook, resolve_codebook
@@ -17,6 +18,7 @@ from entpost.netsim import (
     build_world,
     enforce_fairness,
     fairness_gap,
+    lie_flips,
     parse_strategy,
     run_world,
 )
@@ -25,6 +27,7 @@ from entpost.protocol import (
     DecodeStatus,
     Party,
     ProtocolConfig,
+    alice_prepare,
     run_session,
 )
 
@@ -96,6 +99,53 @@ def test_lie_probability_bounds():
         LieWithProb(1.5)
     with pytest.raises(ValueError):
         LieWithProb(-0.1)
+    for p in (True, False, "0.5", None, [0.5]):
+        with pytest.raises(ValueError, match="lie probability must be a number"):
+            LieWithProb(p)
+    assert LieWithProb(1).describe() == "lie:1.0"
+
+
+@pytest.mark.parametrize("strategy, lie, plans", [
+    # plans: {(sent, pacing_ok): count} at n=8
+    (Honest(), 0.0, {(0, True): 1, (0, False): 0, (5, True): 1, (8, True): 1, (8, False): 0}),
+    (WithholdAfter(3), 0.0,
+     {(0, True): 1, (0, False): 0, (2, True): 1, (3, True): 0, (3, False): 0, (8, True): 0}),
+    (WithholdAfter(0), 0.0, {(0, True): 0, (0, False): 0}),
+    (BatchDump(), 0.0, {(0, True): 8, (0, False): 8, (5, False): 3, (8, True): 0}),
+    (LieWithProb(0.3), 0.3, {(0, True): 1, (0, False): 0, (5, True): 1, (8, False): 0}),
+])
+def test_strategy_plans_a_count_from_counters(strategy, lie, plans):
+    # the agent sends at most the n - sent values it has left, so a count
+    # past the end sends nothing
+    assert strategy.lie == lie
+    for (sent, pacing_ok), count in plans.items():
+        assert strategy.plan(sent, 8, pacing_ok) == count
+
+
+def test_agent_reveals_its_positions_in_order():
+    for strategies in ({}, {Party.BOB: BatchDump()}, {Party.SONAI: WithholdAfter(3)},
+                       {Party.SONAI: LieWithProb(0.3)}):
+        world = build_world(config8(), (0, 1), cb=REF, strategies=strategies)
+        events = run_world(world).transcript.events
+        for party, agent in world.agents.items():
+            reveals = [e for e in events if e.party is party]
+            assert [e.position for e in reveals] == list(range(1, agent.sent + 1))
+            assert [int(e.outcome) for e in reveals] == agent.published[:agent.sent]
+
+
+def test_liar_publishes_its_row_flipped_at_lie_flips():
+    config = config8(seed=5)
+    table = alice_prepare(config.seed, config.noise, (1, 0), REF)
+    for side, party in enumerate((Party.BOB, Party.SONAI)):
+        outcome = run_session(config, (1, 0), cb=REF, strategies={party: LieWithProb(0.3)})
+        flips = lie_flips(config.seed, side, 0.3, 8)
+        assert 0 < flips.sum() < 8  # the case shows both kinds of value
+        published = [int(e.outcome) for e in outcome.transcript.events if e.party is party]
+        assert published == np.where(flips, -table[side], table[side]).tolist()
+        other = [int(e.outcome) for e in outcome.transcript.events if e.party is not party]
+        assert other == table[1 - side].tolist()
+        # the liar's own view keeps its true row
+        assert np.array_equal(outcome.receivers[party].table[side], table[side])
 
 
 # -- honest runs --------------------------------------------------------------
@@ -125,10 +175,10 @@ def test_honest_check_counts_stay_balanced_every_tick():
         world.tick += 1
         world.deliver_phase()
         world.act_phase()
-        assert abs(bob.received_count - sonai.received_count) <= 1
+        assert abs(len(bob.arrivals) - len(sonai.arrivals)) <= 1
         if all(world.agents[p].finished for p in (Party.BOB, Party.SONAI)):
             break
-    assert bob.received_count == sonai.received_count == 8
+    assert len(bob.arrivals) == len(sonai.arrivals) == 8
 
 
 def test_honest_event_log_announces_both_decodes():
@@ -234,7 +284,7 @@ def test_duplicate_reveal_is_a_fairness_violation():
     world.send_reveal(Party.SONAI, 2, 1)
     world.tick += 1
     world.deliver_phase()
-    assert bob.receiver.received_count == 1
+    assert len(bob.receiver.arrivals) == 1
     assert bob.aborted is None
     bob.on_reveal(2, 1, world)  # the same reveal handed over again
     assert bob.aborted is AbortReason.FAIRNESS_VIOLATION

@@ -358,7 +358,7 @@ def test_reveal_order_does_not_change_the_end_state():
         reveal_all(sonai_shuffled, block[0], order=rng.permutation(8).tolist())
         for ordered, shuffled in ((bob, bob_shuffled), (sonai, sonai_shuffled)):
             assert np.array_equal(ordered.table, shuffled.table)
-            assert ordered.received_all and shuffled.received_all
+            assert len(ordered.arrivals) == len(shuffled.arrivals) == 8
             assert kernel_tallies(ordered) == kernel_tallies(shuffled)
             assert ordered.alive == shuffled.alive
             assert ordered.decode() == shuffled.decode()
@@ -402,18 +402,7 @@ def test_observe_rejects_outcomes_other_than_plus_or_minus_one():
     for outcome in (0, 2, None):
         with pytest.raises(ProtocolViolationError, match="outcome"):
             bob.observe_reveal(1, outcome)
-    assert bob.received_count == 0 and not bob.table[1].any()
-
-
-def test_next_reveal_walks_positions_in_order():
-    config = small_config()
-    _, bob, _ = build_receivers((0, 0), config)
-    positions = []
-    while (item := bob.next_reveal()) is not None:
-        positions.append(item[0])
-        assert item[1] == bob.table[0, item[0] - 1]
-    assert positions == list(range(1, 9))
-    assert bob.sent_count == 8
+    assert bob.arrivals == [] and not bob.table[1].any()
 
 
 # -- survival ranks -----------------------------------------------------------
