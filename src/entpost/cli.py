@@ -166,9 +166,7 @@ def _print_terminal(terminal, ticks: int, gap: int) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
-    print(f"seed: {seed}")
-    config = _config_from_args(args, seed)
+    config = _config_from_args(args, _resolve_seed(args.seed))
     strategies = _adversary_from_args(args)
 
     if args.bob_msg is not None or args.sonai_msg is not None:
@@ -178,6 +176,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 raise _UsageError(f"{flag} and --bob-msg/--sonai-msg are mutually exclusive")
         if args.bob_msg is None or args.sonai_msg is None:
             raise _UsageError("--bob-msg and --sonai-msg must be given together")
+        print(f"seed: {config.seed}")
         try:
             outcomes, (bob_msg, sonai_msg) = run_message(
                 args.bob_msg, args.sonai_msg, config, strategies=strategies
@@ -200,6 +199,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     bits = _parse_bit_pair(args.bits if args.bits is not None else "00")
     cb = resolve_codebook(args.codebook, config.n, config.lam, config.seed)
+    print(f"seed: {config.seed}")
     outcome = run_session(config, bits, strategies=strategies, cb=cb)
     _print_terminal(outcome.terminal, outcome.ticks, fairness_gap(outcome.transcript))
     if args.out:
@@ -211,12 +211,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
-    print(f"seed: {seed}")
     strategies = _adversary_from_args(args)
     spec = _config_from_args(
         args,
-        seed,
+        _resolve_seed(args.seed),
         ExperimentSpec,
         mode=args.mode,
         trials=args.trials,
@@ -225,6 +223,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         strategy_sonai=strategies[Party.SONAI],
         codebook=args.codebook,
     )
+    print(f"seed: {spec.seed}")
     rows, report = run_experiment(spec, workers=args.workers)
     if args.out:
         with open(f"{args.out}.csv", "w", encoding="utf-8", newline="") as fp:
@@ -239,9 +238,11 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
 def cmd_codebook(args: argparse.Namespace) -> int:
     if args.codebook_cmd == "gen":
         seed = _resolve_seed(args.seed)
-        print(f"seed: {seed}")
+        if seed < 0:  # as ProtocolConfig refuses it for run and montecarlo
+            raise _UsageError(f"seed must be non-negative, got {seed}")
         # a CapacityError propagates to main() and exits as a usage error
         cb = resolve_codebook(None, args.n, args.lam, seed)
+        print(f"seed: {seed}")
         save_codebook(cb, args.out)
         print(f"wrote codebook n={cb.n} lambda={cb.lam} to {args.out}")
         return EXIT_OK

@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "SpinOutcome",
     "sample_block",
+    "sample_blocks",
     "flip_outcomes",
 ]
 
@@ -39,6 +40,19 @@ def sample_block(n: int, rng: np.random.Generator) -> np.ndarray:
     if n < 1:
         raise ValueError(f"block size must be at least 1, got {n}")
     return (rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1).astype(np.int8)
+
+
+def sample_blocks(words: np.ndarray, n: int) -> np.ndarray:
+    """``sample_block(n, g)`` for a block of generators at once: row i is
+    what it draws from the generator whose first 64-bit outputs are
+    ``words[i]`` (at least ceil(n / 8) of them). Its ``integers(0, 2,
+    int8)`` takes one byte per pair, in little-endian order from each
+    output, and Lemire's method, whose threshold is 0 here, keeps the top
+    bit of each byte."""
+    if n < 1:
+        raise ValueError(f"block size must be at least 1, got {n}")
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)[:, :n]
+    return (octets >> 7).astype(np.int8) * 2 - 1
 
 
 def flip_outcomes(values: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:

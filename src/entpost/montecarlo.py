@@ -5,12 +5,14 @@ trial index), so results never depend on how trials are sliced across
 workers. A session's timing never reads its data, since a strategy plans
 from counters alone (``Strategy.plan``): the reveal order, the ticks, any
 timeout and the fairness gap are the same in every trial of one strategy
-pair and config. So trials are prepared one by one but folded and
-checked in blocks on one schedule: the complete exchange of two honest
-receivers in honest and soundness mode, and in session mode the schedule of
-one simulated session per chunk. Reports are produced by one aggregation
-function over the per-trial rows; there is no second bookkeeping path to
-drift out of sync.
+pair and config. So trials are seeded, drawn, folded and checked in blocks
+on one schedule: the complete exchange of two honest receivers in honest and
+soundness mode, and in session mode the schedule of one simulated session
+per chunk. A block's trial seeds and prepare draws come from the exact
+block twins of the per-trial streams (``rng.derive_seeds``,
+``alice_prepare_block``), so each trial still gets its own stream. Reports
+are produced by one aggregation function over the per-trial rows; there is
+no second bookkeeping path to drift out of sync.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from . import rng as rng_mod
 from .codebook import BIT_PAIR_ORDER, Codebook, resolve_codebook
 from .netsim import Honest, Strategy, fairness_gap, lie_flips
 from .protocol import (AbortReason, DecodeResult, Party, ProtocolConfig, SessionOutcome,
-                       TerminalRecord, alice_prepare, decode_block, run_session, terminal_record)
+                       TerminalRecord, alice_prepare_block, decode_block, run_session, terminal_record)
 
 __all__ = [
     "ExperimentSpec",
@@ -154,20 +156,22 @@ class _Schedule:
 
 
 def _fold_trials(spec: ExperimentSpec, cb: Codebook, trials: range, schedule: _Schedule) -> list[dict]:
-    """Rows of ``trials`` run on ``schedule``. Each table is prepared from
-    its trial's own seed, as ``build_world`` prepares it. A receiver ends
+    """Rows of ``trials`` run on ``schedule``. Each table is the one
+    ``build_world`` prepares from its trial's own seed; the block's seeds
+    and tables come from one pass of the block twins. A receiver ends
     holding its own row and the counterpart's published one, a liar's
     flipped at its ``lie_flips`` as ``build_world`` flips it. All views are
     folded at once. When nobody lies both views are the table, so each trial
     decodes once for both; after a transport abort nothing is decoded."""
-    seeds = [rng_mod.derive_seed(spec.seed, rng_mod.KEY_TRIAL, t) for t in trials]
+    block_seeds = rng_mod.derive_seeds(spec.seed, (rng_mod.KEY_TRIAL,), trials)
+    seeds = block_seeds.tolist()
     bits = [spec.trial_bits(t) for t in trials]
     if schedule.abort is not None:  # the terminal is the abort, whatever the receivers hold
         aborted = DecodeResult.aborted(schedule.abort)
         terminal = terminal_record(aborted, aborted, schedule.abort)
         return [_row(t, seed, b, terminal, schedule.ticks, schedule.gap)
                 for t, seed, b in zip(trials, seeds, bits)]
-    tables = np.stack([alice_prepare(seed, spec.noise, b, cb) for seed, b in zip(seeds, bits)])
+    tables = alice_prepare_block(block_seeds, spec.noise, bits, cb)
     if not any(schedule.lies):
         results, alive_entries = decode_block(cb, spec, tables)
         pairs = list(zip(results, results))

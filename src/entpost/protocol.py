@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from .codebook import Codebook, CodebookEntry, generate_codebook, resolve_codebook
-from .epr import SpinOutcome, flip_outcomes, sample_block
+from .epr import SpinOutcome, flip_outcomes, sample_block, sample_blocks
 
 __all__ = [
     "Party",
@@ -36,6 +36,7 @@ __all__ = [
     "DecodeResult",
     "SessionOutcome",
     "alice_prepare",
+    "alice_prepare_block",
     "prepared_block_from_signs",
     "decode_block",
     "decode_transcript",
@@ -102,7 +103,7 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         # type before range: a float size fails later in numpy, a string range here
         for names, kinds, kind in (
-            (("n", "lam", "one_ahead_limit", "timeout_ticks"), int, "an integer"),
+            (("n", "lam", "seed", "one_ahead_limit", "timeout_ticks"), int, "an integer"),
             (("noise", "delta", "confidence_target"), (int, float), "a number"),
         ):
             for name in names:
@@ -119,6 +120,8 @@ class ProtocolConfig:
             raise ValueError(f"n must be at least 1, got {self.n}")
         if self.lam < 1:
             raise ValueError(f"lam must be at least 1, got {self.lam}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not (0.0 <= self.delta < 0.5):
             raise ValueError(f"delta must lie in [0, 0.5), got {self.delta}")
         if not (0.0 < self.confidence_target < 1.0):
@@ -134,14 +137,21 @@ class ProtocolConfig:
 
 
 def prepared_block_from_signs(entry: CodebookEntry, signs: Sequence[int]) -> np.ndarray:
-    """The noiseless (2, n) table of a session whose sender-side
-    orientations are ``signs`` (one +/-1 per pair label, in label order):
-    bob's row, then sonai's, each in its own position order, so that
-    table[0, k] == -table[1, map(k)] for the entry's pairing map at every
-    position. Used for exhaustive studies."""
+    """The noiseless (..., 2, n) tables of sessions whose sender-side
+    orientations are ``signs`` (one +/-1 per pair label, in label order, in
+    a (..., n) block): bob's row, then sonai's, each in its own position
+    order, so that table[0, k] == -table[1, map(k)] for the entry's pairing
+    map at every position."""
     i_side = np.asarray(signs, dtype=np.int8)
     # bob's ordering is the sender's identity; sonai's position p holds label s_j[p]
-    return np.stack((i_side, (-i_side).take(entry.partner_arrays[1])))
+    return np.stack((i_side, (-i_side).take(entry.partner_arrays[1], axis=-1)), axis=-2)
+
+
+def _add_noise(table: np.ndarray, seed: int, noise: float) -> None:
+    """Flip each delivered outcome of ``table`` in place with probability
+    ``noise``, each row drawing from its own receiver's noise substream."""
+    for side, key in enumerate((rng_mod.KEY_NOISE_BOB, rng_mod.KEY_NOISE_SONAI)):
+        table[side] = flip_outcomes(table[side], noise, rng_mod.substream(seed, key))
 
 
 def alice_prepare(seed: int, noise: float, bits: tuple[int, int], cb: Codebook) -> np.ndarray:
@@ -153,9 +163,29 @@ def alice_prepare(seed: int, noise: float, bits: tuple[int, int], cb: Codebook) 
     rng = rng_mod.substream(seed, rng_mod.KEY_PREPARE)
     table = prepared_block_from_signs(cb.entry_for_bits(*bits), sample_block(cb.n, rng))
     if noise:
-        for side, key in enumerate((rng_mod.KEY_NOISE_BOB, rng_mod.KEY_NOISE_SONAI)):
-            table[side] = flip_outcomes(table[side], noise, rng_mod.substream(seed, key))
+        _add_noise(table, seed, noise)
     return table
+
+
+def alice_prepare_block(seeds: np.ndarray, noise: float, bits: Sequence[tuple[int, int]],
+                        cb: Codebook) -> np.ndarray:
+    """``alice_prepare(seeds[i], noise, bits[i], cb)`` for a block of
+    sessions, stacked into (len(seeds), 2, n), equal byte for byte. The
+    prepare draws of the whole block come from one pass
+    (``rng.substream_uint64s``) and each distinct ``bits`` arranges its
+    sessions at once; noise flips still draw session by session. It costs
+    far more than ``alice_prepare`` for one seed, so single sessions keep
+    that path."""
+    words = rng_mod.substream_uint64s(seeds, (rng_mod.KEY_PREPARE,), -(-cb.n // 8))
+    signs = sample_blocks(words, cb.n)
+    tables = np.empty((len(signs), 2, cb.n), dtype=np.int8)
+    for pair in set(bits):
+        rows = [i for i, b in enumerate(bits) if b == pair]
+        tables[rows] = prepared_block_from_signs(cb.entry_for_bits(*pair), signs[rows])
+    if noise:
+        for seed, table in zip(np.asarray(seeds).tolist(), tables):
+            _add_noise(table, seed, noise)
+    return tables
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,38 @@ def test_usage_errors(capsys):
         assert "codebook (n=8, lambda=4) does not match" in err
 
 
+def test_negative_seed_is_a_usage_error_naming_the_seed(tmp_path, capsys):
+    book = tmp_path / "book.json"
+    for argv in (["run", "--n", "8", "--lambda", "4"],
+                 ["run", "--n", "8", "--lambda", "4", "--bob-msg", "1", "--sonai-msg", "0"],
+                 ["montecarlo", "--n", "8", "--lambda", "4", "--trials", "2"],
+                 ["codebook", "gen", "--n", "8", "--lambda", "4", "--out", str(book)]):
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert (code, out, err) == (EXIT_USAGE, "", "error: seed must be non-negative, got -1\n")
+    assert not book.exists()
+
+
+def test_usage_errors_print_no_seed(tmp_path, capsys):
+    # the seed line is printed once the run's config, spec or book is built,
+    # so stdout stays empty when the arguments are refused
+    book = tmp_path / "book.json"
+    for argv in (
+        ["montecarlo", "--mode", "honest", "--n", "0", "--lambda", "4", "--trials", "4"],
+        ["montecarlo", "--mode", "honest", "--n", "8", "--lambda", "4", "--trials", "4",
+         "--strategy-bob", "lie:1.0"],
+        ["montecarlo", "--n", "8", "--lambda", "4", "--trials", "4", "--bits", "2"],
+        ["run", "--n", "0"],
+        ["run", "--n", "8", "--lambda", "4", "--bits", "abc"],
+        ["run", "--codebook", "reference", "--n", "16"],
+        ["run", "--bob-msg", "101"],
+        ["run", "--bob-msg", "1", "--sonai-msg", "0", "--codebook", "reference"],
+        ["codebook", "gen", "--n", "2", "--lambda", "4", "--out", str(book)],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--seed", "1")
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert err.startswith("error: ")
+
+
 def test_message_mode(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--n", "16", "--lambda", "4", "--seed", "5",

@@ -7,10 +7,12 @@ import math
 import random
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entpost import montecarlo, netsim
-from entpost.codebook import reference_codebook, save_codebook
+from entpost.codebook import reference_codebook, resolve_codebook, save_codebook
 from entpost.montecarlo import (
     ExperimentSpec,
     aggregate_rows,
@@ -20,7 +22,7 @@ from entpost.montecarlo import (
     write_rows_csv,
 )
 from entpost.netsim import WithholdAfter, fairness_gap, parse_strategy
-from entpost.protocol import Party, ProtocolConfig, run_session
+from entpost.protocol import Party, ProtocolConfig, alice_prepare, run_session
 from entpost.rng import KEY_TRIAL, derive_seed
 
 
@@ -381,6 +383,47 @@ def test_fold_block_size_never_changes_rows(monkeypatch, mode, noise, delta):
     for block in (3, 1):
         monkeypatch.setattr(montecarlo, "_FOLD_BLOCK", block)
         assert run_experiment(spec) == (rows, report)
+
+
+_BOOKS = {(n, lam): resolve_codebook(None, n, lam, seed=1) for n, lam in ((7, 3), (9, 4), (16, 6))}
+_BOOKS[8, 4] = reference_codebook()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.sampled_from(sorted(_BOOKS)),
+    seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64, 2**140)),
+    # the first index lands anywhere, on either side of 2**32 too, where
+    # the spawn key grows a word
+    start=st.one_of(st.integers(0, 1000), st.integers(2**32 - 40, 2**32 + 5)),
+    count=st.integers(1, 40),
+    noise=st.sampled_from([0.0, 0.05, 0.3]),
+    bits=st.sampled_from([None, (0, 0), (1, 0)]),
+    mode=st.sampled_from(["honest", "soundness"]),
+)
+def test_fold_tables_equal_trial_by_trial_preparation(size, seed, start, count, noise, bits, mode):
+    # the block twins seed and draw a fold block at once; each table must
+    # be the one alice_prepare gives at that trial's own derive_seed
+    n, lam = size
+    cb = _BOOKS[size]
+    spec = ExperimentSpec(mode=mode, n=n, lam=lam, seed=seed, noise=noise, bits=bits,
+                          delta=0.25 if noise else 0.0, trials=start + count)
+    captured, prepare = [], montecarlo.alice_prepare_block
+
+    def spy(*args):
+        tables = prepare(*args)
+        captured.append(tables)
+        return tables
+
+    trials = range(start, start + count)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "alice_prepare_block", spy)
+        rows = montecarlo._fold_trials(spec, cb, trials, montecarlo._Schedule.complete(spec))
+    seeds = [derive_seed(seed, KEY_TRIAL, t) for t in trials]
+    assert [row["seed"] for row in rows] == seeds
+    expected = np.stack([alice_prepare(s, noise, spec.trial_bits(t), cb) for s, t in zip(seeds, trials)])
+    (tables,) = captured
+    assert tables.dtype == expected.dtype and np.array_equal(tables, expected)
 
 
 def _simulator_rows(spec: ExperimentSpec) -> list[dict]:

@@ -119,9 +119,14 @@ def test_config_validation():
             ("delta", "0.1", "delta must be a number, got '0.1'"),
             ("lam", 4.0, "lam must be an integer, got 4.0"),
             ("confidence_target", True, "confidence_target must be a number, got True"),
+            ("seed", True, "seed must be an integer, got True"),
+            ("seed", 7.0, "seed must be an integer, got 7.0"),
+            ("seed", "7", "seed must be an integer, got '7'"),
+            ("seed", -1, "seed must be non-negative, got -1"),
         ):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 make(**{field: bad})
+    assert ProtocolConfig(seed=2**130 + 17).seed == 2**130 + 17  # any size of entropy
     assert ProtocolConfig(delta=0).delta == 0  # an int is a number
 
 
