@@ -10,27 +10,13 @@ symmetric channel per side), which makes the observed anti-correlation rate
 """
 from __future__ import annotations
 
-from enum import IntEnum
-
 import numpy as np
 
 __all__ = [
-    "SpinOutcome",
     "sample_block",
     "sample_blocks",
     "flip_outcomes",
 ]
-
-
-class SpinOutcome(IntEnum):
-    """z-basis measurement result, encoded as the spin sign."""
-
-    PLUS = 1
-    MINUS = -1
-
-    @property
-    def symbol(self) -> str:
-        return "+" if self is SpinOutcome.PLUS else "-"
 
 
 def sample_block(n: int, rng: np.random.Generator) -> np.ndarray:

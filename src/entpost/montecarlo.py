@@ -29,7 +29,7 @@ from . import rng as rng_mod
 from .codebook import BIT_PAIR_ORDER, Codebook, resolve_codebook
 from .netsim import Honest, Strategy, fairness_gap, lie_flips
 from .protocol import (AbortReason, DecodeResult, Party, ProtocolConfig, SessionOutcome,
-                       TerminalRecord, alice_prepare_block, decode_block, run_session, terminal_record)
+                       alice_prepare_block, decode_block, run_session, terminal_record)
 
 __all__ = [
     "ExperimentSpec",
@@ -57,7 +57,7 @@ class ExperimentSpec(ProtocolConfig):
     receivers, without the tick machinery (the simulator's honest run ends
     in the same state, far more slowly); "session" plays the given
     strategies and pacing: each chunk of trials runs its first trial on the
-    simulator and folds the others on that session's schedule, with each
+    simulator and folds them all on that session's schedule, with each
     trial's own values and lie flips, to the rows the simulator would give
     them; and "soundness" folds honest sessions the same way as "honest"
     and records which wrong entries survived the whole exchange, in both
@@ -110,7 +110,7 @@ class ExperimentSpec(ProtocolConfig):
         return resolve_codebook(self.codebook, self.n, self.lam, self.seed)
 
 
-def _row(trial: int, seed: int, bits: tuple[int, int], terminal: TerminalRecord,
+def _row(trial: int, seed: int, bits: tuple[int, int], terminal: DecodeResult,
          ticks: int, gap: int) -> dict:
     reason = terminal.abort_reason.value if terminal.abort_reason else None
     return dict(trial=trial, seed=seed, truth_bob=bits[0], truth_sonai=bits[1],
@@ -196,20 +196,17 @@ def _fold_trials(spec: ExperimentSpec, cb: Codebook, trials: range, schedule: _S
 
 def _run_chunk(spec: ExperimentSpec, cb: Codebook, start: int, stop: int) -> list[dict]:
     """Rows of trials start..stop-1, folded in blocks of _FOLD_BLOCK. A
-    session chunk runs its first trial on the simulator, which gives that
-    row and the schedule the rest are folded on; an honest or soundness
+    session chunk runs its first trial on the simulator only for the
+    schedule every trial of the chunk is folded on; an honest or soundness
     chunk folds every trial on the complete exchange."""
-    rows = []
     if spec.mode == "session":
         seed = rng_mod.derive_seed(spec.seed, rng_mod.KEY_TRIAL, start)
-        bits = spec.trial_bits(start)
         strategies = {Party.BOB: spec.strategy_bob, Party.SONAI: spec.strategy_sonai}
-        outcome = run_session(spec.config(seed=seed), bits, strategies, cb=cb)
+        outcome = run_session(spec.config(seed=seed), spec.trial_bits(start), strategies, cb=cb)
         schedule = _Schedule.of(outcome, strategies)
-        rows.append(_row(start, seed, bits, outcome.terminal, schedule.ticks, schedule.gap))
-        start += 1
     else:
         schedule = _Schedule.complete(spec)
+    rows = []
     for a in range(start, stop, _FOLD_BLOCK):
         rows += _fold_trials(spec, cb, range(a, min(a + _FOLD_BLOCK, stop)), schedule)
     return rows
@@ -264,36 +261,15 @@ class StatsReport:
         return asdict(self)
 
 
-def _survival_by_distance(cb: Codebook, rows: Sequence[dict]) -> dict:
-    """Tally wrong-candidate survival events, grouped by effective distance.
-
-    The distance between the true entry and each surviving wrong candidate is
-    looked up in the experiment's codebook, so a report regenerated from the
-    raw CSV lands on the same numbers.
-    """
-    lookup: dict[tuple, int] = {}
-    for (a, b), d in cb.pairwise_distances().items():
-        lookup[(a, b)] = d
-        lookup[(b, a)] = d
-    counts: dict[int, int] = {}
-    for row in rows:
-        truth = (row["truth_bob"], row["truth_sonai"])
-        for key, value in row.items():
-            if not key.startswith("survived_") or not value:
-                continue
-            suffix = key.removeprefix("survived_")
-            cand = (int(suffix[0]), int(suffix[1]))
-            d = lookup[(truth, cand)]
-            counts[d] = counts.get(d, 0) + 1
-    return {str(d): counts[d] for d in sorted(counts)}
-
-
 def aggregate_rows(
     spec: ExperimentSpec, rows: Sequence[dict], *, cb: Codebook | None = None
 ) -> StatsReport:
     """The only path from rows to a report. ``cb`` is the experiment's
     codebook if the caller has already resolved it; it is needed only when
-    the rows carry survival results, and resolved from ``spec`` if absent."""
+    the rows carry survival results, and resolved from ``spec`` if absent.
+    Each wrong candidate's survivals are grouped by its effective distance
+    from the true entry in that codebook, so a report regenerated from the
+    raw CSV lands on the same numbers."""
     status_counts: dict[str, int] = {}
     abort_counts: dict[str, int] = {}
     gap_hist: dict[str, int] = {}
@@ -302,7 +278,8 @@ def aggregate_rows(
     conf_sum = 0.0
     conf_count = 0
     tick_sum = 0
-    survival_tallies: dict[str, list[int]] = {}  # key -> [survived, rows where present]
+    present: dict[str, int] = {}  # survived_* key -> rows carrying it
+    survivals: dict[tuple[tuple[int, int], str], int] = {}  # (truth, key) -> survivals
     for row in rows:
         status = row["status"]
         status_counts[status] = status_counts.get(status, 0) + 1
@@ -321,17 +298,25 @@ def aggregate_rows(
         for key, value in row.items():
             # a trial has no survived_* entry for its own true bits (None in CSV)
             if key.startswith("survived_") and value is not None:
-                tally = survival_tallies.setdefault(key, [0, 0])
-                tally[0] += 1 if value else 0
-                tally[1] += 1
+                present[key] = present.get(key, 0) + 1
+                if value:
+                    tally = ((row["truth_bob"], row["truth_sonai"]), key)
+                    survivals[tally] = survivals.get(tally, 0) + 1
     total = len(rows)
+    survived = dict.fromkeys(present, 0)
+    by_distance: dict[int, int] = {}
+    if present:
+        distances = {}
+        for (a, b), d in (cb or spec.shared_codebook()).pairwise_distances().items():
+            distances[a, b] = distances[b, a] = d
+        for (truth, key), count in survivals.items():
+            survived[key] += count
+            cand = key.removeprefix("survived_")
+            d = distances[truth, (int(cand[0]), int(cand[1]))]
+            by_distance[d] = by_distance.get(d, 0) + count
     survival_rates = {
-        key.removeprefix("survived_"): survived / present
-        for key, (survived, present) in sorted(survival_tallies.items())
+        key.removeprefix("survived_"): survived[key] / present[key] for key in sorted(present)
     }
-    survival_by_distance = (
-        _survival_by_distance(cb or spec.shared_codebook(), rows) if survival_tallies else {}
-    )
     return StatsReport(
         mode=spec.mode,
         trials=total,
@@ -350,7 +335,7 @@ def aggregate_rows(
         fairness_gap_hist=dict(sorted(gap_hist.items(), key=lambda kv: int(kv[0]))),
         max_fairness_gap=max((int(k) for k in gap_hist), default=0),
         survival_rates=survival_rates,
-        survival_by_distance=survival_by_distance,
+        survival_by_distance={str(d): by_distance[d] for d in sorted(by_distance)},
         strategy_bob=spec.strategy_bob.describe(),
         strategy_sonai=spec.strategy_sonai.describe(),
     )

@@ -27,7 +27,6 @@ import numpy as np
 
 from . import rng as rng_mod
 from .codebook import Codebook
-from .epr import SpinOutcome
 from .protocol import (
     AbortReason,
     DecodeResult,
@@ -35,7 +34,6 @@ from .protocol import (
     ProtocolConfig,
     ProtocolViolationError,
     Receiver,
-    RevealEvent,
     SessionOutcome,
     Transcript,
     alice_prepare,
@@ -316,11 +314,10 @@ class World:
         )
 
     def send_reveal(self, party: Party, position: int, outcome: int) -> None:
-        event = RevealEvent(len(self.transcript) + 1, party, position, SpinOutcome(outcome))
-        self.transcript.append(event)
+        self.transcript.append(party, position, outcome)
         counterpart = party.counterpart()
         self.in_flight[counterpart].append((position, outcome))
-        summary = f"{party.value}#{position}:{event.outcome.symbol}"
+        summary = f"{party.value}#{position}:{'+' if outcome == 1 else '-'}"
         self.log(MessageKind.REVEAL, party, counterpart, summary)
 
     def deliver_phase(self) -> None:

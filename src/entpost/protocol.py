@@ -21,14 +21,12 @@ import numpy as np
 
 from . import rng as rng_mod
 from .codebook import Codebook, CodebookEntry, generate_codebook, resolve_codebook
-from .epr import SpinOutcome, flip_outcomes, sample_block, sample_blocks
+from .epr import flip_outcomes, sample_block, sample_blocks
 
 __all__ = [
     "Party",
     "ProtocolConfig",
     "ProtocolViolationError",
-    "RevealEvent",
-    "TerminalRecord",
     "Transcript",
     "Receiver",
     "DecodeStatus",
@@ -189,25 +187,21 @@ def alice_prepare_block(seeds: np.ndarray, noise: float, bits: Sequence[tuple[in
 
 
 @dataclass(frozen=True)
-class RevealEvent:
-    """One published outcome: ``position`` is 1-based in the revealer's own
-    ordering; ``round`` numbers reveals globally from 1."""
-
-    round: int
-    party: Party
-    position: int
-    outcome: SpinOutcome
-
-
-@dataclass(frozen=True)
-class TerminalRecord:
-    """Session outcome line appended after the reveal events."""
+class DecodeResult:
+    """A receiver's decode, a replay's, or a session's outcome, which is the
+    terminal line of its transcript. It has one of three shapes: decoded
+    (both bits, no abort reason), undecided (no bits, no reason) and abort
+    (no bits, confidence 0, a reason)."""
 
     status: DecodeStatus
     bob_bit: int | None
     sonai_bit: int | None
     confidence: float
-    abort_reason: AbortReason | None
+    abort_reason: AbortReason | None = None
+
+    @classmethod
+    def aborted(cls, reason: AbortReason) -> "DecodeResult":
+        return cls(DecodeStatus.ABORT, None, None, 0.0, reason)
 
     def to_json_obj(self) -> dict:
         return {
@@ -219,10 +213,8 @@ class TerminalRecord:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "TerminalRecord":
-        """Parse a terminal line. Only the three shapes ``terminal_record``
-        writes are accepted: decoded (both bits, no abort reason), undecided
-        (no bits, no reason) and abort (no bits, confidence 0, a reason)."""
+    def from_json_obj(cls, obj: dict) -> "DecodeResult":
+        """Parse a terminal line, accepting only the three shapes."""
         for key in ("bob_bit", "sonai_bit"):
             bit = obj[key]
             if bit is not None and (type(bit) is not int or bit not in (0, 1)):  # bool too
@@ -261,7 +253,7 @@ class Transcript:
     the public rules."""
 
     def __init__(self) -> None:
-        self.terminal: TerminalRecord | None = None
+        self.terminal: DecodeResult | None = None
         self._sides, self._positions, self._outcomes, self._lines = [], [], [], []
         self._seen: set[int] = set()  # 2 * position + side of every reveal
 
@@ -293,30 +285,27 @@ class Transcript:
         self._outcomes.append(outcome)
         self._lines.append(line)
 
-    def append(self, event: RevealEvent) -> None:
-        """Record ``event``, which sits on line ``event.round`` of ``to_jsonl``."""
-        self._admit(event.round, event.party, event.position, int(event.outcome), event.round)
-
-    @property
-    def events(self) -> list[RevealEvent]:
-        """The reveals in round order, in a new list: editing it changes nothing."""
-        columns = zip(self._sides, self._positions, self._outcomes)
-        return [RevealEvent(round_, _RECEIVERS[side], position, SpinOutcome(outcome))
-                for round_, (side, position, outcome) in enumerate(columns, start=1)]
+    def append(self, party: Party, position: int, outcome: int) -> None:
+        """Record ``party``'s reveal of ``outcome`` (+1 or -1) at its 1-based
+        ``position`` as the next round, which sits on that line of ``to_jsonl``."""
+        round_ = len(self._sides) + 1
+        self._admit(round_, party, position, outcome, round_)
 
     @property
     def sides(self) -> tuple[int, ...]:
         """Who made each reveal, in round order: 0 for bob, 1 for sonai."""
         return tuple(self._sides)
 
-    def close(self, terminal: TerminalRecord) -> None:
+    def close(self, terminal: DecodeResult) -> None:
         if self.terminal is not None:
             raise ProtocolViolationError("transcript already closed")
         self.terminal = terminal
 
     def to_jsonl(self, fp: IO[str] | None = None) -> str:
-        lines = [json.dumps({"round": e.round, "party": e.party.value, "position": e.position,
-                             "outcome": e.outcome.symbol}, separators=(",", ":")) for e in self.events]
+        columns = zip(self._sides, self._positions, self._outcomes)
+        lines = [json.dumps({"round": round_, "party": _RECEIVERS[side].value, "position": position,
+                             "outcome": "+" if outcome == 1 else "-"}, separators=(",", ":"))
+                 for round_, (side, position, outcome) in enumerate(columns, start=1)]
         if self.terminal is not None:
             lines.append(json.dumps(self.terminal.to_json_obj(), separators=(",", ":")))
         text = "\n".join(lines) + ("\n" if lines else "")
@@ -342,7 +331,7 @@ class Transcript:
                 raise ProtocolViolationError(f"line {lineno}: not valid JSON: {exc}") from exc
             try:
                 if "status" in obj:
-                    transcript.close(TerminalRecord.from_json_obj(obj))
+                    transcript.close(DecodeResult.from_json_obj(obj))
                 else:
                     outcome = _OUTCOMES.get(obj["outcome"], 0)
                     admit(obj["round"], obj["party"], obj["position"], outcome, lineno)
@@ -454,37 +443,30 @@ class Receiver:
         bins = (np.arange(entries)[:, None] * (n + 1) + step + 1)[done & ~passed]
         violations = np.bincount(bins, minlength=entries * (n + 1)).reshape(entries, n + 1).cumsum(1)
         counts = np.asarray(counts, dtype=np.intp)
-        lone = np.count_nonzero(violations[:, counts] <= self.config.delta * counts, axis=0) == 1
-        for c in counts[lone].tolist():
+        alive = _alive(counts, violations[:, counts], self.config.delta)  # (entries, counts)
+        lone = np.count_nonzero(alive, axis=0) == 1
+        for j, c in zip(np.flatnonzero(lone).tolist(), counts[lone].tolist()):
             result = _decode_candidates(cb, [c] * entries, violations[:, c].tolist(),
-                                        passed & (step < c), self.config)
+                                        alive[:, j].tolist(), passed & (step < c), self.config)
             if result.status is DecodeStatus.DECODED:
                 return c, result
         return None
 
 
-@dataclass(frozen=True)
-class DecodeResult:
-    status: DecodeStatus
-    bob_bit: int | None
-    sonai_bit: int | None
-    confidence: float
-    abort_reason: AbortReason | None = None
-
-    @classmethod
-    def aborted(cls, reason: AbortReason) -> "DecodeResult":
-        return cls(DecodeStatus.ABORT, None, None, 0.0, reason)
+def _alive(checks: np.ndarray, violations: np.ndarray, delta: float) -> np.ndarray:
+    """The one elimination rule: an entry stays alive while at most a
+    ``delta`` fraction of its completed checks are violated."""
+    return violations <= delta * checks
 
 
 def _decode_candidates(cb: Codebook, checks: Sequence[int], violations: Sequence[int],
-                       passed: np.ndarray, config: ProtocolConfig) -> DecodeResult:
+                       kept: Sequence[bool], passed: np.ndarray, config: ProtocolConfig) -> DecodeResult:
     """The one decode rule, shared by private receivers, transcript replays
-    and batches. It reads per-entry counts in codebook order: ``checks``
-    completed and the ``violations`` among them. ``passed[i]``, entry i's
-    passed checks over bob's positions, is read only for a noiseless
-    survival rank."""
-    delta = config.delta
-    alive = [i for i in range(len(checks)) if violations[i] <= delta * checks[i]]
+    and batches. It reads per-entry values in codebook order: ``checks``
+    completed, the ``violations`` among them and whether ``_alive`` ``kept``
+    the entry. ``passed[i]``, entry i's passed checks over bob's positions,
+    is read only for a noiseless survival rank."""
+    alive = [i for i, keep in enumerate(kept) if keep]
     if not alive:
         return DecodeResult.aborted(AbortReason.NO_CONSISTENT_ENTRY)
     if not config.noise:
@@ -523,10 +505,10 @@ def decode_block(cb: Codebook, config: ProtocolConfig,
     result serves both."""
     done, passed = _fold_checks(cb, tables)
     checks = done.sum(axis=-1)
-    checks, violations = checks.tolist(), (checks - passed.sum(axis=-1)).tolist()
-    results = [_decode_candidates(cb, k, v, passed[t], config)
-               for t, (k, v) in enumerate(zip(checks, violations))]
-    alive = [[v <= config.delta * k for k, v in zip(ks, vs)] for ks, vs in zip(checks, violations)]
+    violations = checks - passed.sum(axis=-1)
+    alive = _alive(checks, violations, config.delta).tolist()
+    results = [_decode_candidates(cb, k, v, kept, passed[t], config)
+               for t, (k, v, kept) in enumerate(zip(checks.tolist(), violations.tolist(), alive))]
     return results, alive
 
 
@@ -555,7 +537,7 @@ def terminal_record(
     res_bob: DecodeResult,
     res_sonai: DecodeResult,
     transport_abort: AbortReason | None = None,
-) -> TerminalRecord:
+) -> DecodeResult:
     """Session outcome from both receivers' results. A transport abort wins,
     then the first decode abort in act order (bob, then sonai); otherwise the
     session decodes only when both receivers decoded the same bits."""
@@ -565,7 +547,7 @@ def terminal_record(
             (r.abort_reason for r in (res_bob, res_sonai) if r.status is DecodeStatus.ABORT), None
         )
     if reason is not None:
-        return TerminalRecord(DecodeStatus.ABORT, None, None, 0.0, reason)
+        return DecodeResult.aborted(reason)
     confidence = min(res_bob.confidence, res_sonai.confidence)
     agreed = (
         res_bob.status is DecodeStatus.DECODED
@@ -573,8 +555,8 @@ def terminal_record(
         and (res_bob.bob_bit, res_bob.sonai_bit) == (res_sonai.bob_bit, res_sonai.sonai_bit)
     )
     if agreed:
-        return TerminalRecord(DecodeStatus.DECODED, res_bob.bob_bit, res_bob.sonai_bit, confidence, None)
-    return TerminalRecord(DecodeStatus.UNDECIDED, None, None, confidence, None)
+        return DecodeResult(DecodeStatus.DECODED, res_bob.bob_bit, res_bob.sonai_bit, confidence)
+    return DecodeResult(DecodeStatus.UNDECIDED, None, None, confidence)
 
 
 @dataclass(eq=False)
@@ -589,7 +571,7 @@ class SessionOutcome:
     codebook: Codebook
 
     @property
-    def terminal(self) -> TerminalRecord:
+    def terminal(self) -> DecodeResult:
         assert self.transcript.terminal is not None
         return self.transcript.terminal
 

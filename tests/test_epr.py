@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from entpost.codebook import make_entry, reference_codebook
-from entpost.epr import SpinOutcome, flip_outcomes, sample_block
+from entpost.epr import flip_outcomes, sample_block
 from entpost.protocol import ProtocolConfig, alice_prepare, prepared_block_from_signs
 from entpost.rng import substream
 
@@ -14,13 +14,6 @@ def partner_outcomes(table, entry):
     """Sonai's outcome for each of bob's positions, read through the entry's
     pairing: noiseless, the negation of bob's row."""
     return table[1].take(entry.partner_maps[0])
-
-
-def test_outcome_values_and_symbols():
-    assert SpinOutcome.PLUS.value == 1
-    assert SpinOutcome.MINUS.value == -1
-    assert SpinOutcome.PLUS.symbol == "+"
-    assert SpinOutcome.MINUS.symbol == "-"
 
 
 def test_singlet_always_anti_correlated():

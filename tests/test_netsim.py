@@ -40,6 +40,13 @@ def config8(**kw):
     return ProtocolConfig(**base)
 
 
+def reveal_lines(transcript):
+    """(party, position, outcome) of each reveal, read from the public lines."""
+    records = (json.loads(line) for line in transcript.to_jsonl().splitlines())
+    return [(Party(r["party"]), r["position"], 1 if r["outcome"] == "+" else -1)
+            for r in records if "round" in r]
+
+
 # -- pacing rules -------------------------------------------------------------
 
 
@@ -126,11 +133,11 @@ def test_agent_reveals_its_positions_in_order():
     for strategies in ({}, {Party.BOB: BatchDump()}, {Party.SONAI: WithholdAfter(3)},
                        {Party.SONAI: LieWithProb(0.3)}):
         world = build_world(config8(), (0, 1), cb=REF, strategies=strategies)
-        events = run_world(world).transcript.events
+        lines = reveal_lines(run_world(world).transcript)
         for party, agent in world.agents.items():
-            reveals = [e for e in events if e.party is party]
-            assert [e.position for e in reveals] == list(range(1, agent.sent + 1))
-            assert [int(e.outcome) for e in reveals] == agent.published[:agent.sent]
+            reveals = [(position, value) for p, position, value in lines if p is party]
+            assert [position for position, _ in reveals] == list(range(1, agent.sent + 1))
+            assert [value for _, value in reveals] == agent.published[:agent.sent]
 
 
 def test_liar_publishes_its_row_flipped_at_lie_flips():
@@ -140,9 +147,10 @@ def test_liar_publishes_its_row_flipped_at_lie_flips():
         outcome = run_session(config, (1, 0), cb=REF, strategies={party: LieWithProb(0.3)})
         flips = lie_flips(config.seed, side, 0.3, 8)
         assert 0 < flips.sum() < 8  # the case shows both kinds of value
-        published = [int(e.outcome) for e in outcome.transcript.events if e.party is party]
+        lines = reveal_lines(outcome.transcript)
+        published = [value for p, _, value in lines if p is party]
         assert published == np.where(flips, -table[side], table[side]).tolist()
-        other = [int(e.outcome) for e in outcome.transcript.events if e.party is not party]
+        other = [value for p, _, value in lines if p is not party]
         assert other == table[1 - side].tolist()
         # the liar's own view keeps its true row
         assert np.array_equal(outcome.receivers[party].table[side], table[side])
@@ -153,7 +161,7 @@ def test_liar_publishes_its_row_flipped_at_lie_flips():
 
 def test_honest_session_alternates_strictly():
     outcome = run_session(config8(), (0, 1), cb=REF)
-    parties = [e.party for e in outcome.transcript.events]
+    parties = [party for party, _, _ in reveal_lines(outcome.transcript)]
     assert parties[0] is Party.BOB  # default opener
     for i, party in enumerate(parties):
         assert party is (Party.BOB if i % 2 == 0 else Party.SONAI)
@@ -164,7 +172,7 @@ def test_honest_session_alternates_strictly():
 
 def test_reveal_first_controls_the_opener():
     outcome = run_session(config8(reveal_first=Party.SONAI), (0, 1), cb=REF)
-    assert outcome.transcript.events[0].party is Party.SONAI
+    assert reveal_lines(outcome.transcript)[0][0] is Party.SONAI
 
 
 def test_honest_check_counts_stay_balanced_every_tick():
@@ -207,8 +215,8 @@ def test_links_deliver_in_fifo_order_with_unit_delay():
     reveals = [e for e in outcome.event_log if e["kind"] == "reveal"]
     # each reveal arrives in the tick after it was sent, in send order
     sent = [
-        (entry["tick"] + 1, entry["receiver"], event.position)
-        for entry, event in zip(reveals, outcome.transcript.events, strict=True)
+        (entry["tick"] + 1, entry["receiver"], position)
+        for entry, (_, position, _) in zip(reveals, reveal_lines(outcome.transcript), strict=True)
     ]
     assert arrivals == sent
     assert [receiver for tick, receiver, _ in sent if tick == 2] == ["sonai"] + ["bob"] * 8
@@ -221,7 +229,7 @@ def test_withholding_counterpart_forces_timeout_abort():
     outcome = run_session(config8(), (1, 0), cb=REF, strategies={Party.SONAI: WithholdAfter(3)})
     assert outcome.terminal.status is DecodeStatus.ABORT
     assert outcome.terminal.abort_reason is AbortReason.TIMEOUT
-    counts = Counter(event.party for event in outcome.transcript.events)
+    counts = Counter(party for party, _, _ in reveal_lines(outcome.transcript))
     # pacing capped the honest opener at one reveal ahead
     assert counts[Party.BOB] == 4
     assert counts[Party.SONAI] == 3
@@ -234,7 +242,7 @@ def test_withholding_opener_stalls_everyone():
     )
     assert outcome.terminal.status is DecodeStatus.ABORT
     assert outcome.terminal.abort_reason is AbortReason.TIMEOUT
-    assert outcome.transcript.events == []
+    assert reveal_lines(outcome.transcript) == []
     assert outcome.ticks == 6  # idle from the first tick, patience of five
 
 
