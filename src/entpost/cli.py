@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from .codebook import (
     CapacityError,
@@ -223,8 +222,8 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         strategy_sonai=strategies[Party.SONAI],
         codebook=args.codebook,
     )
-    print(f"seed: {spec.seed}")
-    rows, report = run_experiment(spec, workers=args.workers)
+    rows, report = run_experiment(spec, workers=args.workers,
+                                  on_start=lambda: print(f"seed: {spec.seed}"))
     if args.out:
         with open(f"{args.out}.csv", "w", encoding="utf-8", newline="") as fp:
             write_rows_csv(rows, fp)
@@ -276,18 +275,14 @@ def cmd_codebook(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     cb = reference_codebook() if args.codebook == "reference" else load_codebook(args.codebook)
+    # flags are refused before the transcript is opened, so they exit 2 whatever it holds
+    config = ProtocolConfig(n=cb.n, lam=cb.lam, noise=args.noise, delta=args.delta,
+                            confidence_target=args.confidence_target)
     try:
-        text = Path(args.transcript).read_text(encoding="utf-8")
+        with open(args.transcript, encoding="utf-8") as fp:
+            transcript = Transcript.from_jsonl(fp, cb.n)
     except UnicodeDecodeError as exc:
         raise ProtocolViolationError(f"transcript is not UTF-8 text: {exc}") from exc
-    transcript = Transcript.from_jsonl(text)
-    config = ProtocolConfig(
-        n=cb.n,
-        lam=cb.lam,
-        noise=args.noise,
-        delta=args.delta,
-        confidence_target=args.confidence_target,
-    )
     result = decode_transcript(cb, transcript, config)
     print(f"replay_status: {result.status.value}")
     if result.status is DecodeStatus.DECODED:

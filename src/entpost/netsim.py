@@ -294,7 +294,7 @@ class World:
         # (position, outcome) reveals sent to each receiver this tick, keyed
         # in delivery order: sonai, then bob
         self.in_flight: dict[Party, list[tuple[int, int]]] = {Party.SONAI: [], Party.BOB: []}
-        self.transcript = Transcript()
+        self.transcript = Transcript(cb.n)
         self.event_log: list[dict] = []
         self.tick = 0
 

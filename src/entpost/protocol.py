@@ -245,26 +245,28 @@ _raw_decode = json.JSONDecoder().raw_decode  # json.loads without its checks aro
 
 
 class Transcript:
-    """Append-only public record of a session: reveals plus a terminal line.
+    """Append-only public record of a session over ``n`` pairs: reveals
+    plus a terminal line.
 
     The reveals are columns in round order: the revealer's side (0 bob, 1
-    sonai), its 1-based position, the outcome (+1 or -1) and the line of the
-    JSON text it sits on. Every reveal passes ``_admit``, the one site of
-    the public rules."""
+    sonai), its 1-based position and the outcome (+1 or -1). Every reveal
+    passes ``_admit``, the one site of the public rules, so a transcript
+    holds at most 2n reveals."""
 
-    def __init__(self) -> None:
+    def __init__(self, n: int) -> None:
+        self.n = n
         self.terminal: DecodeResult | None = None
-        self._sides, self._positions, self._outcomes, self._lines = [], [], [], []
+        self._sides, self._positions, self._outcomes = [], [], []
         self._seen: set[int] = set()  # 2 * position + side of every reveal
 
     def __len__(self) -> int:
         """The number of reveals."""
         return len(self._sides)
 
-    def _admit(self, round_, party, position, outcome: int, line: int) -> None:
+    def _admit(self, round_, party, position, outcome: int) -> None:
         """Record one reveal if it keeps the rules: integer round and
         position, outcome +1 or -1, a receiver revealing, an open transcript,
-        rounds rising by one and no repeated (party, position)."""
+        rounds rising by one, positions in 1..n, no (party, position) twice."""
         if type(round_) is not int or type(position) is not int or outcome not in (1, -1):
             raise ProtocolViolationError(f"malformed record: round {round_!r} and position "
                                          f"{position!r} must be integers, the outcome + or -")
@@ -276,6 +278,8 @@ class Transcript:
         if round_ != len(self._sides) + 1:
             raise ProtocolViolationError(f"round numbers must increase by one: expected "
                                          f"{len(self._sides) + 1}, got {round_}")
+        if not 1 <= position <= self.n:
+            raise ProtocolViolationError(f"reveal position out of range: {position}")
         if 2 * position + side in self._seen:
             raise ProtocolViolationError(
                 f"duplicate reveal of {_RECEIVERS[side].value} position {position}")
@@ -283,18 +287,23 @@ class Transcript:
         self._sides.append(side)
         self._positions.append(position)
         self._outcomes.append(outcome)
-        self._lines.append(line)
 
     def append(self, party: Party, position: int, outcome: int) -> None:
         """Record ``party``'s reveal of ``outcome`` (+1 or -1) at its 1-based
-        ``position`` as the next round, which sits on that line of ``to_jsonl``."""
-        round_ = len(self._sides) + 1
-        self._admit(round_, party, position, outcome, round_)
+        ``position`` as the next round."""
+        self._admit(len(self._sides) + 1, party, position, outcome)
 
     @property
     def sides(self) -> tuple[int, ...]:
         """Who made each reveal, in round order: 0 for bob, 1 for sonai."""
         return tuple(self._sides)
+
+    def table(self) -> np.ndarray:
+        """The (2, n) table of the values the record reveals: bob's row, then
+        sonai's, with 0 where a value is still private."""
+        table = np.zeros((2, self.n), dtype=np.int8)
+        table[self._sides, np.array(self._positions, dtype=np.intp) - 1] = self._outcomes
+        return table
 
     def close(self, terminal: DecodeResult) -> None:
         if self.terminal is not None:
@@ -314,13 +323,16 @@ class Transcript:
         return text
 
     @classmethod
-    def from_jsonl(cls, text: str) -> "Transcript":
-        """Parse a recorded transcript; raises ProtocolViolationError with the
-        offending line number on malformed or rule-breaking lines. Each line
-        is one JSON document, read exactly as ``json.loads`` reads it."""
-        transcript = cls()
-        admit = transcript._admit
-        for lineno, line in enumerate(text.splitlines(), start=1):
+    def from_jsonl(cls, fp: IO[str], n: int) -> "Transcript":
+        """Read a recorded transcript over ``n`` pairs from the open text
+        stream ``fp``; raises ProtocolViolationError naming the first
+        malformed or rule-breaking line and reads no further, so at most the
+        2n reveals and the terminal line of a valid record are held. Lines
+        split and number as ``str.splitlines`` splits the whole text; each is
+        one JSON document, read exactly as ``json.loads`` reads it."""
+        transcript = cls(n)
+        lines = (line for chunk in fp for line in chunk.splitlines() or [""])
+        for lineno, line in enumerate(lines, start=1):
             try:
                 obj, end = _raw_decode(line) if line[:1] == "{" else (None, -1)
                 if end != len(line):  # blank, padded, trailing data or not a record
@@ -334,7 +346,7 @@ class Transcript:
                     transcript.close(DecodeResult.from_json_obj(obj))
                 else:
                     outcome = _OUTCOMES.get(obj["outcome"], 0)
-                    admit(obj["round"], obj["party"], obj["position"], outcome, lineno)
+                    transcript._admit(obj["round"], obj["party"], obj["position"], outcome)
             except ProtocolViolationError as exc:
                 raise ProtocolViolationError(f"line {lineno}: {exc}") from exc
             except (KeyError, ValueError, TypeError) as exc:
@@ -512,25 +524,13 @@ def decode_block(cb: Codebook, config: ProtocolConfig,
     return results, alive
 
 
-def _public_table(cb: Codebook, transcript: Transcript) -> np.ndarray:
-    """The (2, n) table of the values a public record reveals: bob's row,
-    then sonai's, with 0 where a value is still private. Positions are
-    checked against ``cb.n`` before anything of size n is allocated."""
-    n, positions = cb.n, transcript._positions
-    if positions and not (min(positions) >= 1 and max(positions) <= n):
-        k = next(k for k, position in enumerate(positions) if not 1 <= position <= n)
-        raise ProtocolViolationError(f"line {transcript._lines[k]}: reveal position out of range: "
-                                     f"{positions[k]}")
-    table = np.zeros((2, n), dtype=np.int8)
-    table[transcript._sides, np.array(positions, dtype=np.intp) - 1] = transcript._outcomes
-    return table
-
-
 def decode_transcript(cb: Codebook, transcript: Transcript, config: ProtocolConfig) -> DecodeResult:
     """Decode from the public record alone. A complete transcript reveals
     the table both receivers end with, so replay reaches their end state; a
     truncated one yields a partial, usually undecided, view."""
-    return decode_block(cb, config, _public_table(cb, transcript)[None])[0][0]
+    if transcript.n != cb.n:
+        raise ValueError(f"transcript is over n={transcript.n}, the codebook over n={cb.n}")
+    return decode_block(cb, config, transcript.table()[None])[0][0]
 
 
 def terminal_record(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import io
 import json
 
 import pytest
@@ -16,7 +17,7 @@ from entpost.codebook import (
     save_codebook,
 )
 from entpost.montecarlo import ExperimentSpec, aggregate_rows, read_rows_csv
-from entpost.protocol import ProtocolConfig
+from entpost.protocol import ProtocolConfig, ProtocolViolationError, Transcript
 
 from json_junk import junk_transcripts
 
@@ -127,6 +128,9 @@ def test_usage_errors_print_no_seed(tmp_path, capsys):
         ["run", "--bob-msg", "101"],
         ["run", "--bob-msg", "1", "--sonai-msg", "0", "--codebook", "reference"],
         ["codebook", "gen", "--n", "2", "--lambda", "4", "--out", str(book)],
+        ["montecarlo", "--n", "8", "--lambda", "4", "--trials", "4", "--workers", "0"],
+        ["montecarlo", "--codebook", "reference", "--n", "16", "--lambda", "4", "--trials", "4"],
+        ["montecarlo", "--n", "8", "--lambda", "9", "--trials", "4"],
     ):
         code, out, err = run_cli(capsys, *argv, "--seed", "1")
         assert (code, out) == (EXIT_USAGE, ""), argv
@@ -386,6 +390,60 @@ def test_replay_echoes_timeout_aborts(tmp_path, capsys):
     assert code == EXIT_IO
     assert "echoed" not in out
     assert "abort terminal line must have" in err
+
+
+def test_replay_refuses_bad_flags_before_reading_the_transcript(tmp_path, capsys):
+    junk = tmp_path / "junk.jsonl"
+    junk.write_text("not json\n")
+    for transcript in (junk, tmp_path / "missing.jsonl"):
+        for flag in (("--noise", "0.9"), ("--delta", "0.7"), ("--confidence-target", "1.5")):
+            code, out, err = run_cli(capsys, "replay", "--codebook", "reference",
+                                     "--transcript", str(transcript), *flag)
+            assert (code, out) == (EXIT_USAGE, ""), (transcript.name, flag)
+            assert err.startswith("error: ") and "line" not in err
+
+
+def test_replay_splits_lines_as_the_parser_does(tmp_path, capsys):
+    # the file is streamed, and still splits and numbers its lines as
+    # str.splitlines splits the whole text: form feeds, NEL, line and
+    # paragraph separators, CRLF and blank lines all count
+    path = tmp_path / "t.jsonl"
+    run_cli(capsys, "run", "--n", "8", "--lambda", "4", "--codebook", "reference",
+            "--bits", "01", "--seed", "3", "--out", str(path))
+    lines = path.read_text().splitlines()
+    canonical = run_cli(capsys, "replay", "--codebook", "reference", "--transcript", str(path))
+    assert canonical[0] == EXIT_OK
+    breaks = ["\f", "\r\n", "\x85", "\n\n", "\u2028", "\n  \n", "\u2029"]
+    text = "".join(line + breaks[k % len(breaks)] for k, line in enumerate(lines))
+    bad = '{"round":12,"party":"bob","position":9,"outcome":"+"}'
+    faults = {text.replace(lines[k], line): (k, line, message) for k, line, message in
+              ((11, bad, "reveal position out of range: 9"), (9, "{", "not valid JSON"))}
+    for variant in (text, *faults):
+        path.write_bytes(variant.encode("utf-8"))
+        got = run_cli(capsys, "replay", "--codebook", "reference", "--transcript", str(path))
+        try:
+            Transcript.from_jsonl(io.StringIO(variant), 8)
+            expected = canonical
+        except ProtocolViolationError as exc:
+            expected = (EXIT_IO, "", f"error: {exc}\n")
+        assert got == expected
+        if variant in faults:
+            k, line, message = faults[variant]
+            number = variant.splitlines().index(line) + 1
+            assert number > k + 1  # the blank lines before it count
+            assert got[2].startswith(f"error: line {number}: {message}")
+
+
+def test_replay_of_non_utf8_bytes_after_a_valid_prefix(tmp_path, capsys):
+    path = tmp_path / "t.jsonl"
+    reveal = '{"round":%d,"party":"%s","position":%d,"outcome":"+"}\n'
+    prefix = "".join(reveal % (r, ("bob", "sonai")[r % 2 == 0], (r + 1) // 2) for r in range(1, 6))
+    for tail in (b"\xff\n", b'{"round":6,"party":"sonai","position":3,"outcome":"\xe2\x28"}\n'):
+        path.write_bytes(prefix.encode() + tail)
+        code, out, err = run_cli(capsys, "replay", "--codebook", "reference",
+                                 "--transcript", str(path))
+        assert (code, out) == (EXIT_IO, "")
+        assert err.startswith("error: transcript is not UTF-8 text: 'utf-8' codec can't decode")
 
 
 @st.composite

@@ -1,9 +1,11 @@
 """Session logic: preparation, transcripts, check tallies, survival ranks,
 and decoding. Quantitative expectations were frozen from oracle.py."""
 
+import io
 import itertools
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -180,6 +182,11 @@ def test_receiver_holds_its_own_copy_of_its_row():
 # -- transcripts --------------------------------------------------------------
 
 
+def parse(text, n=8):
+    """The transcript over ``n`` pairs read from ``text``."""
+    return Transcript.from_jsonl(io.StringIO(text), n)
+
+
 def reveal_lines(transcript):
     """(party, position, outcome) of each reveal, read from the public lines."""
     records = (json.loads(line) for line in transcript.to_jsonl().splitlines())
@@ -188,17 +195,17 @@ def reveal_lines(transcript):
 
 
 def test_transcript_round_numbers_must_be_sequential():
-    t = Transcript()
+    t = Transcript(8)
     t.append(Party.BOB, 1, 1)
     t.append(Party.SONAI, 1, -1)
     assert [json.loads(line)["round"] for line in t.to_jsonl().splitlines()] == [1, 2]
     first = '{"round":1,"party":"bob","position":1,"outcome":"+"}\n'
     with pytest.raises(ProtocolViolationError, match="line 2: round numbers"):
-        Transcript.from_jsonl(first + '{"round":3,"party":"sonai","position":1,"outcome":"-"}\n')
+        parse(first + '{"round":3,"party":"sonai","position":1,"outcome":"-"}\n')
 
 
 def test_transcript_rejects_duplicate_positions():
-    t = Transcript()
+    t = Transcript(8)
     t.append(Party.BOB, 2, 1)
     t.append(Party.SONAI, 2, -1)
     with pytest.raises(ProtocolViolationError):
@@ -206,7 +213,7 @@ def test_transcript_rejects_duplicate_positions():
 
 
 def test_transcript_closes_once():
-    t = Transcript()
+    t = Transcript(8)
     record = DecodeResult(DecodeStatus.DECODED, 1, 0, 1.0)
     t.close(record)
     with pytest.raises(ProtocolViolationError):
@@ -216,7 +223,7 @@ def test_transcript_closes_once():
 
 
 def test_transcript_jsonl_round_trip():
-    t = Transcript()
+    t = Transcript(8)
     t.append(Party.BOB, 3, 1)
     t.append(Party.SONAI, 5, -1)
     t.close(DecodeResult(DecodeStatus.UNDECIDED, None, None, 0.25))
@@ -226,7 +233,7 @@ def test_transcript_jsonl_round_trip():
         '{"round":2,"party":"sonai","position":5,"outcome":"-"}\n'
         '{"status":"undecided","bob_bit":null,"sonai_bit":null,"confidence":0.25,"abort_reason":null}\n'
     )
-    back = Transcript.from_jsonl(text)
+    back = parse(text)
     assert reveal_lines(back) == [(Party.BOB, 3, 1), (Party.SONAI, 5, -1)]
     assert back.terminal == t.terminal
     assert back.to_jsonl() == text
@@ -234,13 +241,13 @@ def test_transcript_jsonl_round_trip():
 
 def test_transcript_parse_errors_carry_line_numbers():
     with pytest.raises(ProtocolViolationError, match="line 2"):
-        Transcript.from_jsonl('{"round":1,"party":"bob","position":1,"outcome":"+"}\nnot json\n')
+        parse('{"round":1,"party":"bob","position":1,"outcome":"+"}\nnot json\n')
     dup = (
         '{"round":1,"party":"bob","position":1,"outcome":"+"}\n'
         '{"round":2,"party":"bob","position":1,"outcome":"-"}\n'
     )
     with pytest.raises(ProtocolViolationError, match="duplicate"):
-        Transcript.from_jsonl(dup)
+        parse(dup)
     # reveal numbers must be JSON integers: no crash on infinities, no coercion
     first = '{"round":1,"party":"sonai","position":1,"outcome":"+"}\n'
     for line in (
@@ -258,9 +265,9 @@ def test_transcript_parse_errors_carry_line_numbers():
         '{"round":2,"party":"bob","position":1,"outcome":null}',
     ):
         with pytest.raises(ProtocolViolationError, match="line 2"):
-            Transcript.from_jsonl(first + line)
+            parse(first + line)
     with pytest.raises(ProtocolViolationError, match="line 1"):  # true == 1, but not an integer
-        Transcript.from_jsonl('{"round":true,"party":"bob","position":1,"outcome":"+"}')
+        parse('{"round":true,"party":"bob","position":1,"outcome":"+"}')
 
 
 def test_terminal_record_round_trip():
@@ -288,14 +295,14 @@ def test_every_session_result_survives_its_terminal_line(seed, noise, strategy, 
     for result in (*outcome.results.values(), outcome.terminal):
         assert DecodeResult.from_json_obj(result.to_json_obj()) == result
         assert DecodeResult.from_json_obj(json.loads(json.dumps(result.to_json_obj()))) == result
-    assert Transcript.from_jsonl(outcome.transcript.to_jsonl()).terminal == outcome.terminal
+    assert parse(outcome.transcript.to_jsonl(), n).terminal == outcome.terminal
 
 
 def test_terminal_line_rejects_values_outside_the_domain():
     reveal = '{"round":1,"party":"bob","position":1,"outcome":"+"}\n'
     valid = {"status": "decoded", "bob_bit": 1, "sonai_bit": 0, "confidence": 1.0,
              "abort_reason": None}
-    Transcript.from_jsonl(reveal + json.dumps(valid))
+    parse(reveal + json.dumps(valid))
     bad_values = [
         ("bob_bit", "x"), ("bob_bit", 2), ("bob_bit", -1), ("bob_bit", 1.0),
         ("sonai_bit", True), ("sonai_bit", False), ("sonai_bit", [0]),
@@ -306,17 +313,17 @@ def test_terminal_line_rejects_values_outside_the_domain():
     for key, value in bad_values:
         line = json.dumps({**valid, key: value})  # NaN and Infinity as Python's json writes them
         with pytest.raises(ProtocolViolationError, match="line 2"):
-            Transcript.from_jsonl(reveal + line)
+            parse(reveal + line)
     with pytest.raises(ProtocolViolationError):
-        Transcript.from_jsonl('{"status":"decoded","bob_bit":"x","sonai_bit":0,'
-                              '"confidence":NaN,"abort_reason":null}')
+        parse('{"status":"decoded","bob_bit":"x","sonai_bit":0,'
+              '"confidence":NaN,"abort_reason":null}')
     # only the three shapes the terminal rule writes: decoded (both bits, no
     # reason), undecided (no bits, no reason), abort (no bits, confidence 0, a reason)
     undecided = {**valid, "status": "undecided", "bob_bit": None, "sonai_bit": None}
     abort = {**undecided, "status": "abort", "confidence": 0.0, "abort_reason": "timeout"}
     for shape in (undecided, abort, {**abort, "abort_reason": "no_consistent_entry"},
                   {**abort, "confidence": 0}):
-        Transcript.from_jsonl(reveal + json.dumps(shape))
+        parse(reveal + json.dumps(shape))
     contradictions = [
         {**valid, "abort_reason": "timeout"},
         {**valid, "sonai_bit": None},
@@ -336,14 +343,14 @@ def test_terminal_line_rejects_values_outside_the_domain():
     ]
     for line in contradictions:
         with pytest.raises(ProtocolViolationError, match="line 2"):
-            Transcript.from_jsonl(reveal + json.dumps(line))
+            parse(reveal + json.dumps(line))
 
 
 @settings(max_examples=300, deadline=None)
 @given(junk_transcripts())
 def test_transcript_parser_raises_only_protocol_violations(text):
     try:
-        Transcript.from_jsonl(text)
+        parse(text)
     except ProtocolViolationError:
         pass
 
@@ -711,7 +718,7 @@ def test_replay_tallies_every_prefix_like_both_receivers(seed, noise, reveal_fir
         replay_tallies.append((checks, violations))
         return real_decode(cb, checks, violations, kept, passed, decode_config)
 
-    prefix = Transcript()
+    prefix = Transcript(cb.n)
     with mock.patch.object(protocol, "_decode_candidates", capture_decode):
         for reveal in [None] + reveal_lines(outcome.transcript):
             if reveal is not None:
@@ -720,7 +727,7 @@ def test_replay_tallies_every_prefix_like_both_receivers(seed, noise, reveal_fir
                 receivers[party.counterpart()].observe_reveal(position, value)
             decode_transcript(cb, prefix, config)
             checks, violations = replay_tallies.pop()
-            table = protocol._public_table(cb, prefix)
+            table = prefix.table()
             assert np.array_equal(table, np.where(bob.table == sonai.table, bob.table, 0))
             done, passed = protocol._fold_checks(cb, table)
             bob_done, bob_passed = protocol._fold_checks(cb, bob.table)
@@ -740,7 +747,7 @@ def test_replay_tallies_every_prefix_like_both_receivers(seed, noise, reveal_fir
 def test_replay_of_truncated_transcript_is_partial():
     config = small_config()
     outcome = run_session(config, (0, 0), cb=REF)
-    partial = Transcript()
+    partial = Transcript(REF.n)
     for party, position, value in reveal_lines(outcome.transcript)[:4]:
         partial.append(party, position, value)
     result = decode_transcript(REF, partial, config)
@@ -748,7 +755,7 @@ def test_replay_of_truncated_transcript_is_partial():
 
 
 def test_replay_rejects_duplicate_reveals():
-    t = Transcript()
+    t = Transcript(8)
     t.append(Party.BOB, 1, 1)
     t.append(Party.BOB, 2, -1)
     with pytest.raises(ProtocolViolationError, match="duplicate"):
@@ -756,10 +763,12 @@ def test_replay_rejects_duplicate_reveals():
     assert len(t) == 2
     text = t.to_jsonl() + '{"round":3,"party":"bob","position":1,"outcome":"-"}\n'
     with pytest.raises(ProtocolViolationError, match="line 3: duplicate"):
-        Transcript.from_jsonl(text)
+        parse(text)
 
 
 def test_reveal_positions_are_checked_before_any_size_n_work(monkeypatch):
+    # the range rule runs as each line is admitted, so a transcript read for
+    # a huge n refuses a bad position with no table of size n in sight
     def refuse(shape, dtype=float):
         raise AssertionError(f"allocated a {shape} table")
 
@@ -767,11 +776,62 @@ def test_reveal_positions_are_checked_before_any_size_n_work(monkeypatch):
     huge = Codebook(n=10**15, lam=1, entries=REF.entries)
     monkeypatch.setattr(np, "zeros", refuse)
     for position in (0, -1, 10**15 + 1, 10**30):
-        t = Transcript.from_jsonl(reveal % (1, "bob", 1) + "\n" + reveal % (2, "sonai", position))
+        text = reveal % (1, "bob", 1) + "\n" + reveal % (2, "sonai", position)
         with pytest.raises(ProtocolViolationError, match="line 3: reveal position out of range"):
-            decode_transcript(huge, t, small_config())
+            Transcript.from_jsonl(io.StringIO(text), n=10**15)
+    t = Transcript.from_jsonl(io.StringIO(reveal % (1, "bob", 10**15)), n=10**15)
     with pytest.raises(AssertionError, match="allocated"):  # the sentinel sits on the path
-        decode_transcript(REF, Transcript.from_jsonl(reveal % (1, "bob", 1)), small_config())
+        decode_transcript(huge, t, small_config())
+
+
+def oversized_transcript(lines, pulled):
+    """``lines`` reveal lines made one at a time, bob and sonai taking turns
+    at rising positions; ``pulled`` counts the lines taken."""
+    for round_ in range(1, lines + 1):
+        pulled[0] += 1
+        party = "bob" if round_ % 2 else "sonai"
+        yield '{"round":%d,"party":"%s","position":%d,"outcome":"+"}\n' % (
+            round_, party, (round_ + 1) // 2)
+
+
+def test_parser_stops_at_the_first_bad_line_in_bounded_memory():
+    # at n=8 the 17th reveal is bob's position 9; nothing after it is read,
+    # so the peak does not grow with the length of the stream (it moves by a
+    # few bytes between runs, where holding 10^6 lines would take ~100 MB)
+    peaks = {}
+    for lines in (10**4, 10**6, 10**4, 10**6):  # the first pair warms caches
+        pulled = [0]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProtocolViolationError) as caught:
+                Transcript.from_jsonl(oversized_transcript(lines, pulled), 8)
+            peaks[lines] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(caught.value) == "line 17: reveal position out of range: 9"
+        assert pulled == [17]
+    assert abs(peaks[10**6] - peaks[10**4]) < 1024
+
+
+def test_lines_split_and_number_as_splitlines_splits_the_text():
+    # a stream is cut into lines at every break str.splitlines knows, not
+    # only at newlines, and its line numbers are those of the whole text
+    lines = run_session(small_config(), (1, 0), cb=REF).transcript.to_jsonl().splitlines()
+    breaks = ["\n\n", "\f", "\u2029\r", "\x85", "\n \n", "\u2028", "\r\n", "\v", "\x1c"]
+    text = "".join(line + breaks[k % len(breaks)] for k, line in enumerate(lines))
+    assert parse(text).to_jsonl() == "".join(line + "\n" for line in lines)
+    bad = '{"round":99,"party":"bob","position":1,"outcome":"+"}'
+    cut = text.replace(lines[6], bad)
+    expected = cut.splitlines().index(bad) + 1
+    assert expected == 10  # three blank lines before it
+    with pytest.raises(ProtocolViolationError, match=f"^line {expected}: round numbers"):
+        parse(cut)
+
+
+def test_decode_refuses_a_transcript_read_for_another_n():
+    t = parse('{"round":1,"party":"bob","position":1,"outcome":"+"}', n=9)
+    with pytest.raises(ValueError, match="n=9, the codebook over n=8"):
+        decode_transcript(REF, t, small_config())
 
 
 # -- messages -----------------------------------------------------------------
