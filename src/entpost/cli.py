@@ -222,8 +222,8 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         strategy_sonai=strategies[Party.SONAI],
         codebook=args.codebook,
     )
-    rows, report = run_experiment(spec, workers=args.workers,
-                                  on_start=lambda: print(f"seed: {spec.seed}"))
+    rows, report = run_experiment(spec, workers=args.workers)
+    print(f"seed: {spec.seed}")
     if args.out:
         with open(f"{args.out}.csv", "w", encoding="utf-8", newline="") as fp:
             write_rows_csv(rows, fp)

@@ -21,7 +21,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from typing import IO, Callable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -212,18 +212,14 @@ def _run_chunk(spec: ExperimentSpec, cb: Codebook, start: int, stop: int) -> lis
     return rows
 
 
-def run_experiment(spec: ExperimentSpec, workers: int = 1,
-                   on_start: Callable[[], None] | None = None) -> tuple[list[dict], "StatsReport"]:
+def run_experiment(spec: ExperimentSpec, workers: int = 1) -> tuple[list[dict], "StatsReport"]:
     """Run all trials and aggregate. The report is identical for any worker
     count because trial seeds depend only on the trial index. The trials are
     split into min(workers, trials) chunks, run by at most one process per
-    CPU. ``on_start`` is called once the worker count and the codebook are
-    accepted, before the first trial."""
+    CPU."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     cb = spec.shared_codebook()
-    if on_start is not None:
-        on_start()
     chunks = min(workers, spec.trials)
     if chunks == 1:
         rows = _run_chunk(spec, cb, 0, spec.trials)

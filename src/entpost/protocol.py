@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -242,6 +242,24 @@ _RECEIVERS = (Party.BOB, Party.SONAI)
 _SIDES = {party: side for side, party in enumerate(_RECEIVERS)}  # "bob" finds Party.BOB too
 _OUTCOMES = {"+": 1, "-": -1}
 _raw_decode = json.JSONDecoder().raw_decode  # json.loads without its checks around the document
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines cuts
+
+
+def _stream_splitlines(fp: IO[str]) -> Iterator[str]:
+    """The lines of the text stream ``fp`` as ``str.splitlines`` cuts its
+    whole text, read 64 Ki characters at a time, or more while one line runs
+    on, so a long line still reads in linear time: what is held grows with
+    the longest line, not with the stream."""
+    rest = ""  # an unfinished last line, which the next block extends
+    while block := fp.read(max(1 << 16, len(rest))):
+        text = rest + block
+        lines = text.splitlines()
+        if text[-1] == "\r":  # it may pair with a \n to come
+            rest = lines.pop() + "\r"
+        else:
+            rest = "" if text[-1] in _BREAKS else lines.pop()
+        yield from lines
+    yield from rest.splitlines()
 
 
 class Transcript:
@@ -327,12 +345,12 @@ class Transcript:
         """Read a recorded transcript over ``n`` pairs from the open text
         stream ``fp``; raises ProtocolViolationError naming the first
         malformed or rule-breaking line and reads no further, so at most the
-        2n reveals and the terminal line of a valid record are held. Lines
-        split and number as ``str.splitlines`` splits the whole text; each is
-        one JSON document, read exactly as ``json.loads`` reads it."""
+        2n reveals and the terminal line of a valid record are held, with
+        one block of the stream. Lines split and number as ``str.splitlines``
+        splits the whole text; each is one JSON document, read exactly as
+        ``json.loads`` reads it."""
         transcript = cls(n)
-        lines = (line for chunk in fp for line in chunk.splitlines() or [""])
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in enumerate(_stream_splitlines(fp), start=1):
             try:
                 obj, end = _raw_decode(line) if line[:1] == "{" else (None, -1)
                 if end != len(line):  # blank, padded, trailing data or not a record

@@ -268,6 +268,8 @@ def test_transcript_parse_errors_carry_line_numbers():
             parse(first + line)
     with pytest.raises(ProtocolViolationError, match="line 1"):  # true == 1, but not an integer
         parse('{"round":true,"party":"bob","position":1,"outcome":"+"}')
+    with pytest.raises(AttributeError, match="read"):  # text, not a stream of it
+        Transcript.from_jsonl('{"round":1,"party":"bob","position":1,"outcome":"+"}', 8)
 
 
 def test_terminal_record_round_trip():
@@ -784,33 +786,49 @@ def test_reveal_positions_are_checked_before_any_size_n_work(monkeypatch):
         decode_transcript(huge, t, small_config())
 
 
-def oversized_transcript(lines, pulled):
-    """``lines`` reveal lines made one at a time, bob and sonai taking turns
-    at rising positions; ``pulled`` counts the lines taken."""
-    for round_ in range(1, lines + 1):
-        pulled[0] += 1
-        party = "bob" if round_ % 2 else "sonai"
-        yield '{"round":%d,"party":"%s","position":%d,"outcome":"+"}\n' % (
-            round_, party, (round_ + 1) // 2)
+class OversizedTranscript(io.TextIOBase):
+    """A text stream of ``lines`` reveal lines, bob and sonai taking turns at
+    rising positions, each ended by ``end`` and made only when read;
+    ``reads`` counts the reads."""
+
+    def __init__(self, lines, end):
+        self.reads = 0
+        self._reveals = ('{"round":%d,"party":"%s","position":%d,"outcome":"+"}%s' % (
+            round_, "bob" if round_ % 2 else "sonai", (round_ + 1) // 2, end)
+            for round_ in range(1, lines + 1))
+        self._rest = ""
+
+    def read(self, size):
+        self.reads += 1
+        pieces = [self._rest]
+        length = len(self._rest)
+        while length < size and (line := next(self._reveals, None)) is not None:
+            pieces.append(line)
+            length += len(line)
+        block = "".join(pieces)
+        block, self._rest = block[:size], block[size:]
+        return block
 
 
 def test_parser_stops_at_the_first_bad_line_in_bounded_memory():
-    # at n=8 the 17th reveal is bob's position 9; nothing after it is read,
-    # so the peak does not grow with the length of the stream (it moves by a
-    # few bytes between runs, where holding 10^6 lines would take ~100 MB)
-    peaks = {}
-    for lines in (10**4, 10**6, 10**4, 10**6):  # the first pair warms caches
-        pulled = [0]
-        tracemalloc.start()
-        try:
-            with pytest.raises(ProtocolViolationError) as caught:
-                Transcript.from_jsonl(oversized_transcript(lines, pulled), 8)
-            peaks[lines] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert str(caught.value) == "line 17: reveal position out of range: 9"
-        assert pulled == [17]
-    assert abs(peaks[10**6] - peaks[10**4]) < 1024
+    # at n=8 the 17th reveal is bob's position 9; the parser reads the one
+    # block holding it and no further, so the peak does not grow with the
+    # length of the stream (it moves by a few bytes between runs, where
+    # holding 10^6 lines would take ~100 MB), whichever break ends a line
+    for end in ("\n", "\f"):
+        peaks = {}
+        for lines in (10**4, 10**6, 10**4, 10**6):  # the first pair warms caches
+            stream = OversizedTranscript(lines, end)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ProtocolViolationError) as caught:
+                    Transcript.from_jsonl(stream, 8)
+                peaks[lines] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert str(caught.value) == "line 17: reveal position out of range: 9"
+            assert stream.reads == 1
+        assert abs(peaks[10**6] - peaks[10**4]) < 1024, end
 
 
 def test_lines_split_and_number_as_splitlines_splits_the_text():
@@ -820,6 +838,9 @@ def test_lines_split_and_number_as_splitlines_splits_the_text():
     breaks = ["\n\n", "\f", "\u2029\r", "\x85", "\n \n", "\u2028", "\r\n", "\v", "\x1c"]
     text = "".join(line + breaks[k % len(breaks)] for k, line in enumerate(lines))
     assert parse(text).to_jsonl() == "".join(line + "\n" for line in lines)
+    trickle = io.StringIO(text)
+    trickle.read = lambda size: io.StringIO.read(trickle, 1)  # blocks end at every character
+    assert list(protocol._stream_splitlines(trickle)) == text.splitlines()
     bad = '{"round":99,"party":"bob","position":1,"outcome":"+"}'
     cut = text.replace(lines[6], bad)
     expected = cut.splitlines().index(bad) + 1
