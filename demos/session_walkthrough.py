@@ -19,7 +19,6 @@ from entpost import (
     Receiver,
     reference_codebook,
     run_session,
-    sample_block,
 )
 from entpost.protocol import prepared_block_from_signs
 
@@ -42,7 +41,8 @@ def main():
     rng = np.random.default_rng(SEED)
 
     # the session table: bob's outcomes, then sonai's, each in its own order
-    table = prepared_block_from_signs(cb.entry_for_bits(*BITS), sample_block(cb.n, rng))
+    signs = rng.integers(0, 2, size=cb.n, dtype=np.int8) * 2 - 1  # one orientation per pair
+    table = prepared_block_from_signs(cb.entry_for_bits(*BITS), signs)
     bob = Receiver(Party.BOB, cb, table[0], config)
     sonai = Receiver(Party.SONAI, cb, table[1], config)
 

@@ -7,32 +7,26 @@ directly at preparation time instead of simulating state vectors. Optional
 classical noise flips each delivered outcome independently (a binary
 symmetric channel per side), which makes the observed anti-correlation rate
 1 - 2*eps*(1 - eps).
+
+Both rules read raw 64-bit generator outputs (``rng.substream_uint64s``),
+one row per session, and draw what numpy's ``Generator`` draws from them.
 """
 from __future__ import annotations
 
 import numpy as np
 
 __all__ = [
-    "sample_block",
     "sample_blocks",
-    "flip_outcomes",
+    "flips",
 ]
 
 
-def sample_block(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Sender-side orientations of n pairs, one int8 +/-1 per pair label;
-    the other side of each pair is the negation. Same generator state gives
-    the same block."""
-    if n < 1:
-        raise ValueError(f"block size must be at least 1, got {n}")
-    return (rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1).astype(np.int8)
-
-
 def sample_blocks(words: np.ndarray, n: int) -> np.ndarray:
-    """``sample_block(n, g)`` for a block of generators at once: row i is
-    what it draws from the generator whose first 64-bit outputs are
-    ``words[i]`` (at least ceil(n / 8) of them). Its ``integers(0, 2,
-    int8)`` takes one byte per pair, in little-endian order from each
+    """Sender-side orientations of n pairs per session, one int8 +/-1 per
+    pair label; the other side of each pair is the negation. Row i is
+    ``integers(0, 2, size=n, dtype=np.int8) * 2 - 1`` of the generator whose
+    first 64-bit outputs are ``words[i]`` (at least ceil(n / 8) of them).
+    That call takes one byte per pair, in little-endian order from each
     output, and Lemire's method, whose threshold is 0 here, keeps the top
     bit of each byte."""
     if n < 1:
@@ -41,9 +35,8 @@ def sample_blocks(words: np.ndarray, n: int) -> np.ndarray:
     return (octets >> 7).astype(np.int8) * 2 - 1
 
 
-def flip_outcomes(values: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Copy of ``values`` with each entry flipped with probability ``p``."""
-    out = values.copy()
-    if p > 0.0:
-        out[rng.random(len(out)) < p] *= -1
-    return out
+def flips(words: np.ndarray, p: float) -> np.ndarray:
+    """Which draws come up with probability ``p``: ``random(m) < p`` of the
+    generator whose first m 64-bit outputs are ``words``, since ``random``
+    scales the top 53 bits of each output to [0, 1)."""
+    return (words >> np.uint64(11)) * 2.0**-53 < p

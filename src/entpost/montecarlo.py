@@ -8,11 +8,11 @@ timeout and the fairness gap are the same in every trial of one strategy
 pair and config. So trials are seeded, drawn, folded and checked in blocks
 on one schedule: the complete exchange of two honest receivers in honest and
 soundness mode, and in session mode the schedule of one simulated session
-per chunk. A block's trial seeds and prepare draws come from the exact
-block twins of the per-trial streams (``rng.derive_seeds``,
-``alice_prepare_block``), so each trial still gets its own stream. Reports
-are produced by one aggregation function over the per-trial rows; there is
-no second bookkeeping path to drift out of sync.
+per chunk. A block's trial seeds come from one ``rng.derive_seeds`` call,
+and its prepare draw and each receiver's noise and lie draws from one
+``rng.substream_uint64s`` call each, so each trial still gets its own
+streams. Reports are produced by one aggregation function over the
+per-trial rows; there is no second bookkeeping path to drift out of sync.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from . import rng as rng_mod
 from .codebook import BIT_PAIR_ORDER, Codebook, resolve_codebook
 from .netsim import Honest, Strategy, fairness_gap, lie_flips
 from .protocol import (AbortReason, DecodeResult, Party, ProtocolConfig, SessionOutcome,
-                       alice_prepare_block, decode_block, run_session, terminal_record)
+                       alice_prepare, decode_block, run_session, terminal_record)
 
 __all__ = [
     "ExperimentSpec",
@@ -157,30 +157,28 @@ class _Schedule:
 
 def _fold_trials(spec: ExperimentSpec, cb: Codebook, trials: range, schedule: _Schedule) -> list[dict]:
     """Rows of ``trials`` run on ``schedule``. Each table is the one
-    ``build_world`` prepares from its trial's own seed; the block's seeds
-    and tables come from one pass of the block twins. A receiver ends
-    holding its own row and the counterpart's published one, a liar's
-    flipped at its ``lie_flips`` as ``build_world`` flips it. All views are
-    folded at once. When nobody lies both views are the table, so each trial
-    decodes once for both; after a transport abort nothing is decoded."""
+    ``build_world`` prepares from its trial's own seed, drawn for the whole
+    block at once. A receiver ends holding its own row and the
+    counterpart's published one, a liar's flipped at its ``lie_flips`` as
+    ``build_world`` flips it. All views are folded at once. When nobody
+    lies both views are the table, so each trial decodes once for both;
+    after a transport abort nothing is decoded."""
     block_seeds = rng_mod.derive_seeds(spec.seed, (rng_mod.KEY_TRIAL,), trials)
     seeds = block_seeds.tolist()
     bits = [spec.trial_bits(t) for t in trials]
     if schedule.abort is not None:  # the terminal is the abort, whatever the receivers hold
-        aborted = DecodeResult.aborted(schedule.abort)
-        terminal = terminal_record(aborted, aborted, schedule.abort)
+        terminal = DecodeResult.aborted(schedule.abort)
         return [_row(t, seed, b, terminal, schedule.ticks, schedule.gap)
                 for t, seed, b in zip(trials, seeds, bits)]
-    tables = alice_prepare_block(block_seeds, spec.noise, bits, cb)
+    tables = alice_prepare(block_seeds, spec.noise, bits, cb)
     if not any(schedule.lies):
         results, alive_entries = decode_block(cb, spec, tables)
         pairs = list(zip(results, results))
     else:
         views = np.stack((tables, tables), axis=1)  # (trials, receiver, 2, n)
         for side, p in enumerate(schedule.lies):
-            if p:
-                lies = np.stack([lie_flips(seed, side, p, cb.n) for seed in seeds])
-                views[:, 1 - side, side][lies] *= -1  # only the counterpart sees the lies
+            if p:  # only the counterpart sees the lies
+                views[:, 1 - side, side][lie_flips(block_seeds, side, p, cb.n)] *= -1
         results, _ = decode_block(cb, spec, views.reshape(-1, 2, cb.n))
         pairs = list(zip(results[0::2], results[1::2]))
     rows = []

@@ -22,11 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
 from . import rng as rng_mod
 from .codebook import Codebook
+from .epr import flips
 from .protocol import (
     AbortReason,
     DecodeResult,
@@ -178,12 +180,12 @@ class LieWithProb(Strategy):
 _LIE_KEYS = (rng_mod.KEY_LIE_BOB, rng_mod.KEY_LIE_SONAI)
 
 
-def lie_flips(seed: int, side: int, p: float, n: int) -> np.ndarray:
+def lie_flips(seeds: Sequence[int], side: int, p: float, n: int) -> np.ndarray:
     """Which of the n values receiver ``side`` (0 bob, 1 sonai) publishes
-    in the session at ``seed`` are lies, each with chance ``p``, drawn from
-    that receiver's lie substream: the one lie rule of the simulator and of
-    session batches."""
-    return rng_mod.substream(seed, _LIE_KEYS[side]).random(n) < p
+    in each session at ``seeds`` are lies, each with chance ``p``, drawn
+    from that receiver's lie substream, as a (len(seeds), n) block: the one
+    lie rule of the simulator and of session batches."""
+    return flips(rng_mod.substream_uint64s(seeds, (_LIE_KEYS[side],), n), p)
 
 
 def parse_strategy(text: str) -> Strategy:
@@ -346,12 +348,12 @@ def build_world(
     if cb.n != config.n:
         raise ValueError(f"codebook size {cb.n} does not match config n {config.n}")
     strategies = dict(strategies or {})
-    table = alice_prepare(config.seed, config.noise, bits, cb)
+    (table,) = alice_prepare([config.seed], config.noise, [bits], cb)
     agents = {}
     for side, party in enumerate((Party.BOB, Party.SONAI)):
         strategy, row = strategies.get(party, Honest()), table[side]
         if strategy.lie:
-            row = np.where(lie_flips(config.seed, side, strategy.lie, cb.n), -row, row)
+            row = np.where(lie_flips([config.seed], side, strategy.lie, cb.n)[0], -row, row)
         receiver = Receiver(party, cb, table[side], config)
         agents[party] = ReceiverAgent(party, receiver, strategy, party is config.reveal_first,
                                       row.tolist())
@@ -368,10 +370,20 @@ def run_world(world: World) -> SessionOutcome:
     max_ticks = 4 * world.config.n + world.config.timeout_ticks + 8
     while world.tick < max_ticks:
         world.tick += 1
+        delivered, logged = any(world.in_flight.values()), len(world.event_log)
         world.deliver_phase()
         world.act_phase()
         if any(a.aborted is not None for a in agents) or all(a.finished for a in agents):
             break
+        if not delivered and len(world.event_log) == logged:
+            # nothing arrived, went out or ended, so each later tick repeats
+            # this one but for the stall counters, until the first of them
+            # reaches the timeout: jump to the tick before that
+            stalled = [a for a in agents if not a.done]
+            skip = world.config.timeout_ticks - max(a.waiting for a in stalled)
+            world.tick += skip
+            for agent in stalled:
+                agent.waiting += skip
     else:
         raise RuntimeError("session failed to settle within the tick budget")
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from .codebook import Codebook, CodebookEntry, generate_codebook, resolve_codebook
-from .epr import flip_outcomes, sample_block, sample_blocks
+from .epr import flips, sample_blocks
 
 __all__ = [
     "Party",
@@ -34,7 +34,6 @@ __all__ = [
     "DecodeResult",
     "SessionOutcome",
     "alice_prepare",
-    "alice_prepare_block",
     "prepared_block_from_signs",
     "decode_block",
     "decode_transcript",
@@ -145,35 +144,17 @@ def prepared_block_from_signs(entry: CodebookEntry, signs: Sequence[int]) -> np.
     return np.stack((i_side, (-i_side).take(entry.partner_arrays[1], axis=-1)), axis=-2)
 
 
-def _add_noise(table: np.ndarray, seed: int, noise: float) -> None:
-    """Flip each delivered outcome of ``table`` in place with probability
-    ``noise``, each row drawing from its own receiver's noise substream."""
-    for side, key in enumerate((rng_mod.KEY_NOISE_BOB, rng_mod.KEY_NOISE_SONAI)):
-        table[side] = flip_outcomes(table[side], noise, rng_mod.substream(seed, key))
+_NOISE_KEYS = (rng_mod.KEY_NOISE_BOB, rng_mod.KEY_NOISE_SONAI)
 
 
-def alice_prepare(seed: int, noise: float, bits: tuple[int, int], cb: Codebook) -> np.ndarray:
-    """The (2, n) table of the session at ``seed``: the entry for ``bits``
-    arranges a block drawn from the seed's prepare substream, then each
-    delivered outcome flips with probability ``noise``, each row drawing
-    from its own receiver's noise substream. A noiseless table draws no
-    noise, so its noise substreams are never built."""
-    rng = rng_mod.substream(seed, rng_mod.KEY_PREPARE)
-    table = prepared_block_from_signs(cb.entry_for_bits(*bits), sample_block(cb.n, rng))
-    if noise:
-        _add_noise(table, seed, noise)
-    return table
-
-
-def alice_prepare_block(seeds: np.ndarray, noise: float, bits: Sequence[tuple[int, int]],
-                        cb: Codebook) -> np.ndarray:
-    """``alice_prepare(seeds[i], noise, bits[i], cb)`` for a block of
-    sessions, stacked into (len(seeds), 2, n), equal byte for byte. The
-    prepare draws of the whole block come from one pass
-    (``rng.substream_uint64s``) and each distinct ``bits`` arranges its
-    sessions at once; noise flips still draw session by session. It costs
-    far more than ``alice_prepare`` for one seed, so single sessions keep
-    that path."""
+def alice_prepare(seeds: Sequence[int], noise: float, bits: Sequence[tuple[int, int]],
+                  cb: Codebook) -> np.ndarray:
+    """The (len(seeds), 2, n) tables of the sessions at ``seeds``: the entry
+    for ``bits[i]`` arranges the block drawn from seed i's prepare
+    substream, then each delivered outcome flips with probability ``noise``,
+    each row drawing from its own receiver's noise substream. The prepare
+    draw and each receiver's noise draw are one ``rng.substream_uint64s``
+    call for the whole block. A noiseless table draws no noise."""
     words = rng_mod.substream_uint64s(seeds, (rng_mod.KEY_PREPARE,), -(-cb.n // 8))
     signs = sample_blocks(words, cb.n)
     tables = np.empty((len(signs), 2, cb.n), dtype=np.int8)
@@ -181,8 +162,8 @@ def alice_prepare_block(seeds: np.ndarray, noise: float, bits: Sequence[tuple[in
         rows = [i for i, b in enumerate(bits) if b == pair]
         tables[rows] = prepared_block_from_signs(cb.entry_for_bits(*pair), signs[rows])
     if noise:
-        for seed, table in zip(np.asarray(seeds).tolist(), tables):
-            _add_noise(table, seed, noise)
+        for side, key in enumerate(_NOISE_KEYS):
+            tables[:, side][flips(rng_mod.substream_uint64s(seeds, (key,), cb.n), noise)] *= -1
     return tables
 
 

@@ -5,17 +5,20 @@ substreams are addressed by integer key paths instead of by draw order, so a
 Monte Carlo trial gets the same stream no matter which worker runs it or in
 which order trials complete.
 
-``derive_seeds`` and ``substream_uint64s`` are exact block twins of
-``derive_seed`` and ``substream``: numpy's SeedSequence hash and its PCG64
-seeding and stepping, written over arrays, so one call serves a whole block
-of trials with the very numbers the scalar path gives each of them. The
-scalar path stays numpy's own, and is cheaper for a single seed.
+Every trial draw (the prepared orientations, the noise flips and a liar's
+flips) comes from ``substream_uint64s``: the raw PCG64 outputs of one
+substream for each seed of a block. It is the one place that chooses how
+they are made. A block of one seed takes numpy's own generator, which is
+cheaper for a single seed; a larger block takes the twin, numpy's
+SeedSequence hash and PCG64 seeding and stepping written over arrays, so
+one call serves the whole block with the very numbers numpy gives each
+seed. ``derive_seeds`` is the same kind of twin of ``derive_seed``.
 """
 from __future__ import annotations
 
 import functools
 import secrets
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -178,18 +181,22 @@ def _pcg_coefficients(m: int) -> tuple:
     return split([c for c, _ in coefficients]), split([d for _, d in coefficients])
 
 
-def substream_uint64s(seeds: np.ndarray, key: Iterable[int], m: int) -> np.ndarray:
+def substream_uint64s(seeds: Sequence[int], key: Iterable[int], m: int) -> np.ndarray:
     """The first ``m`` ``next_uint64`` outputs of ``substream(s, *key)``'s
-    PCG64 for each seed ``s`` in the uint64 array ``seeds``, as a
-    (len(seeds), m) uint64 array. Each output state comes straight from the
-    seeded one (``_pcg_coefficients``), so no generator is built or stepped."""
-    key = _key_words(key)
-    if not key:
+    PCG64 for each seed ``s`` of ``seeds``, as a (len(seeds), m) uint64
+    array. One seed draws from numpy's own generator; a block of seeds below
+    2**64 takes each output state straight from the seeded one
+    (``_pcg_coefficients``), so no generator is built or stepped."""
+    key = tuple(key)
+    words = _key_words(key)
+    if not words:
         raise ValueError("a substream key needs at least one part")
-    seeds = np.asarray(seeds, dtype=_U64).reshape(-1)
+    if len(seeds) == 1:
+        return substream(int(seeds[0]), *key).bit_generator.random_raw(m)[None]
+    seeds = np.asarray(seeds, dtype=_U64)
     # a seed below 2**64 is at most two words, padded to the pool's four
     run = [(seeds & _U64(_MASK32)).astype(_U32), (seeds >> _U64(32)).astype(_U32), 0, 0]
-    init_hi, init_lo, seq_hi, seq_lo = (w[:, None] for w in _state64(_pool(run + key), 4))
+    init_hi, init_lo, seq_hi, seq_lo = (w[:, None] for w in _state64(_pool(run + words), 4))
     one = _U64(1)
     inc = (seq_hi << one | seq_lo >> _U64(63), seq_lo << one | one)
     c, d = _pcg_coefficients(m)

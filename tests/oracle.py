@@ -10,6 +10,7 @@ derivation checked against itself.
 from __future__ import annotations
 
 from itertools import product
+from math import comb
 
 
 def outcome_tables(truth_sj: tuple[int, ...], signs: tuple[int, ...]):
@@ -100,3 +101,74 @@ def entry_posterior(sjs, eps: float, party: str, own, revealed: dict) -> list[fl
             total += weight / 2**n
         weights.append(total)
     return [w / sum(weights) for w in weights]
+
+
+def cycle_lengths(truth_sj: tuple[int, ...], cand_sj: tuple[int, ...]) -> list[int]:
+    """Lengths of the cycles of pi on bob's positions: the candidate's check
+    on bob position k passes, noiseless, exactly when orientations k and
+    pi(k) agree, pi(k) being the label the truth puts at the sonai position
+    the candidate pairs with k."""
+    pi = {k: truth_sj[q] - 1 for k, q in claimed_pairs(cand_sj)}
+    seen, lengths = set(), []
+    for start in range(len(truth_sj)):
+        length, k = 0, start
+        while k not in seen:
+            seen.add(k)
+            k, length = pi[k], length + 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+def noisy_violation_law(lengths: list[int], eps: float) -> list[float]:
+    """Chance of each violation count v = 0..n of a wrong candidate over a
+    complete exchange, given the cycle lengths of its pi and the flip
+    chance ``eps`` of each delivered outcome. Before noise, a cycle of
+    length L has L - 1 free orientations, so its violated checks are
+    uniform over the even-size subsets of its L checks. Each check reads
+    one outcome of each receiver that no other check reads, so noise turns
+    each check over on its own with q = 2 eps (1 - eps). Cycles are
+    independent, so the counts convolve."""
+    q = 2.0 * eps * (1.0 - eps)
+    law = [1.0]
+    for length in lengths:
+        cycle = [0.0] * (length + 1)
+        for w in range(0, length + 1, 2):  # violated before noise
+            weight = comb(length, w) / 2 ** (length - 1)
+            for kept in range(w + 1):  # violated checks left alone
+                for turned in range(length - w + 1):  # passed checks turned over
+                    cycle[kept + turned] += (
+                        weight
+                        * comb(w, kept) * (1.0 - q) ** kept * q ** (w - kept)
+                        * comb(length - w, turned) * q ** turned * (1.0 - q) ** (length - w - turned)
+                    )
+        law = [
+            sum(law[a] * cycle[v - a] for a in range(len(law)) if 0 <= v - a <= length)
+            for v in range(len(law) + length)
+        ]
+    return law
+
+
+def noisy_survival(lengths: list[int], eps: float, delta: float) -> float:
+    """Chance a wrong candidate survives a complete exchange: at most
+    ``delta * n`` of its n checks violated."""
+    n = sum(lengths)
+    return sum(p for v, p in enumerate(noisy_violation_law(lengths, eps)) if v <= delta * n)
+
+
+def noisy_violation_enumerated(truth_sj: tuple[int, ...], cand_sj: tuple[int, ...],
+                               eps: float) -> list[float]:
+    """``noisy_violation_law`` by brute force: every orientation and every
+    flip pattern of the 2n delivered outcomes, weighted by its chance."""
+    n = len(truth_sj)
+    pairs = claimed_pairs(cand_sj)
+    law = [0.0] * (n + 1)
+    for signs in product((1, -1), repeat=n):
+        bob, sonai = outcome_tables(truth_sj, signs)
+        for flips in product((1, -1), repeat=2 * n):
+            flipped = flips.count(-1)
+            weight = eps ** flipped * (1.0 - eps) ** (2 * n - flipped) / 2**n
+            seen_bob = [v * f for v, f in zip(bob, flips[:n])]
+            seen_sonai = [v * f for v, f in zip(sonai, flips[n:])]
+            law[sum(seen_bob[k] == seen_sonai[q] for k, q in pairs)] += weight
+    return law

@@ -5,7 +5,9 @@ import io
 import itertools
 import math
 import random
+import time
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,6 +208,17 @@ def test_session_mode_counts_aborts():
     assert report.strategy_sonai == "withhold:2"
 
 
+def test_a_huge_timeout_only_delays_a_session_batch():
+    # the chunk's one simulated session skips its idle ticks
+    spec = ExperimentSpec(mode="session", n=8, lam=4, seed=12, trials=5, codebook="reference",
+                          strategy_bob=WithholdAfter(2), timeout_ticks=16)
+    rows, _ = run_experiment(spec)
+    started = time.perf_counter()
+    later, _ = run_experiment(replace(spec, timeout_ticks=10**9))
+    assert time.perf_counter() - started < 1.0
+    assert later == [dict(row, ticks=row["ticks"] + 10**9 - 16) for row in rows]
+
+
 def test_report_is_exactly_the_aggregate_of_rows():
     spec = ExperimentSpec(mode="honest", n=8, lam=4, seed=8, trials=20, codebook="reference")
     rows, report = run_experiment(spec)
@@ -402,13 +415,13 @@ _BOOKS[8, 4] = reference_codebook()
     mode=st.sampled_from(["honest", "soundness"]),
 )
 def test_fold_tables_equal_trial_by_trial_preparation(size, seed, start, count, noise, bits, mode):
-    # the block twins seed and draw a fold block at once; each table must
-    # be the one alice_prepare gives at that trial's own derive_seed
+    # a fold block is seeded and drawn at once; each table must be the one
+    # alice_prepare gives a block of one at that trial's own derive_seed
     n, lam = size
     cb = _BOOKS[size]
     spec = ExperimentSpec(mode=mode, n=n, lam=lam, seed=seed, noise=noise, bits=bits,
                           delta=0.25 if noise else 0.0, trials=start + count)
-    captured, prepare = [], montecarlo.alice_prepare_block
+    captured, prepare = [], montecarlo.alice_prepare
 
     def spy(*args):
         tables = prepare(*args)
@@ -417,11 +430,13 @@ def test_fold_tables_equal_trial_by_trial_preparation(size, seed, start, count, 
 
     trials = range(start, start + count)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(montecarlo, "alice_prepare_block", spy)
+        patch.setattr(montecarlo, "alice_prepare", spy)
         rows = montecarlo._fold_trials(spec, cb, trials, montecarlo._Schedule.complete(spec))
     seeds = [derive_seed(seed, KEY_TRIAL, t) for t in trials]
     assert [row["seed"] for row in rows] == seeds
-    expected = np.stack([alice_prepare(s, noise, spec.trial_bits(t), cb) for s, t in zip(seeds, trials)])
+    # each trial's own substreams, drawn by numpy's own generator
+    expected = np.stack([alice_prepare([s], noise, [spec.trial_bits(t)], cb)[0]
+                         for s, t in zip(seeds, trials)])
     (tables,) = captured
     assert tables.dtype == expected.dtype and np.array_equal(tables, expected)
 

@@ -4,6 +4,7 @@ import hashlib
 from collections import Counter
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from entpost.protocol import (
     alice_prepare,
     run_session,
 )
+from entpost.rng import KEY_LIE_BOB, KEY_LIE_SONAI, substream
 
 REF = reference_codebook()
 
@@ -142,10 +144,15 @@ def test_agent_reveals_its_positions_in_order():
 
 def test_liar_publishes_its_row_flipped_at_lie_flips():
     config = config8(seed=5)
-    table = alice_prepare(config.seed, config.noise, (1, 0), REF)
+    (table,) = alice_prepare([config.seed], config.noise, [(1, 0)], REF)
     for side, party in enumerate((Party.BOB, Party.SONAI)):
         outcome = run_session(config, (1, 0), cb=REF, strategies={party: LieWithProb(0.3)})
-        flips = lie_flips(config.seed, side, 0.3, 8)
+        (flips,) = lie_flips([config.seed], side, 0.3, 8)
+        # the liar's own lie substream, as numpy draws it
+        key = (KEY_LIE_BOB, KEY_LIE_SONAI)[side]
+        assert np.array_equal(flips, substream(config.seed, key).random(8) < 0.3)
+        # and a block of seeds draws each session's lies as a block of one does
+        assert np.array_equal(lie_flips([9, config.seed], side, 0.3, 8)[1], flips)
         assert 0 < flips.sum() < 8  # the case shows both kinds of value
         lines = reveal_lines(outcome.transcript)
         published = [value for p, _, value in lines if p is party]
@@ -320,6 +327,26 @@ def test_tick_budgets():
         config8(timeout_ticks=16), (0, 0), cb=REF, strategies={Party.SONAI: WithholdAfter(7)}
     )
     assert stalled.ticks <= 4 * 8 + 16 + 8
+
+
+@pytest.mark.parametrize("party", [Party.BOB, Party.SONAI])
+@pytest.mark.parametrize("limit", range(8))
+def test_a_longer_timeout_only_delays_the_abort(party, limit):
+    # a stalled session repeats its idle tick until a stall counter reaches
+    # the timeout, so a timeout longer by delta ends it delta ticks later
+    # with the same record, and a huge one still ends at once
+    strategies = {party: WithholdAfter(limit)}
+    base = run_session(config8(timeout_ticks=16), (1, 0), cb=REF, strategies=strategies)
+    assert base.terminal.abort_reason is AbortReason.TIMEOUT
+    for delta in (1, 7, 10**9 - 16):
+        started = time.perf_counter()
+        later = run_session(config8(timeout_ticks=16 + delta), (1, 0), cb=REF, strategies=strategies)
+        assert time.perf_counter() - started < 1.0
+        assert later.transcript.to_jsonl() == base.transcript.to_jsonl()
+        assert later.results == base.results
+        assert later.ticks == base.ticks + delta
+        assert later.event_log == [dict(e, tick=e["tick"] + delta) if e["kind"] == "abort" else e
+                                   for e in base.event_log]
 
 
 # -- pinned bytes -------------------------------------------------------------

@@ -35,7 +35,6 @@ from entpost.protocol import (
     run_message,
     run_session,
 )
-from entpost.epr import flip_outcomes, sample_block
 from entpost.montecarlo import ExperimentSpec
 from entpost.netsim import parse_strategy
 from entpost.rng import KEY_NOISE_BOB, KEY_NOISE_SONAI, KEY_PREPARE, substream
@@ -146,7 +145,7 @@ def test_prepared_block_honors_every_pairing():
 
 def test_alice_prepare_noiseless_passes_all_truth_checks():
     for bits in [(0, 0), (1, 1), (0, 1), (1, 0)]:
-        table = alice_prepare(3, 0.0, bits, REF)
+        table = alice_prepare([3], 0.0, [bits], REF)[0]
         entry = REF.entry_for_bits(*bits)
         for k in range(1, 9):
             partner = entry.partner_maps[0][k - 1] + 1
@@ -155,19 +154,24 @@ def test_alice_prepare_noiseless_passes_all_truth_checks():
 
 def test_alice_prepare_noise_uses_dedicated_streams():
     # the block comes from the seed's prepare substream, and each row's
-    # flips from that receiver's own noise substream
-    clean = alice_prepare(5, 0.0, (0, 0), REF)
+    # flips from that receiver's own noise substream, as numpy draws them
+    (clean,) = alice_prepare([5], 0.0, [(0, 0)], REF)
     entry = REF.entry_for_bits(0, 0)
     assert np.array_equal(clean, prepared_block_from_signs(
-        entry, sample_block(8, substream(5, KEY_PREPARE))))
-    noisy = alice_prepare(5, 0.5, (0, 0), REF)
+        entry, substream(5, KEY_PREPARE).integers(0, 2, size=8, dtype=np.int8) * 2 - 1))
+    (noisy,) = alice_prepare([5], 0.5, [(0, 0)], REF)
     for side, key in enumerate((KEY_NOISE_BOB, KEY_NOISE_SONAI)):
-        assert np.array_equal(noisy[side], flip_outcomes(clean[side], 0.5, substream(5, key)))
+        flipped = substream(5, key).random(8) < 0.5
+        assert np.array_equal(noisy[side], np.where(flipped, -clean[side], clean[side]))
     assert not np.array_equal(clean, noisy)
+    # a block of seeds draws each session's table as a block of one does
+    block = alice_prepare([9, 5], 0.5, [(1, 1), (0, 0)], REF)
+    assert block.shape == (2, 2, 8) and np.array_equal(block[1], noisy)
+    assert np.array_equal(block[0], alice_prepare([9], 0.5, [(1, 1)], REF)[0])
 
 
 def test_receiver_holds_its_own_copy_of_its_row():
-    table = alice_prepare(6, 0.0, (1, 0), REF)
+    table = alice_prepare([6], 0.0, [(1, 0)], REF)[0]
     config = small_config()
     for side, party in enumerate((Party.BOB, Party.SONAI)):
         receiver = Receiver(party, REF, table[side], config)
@@ -361,7 +365,7 @@ def test_transcript_parser_raises_only_protocol_violations(text):
 
 
 def build_receivers(bits, config, seed=1):
-    table = alice_prepare(seed, config.noise, bits, REF)
+    table = alice_prepare([seed], config.noise, [bits], REF)[0]
     bob = Receiver(Party.BOB, REF, table[0], config)
     sonai = Receiver(Party.SONAI, REF, table[1], config)
     return table, bob, sonai
@@ -424,7 +428,7 @@ def test_first_decode_answers_for_every_prefix_of_the_arrivals():
         cb = books[n]
         config = ProtocolConfig(n=n, lam=cb.lam, noise=noise, delta=delta,
                                 confidence_target=0.9, seed=seed)
-        table = alice_prepare(seed, noise, (0, 1), cb)
+        table = alice_prepare([seed], noise, [(0, 1)], cb)[0]
         for side, party in enumerate((Party.BOB, Party.SONAI)):
             receiver = Receiver(party, cb, table[side], config)
             snapshots = [receiver.table.copy()]
@@ -639,7 +643,7 @@ def test_noisy_decode_confidence_is_the_exact_posterior():
                 make_entry(bits, s_j) for bits, s_j in zip([(0, 0), (1, 1), (0, 1), (1, 0)], orderings)
             ))
             config = ProtocolConfig(n=4, lam=1, noise=eps, delta=0.49, seed=session)
-            block = alice_prepare(session, config.noise, (0, 1), cb)
+            block = alice_prepare([session], config.noise, [(0, 1)], cb)[0]
             for side, party in enumerate((Party.BOB, Party.SONAI)):
                 receiver = Receiver(party, cb, block[side], config)
                 theirs = block[1 - side]
@@ -709,7 +713,7 @@ def test_replay_tallies_every_prefix_like_both_receivers(seed, noise, reveal_fir
     )
     outcome = run_session(config, bits, cb=REF if n == 8 else None)
     cb = outcome.codebook
-    prepared = alice_prepare(config.seed, config.noise, bits, cb)
+    prepared = alice_prepare([config.seed], config.noise, [bits], cb)[0]
     receivers = {party: Receiver(party, cb, prepared[side], config)
                  for side, party in enumerate((Party.BOB, Party.SONAI))}
     bob, sonai = receivers[Party.BOB], receivers[Party.SONAI]
@@ -919,7 +923,7 @@ def test_survival_rank_matches_constraint_graph_oracle(case, seed):
     cb = Codebook(n=n, lam=1, entries=(truth, cand))
     config = ProtocolConfig(n=n, lam=1, delta=0.49, seed=seed)
     side = 0 if party is Party.BOB else 1
-    own_row = alice_prepare(seed, 0.0, (0, 0), cb)[side]
+    own_row = alice_prepare([seed], 0.0, [(0, 0)], cb)[0][side]
     receiver = Receiver(party, cb, own_row, config)
     own_partner = cand.partner_maps[1 - side]  # counterpart position -> own position
     # reveal counterpart values that give the candidate the drawn verdicts

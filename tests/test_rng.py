@@ -3,12 +3,14 @@
 ``derive_seeds`` and ``substream_uint64s`` redo numpy's SeedSequence hash
 and PCG64 seeding over arrays, so these tests compare them word for word
 with ``derive_seed`` and ``substream``; a numpy that changed either
-algorithm would fail here by name, before any pinned digest does."""
+algorithm would fail here by name, before any pinned digest does. A block
+of one seed takes numpy's own generator instead, so each test feeds blocks
+of one as well as larger ones."""
 
 import numpy as np
 import pytest
 
-from entpost.epr import sample_block, sample_blocks
+from entpost.epr import sample_blocks
 from entpost.rng import (KEY_BLOCK, KEY_NOISE_BOB, KEY_PREPARE, KEY_TRIAL, derive_seed,
                          derive_seeds, substream, substream_uint64s)
 
@@ -53,13 +55,15 @@ def test_twins_refuse_what_numpy_refuses():
 @pytest.mark.parametrize("key", [(KEY_PREPARE,), (KEY_NOISE_BOB,), (KEY_BLOCK, 2**33, 1)])
 @pytest.mark.parametrize("m", [1, 2, 3, 32])
 def test_substream_uint64s_equals_the_generator(key, m):
-    seeds = np.array(DRAW_SEEDS, dtype=np.uint64)
-    words = substream_uint64s(seeds, key, m)
-    assert words.shape == (len(DRAW_SEEDS), m) and words.dtype == np.uint64
-    for seed, row in zip(DRAW_SEEDS, words):
-        assert np.array_equal(row, substream(seed, *key).bit_generator.random_raw(m))
-        # Generator.random keeps the top 53 bits of each output
-        assert np.array_equal((row >> np.uint64(11)) * 2.0**-53, substream(seed, *key).random(m))
+    # the twin's block, then numpy's own generator on a block of one, a
+    # seed beyond 64 bits included
+    for block in (DRAW_SEEDS, DRAW_SEEDS[-1:], (2**70 + 3,)):
+        words = substream_uint64s(block, key, m)
+        assert words.shape == (len(block), m) and words.dtype == np.uint64
+        for seed, row in zip(block, words):
+            assert np.array_equal(row, substream(seed, *key).bit_generator.random_raw(m))
+            # Generator.random keeps the top 53 bits of each output
+            assert np.array_equal((row >> np.uint64(11)) * 2.0**-53, substream(seed, *key).random(m))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -72,7 +76,9 @@ def test_sample_blocks_equals_sample_block(n):
     for seed, row in zip(seeds.tolist(), signs):
         expected = substream(seed, KEY_PREPARE).integers(0, 2, size=n, dtype=np.int8) * 2 - 1
         assert np.array_equal(row, expected)
-        assert np.array_equal(row, sample_block(n, substream(seed, KEY_PREPARE)))
+        # a block of one seed, drawn by numpy's own generator
+        (alone,) = sample_blocks(substream_uint64s([seed], (KEY_PREPARE,), -(-n // 8)), n)
+        assert np.array_equal(row, alone)
 
 
 def test_one_trial_seeds_and_draws_through_the_twins():
@@ -81,4 +87,4 @@ def test_one_trial_seeds_and_draws_through_the_twins():
     seed = derive_seed(2**64 - 1, KEY_TRIAL, 2**32)
     assert seeds.tolist() == [seed]
     assert np.array_equal(sample_blocks(substream_uint64s(seeds, (KEY_PREPARE,), 1), 8)[0],
-                          sample_block(8, substream(seed, KEY_PREPARE)))
+                          substream(seed, KEY_PREPARE).integers(0, 2, size=8, dtype=np.int8) * 2 - 1)
