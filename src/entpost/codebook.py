@@ -50,6 +50,9 @@ BIT_PAIR_ORDER: tuple[tuple[int, int], ...] = ((0, 0), (1, 1), (0, 1), (1, 0))
 
 CODEBOOK_FORMAT_VERSION = 1
 
+# Candidate orderings generate_codebook rejects before it gives up.
+MAX_REJECTIONS = 10_000
+
 
 class CodebookError(Exception):
     """Invalid sequence, entry or codebook document."""
@@ -184,6 +187,13 @@ class Codebook:
         return {}
 
     @cached_property
+    def bit_pair_order(self) -> tuple[int, ...]:
+        """Entry indices in ``BIT_PAIR_ORDER``, however the book lists them:
+        the order decoding reads and tie-breaks the entries in."""
+        return tuple(sorted(range(len(self.entries)),
+                            key=lambda i: BIT_PAIR_ORDER.index(self.entries[i].bits)))
+
+    @cached_property
     def partner_index(self) -> np.ndarray:
         """(entries, n): each entry's bob -> sonai partner positions, for
         gathers over whole tables."""
@@ -215,16 +225,11 @@ class Codebook:
         }
 
 
-def generate_codebook(
-    n: int,
-    lam: int,
-    rng: np.random.Generator,
-    max_attempts: int = 10_000,
-) -> Codebook:
+def generate_codebook(n: int, lam: int, rng: np.random.Generator) -> Codebook:
     """Draw four receiver-side orderings by rejection until all six pairwise
     effective distances reach ``lam``.
 
-    Raises CapacityError once ``max_attempts`` candidate orderings have been
+    Raises CapacityError once ``MAX_REJECTIONS`` candidate orderings have been
     rejected, which is how impossible requests (small n, large lam) surface.
     """
     if n < 1:
@@ -248,7 +253,7 @@ def generate_codebook(
                 entries.append(entry)
                 break
             rejections += 1
-            if rejections >= max_attempts:
+            if rejections >= MAX_REJECTIONS:
                 raise CapacityError(
                     f"gave up after {rejections} rejections: n={n} cannot hold four "
                     f"orderings at pairwise distance >= {lam}"

@@ -145,7 +145,7 @@ class _Schedule:
     def of(cls, outcome: SessionOutcome, strategies: dict[Party, Strategy]) -> "_Schedule":
         """The schedule ``outcome`` followed under ``strategies``. A decode
         abort (no consistent entry) depends on the data, so only a timeout
-        or a fairness violation is kept."""
+        is kept."""
         reason = outcome.terminal.abort_reason
         return cls(
             lies=(strategies[Party.BOB].lie, strategies[Party.SONAI].lie),
@@ -185,9 +185,10 @@ def _fold_trials(spec: ExperimentSpec, cb: Codebook, trials: range, schedule: _S
     for i, trial in enumerate(trials):
         row = _row(trial, seeds[i], bits[i], terminal_record(*pairs[i]), schedule.ticks, schedule.gap)
         if spec.mode == "soundness":  # always the complete schedule, one view per trial
-            for entry, alive in zip(cb.entries, alive_entries[i]):
+            for j in cb.bit_pair_order:  # columns in one order, however the book lists them
+                entry = cb.entries[j]
                 if entry.bits != bits[i]:
-                    row[f"survived_{entry.bits[0]}{entry.bits[1]}"] = alive
+                    row[f"survived_{entry.bits[0]}{entry.bits[1]}"] = alive_entries[i][j]
         rows.append(row)
     return rows
 

@@ -2,11 +2,12 @@
 
 Time advances in integer ticks. Every tick runs a delivery phase and then an
 act phase (receivers in a fixed order, bob then sonai). A reveal sent in one
-tick's act phase waits in the counterpart's in-flight list and is handed
-over in the next tick's delivery phase: sonai's list (bob's reveals) first,
-then bob's, each in send order. Alice hands both receivers their outcomes
-before the first tick. Determinism therefore depends only on the seed, never
-on wall-clock or scheduling accidents.
+tick's act phase is handed over in the next tick's delivery phase: bob's
+reveals to sonai first, then sonai's to bob, each in position order. Reveals
+go out in position order, so after a delivery phase each receiver holds
+exactly the counterpart's ``sent`` count of them. Alice hands both receivers
+their outcomes before the first tick. Determinism therefore depends only on
+the seed, never on wall-clock or scheduling accidents.
 
 Pacing reads the config: the opener may run at most ``one_ahead_limit``
 reveals ahead of what it has received; the other receiver stays strictly
@@ -34,7 +35,6 @@ from .protocol import (
     DecodeResult,
     Party,
     ProtocolConfig,
-    ProtocolViolationError,
     Receiver,
     SessionOutcome,
     Transcript,
@@ -240,16 +240,6 @@ class ReceiverAgent:
     def done(self) -> bool:
         return self.finished or self.aborted is not None
 
-    def on_reveal(self, position: int, outcome: int, world: "World") -> None:
-        if self.done:
-            return
-        try:
-            self.receiver.observe_reveal(position, outcome)
-        except ProtocolViolationError:
-            self._abort(AbortReason.FAIRNESS_VIOLATION, world)
-            return
-        self.waiting = 0
-
     def act(self, world: "World") -> None:
         if self.done:
             return
@@ -281,8 +271,7 @@ class ReceiverAgent:
 
 
 class World:
-    """All session state: agents, the reveals in flight to each receiver, the
-    public transcript and the event log."""
+    """All session state: agents, the public transcript and the event log."""
 
     def __init__(
         self,
@@ -293,9 +282,6 @@ class World:
         self.config = config
         self.codebook = cb
         self.agents = agents
-        # (position, outcome) reveals sent to each receiver this tick, keyed
-        # in delivery order: sonai, then bob
-        self.in_flight: dict[Party, list[tuple[int, int]]] = {Party.SONAI: [], Party.BOB: []}
         self.transcript = Transcript(cb.n)
         self.event_log: list[dict] = []
         self.tick = 0
@@ -317,19 +303,22 @@ class World:
 
     def send_reveal(self, party: Party, position: int, outcome: int) -> None:
         self.transcript.append(party, position, outcome)
-        counterpart = party.counterpart()
-        self.in_flight[counterpart].append((position, outcome))
         summary = f"{party.value}#{position}:{'+' if outcome == 1 else '-'}"
-        self.log(MessageKind.REVEAL, party, counterpart, summary)
+        self.log(MessageKind.REVEAL, party, party.counterpart(), summary)
 
-    def deliver_phase(self) -> None:
+    def deliver_phase(self) -> bool:
         """Hand over last tick's reveals: bob's to sonai first, then sonai's
-        to bob, each in send order."""
-        for party, reveals in self.in_flight.items():
-            self.in_flight[party] = []
-            agent = self.agents[party]
-            for position, outcome in reveals:
-                agent.on_reveal(position, outcome, self)
+        to bob, each in position order. Returns whether any reveal moved."""
+        bob, sonai = self.agents[Party.BOB], self.agents[Party.SONAI]
+        moved = False
+        for agent, sender in ((sonai, bob), (bob, sonai)):
+            received = len(agent.receiver.arrivals)
+            if sender.sent > received:
+                for position, outcome in enumerate(sender.published[received:sender.sent],
+                                                   start=received + 1):
+                    agent.receiver.observe_reveal(position, outcome)
+                agent.waiting, moved = 0, True
+        return moved
 
     def act_phase(self) -> None:
         for party in (Party.BOB, Party.SONAI):
@@ -370,8 +359,8 @@ def run_world(world: World) -> SessionOutcome:
     max_ticks = 4 * world.config.n + world.config.timeout_ticks + 8
     while world.tick < max_ticks:
         world.tick += 1
-        delivered, logged = any(world.in_flight.values()), len(world.event_log)
-        world.deliver_phase()
+        logged = len(world.event_log)
+        delivered = world.deliver_phase()
         world.act_phase()
         if any(a.aborted is not None for a in agents) or all(a.finished for a in agents):
             break

@@ -473,15 +473,17 @@ def _alive(checks: np.ndarray, violations: np.ndarray, delta: float) -> np.ndarr
 def _decode_candidates(cb: Codebook, checks: Sequence[int], violations: Sequence[int],
                        kept: Sequence[bool], passed: np.ndarray, config: ProtocolConfig) -> DecodeResult:
     """The one decode rule, shared by private receivers, transcript replays
-    and batches. It reads per-entry values in codebook order: ``checks``
+    and batches. It takes per-entry values in codebook order: ``checks``
     completed, the ``violations`` among them and whether ``_alive`` ``kept``
     the entry. ``passed[i]``, entry i's passed checks over bob's positions,
-    is read only for a noiseless survival rank."""
-    alive = [i for i, keep in enumerate(kept) if keep]
+    is read only for a noiseless survival rank. It reads the entries in
+    ``BIT_PAIR_ORDER``, so the order a book lists them in never matters."""
+    order = cb.bit_pair_order
+    alive = [i for i in order if kept[i]]
     if not alive:
         return DecodeResult.aborted(AbortReason.NO_CONSISTENT_ENTRY)
     if not config.noise:
-        lead = alive[0]  # entries stay in the fixed bit-pair order
+        lead = alive[0]
         ranks = (_survival_log2(passed[i], cb.cycles(i, lead)) for i in alive[1:])
         confidence = max(0.0, 1.0 - sum(2.0 ** rank for rank in ranks))
     else:
@@ -498,9 +500,9 @@ def _decode_candidates(cb: Codebook, checks: Sequence[int], violations: Sequence
             v * math.log(q) + (k - v) * math.log1p(-q) if k else 0.0
             for k, v in zip(checks, violations)
         ]
-        lead = min(alive, key=lambda i: (violations[i], i))
+        lead = min(alive, key=violations.__getitem__)  # ties go to the first in order
         peak = max(loglik)
-        total = sum(math.exp(w - peak) for w in loglik)
+        total = sum(math.exp(loglik[i] - peak) for i in order)
         confidence = math.exp(loglik[lead] - peak) / total
     if len(alive) == 1 and confidence >= config.confidence_target:
         bob_bit, sonai_bit = cb.entries[lead].bits

@@ -195,11 +195,14 @@ def test_codebook_gen_and_validate(tmp_path, capsys):
 
 
 def test_codebook_gen_impossible_request_is_a_usage_error(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "codebook", "gen", "--n", "2", "--lambda", "4",
-                           "--seed", "1", "--out", str(tmp_path / "never.json"))
-    assert code == EXIT_USAGE
-    assert "never exceeds" in err or "cannot hold" in err
-    assert not (tmp_path / "never.json").exists()
+    # (2, 4) asks for more than any two orderings reach; (3, 2) is refused
+    # only once the rejection limit runs out
+    for n, lam, message in (("2", "4", "never exceeds"), ("3", "2", "cannot hold")):
+        code, _, err = run_cli(capsys, "codebook", "gen", "--n", n, "--lambda", lam,
+                               "--seed", "1", "--out", str(tmp_path / "never.json"))
+        assert code == EXIT_USAGE
+        assert message in err
+        assert not (tmp_path / "never.json").exists()
 
 
 def test_codebook_validate_reports_defects(tmp_path, capsys):

@@ -15,6 +15,7 @@ from entpost.codebook import (
     CapacityError,
     Codebook,
     CodebookError,
+    MAX_REJECTIONS,
     REFERENCE_RAW_FOURTH,
     codebook_from_document,
     codebook_to_document,
@@ -239,9 +240,12 @@ def test_generate_codebook_is_deterministic():
 
 
 def test_generate_codebook_capacity_error():
-    # distance can never exceed n, so lam > n must fail fast
-    with pytest.raises(CapacityError):
-        generate_codebook(4, 5, substream(1, 1), max_attempts=50)
+    # distance can never exceed n - 1, so lam > n - 1 must fail fast
+    with pytest.raises(CapacityError, match="never exceeds"):
+        generate_codebook(4, 5, substream(1, 1))
+    # three labels have only six orderings, too few for four at distance 2
+    with pytest.raises(CapacityError, match=f"gave up after {MAX_REJECTIONS} rejections"):
+        generate_codebook(3, 2, substream(1, 1))
 
 
 def test_make_entry_rejects_bad_bits():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entpost import montecarlo, netsim
-from entpost.codebook import reference_codebook, resolve_codebook, save_codebook
+from entpost.codebook import Codebook, reference_codebook, resolve_codebook, save_codebook
 from entpost.montecarlo import (
     ExperimentSpec,
     aggregate_rows,
@@ -152,6 +152,23 @@ def test_soundness_rows_track_every_wrong_entry():
         "survived_11", "survived_01", "survived_10"
     }
     assert all(isinstance(row[k], bool) for k in row if k.startswith("survived_"))
+
+
+def test_entry_order_of_the_book_never_changes_soundness_rows(tmp_path):
+    # rows, their column order and so the CSV bytes read the entries in
+    # bit-pair order, however the book lists them
+    ref = reference_codebook()
+    path = tmp_path / "reversed.json"
+    save_codebook(Codebook(ref.n, ref.lam, ref.entries[::-1]), path)
+    for noise, delta in ((0.0, 0.0), (0.1, 0.3)):
+        outputs = []
+        for book in ("reference", str(path)):
+            spec = ExperimentSpec(mode="soundness", n=8, lam=4, noise=noise, delta=delta,
+                                  seed=3, trials=40, codebook=book)
+            buf = io.StringIO()
+            write_rows_csv(run_experiment(spec)[0], buf)
+            outputs.append(buf.getvalue())
+        assert outputs[0] == outputs[1]
 
 
 def test_soundness_report_buckets_survivals_by_distance():

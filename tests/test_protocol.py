@@ -760,6 +760,31 @@ def test_replay_of_truncated_transcript_is_partial():
     assert result.status in (DecodeStatus.UNDECIDED, DecodeStatus.DECODED)
 
 
+ENTRY_ORDER_BOOKS = {"n8-reference": REF, "n16": resolve_codebook(None, 16, 4, 5)}
+
+
+@pytest.mark.parametrize("noise", [(0.0, 0.0), (0.1, 0.3)])
+@pytest.mark.parametrize("book", ENTRY_ORDER_BOOKS)
+def test_the_order_a_book_lists_its_entries_in_never_changes_a_decode(book, noise):
+    # decoding reads the entries in bit-pair order, so a book listing them
+    # reversed or shuffled decodes every prefix of every record alike
+    cb = ENTRY_ORDER_BOOKS[book]
+    relisted = [Codebook(cb.n, cb.lam, tuple(cb.entries[i] for i in order))
+                for order in ((3, 2, 1, 0), (2, 0, 3, 1))]
+    eps, delta = noise
+    for seed, bits in itertools.product(range(10), [(0, 0), (1, 1), (0, 1), (1, 0)]):
+        config = ProtocolConfig(n=cb.n, lam=cb.lam, noise=eps, delta=delta,
+                                confidence_target=0.9, seed=seed)
+        outcome = run_session(config, bits, cb=cb)
+        prefix = Transcript(cb.n)
+        for reveal in [None] + reveal_lines(outcome.transcript):
+            if reveal is not None:
+                prefix.append(*reveal)
+            expected = decode_transcript(cb, prefix, config)
+            for other in relisted:
+                assert decode_transcript(other, prefix, config) == expected
+
+
 def test_replay_rejects_duplicate_reveals():
     t = Transcript(8)
     t.append(Party.BOB, 1, 1)
