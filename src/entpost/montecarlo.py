@@ -21,6 +21,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 from typing import IO, Sequence
 
 import numpy as np
@@ -44,6 +45,8 @@ __all__ = [
 MODES = ("honest", "session", "soundness")
 _CONFIG_FIELDS = tuple(f.name for f in fields(ProtocolConfig))
 _FOLD_BLOCK = 256  # trials folded at once: bounded memory at any count
+# the soundness row column of each entry, whether it survived a trial it was wrong in
+_SURVIVED = {bits: f"survived_{bits[0]}{bits[1]}" for bits in BIT_PAIR_ORDER}
 
 
 @dataclass(frozen=True)
@@ -121,14 +124,12 @@ def _row(trial: int, seed: int, bits: tuple[int, int], terminal: DecodeResult,
 
 @dataclass(frozen=True)
 class _Schedule:
-    """What a session's timing fixes, whatever its data: the ``lie`` chance
-    of bob's, then sonai's strategy, the transport abort if any, the tick
-    count and the fairness gap. ``Strategy.plan`` reads counters alone, so
-    one schedule serves every trial of a strategy pair and config. A
-    session that does not abort ends with each receiver holding all of the
-    counterpart's published values."""
+    """What a session's timing fixes, whatever its data: the transport abort
+    if any, the tick count and the fairness gap. ``Strategy.plan`` reads
+    counters alone, so one schedule serves every trial of a strategy pair
+    and config. A session that does not abort ends with each receiver
+    holding all of the counterpart's published values."""
 
-    lies: tuple[float, float]
     abort: AbortReason | None
     ticks: int
     gap: int
@@ -139,16 +140,14 @@ class _Schedule:
         1 they alternate, one reveal a tick, and the last arrives at tick
         2n + 1; above it both reveal every tick, so it arrives at n + 1."""
         ticks = 2 * config.n + 1 if config.one_ahead_limit == 1 else config.n + 1
-        return cls((0.0, 0.0), None, ticks, 1)
+        return cls(None, ticks, 1)
 
     @classmethod
-    def of(cls, outcome: SessionOutcome, strategies: dict[Party, Strategy]) -> "_Schedule":
-        """The schedule ``outcome`` followed under ``strategies``. A decode
-        abort (no consistent entry) depends on the data, so only a timeout
-        is kept."""
+    def of(cls, outcome: SessionOutcome) -> "_Schedule":
+        """The schedule ``outcome`` followed. A decode abort (no consistent
+        entry) depends on the data, so only a timeout is kept."""
         reason = outcome.terminal.abort_reason
         return cls(
-            lies=(strategies[Party.BOB].lie, strategies[Party.SONAI].lie),
             abort=None if reason is AbortReason.NO_CONSISTENT_ENTRY else reason,
             ticks=outcome.ticks,
             gap=fairness_gap(outcome.transcript),
@@ -161,8 +160,9 @@ def _fold_trials(spec: ExperimentSpec, cb: Codebook, trials: range, schedule: _S
     block at once. A receiver ends holding its own row and the
     counterpart's published one, a liar's flipped at its ``lie_flips`` as
     ``build_world`` flips it. All views are folded at once. When nobody
-    lies both views are the table, so each trial decodes once for both;
-    after a transport abort nothing is decoded."""
+    lies both views are the table, so each trial decodes once for both and
+    that decode is its terminal (``terminal_record(r, r) == r``); after a
+    transport abort nothing is decoded."""
     block_seeds = rng_mod.derive_seeds(spec.seed, (rng_mod.KEY_TRIAL,), trials)
     seeds = block_seeds.tolist()
     bits = [spec.trial_bits(t) for t in trials]
@@ -171,24 +171,24 @@ def _fold_trials(spec: ExperimentSpec, cb: Codebook, trials: range, schedule: _S
         return [_row(t, seed, b, terminal, schedule.ticks, schedule.gap)
                 for t, seed, b in zip(trials, seeds, bits)]
     tables = alice_prepare(block_seeds, spec.noise, bits, cb)
-    if not any(schedule.lies):
-        results, alive_entries = decode_block(cb, spec, tables)
-        pairs = list(zip(results, results))
+    lies = (spec.strategy_bob.lie, spec.strategy_sonai.lie)
+    if not any(lies):
+        terminals, alive_entries = decode_block(cb, spec, tables)
     else:
         views = np.stack((tables, tables), axis=1)  # (trials, receiver, 2, n)
-        for side, p in enumerate(schedule.lies):
+        for side, p in enumerate(lies):
             if p:  # only the counterpart sees the lies
                 views[:, 1 - side, side][lie_flips(block_seeds, side, p, cb.n)] *= -1
         results, _ = decode_block(cb, spec, views.reshape(-1, 2, cb.n))
-        pairs = list(zip(results[0::2], results[1::2]))
+        terminals = list(map(terminal_record, results[0::2], results[1::2]))
     rows = []
     for i, trial in enumerate(trials):
-        row = _row(trial, seeds[i], bits[i], terminal_record(*pairs[i]), schedule.ticks, schedule.gap)
+        row = _row(trial, seeds[i], bits[i], terminals[i], schedule.ticks, schedule.gap)
         if spec.mode == "soundness":  # always the complete schedule, one view per trial
             for j in cb.bit_pair_order:  # columns in one order, however the book lists them
-                entry = cb.entries[j]
-                if entry.bits != bits[i]:
-                    row[f"survived_{entry.bits[0]}{entry.bits[1]}"] = alive_entries[i][j]
+                entry_bits = cb.entries[j].bits
+                if entry_bits != bits[i]:
+                    row[_SURVIVED[entry_bits]] = alive_entries[i][j]
         rows.append(row)
     return rows
 
@@ -202,7 +202,7 @@ def _run_chunk(spec: ExperimentSpec, cb: Codebook, start: int, stop: int) -> lis
         seed = rng_mod.derive_seed(spec.seed, rng_mod.KEY_TRIAL, start)
         strategies = {Party.BOB: spec.strategy_bob, Party.SONAI: spec.strategy_sonai}
         outcome = run_session(spec.config(seed=seed), spec.trial_bits(start), strategies, cb=cb)
-        schedule = _Schedule.of(outcome, strategies)
+        schedule = _Schedule.of(outcome)
     else:
         schedule = _Schedule.complete(spec)
     rows = []
@@ -271,14 +271,13 @@ def aggregate_rows(
     raw CSV lands on the same numbers."""
     status_counts: dict[str, int] = {}
     abort_counts: dict[str, int] = {}
-    gap_hist: dict[str, int] = {}
+    gap_hist: dict[int, int] = {}
     decoded = 0
     correct = 0
     conf_sum = 0.0
-    conf_count = 0
     tick_sum = 0
-    present: dict[str, int] = {}  # survived_* key -> rows carrying it
-    survivals: dict[tuple[tuple[int, int], str], int] = {}  # (truth, key) -> survivals
+    present: dict[tuple[int, int], int] = {}  # candidate -> rows where it was a wrong entry
+    survivals: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}  # (truth, candidate) -> count
     for row in rows:
         status = row["status"]
         status_counts[status] = status_counts.get(status, 0) + 1
@@ -288,34 +287,31 @@ def aggregate_rows(
         if status == "decoded":
             decoded += 1
             conf_sum += row["confidence"]
-            conf_count += 1
             if (row["bob_bit"], row["sonai_bit"]) == (row["truth_bob"], row["truth_sonai"]):
                 correct += 1
-        gap = str(row["fairness_gap"])
+        gap = row["fairness_gap"]
         gap_hist[gap] = gap_hist.get(gap, 0) + 1
         tick_sum += row["ticks"]
-        for key, value in row.items():
-            # a trial has no survived_* entry for its own true bits (None in CSV)
-            if key.startswith("survived_") and value is not None:
-                present[key] = present.get(key, 0) + 1
+        for cand, key in _SURVIVED.items():
+            # a trial has no cell for its own true bits (blank in the CSV)
+            value = row.get(key)
+            if value is not None:
+                present[cand] = present.get(cand, 0) + 1
                 if value:
-                    tally = ((row["truth_bob"], row["truth_sonai"]), key)
+                    tally = ((row["truth_bob"], row["truth_sonai"]), cand)
                     survivals[tally] = survivals.get(tally, 0) + 1
     total = len(rows)
     survived = dict.fromkeys(present, 0)
     by_distance: dict[int, int] = {}
-    if present:
+    if survivals:
         distances = {}
         for (a, b), d in (cb or spec.shared_codebook()).pairwise_distances().items():
             distances[a, b] = distances[b, a] = d
-        for (truth, key), count in survivals.items():
-            survived[key] += count
-            cand = key.removeprefix("survived_")
-            d = distances[truth, (int(cand[0]), int(cand[1]))]
+        for (truth, cand), count in survivals.items():
+            survived[cand] += count
+            d = distances[truth, cand]
             by_distance[d] = by_distance.get(d, 0) + count
-    survival_rates = {
-        key.removeprefix("survived_"): survived[key] / present[key] for key in sorted(present)
-    }
+    survival_rates = {f"{a}{b}": survived[a, b] / present[a, b] for a, b in sorted(present)}
     return StatsReport(
         mode=spec.mode,
         trials=total,
@@ -329,10 +325,10 @@ def aggregate_rows(
         abort_counts=dict(sorted(abort_counts.items())),
         decode_success_rate=decoded / total,
         correct_rate=correct / total,
-        mean_confidence=(conf_sum / conf_count) if conf_count else None,
+        mean_confidence=(conf_sum / decoded) if decoded else None,
         mean_ticks=tick_sum / total,
-        fairness_gap_hist=dict(sorted(gap_hist.items(), key=lambda kv: int(kv[0]))),
-        max_fairness_gap=max((int(k) for k in gap_hist), default=0),
+        fairness_gap_hist={str(gap): gap_hist[gap] for gap in sorted(gap_hist)},
+        max_fairness_gap=max(gap_hist, default=0),
         survival_rates=survival_rates,
         survival_by_distance={str(d): by_distance[d] for d in sorted(by_distance)},
         strategy_bob=spec.strategy_bob.describe(),
@@ -343,11 +339,10 @@ def aggregate_rows(
 def write_rows_csv(rows: Sequence[dict], fp: IO[str]) -> None:
     if not rows:
         return
-    fieldnames = list(dict.fromkeys(key for row in rows for key in row))  # first-seen order
-    writer = csv.DictWriter(fp, fieldnames=fieldnames, restval="")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
+    header = list(dict.fromkeys(chain.from_iterable(rows)))  # first-seen order
+    writer = csv.writer(fp)
+    writer.writerow(header)
+    writer.writerows(map(row.get, header) for row in rows)  # None and absent keys: blank
 
 
 def _coerce_cell(text: str):

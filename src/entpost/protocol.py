@@ -484,8 +484,10 @@ def _decode_candidates(cb: Codebook, checks: Sequence[int], violations: Sequence
         return DecodeResult.aborted(AbortReason.NO_CONSISTENT_ENTRY)
     if not config.noise:
         lead = alive[0]
-        ranks = (_survival_log2(passed[i], cb.cycles(i, lead)) for i in alive[1:])
-        confidence = max(0.0, 1.0 - sum(2.0 ** rank for rank in ranks))
+        rest = 0.0  # sums here run left to right: sum() of floats compensates from 3.12
+        for i in alive[1:]:
+            rest += 2.0 ** _survival_log2(passed[i], cb.cycles(i, lead))
+        confidence = max(0.0, 1.0 - rest)
     else:
         # Given the entry, each completed check pairs two outcomes no other
         # check touches and is violated with probability q = 2*eps*(1-eps),
@@ -502,7 +504,9 @@ def _decode_candidates(cb: Codebook, checks: Sequence[int], violations: Sequence
         ]
         lead = min(alive, key=violations.__getitem__)  # ties go to the first in order
         peak = max(loglik)
-        total = sum(math.exp(loglik[i] - peak) for i in order)
+        total = 0.0
+        for i in order:
+            total += math.exp(loglik[i] - peak)
         confidence = math.exp(loglik[lead] - peak) / total
     if len(alive) == 1 and confidence >= config.confidence_target:
         bob_bit, sonai_bit = cb.entries[lead].bits

@@ -34,6 +34,7 @@ from entpost.protocol import (
     prepared_block_from_signs,
     run_message,
     run_session,
+    terminal_record,
 )
 from entpost.montecarlo import ExperimentSpec
 from entpost.netsim import parse_strategy
@@ -298,6 +299,9 @@ def test_every_session_result_survives_its_terminal_line(seed, noise, strategy, 
     config = small_config(n=n, lam=n // 4, noise=eps, delta=delta, seed=seed)
     outcome = run_session(config, bits, {party: parse_strategy(strategy)},
                           cb=REF if n == 8 else None)
+    for result in outcome.results.values():
+        # so a batch where nobody lies takes each trial's decode as its terminal
+        assert terminal_record(result, result) == result
     for result in (*outcome.results.values(), outcome.terminal):
         assert DecodeResult.from_json_obj(result.to_json_obj()) == result
         assert DecodeResult.from_json_obj(json.loads(json.dumps(result.to_json_obj()))) == result
