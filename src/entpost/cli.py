@@ -6,8 +6,8 @@ Subcommands:
   codebook    gen | validate | reference
   replay      recompute a decode from a recorded public transcript
 
-Exit codes: 0 success, 1 session aborted or artifact invalid, 2 usage,
-3 unreadable or rule-breaking input data.
+Exit codes: 0 success, 1 session aborted or artifact invalid, 2 usage or a
+request that runs out of memory, 3 unreadable or rule-breaking input data.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from .codebook import (
     reference_codebook,
     resolve_codebook,
     save_codebook,
-    validate_codebook,
 )
 from .montecarlo import (
     ExperimentSpec,
@@ -248,29 +247,24 @@ def cmd_codebook(args: argparse.Namespace) -> int:
 
     if args.codebook_cmd == "validate":
         try:
-            cb = load_codebook(args.path, validate=False)
+            cb = load_codebook(args.path)
         except CodebookError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        defects = validate_codebook(cb)
-        if not defects:
-            print(f"valid: n={cb.n} lambda={cb.lam}, {len(cb.entries)} entries")
-            return EXIT_OK
-        for defect in defects:
-            print(f"defect: {defect.kind}: {defect.message}")
-        return EXIT_ABORT
-
-    if args.codebook_cmd == "reference":
-        cb = reference_codebook()
-        if args.out:
-            save_codebook(cb, args.out)
-            print(f"wrote codebook n={cb.n} lambda={cb.lam} to {args.out}")
-        else:
-            json.dump(codebook_to_document(cb), sys.stdout, indent=2, sort_keys=True)
-            print()
+            if not exc.defects:  # unreadable: main() prints it and exits 3
+                raise
+            for defect in exc.defects:
+                print(f"defect: {defect.kind}: {defect.message}")
+            return EXIT_ABORT
+        print(f"valid: n={cb.n} lambda={cb.lam}, {len(cb.entries)} entries")
         return EXIT_OK
 
-    raise _UsageError("codebook requires one of: gen, validate, reference")
+    cb = reference_codebook()  # argparse admits no other subcommand
+    if args.out:
+        save_codebook(cb, args.out)
+        print(f"wrote codebook n={cb.n} lambda={cb.lam} to {args.out}")
+    else:
+        json.dump(codebook_to_document(cb), sys.stdout, indent=2, sort_keys=True)
+        print()
+    return EXIT_OK
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
@@ -379,6 +373,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (_UsageError, ValueError, CapacityError) as exc:  # CapacityError before its base
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a request too large for this machine
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except (ProtocolViolationError, CodebookError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

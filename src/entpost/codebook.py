@@ -11,6 +11,7 @@ entry passes a full noiseless consistency check with probability exactly
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 from dataclasses import dataclass
@@ -55,7 +56,11 @@ MAX_REJECTIONS = 10_000
 
 
 class CodebookError(Exception):
-    """Invalid sequence, entry or codebook document."""
+    """Invalid sequence, entry or codebook document; ``defects`` lists a book's defects."""
+
+    def __init__(self, message: str, defects: Sequence[Defect] = ()):
+        super().__init__(message)
+        self.defects = list(defects)
 
 
 class CapacityError(CodebookError):
@@ -123,22 +128,20 @@ class CodebookEntry:
     s_j: tuple[int, ...]
 
     @cached_property
-    def partner_maps(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """0-based partner positions bob -> sonai and sonai -> bob, built once
-        per entry and shared by every receiver and replay that uses it.
-        Raises ValueError when ``s_j`` is not a permutation of 1..n."""
-        n = len(self.s_j)
-        to_sonai: list[int | None] = [None] * n
-        for p, label in enumerate(self.s_j):
-            if type(label) is not int or not 1 <= label <= n or to_sonai[label - 1] is not None:
-                raise ValueError(f"entry {self.bits}: s_j is not a permutation of 1..{n}")
-            to_sonai[label - 1] = p
-        return tuple(to_sonai), tuple(label - 1 for label in self.s_j)
-
-    @cached_property
     def partner_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``partner_maps`` as index arrays, for gathers over whole blocks."""
-        return tuple(np.asarray(side, dtype=np.intp) for side in self.partner_maps)
+        """0-based partner positions bob -> sonai and sonai -> bob as index arrays,
+        built once per entry and shared by every receiver and replay that uses
+        it. Raises ValueError when ``s_j`` is not a permutation of 1..n."""
+        n = len(self.s_j)
+        legal = set(map(type, self.s_j)) <= {int} and 1 <= min(self.s_j, default=1) \
+            and max(self.s_j, default=n) <= n
+        # a label of another type or out of range leaves no map, and a repeated
+        # one a map that is not onto: either way the sorted map is not 0..n-1
+        to_bob = np.array(self.s_j if legal else (), dtype=np.intp) - 1
+        to_sonai = np.argsort(to_bob)
+        if not np.array_equal(to_bob[to_sonai], np.arange(n)):
+            raise ValueError(f"entry {self.bits}: s_j is not a permutation of 1..{n}")
+        return to_sonai, to_bob
 
 
 def effective_distance(candidate: CodebookEntry, truth: CodebookEntry) -> int:
@@ -247,8 +250,7 @@ def generate_codebook(n: int, lam: int, rng: np.random.Generator) -> Codebook:
     rejections = 0
     for bits in BIT_PAIR_ORDER:
         while True:
-            order = tuple(int(x) for x in rng.permutation(n) + 1)
-            entry = make_entry(bits, order)
+            entry = make_entry(bits, (rng.permutation(n) + 1).tolist())
             if all(effective_distance(entry, q) >= lam for q in entries):
                 entries.append(entry)
                 break
@@ -271,11 +273,12 @@ def validate_codebook(cb: Codebook) -> list[Defect]:
         )
     valid: list[CodebookEntry] = []
     for entry in cb.entries:
-        found = validate_sequence(entry.s_j, cb.n)
-        for d in found:
+        with contextlib.suppress(ValueError):  # the one check of a valid ordering
+            if len(entry.partner_arrays[1]) == cb.n:
+                valid.append(entry)
+                continue
+        for d in validate_sequence(entry.s_j, cb.n):  # describes what was refused
             defects.append(Defect(d.kind, f"entry {entry.bits} s_j: {d.message}", d.labels))
-        if not found:
-            valid.append(entry)
     for a, b in itertools.combinations(valid, 2):
         d = effective_distance(a, b)
         if d < cb.lam:
@@ -332,9 +335,9 @@ def _json_int(value, name: str) -> int:
     return value
 
 
-def codebook_from_document(doc: dict, validate: bool = True) -> Codebook:
-    """Parse a codebook document; with ``validate`` (the default) any defect
-    raises. Pass ``validate=False`` to inspect defective books."""
+def codebook_from_document(doc: dict) -> Codebook:
+    """Parse and validate a codebook document. A defective book raises a
+    CodebookError that lists its defects; an unreadable one lists none."""
     try:
         version = _json_int(doc["version"], "version")
         if version != CODEBOOK_FORMAT_VERSION:
@@ -357,12 +360,11 @@ def codebook_from_document(doc: dict, validate: bool = True) -> Codebook:
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise CodebookError(f"malformed codebook document: {exc}") from exc
     cb = Codebook(n=n, lam=lam, entries=entries)
-    if validate:
-        defects = validate_codebook(cb)
-        if defects:
-            raise CodebookError(
-                "codebook has defects: " + "; ".join(d.message for d in defects)
-            )
+    defects = validate_codebook(cb)
+    if defects:
+        raise CodebookError(
+            "codebook has defects: " + "; ".join(d.message for d in defects), defects
+        )
     return cb
 
 
@@ -370,12 +372,12 @@ def save_codebook(cb: Codebook, path: str | Path) -> None:
     Path(path).write_text(json.dumps(codebook_to_document(cb), indent=2, sort_keys=True) + "\n")
 
 
-def load_codebook(path: str | Path, validate: bool = True) -> Codebook:
+def load_codebook(path: str | Path) -> Codebook:
     try:
         doc = json.loads(Path(path).read_text())
     except (ValueError, RecursionError) as exc:  # bad, undecodable, too long or too deep
         raise CodebookError(f"codebook file is not valid JSON: {exc}") from exc
-    return codebook_from_document(doc, validate=validate)
+    return codebook_from_document(doc)
 
 
 def resolve_codebook(source: str | None, n: int, lam: int, seed: int) -> Codebook:

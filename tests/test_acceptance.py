@@ -14,6 +14,7 @@ import pytest
 from entpost.codebook import (
     REFERENCE_RAW_FOURTH,
     Codebook,
+    CodebookError,
     codebook_from_document,
     codebook_to_document,
     effective_distance,
@@ -316,9 +317,9 @@ def test_a8_defective_sequence_is_caught_and_repairable():
     for entry in doc["entries"]:
         if entry["bits"] == [1, 0]:
             entry["s_j"] = list(REFERENCE_RAW_FOURTH)
-    defective = codebook_from_document(doc, validate=False)
-    defects = validate_codebook(defective)
-    kinds = {d.kind for d in defects}
+    with pytest.raises(CodebookError) as refused:
+        codebook_from_document(doc)
+    kinds = {d.kind for d in refused.value.defects}
     found_both = "duplicate-label" in kinds and "missing-label" in kinds
 
     repaired = REF  # the built-in book carries the documented repair

@@ -8,6 +8,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entpost import cli, codebook
 from entpost.cli import (EXIT_ABORT, EXIT_IO, EXIT_OK, EXIT_USAGE, _config_from_args, build_parser,
                          main)
 from entpost.codebook import (
@@ -203,6 +204,29 @@ def test_codebook_gen_impossible_request_is_a_usage_error(tmp_path, capsys):
         assert code == EXIT_USAGE
         assert message in err
         assert not (tmp_path / "never.json").exists()
+
+
+def test_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # a request too large for the machine exits 2 with one error line, and
+    # no partial file; an empty MemoryError still names what ran out
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    def unable(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.98 GiB for an array with shape (400000000,)")
+
+    monkeypatch.setattr(codebook, "generate_codebook", exhausted)
+    monkeypatch.setattr(cli, "run_experiment", unable)
+    for argv, line in (
+        (["codebook", "gen", "--n", "400000000", "--lambda", "16", "--seed", "1",
+          "--out", str(tmp_path / "big.json")], "error: out of memory\n"),
+        (["montecarlo", "--trials", "4", "--seed", "1", "--out", str(tmp_path / "X")],
+         "error: Unable to allocate 2.98 GiB for an array with shape (400000000,)\n"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (EXIT_USAGE, "", line)
+        assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_codebook_validate_reports_defects(tmp_path, capsys):

@@ -15,6 +15,7 @@ from entpost.codebook import (
     CapacityError,
     Codebook,
     CodebookError,
+    Defect,
     MAX_REJECTIONS,
     REFERENCE_RAW_FOURTH,
     codebook_from_document,
@@ -76,20 +77,24 @@ def test_relative_pairing_of_equal_sequences_is_identity():
     # a receiver ordering equal to the sender's pairs every position with itself
     for n in (1, 2, 5, 8):
         entry = make_entry((0, 0), identity(n))
-        assert entry.partner_maps == (tuple(range(n)), tuple(range(n)))
+        assert [side.tolist() for side in entry.partner_arrays] == [list(range(n))] * 2
 
 
 def test_reference_pairing_maps():
     for bits, entry in ENTRIES.items():
-        assert entry.partner_maps[0] == tuple(p - 1 for p in EXPECTED_MAPS[bits]), bits
+        assert entry.partner_arrays[0].tolist() == [p - 1 for p in EXPECTED_MAPS[bits]], bits
 
 
-def test_pairing_inverse_round_trip():
-    # the two partner maps are mutual inverses
-    to_sonai, to_bob = ENTRIES[(0, 0)].partner_maps
-    for k in range(8):
-        assert to_bob[to_sonai[k]] == k
-        assert to_sonai[to_bob[k]] == k
+@settings(max_examples=100)
+@given(st.integers(0, 40).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
+def test_pairing_inverse_round_trip(s_j):
+    # the two partner maps are mutual inverses, and sonai -> bob reads s_j
+    for entry in (ENTRIES[(0, 0)], make_entry((1, 1), s_j)):
+        to_sonai, to_bob = (side.tolist() for side in entry.partner_arrays)
+        assert to_bob == [label - 1 for label in entry.s_j]
+        for k in range(len(entry.s_j)):
+            assert to_bob[to_sonai[k]] == k
+            assert to_sonai[to_bob[k]] == k
 
 
 def test_effective_distances_match_frozen_table():
@@ -137,7 +142,8 @@ def test_effective_distance_matches_a_cycle_walk(orderings):
     # one position at a time, from the empty ordering to sizes no
     # enumeration reaches
     truth, cand = make_entry((0, 0), orderings[0]), make_entry((1, 1), orderings[1])
-    sigma = [truth.partner_maps[1][c] for c in cand.partner_maps[0]]
+    to_bob, to_sonai = truth.partner_arrays[1].tolist(), cand.partner_arrays[0].tolist()
+    sigma = [to_bob[c] for c in to_sonai]
     seen, cycles = set(), 0
     for start in range(len(sigma)):
         cycles += start not in seen
@@ -254,9 +260,49 @@ def test_make_entry_rejects_bad_bits():
 
 
 def test_entry_with_defective_sequence_has_no_pairing():
-    for s_j in ((1, 1, 3, 3), (0, 1, 2, 3), (1, 2, 3, 5), (True, 2, 3, 4)):
+    for s_j in ((1, 1, 3, 3), (0, 1, 2, 3), (1, 2, 3, 5), (True, 2, 3, 4), (1, 2.0, 3, 4),
+                (1, 2, 3, 10**30)):
         with pytest.raises(ValueError):
-            make_entry((0, 0), s_j).partner_maps
+            make_entry((0, 0), s_j).partner_arrays
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.one_of(st.integers(-1, n + 1), st.sampled_from([True, 1.0, 10**30])),
+    min_size=n, max_size=n)))
+def test_partner_arrays_refuse_exactly_what_validate_sequence_flags(s_j):
+    # the one permutation check and the describer agree on every ordering
+    try:
+        make_entry((0, 0), s_j).partner_arrays
+    except ValueError:
+        assert validate_sequence(s_j, len(s_j)) != []
+    else:
+        assert validate_sequence(s_j, len(s_j)) == []
+
+
+def test_wrong_length_permutation_is_a_length_defect():
+    # a hand-built book gets no length check from the document parser; a
+    # permutation of 1..7 in an 8-pair book is still refused
+    entries = list(reference_codebook().entries)
+    entries[2] = make_entry(entries[2].bits, identity(7))
+    defects = validate_codebook(Codebook(n=8, lam=4, entries=tuple(entries)))
+    assert [d.kind for d in defects] == ["length", "missing-label"]
+    assert defects[0].message == "entry (0, 1) s_j: expected 8 labels, got 7"
+
+
+def test_loading_a_valid_book_checks_each_ordering_once(monkeypatch, tmp_path):
+    # partner_arrays is the one permutation check: validate_sequence only
+    # describes an ordering it refused, so a valid book never reaches it
+    def refuse(order, n):
+        raise AssertionError("validate_sequence ran on a valid ordering")
+
+    documents = [codebook_to_document(reference_codebook()),
+                 codebook_to_document(generate_codebook(64, 16, substream(7, 1)))]
+    monkeypatch.setattr(codebook, "validate_sequence", refuse)
+    for doc in documents:
+        path = tmp_path / "book.json"
+        path.write_text(json.dumps(doc))
+        assert codebook_to_document(load_codebook(path)) == doc
 
 
 def test_save_load_round_trip(tmp_path):
@@ -306,8 +352,9 @@ def test_load_rejects_garbage(tmp_path):
         one_bit,
     ):
         path.write_text(json.dumps(doc))
-        with pytest.raises(CodebookError):
-            load_codebook(path, validate=False)
+        with pytest.raises(CodebookError) as refused:
+            load_codebook(path)
+        assert refused.value.defects == []  # refused as unreadable, before validation
     path.write_text(json.dumps(ref).replace('"lambda": 4', '"lambda": ' + "4" * 5000))
     with pytest.raises(CodebookError):
         load_codebook(path)
@@ -323,8 +370,6 @@ def test_document_lengths_are_checked_before_any_size_n_work(monkeypatch):
         doc["n"] = n
         with pytest.raises(CodebookError):
             codebook_from_document(doc)
-        with pytest.raises(CodebookError):
-            codebook_from_document(doc, validate=False)
 
 
 def _slots(doc):
@@ -337,8 +382,8 @@ def _slots(doc):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.data(), st.booleans())
-def test_document_parser_raises_only_codebook_errors(data, validate):
+@given(st.data())
+def test_document_parser_raises_only_codebook_errors(data):
     doc = codebook_to_document(reference_codebook())
     slots = _slots(doc)
     picks = data.draw(st.sets(st.integers(0, len(slots) - 1), min_size=1, max_size=3))
@@ -346,9 +391,10 @@ def test_document_parser_raises_only_codebook_errors(data, validate):
         container, key = slots[index]
         container[key] = data.draw(JUNK)
     try:
-        codebook_from_document(json.loads(json.dumps(doc)), validate=validate)
-    except CodebookError:
-        pass
+        codebook_from_document(json.loads(json.dumps(doc)))
+    except CodebookError as exc:
+        assert isinstance(exc.defects, list)
+        assert all(isinstance(d, Defect) for d in exc.defects)
 
 
 def test_validate_codebook_flags_low_distance():
@@ -482,3 +528,22 @@ PINNED_CODEBOOK_DIGESTS = {
 def test_codebook_bytes_are_pinned(kind, case, tmp_path, capsys):
     digest = pinned_codebook_digest(kind, case, tmp_path, capsys)
     assert digest == PINNED_CODEBOOK_DIGESTS[f"{kind}/{case}"]
+
+
+@pytest.mark.parametrize("case", PINNED_VALIDATE)
+def test_load_refusal_lists_what_validate_prints(case, tmp_path, capsys):
+    # the library and the command admit a book at the same site: a refusal's
+    # defects are the command's lines, and none means unreadable (exit 3)
+    path = tmp_path / "book.json"
+    path.write_text(json.dumps(PINNED_VALIDATE[case]))
+    code = main(["codebook", "validate", str(path)])
+    out = capsys.readouterr().out
+    try:
+        cb = load_codebook(path)
+    except CodebookError as exc:
+        assert "".join(f"defect: {d.kind}: {d.message}\n" for d in exc.defects) == out
+        assert (exc.defects == []) == (code == 3)
+        assert code in (1, 3)
+    else:
+        assert code == 0
+        assert out == f"valid: n={cb.n} lambda={cb.lam}, {len(cb.entries)} entries\n"

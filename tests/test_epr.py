@@ -19,7 +19,7 @@ def signs_of(seed, key, n):
 def partner_outcomes(table, entry):
     """Sonai's outcome for each of bob's positions, read through the entry's
     pairing: noiseless, the negation of bob's row."""
-    return table[1].take(entry.partner_maps[0])
+    return table[1].take(entry.partner_arrays[0])
 
 
 def test_singlet_always_anti_correlated():

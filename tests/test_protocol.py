@@ -140,7 +140,7 @@ def test_prepared_block_honors_every_pairing():
             table = prepared_block_from_signs(entry, signs)
             assert table.shape == (2, 8) and table.dtype == np.int8
             for k in range(1, 9):
-                partner = entry.partner_maps[0][k - 1] + 1
+                partner = entry.partner_arrays[0][k - 1] + 1
                 assert table[0, k - 1] == -table[1, partner - 1]
 
 
@@ -149,7 +149,7 @@ def test_alice_prepare_noiseless_passes_all_truth_checks():
         table = alice_prepare([3], 0.0, [bits], REF)[0]
         entry = REF.entry_for_bits(*bits)
         for k in range(1, 9):
-            partner = entry.partner_maps[0][k - 1] + 1
+            partner = entry.partner_arrays[0][k - 1] + 1
             assert table[0, k - 1] == -table[1, partner - 1]
 
 
@@ -954,7 +954,7 @@ def test_survival_rank_matches_constraint_graph_oracle(case, seed):
     side = 0 if party is Party.BOB else 1
     own_row = alice_prepare([seed], 0.0, [(0, 0)], cb)[0][side]
     receiver = Receiver(party, cb, own_row, config)
-    own_partner = cand.partner_maps[1 - side]  # counterpart position -> own position
+    own_partner = cand.partner_arrays[1 - side]  # counterpart position -> own position
     # reveal counterpart values that give the candidate the drawn verdicts
     for q in range(n):
         own_pos = own_partner[q]
@@ -965,7 +965,7 @@ def test_survival_rank_matches_constraint_graph_oracle(case, seed):
     # the kernel reports the verdicts in bob's positions; the candidate's
     # partner map carries sonai's own positions there
     done, passed = protocol._fold_checks(cb, receiver.table)
-    to_bob = range(n) if party is Party.BOB else cand.partner_maps[1]
+    to_bob = range(n) if party is Party.BOB else cand.partner_arrays[1]
     assert [bool(done[1, k]) for k in to_bob] == [v is not None for v in verdicts]
     assert [bool(passed[1, k]) for k in to_bob] == [v is True for v in verdicts]
     passed_own = {k for k, v in enumerate(verdicts) if v}
