@@ -12,6 +12,7 @@ request that runs out of memory, 3 unreadable or rule-breaking input data.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -322,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON codebook path, or 'reference' (default: generate from seed)")
     p_run.add_argument("--out", default=None, help="write the public transcript (JSON lines)")
     p_run.add_argument("--events-out", default=None, help="write the simulator event log")
-    p_run.set_defaults(func=cmd_run)
 
     p_mc = sub.add_parser("montecarlo", help="run many trials and aggregate")
     _add_protocol_args(p_mc)
@@ -336,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="JSON codebook path, or 'reference' (default: generate from seed)")
     p_mc.add_argument("--out", default=None,
                       help="base path; writes <out>.csv rows and <out>.json report")
-    p_mc.set_defaults(func=cmd_montecarlo)
 
     p_cb = sub.add_parser("codebook", help="generate, validate, or print codebooks")
     cb_sub = p_cb.add_subparsers(dest="codebook_cmd", required=True)
@@ -349,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("path")
     p_ref = cb_sub.add_parser("reference", help="emit the built-in 8-pair codebook")
     p_ref.add_argument("--out", default=None)
-    p_cb.set_defaults(func=cmd_codebook)
 
     p_rep = sub.add_parser("replay", help="recompute a decode from a public transcript")
     p_rep.add_argument("--codebook", required=True,
@@ -358,19 +356,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--noise", type=float, default=0.0)
     p_rep.add_argument("--delta", type=float, default=0.0)
     p_rep.add_argument("--confidence-target", type=float, default=0.999)
-    p_rep.set_defaults(func=cmd_replay)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built by its first ``main`` call: parsing
+    leaves no state in it, and building it costs more than most calls."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # the handler is looked up by name on each call, not bound into the parser
+    # once, so a function rebound on this module later is the one that runs
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except (_UsageError, ValueError, CapacityError) as exc:  # CapacityError before its base
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -186,8 +186,12 @@ class Codebook:
     entries: tuple[CodebookEntry, ...]
 
     @cached_property
-    def _cycle_cache(self) -> dict:
-        return {}
+    def _cycle_table(self) -> tuple[np.ndarray, np.ndarray, set]:
+        """(labels, excess, built): ``cycles`` of the entry pairs in
+        ``built``, in row i * entries + j for candidate i and reference j,
+        each written on its pair's first use."""
+        shape = (len(self.entries) ** 2, self.n)
+        return np.empty(shape, dtype=np.intp), np.empty(shape, dtype=np.intp), set()
 
     @cached_property
     def bit_pair_order(self) -> tuple[int, ...]:
@@ -202,17 +206,23 @@ class Codebook:
         gathers over whole tables."""
         return np.stack([entry.partner_arrays[0] for entry in self.entries])
 
-    def cycles(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    def cycles(self, i, j) -> tuple[np.ndarray, np.ndarray]:
         """``(labels, excess)`` for candidate entry i and reference entry j, in
         bob's positions: ``labels[k]`` numbers the cycle of k under pi =
         ref.from_sonai o cand.to_sonai, and ``excess[c]`` is the length of
         cycle c minus one (0 for a fixed point). The candidate's partner map
         carries each cycle of sonai's own pi onto one of bob's pi^-1, so a
-        rank is equal from either side. Built on first use."""
-        if (i, j) not in self._cycle_cache:
-            to, back = self.entries[i].partner_arrays[0], self.entries[j].partner_arrays[1]
-            self._cycle_cache[i, j] = _cycle_labels(back[to])
-        return self._cycle_cache[i, j]
+        rank is equal from either side. i and j may also be index arrays of
+        one shape, for one (..., n) row per pair. Each pair is built on its
+        first use."""
+        labels, excess, built = self._cycle_table
+        pair = np.multiply(i, len(self.entries)) + j
+        for p in set(np.ravel(pair).tolist()) - built:
+            a, b = divmod(p, len(self.entries))
+            to, back = self.entries[a].partner_arrays[0], self.entries[b].partner_arrays[1]
+            labels[p], excess[p] = _cycle_labels(back[to])
+            built.add(p)
+        return labels[pair], excess[pair]
 
     def entry_for_bits(self, bob_bit: int, sonai_bit: int) -> CodebookEntry:
         for entry in self.entries:

@@ -19,9 +19,11 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
-from itertools import chain
+from functools import reduce
+from itertools import chain, compress, repeat
+from operator import add, countOf, eq, itemgetter
 from typing import IO, Sequence
 
 import numpy as np
@@ -113,15 +115,6 @@ class ExperimentSpec(ProtocolConfig):
         return resolve_codebook(self.codebook, self.n, self.lam, self.seed)
 
 
-def _row(trial: int, seed: int, bits: tuple[int, int], terminal: DecodeResult,
-         ticks: int, gap: int) -> dict:
-    reason = terminal.abort_reason.value if terminal.abort_reason else None
-    return dict(trial=trial, seed=seed, truth_bob=bits[0], truth_sonai=bits[1],
-                status=terminal.status.value, bob_bit=terminal.bob_bit,
-                sonai_bit=terminal.sonai_bit, confidence=terminal.confidence,
-                abort_reason=reason, ticks=ticks, fairness_gap=gap)
-
-
 @dataclass(frozen=True)
 class _Schedule:
     """What a session's timing fixes, whatever its data: the transport abort
@@ -162,33 +155,48 @@ def _fold_trials(spec: ExperimentSpec, cb: Codebook, trials: range, schedule: _S
     ``build_world`` flips it. All views are folded at once. When nobody
     lies both views are the table, so each trial decodes once for both and
     that decode is its terminal (``terminal_record(r, r) == r``); after a
-    transport abort nothing is decoded."""
+    transport abort nothing is decoded. ``decode_block`` gives the trials of
+    one decode key one result object, so ``terminal_record`` runs once per
+    distinct pair of results and each distinct terminal is spelled out as
+    row cells once."""
     block_seeds = rng_mod.derive_seeds(spec.seed, (rng_mod.KEY_TRIAL,), trials)
-    seeds = block_seeds.tolist()
     bits = [spec.trial_bits(t) for t in trials]
     if schedule.abort is not None:  # the terminal is the abort, whatever the receivers hold
-        terminal = DecodeResult.aborted(schedule.abort)
-        return [_row(t, seed, b, terminal, schedule.ticks, schedule.gap)
-                for t, seed, b in zip(trials, seeds, bits)]
-    tables = alice_prepare(block_seeds, spec.noise, bits, cb)
-    lies = (spec.strategy_bob.lie, spec.strategy_sonai.lie)
-    if not any(lies):
-        terminals, alive_entries = decode_block(cb, spec, tables)
+        terminals = [DecodeResult.aborted(schedule.abort)] * len(trials)
     else:
-        views = np.stack((tables, tables), axis=1)  # (trials, receiver, 2, n)
-        for side, p in enumerate(lies):
-            if p:  # only the counterpart sees the lies
-                views[:, 1 - side, side][lie_flips(block_seeds, side, p, cb.n)] *= -1
-        results, _ = decode_block(cb, spec, views.reshape(-1, 2, cb.n))
-        terminals = list(map(terminal_record, results[0::2], results[1::2]))
+        tables = alice_prepare(block_seeds, spec.noise, bits, cb)
+        lies = (spec.strategy_bob.lie, spec.strategy_sonai.lie)
+        if not any(lies):
+            terminals, alive = decode_block(cb, spec, tables)
+        else:
+            views = np.stack((tables, tables), axis=1)  # (trials, receiver, 2, n)
+            for side, p in enumerate(lies):
+                if p:  # only the counterpart sees the lies
+                    views[:, 1 - side, side][lie_flips(block_seeds, side, p, cb.n)] *= -1
+            results, _ = decode_block(cb, spec, views.reshape(-1, 2, cb.n))
+            pairs = list(zip(results[0::2], results[1::2]))
+            distinct = {(id(a), id(b)): (a, b) for a, b in pairs}
+            terminal_of = {key: terminal_record(a, b) for key, (a, b) in distinct.items()}
+            terminals = [terminal_of[id(a), id(b)] for a, b in pairs]
+    cells = {key: (t.status.value, t.bob_bit, t.sonai_bit, t.confidence,
+                   t.abort_reason.value if t.abort_reason else None)
+             for key, t in {id(t): t for t in terminals}.items()}
+    ticks, gap = schedule.ticks, schedule.gap
+    # soundness runs the complete schedule, one view per trial: each row gets
+    # a survival cell per wrong entry, in one order however the book lists them
+    wrong = {truth: [(_SURVIVED[cb.entries[j].bits], j) for j in cb.bit_pair_order
+                     if cb.entries[j].bits != truth]
+             for truth in set(bits)} if spec.mode == "soundness" else {}
     rows = []
-    for i, trial in enumerate(trials):
-        row = _row(trial, seeds[i], bits[i], terminals[i], schedule.ticks, schedule.gap)
-        if spec.mode == "soundness":  # always the complete schedule, one view per trial
-            for j in cb.bit_pair_order:  # columns in one order, however the book lists them
-                entry_bits = cb.entries[j].bits
-                if entry_bits != bits[i]:
-                    row[_SURVIVED[entry_bits]] = alive_entries[i][j]
+    for i, (trial, seed, truth, terminal) in enumerate(zip(trials, block_seeds.tolist(), bits,
+                                                           terminals)):
+        status, bob_bit, sonai_bit, confidence, reason = cells[id(terminal)]
+        row = {"trial": trial, "seed": seed, "truth_bob": truth[0], "truth_sonai": truth[1],
+               "status": status, "bob_bit": bob_bit, "sonai_bit": sonai_bit,
+               "confidence": confidence, "abort_reason": reason, "ticks": ticks,
+               "fairness_gap": gap}
+        for column, j in wrong.get(truth, ()):
+            row[column] = alive[i][j]
         rows.append(row)
     return rows
 
@@ -225,6 +233,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> tuple[list[dict], 
     else:
         # chunks <= trials, so every chunk holds at least one trial
         bounds = [spec.trials * i // chunks for i in range(chunks + 1)]
+        from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads only to fan out
         with ProcessPoolExecutor(max_workers=min(chunks, os.cpu_count() or 1)) as pool:
             futures = [pool.submit(_run_chunk, spec, cb, a, b) for a, b in zip(bounds, bounds[1:])]
             rows = [row for fut in futures for row in fut.result()]
@@ -268,38 +277,26 @@ def aggregate_rows(
     the rows carry survival results, and resolved from ``spec`` if absent.
     Each wrong candidate's survivals are grouped by its effective distance
     from the true entry in that codebook, so a report regenerated from the
-    raw CSV lands on the same numbers."""
-    status_counts: dict[str, int] = {}
-    abort_counts: dict[str, int] = {}
-    gap_hist: dict[int, int] = {}
-    decoded = 0
-    correct = 0
-    conf_sum = 0.0
-    tick_sum = 0
+    raw CSV lands on the same numbers. Each tally counts a column taken
+    from the rows (``itemgetter``, ``Counter``); the decoded confidences are
+    summed left to right in row order, never by ``sum()``, which
+    compensates from Python 3.12 on."""
+    statuses = list(map(itemgetter("status"), rows))
+    aborts = Counter(filter(None, map(dict.get, rows, repeat("abort_reason"))))
+    decoded = list(compress(rows, map(eq, statuses, repeat("decoded"))))
+    truth_of = itemgetter("truth_bob", "truth_sonai")
+    correct = countOf(map(eq, map(itemgetter("bob_bit", "sonai_bit"), decoded),
+                          map(truth_of, decoded)), True)
+    gap_hist = Counter(map(itemgetter("fairness_gap"), rows))
     present: dict[tuple[int, int], int] = {}  # candidate -> rows where it was a wrong entry
     survivals: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}  # (truth, candidate) -> count
-    for row in rows:
-        status = row["status"]
-        status_counts[status] = status_counts.get(status, 0) + 1
-        if row.get("abort_reason"):
-            reason = row["abort_reason"]
-            abort_counts[reason] = abort_counts.get(reason, 0) + 1
-        if status == "decoded":
-            decoded += 1
-            conf_sum += row["confidence"]
-            if (row["bob_bit"], row["sonai_bit"]) == (row["truth_bob"], row["truth_sonai"]):
-                correct += 1
-        gap = row["fairness_gap"]
-        gap_hist[gap] = gap_hist.get(gap, 0) + 1
-        tick_sum += row["ticks"]
-        for cand, key in _SURVIVED.items():
-            # a trial has no cell for its own true bits (blank in the CSV)
-            value = row.get(key)
-            if value is not None:
-                present[cand] = present.get(cand, 0) + 1
-                if value:
-                    tally = ((row["truth_bob"], row["truth_sonai"]), cand)
-                    survivals[tally] = survivals.get(tally, 0) + 1
+    for cand, key in _SURVIVED.items():
+        # a trial has no cell for its own true bits (blank in the CSV)
+        cells = list(map(dict.get, rows, repeat(key)))
+        if countOf(cells, None) < len(cells):
+            present[cand] = len(cells) - countOf(cells, None)
+            for truth, count in Counter(map(truth_of, compress(rows, cells))).items():
+                survivals[truth, cand] = count
     total = len(rows)
     survived = dict.fromkeys(present, 0)
     by_distance: dict[int, int] = {}
@@ -321,12 +318,13 @@ def aggregate_rows(
         flip_probability=spec.noise,
         delta=spec.delta,
         confidence_target=spec.confidence_target,
-        status_counts=dict(sorted(status_counts.items())),
-        abort_counts=dict(sorted(abort_counts.items())),
-        decode_success_rate=decoded / total,
+        status_counts=dict(sorted(Counter(statuses).items())),
+        abort_counts=dict(sorted(aborts.items())),
+        decode_success_rate=len(decoded) / total,
         correct_rate=correct / total,
-        mean_confidence=(conf_sum / decoded) if decoded else None,
-        mean_ticks=tick_sum / total,
+        mean_confidence=(reduce(add, map(itemgetter("confidence"), decoded), 0.0) / len(decoded)
+                         if decoded else None),
+        mean_ticks=reduce(add, map(itemgetter("ticks"), rows), 0) / total,
         fairness_gap_hist={str(gap): gap_hist[gap] for gap in sorted(gap_hist)},
         max_fairness_gap=max(gap_hist, default=0),
         survival_rates=survival_rates,

@@ -11,6 +11,7 @@ confidence, and aborts when none does.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -366,19 +367,24 @@ def _fold_checks(cb: Codebook, table: np.ndarray):
     return product != 0, product < 0
 
 
-def _survival_log2(passed: np.ndarray, cycles: tuple[np.ndarray, np.ndarray]) -> int:
-    """log2 of the chance a wrong candidate would have passed the checks
-    marked in ``passed`` (booleans over bob's positions), were the reference
-    the true entry (noiseless only); ``cycles`` is the pair's
-    ``Codebook.cycles``.
+def _survival_ranks(cb: Codebook, passed: np.ndarray, rows: np.ndarray, cands: np.ndarray,
+                    refs: np.ndarray) -> np.ndarray:
+    """The one rank kernel (noiseless only). For each r: log2 of the chance
+    candidate entry ``cands[r]`` would have passed its checks marked in
+    ``passed[rows[r], cands[r]]`` (booleans over bob's positions, from
+    ``_fold_checks``), were entry ``refs[r]`` the true one.
 
-    A passed check on position k ties k and pi(k) to one orientation.
-    The ties on a cycle of pi are independent coin flips until they close
-    it, so a cycle of length L with m passed checks adds min(m, L - 1), and
-    the rank is the passed checks less one per cycle they fill."""
-    labels, excess = cycles
-    hits = labels[passed]
-    return int(np.count_nonzero(np.bincount(hits, minlength=len(excess)) > excess)) - len(hits)
+    A passed check on position k ties k and pi(k) to one orientation, pi
+    being the map the pair's ``Codebook.cycles`` labels. The ties on a cycle
+    of pi are independent coin flips until they close it, so a cycle of
+    length L with m passed checks adds min(m, L - 1) to minus the rank. One
+    bincount over the cycle labels, offset by n per r, counts every cycle's
+    passed checks at once."""
+    marked = passed[rows, cands]  # (len(rows), n)
+    labels, excess = cb.cycles(cands, refs)
+    offset = np.arange(0, marked.size, cb.n)[:, None]
+    hits = np.bincount((labels + offset)[marked], minlength=marked.size).reshape(marked.shape)
+    return -np.minimum(hits, excess).sum(axis=1)
 
 
 class Receiver:
@@ -433,9 +439,10 @@ class Receiver:
         if self.config.noise:
             raise ValueError("exact survival rank applies only to noiseless sessions")
         order = [e.bits for e in self.codebook.entries]
-        i, j = order.index(tuple(bits)), order.index(tuple(reference_bits))
-        _, passed = _fold_checks(self.codebook, self.table)
-        return _survival_log2(passed[i], self.codebook.cycles(i, j))
+        row, cand, ref = np.array([[0], [order.index(tuple(bits))],
+                                   [order.index(tuple(reference_bits))]])
+        _, passed = _fold_checks(self.codebook, self.table[None])
+        return int(_survival_ranks(self.codebook, passed, row, cand, ref)[0])
 
     def decode(self) -> "DecodeResult":
         return decode_block(self.codebook, self.config, self.table[None])[0][0]
@@ -457,8 +464,9 @@ class Receiver:
         alive = _alive(counts, violations[:, counts], self.config.delta)  # (entries, counts)
         lone = np.count_nonzero(alive, axis=0) == 1
         for j, c in zip(np.flatnonzero(lone).tolist(), counts[lone].tolist()):
-            result = _decode_candidates(cb, [c] * entries, violations[:, c].tolist(),
-                                        alive[:, j].tolist(), passed & (step < c), self.config)
+            # a lone live entry is its own lead, so no survival rank is read
+            result = _decode_candidates(cb, self.config, alive[:, j].tolist(), (0,) * entries,
+                                        (c,) * entries, violations[:, c].tolist())
             if result.status is DecodeStatus.DECODED:
                 return c, result
         return None
@@ -470,14 +478,18 @@ def _alive(checks: np.ndarray, violations: np.ndarray, delta: float) -> np.ndarr
     return violations <= delta * checks
 
 
-def _decode_candidates(cb: Codebook, checks: Sequence[int], violations: Sequence[int],
-                       kept: Sequence[bool], passed: np.ndarray, config: ProtocolConfig) -> DecodeResult:
+def _decode_candidates(cb: Codebook, config: ProtocolConfig, kept: Sequence[bool],
+                       ranks: Sequence[int], checks: Sequence[int],
+                       violations: Sequence[int]) -> DecodeResult:
     """The one decode rule, shared by private receivers, transcript replays
-    and batches. It takes per-entry values in codebook order: ``checks``
-    completed, the ``violations`` among them and whether ``_alive`` ``kept``
-    the entry. ``passed[i]``, entry i's passed checks over bob's positions,
-    is read only for a noiseless survival rank. It reads the entries in
-    ``BIT_PAIR_ORDER``, so the order a book lists them in never matters."""
+    and batches. It takes per-entry values in codebook order: whether
+    ``_alive`` ``kept`` the entry, the survival ``ranks`` of the live
+    entries against the lead (``_lead_ranks``), the ``checks`` completed
+    and the ``violations`` among them. Noiseless it reads only kept and
+    ranks, noisy only kept, checks and violations, so a block runs it once
+    per distinct (kept, ranks) or (checks, violations). It reads the
+    entries in ``BIT_PAIR_ORDER``, so the order a book lists them in never
+    matters."""
     order = cb.bit_pair_order
     alive = [i for i in order if kept[i]]
     if not alive:
@@ -486,7 +498,7 @@ def _decode_candidates(cb: Codebook, checks: Sequence[int], violations: Sequence
         lead = alive[0]
         rest = 0.0  # sums here run left to right: sum() of floats compensates from 3.12
         for i in alive[1:]:
-            rest += 2.0 ** _survival_log2(passed[i], cb.cycles(i, lead))
+            rest += 2.0 ** ranks[i]
         confidence = max(0.0, 1.0 - rest)
     else:
         # Given the entry, each completed check pairs two outcomes no other
@@ -498,10 +510,8 @@ def _decode_candidates(cb: Codebook, checks: Sequence[int], violations: Sequence
         # the weight is a score, not that posterior.
         eps = config.noise
         q = 2.0 * eps * (1.0 - eps)
-        loglik = [
-            v * math.log(q) + (k - v) * math.log1p(-q) if k else 0.0
-            for k, v in zip(checks, violations)
-        ]
+        log_q, log_p = math.log(q), math.log1p(-q)
+        loglik = [v * log_q + (k - v) * log_p if k else 0.0 for k, v in zip(checks, violations)]
         lead = min(alive, key=violations.__getitem__)  # ties go to the first in order
         peak = max(loglik)
         total = 0.0
@@ -514,19 +524,63 @@ def _decode_candidates(cb: Codebook, checks: Sequence[int], violations: Sequence
     return DecodeResult(DecodeStatus.UNDECIDED, None, None, confidence)
 
 
+@functools.cache
+def _leads(order: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(weights, lead, candidates) for entries decoded in ``order``: a set of
+    live entries is coded as ``live @ weights``, one bit per entry, and
+    for each code ``lead`` is its first live entry in ``order`` and
+    ``candidates`` marks the other live ones."""
+    entries = len(order)
+    lead = np.zeros(1 << entries, dtype=np.intp)
+    candidates = np.zeros((1 << entries, entries), dtype=bool)
+    for code in range(1 << entries):
+        live = [i for i in order if code >> i & 1]
+        lead[code] = live[0] if live else 0
+        candidates[code, live[1:]] = True
+    return 1 << np.arange(entries), lead, candidates
+
+
+def _lead_ranks(cb: Codebook, passed: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """(trials, entries): each live entry's survival rank against its
+    trial's lead, the first live entry in ``BIT_PAIR_ORDER``, so 0 for the
+    lead, and 1, which no rank is, for a dead entry: a trial's row is all
+    the noiseless decode rule reads. ``passed`` is the block's fold and
+    ``alive`` its ``_alive`` mask."""
+    weights, lead, candidates = _leads(cb.bit_pair_order)
+    code = alive.dot(weights)
+    rows, cands = candidates[code].nonzero()
+    ranks = (~alive).astype(np.intp)
+    if len(rows):
+        ranks[rows, cands] = _survival_ranks(cb, passed, rows, cands, lead[code[rows]])
+    return ranks
+
+
 def decode_block(cb: Codebook, config: ProtocolConfig,
                  tables: np.ndarray) -> tuple[list[DecodeResult], list[list[bool]]]:
     """Fold and decode a (trials, 2, n) block of tables. Returns each
     trial's decode result and which entries stayed alive, in codebook
     order. Both receivers of a complete exchange hold the same table, so one
-    result serves both."""
+    result serves both. The decode rule runs once per distinct key: a
+    trial's ``_lead_ranks`` row noiseless, which also marks its dead
+    entries, and its checks and violations noisy. The trials of one key
+    share its result object."""
     done, passed = _fold_checks(cb, tables)
     checks = done.sum(axis=-1)
     violations = checks - passed.sum(axis=-1)
-    alive = _alive(checks, violations, config.delta).tolist()
-    results = [_decode_candidates(cb, k, v, kept, passed[t], config)
-               for t, (k, v, kept) in enumerate(zip(checks.tolist(), violations.tolist(), alive))]
-    return results, alive
+    alive = _alive(checks, violations, config.delta)
+    ranks = np.zeros_like(checks) if config.noise else _lead_ranks(cb, passed, alive)
+    key = np.concatenate((checks, violations), axis=1) if config.noise else ranks
+    raw, width = key.tobytes(), key.itemsize * key.shape[1]  # a trial's key: its row's bytes
+    kept, ranks, checks, violations = (a.tolist() for a in (alive, ranks, checks, violations))
+    results, memo = [], {}
+    for t, start in enumerate(range(0, len(raw), width)):
+        key_t = raw[start:start + width]
+        result = memo.get(key_t)
+        if result is None:
+            result = memo[key_t] = _decode_candidates(cb, config, kept[t], ranks[t], checks[t],
+                                                      violations[t])
+        results.append(result)
+    return results, kept
 
 
 def decode_transcript(cb: Codebook, transcript: Transcript, config: ProtocolConfig) -> DecodeResult:

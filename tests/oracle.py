@@ -9,6 +9,7 @@ derivation checked against itself.
 """
 from __future__ import annotations
 
+import math
 from itertools import product
 from math import comb
 
@@ -172,3 +173,74 @@ def noisy_violation_enumerated(truth_sj: tuple[int, ...], cand_sj: tuple[int, ..
             seen_sonai = [v * f for v, f in zip(sonai, flips[n:])]
             law[sum(seen_bob[k] == seen_sonai[q] for k, q in pairs)] += weight
     return law
+
+
+BIT_PAIRS = ((0, 0), (1, 1), (0, 1), (1, 0))  # the order decoding reads entries in
+
+
+def merged_ties(truth_sj: tuple[int, ...], cand_sj: tuple[int, ...], passed_positions) -> int:
+    """Independent constraints a wrong candidate's passed checks put on the
+    orientations, were the truth sequence the true entry, by union-find:
+    the check on bob position k ties orientations k and pi(k), and a tie
+    counts when it joins two groups not yet joined."""
+    pi = {k: truth_sj[q] - 1 for k, q in claimed_pairs(cand_sj)}
+    parent = list(range(len(truth_sj)))
+
+    def root(k: int) -> int:
+        while parent[k] != k:
+            k = parent[k]
+        return k
+
+    merged = 0
+    for k in sorted(passed_positions):
+        a, b = root(k), root(pi[k])
+        if a != b:
+            parent[a] = b
+            merged += 1
+    return merged
+
+
+def decode_view(entries, bob, sonai, noise: float, delta: float, target: float):
+    """One view decoded trial by trial, in plain Python: ``entries`` lists
+    (bits, s_j) in the book's order and ``bob`` and ``sonai`` hold the known
+    values, 0 where private. Returns ((status, bob_bit, sonai_bit,
+    confidence, abort_reason), alive per entry in the book's order).
+
+    Each entry's check on bob position k pairs it with the sonai position
+    its sequence gives label k + 1: passed when the two known values differ,
+    violated when they agree. An entry stays alive while at most a
+    ``delta`` fraction of its checks are violated. Noiseless, the lead (the
+    first live entry in bit-pair order) is the reference, and the
+    confidence is one less the summed 2^-rank of the other live entries;
+    noisy, it is the lead's normalized weight q^v (1 - q)^(k - v), the lead
+    being the live entry with the fewest violations."""
+    checks, violations, passed = [], [], []
+    for _, sj in entries:
+        products = [(k, bob[k] * sonai[q]) for k, q in claimed_pairs(sj)]
+        checks.append(sum(1 for _, p in products if p))
+        violations.append(sum(1 for _, p in products if p > 0))
+        passed.append({k for k, p in products if p < 0})
+    alive = [v <= delta * k for k, v in zip(checks, violations)]
+    order = sorted(range(len(entries)), key=lambda i: BIT_PAIRS.index(entries[i][0]))
+    live = [i for i in order if alive[i]]
+    if not live:
+        return ("abort", None, None, 0.0, "no_consistent_entry"), alive
+    if not noise:
+        lead = live[0]
+        rest = 0.0
+        for i in live[1:]:
+            rest += 2.0 ** -merged_ties(entries[lead][1], entries[i][1], passed[i])
+        confidence = max(0.0, 1.0 - rest)
+    else:
+        q = 2.0 * noise * (1.0 - noise)
+        loglik = [v * math.log(q) + (k - v) * math.log1p(-q) if k else 0.0
+                  for k, v in zip(checks, violations)]
+        lead = min(live, key=violations.__getitem__)
+        peak = max(loglik)
+        total = 0.0
+        for i in order:
+            total += math.exp(loglik[i] - peak)
+        confidence = math.exp(loglik[lead] - peak) / total
+    if len(live) == 1 and confidence >= target:
+        return ("decoded", *entries[lead][0], confidence, None), alive
+    return ("undecided", None, None, confidence, None), alive

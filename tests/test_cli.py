@@ -103,6 +103,34 @@ def test_usage_errors(capsys):
         assert "codebook (n=8, lambda=4) does not match" in err
 
 
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys, monkeypatch):
+    # main builds its parser on its first call and keeps it: a replay, a
+    # usage error and a montecarlo run on all defaults, made in turn on that
+    # one parser, print and exit exactly as they do on a fresh parser each
+    path = tmp_path / "t.jsonl"
+    assert run_cli(capsys, "run", "--n", "8", "--lambda", "4", "--codebook", "reference",
+                   "--seed", "3", "--out", str(path))[0] == EXIT_OK
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "5")
+    calls = [
+        ["replay", "--codebook", "reference", "--transcript", str(path), "--delta", "0.2"],
+        ["montecarlo", "--n", "eight"],
+        ["montecarlo"],
+    ]
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    shared = [run_cli(capsys, *argv) for argv in calls]
+    assert len(built) == 1
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert len(built) == 1 + len(calls)
+    assert [code for code, _, _ in shared] == [EXIT_OK, EXIT_USAGE, EXIT_OK]
+    assert "invalid int value: 'eight'" in shared[1][2]
+    assert shared == fresh
+
+
 def test_negative_seed_is_a_usage_error_naming_the_seed(tmp_path, capsys):
     book = tmp_path / "book.json"
     for argv in (["run", "--n", "8", "--lambda", "4"],

@@ -1,5 +1,6 @@
 """Batch runner: trial rows, aggregation, worker independence."""
 
+import concurrent.futures
 import hashlib
 import io
 import itertools
@@ -55,7 +56,8 @@ class InlinePool:
 def inline_pool(monkeypatch):
     monkeypatch.setattr(InlinePool, "sizes", [])
     monkeypatch.setattr(InlinePool, "spans", [])
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    # run_experiment imports the pool class from here only when it fans out
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return InlinePool
 
 
@@ -459,14 +461,31 @@ def _compensated_sum(values, start=0):
 @pytest.mark.parametrize("case_id", [
     "honest-n8-reference-eps0.05-delta0.0-bob-cycling-t30-w1",
     "honest-n32-gen-eps0.1-delta0.3-bob-cycling-t30-w1",
+    # noiseless, with undecided rows whose confidences sum survival chances
+    "soundness-n8-reference-eps0.0-delta0.25-sonai-cycling-t60-w2",
 ])
-def test_pins_hold_where_sum_is_compensated(monkeypatch, case_id):
-    # the decode sums its floats left to right, so a builtin sum() that
-    # compensates, as from Python 3.12, changes no byte of these noisy runs
-    monkeypatch.setattr(protocol, "sum", _compensated_sum, raising=False)
+def test_pins_hold_where_sum_is_compensated(monkeypatch, inline_pool, case_id):
+    # the decode and the aggregation sum their floats left to right, so a
+    # builtin sum() that compensates, as from Python 3.12, changes no byte
+    # of these runs; the chunks run in this process, where the shadow holds
+    for module in (protocol, montecarlo):
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
     case, digest = next((case, digest) for case, digest in PINNED_EXPERIMENTS
                         if _case_id(case) == case_id)
     assert _pinned_digest(case) == digest
+
+
+def test_mean_confidence_sums_left_to_right_in_row_order(monkeypatch):
+    # 2^-54 is under half an ulp of 1.0, so each addition after the first
+    # rounds back to 1.0; a compensated sum() (from Python 3.12), math.fsum
+    # or np.sum's pairwise sum would keep some of the eight
+    monkeypatch.setattr(montecarlo, "sum", _compensated_sum, raising=False)
+    rows = [dict(trial=t, seed=t, truth_bob=0, truth_sonai=0, status="decoded", bob_bit=0,
+                 sonai_bit=0, confidence=1.0 if t == 0 else 2.0**-54, abort_reason=None,
+                 ticks=17, fairness_gap=1) for t in range(9)]
+    assert aggregate_rows(ExperimentSpec(n=8, lam=4, trials=9), rows).mean_confidence == 1.0 / 9
+    assert aggregate_rows(ExperimentSpec(n=8, lam=4, trials=9), rows[::-1]).mean_confidence == (
+        (1.0 + 2.0**-51) / 9)
 
 
 @pytest.mark.parametrize("mode, noise, delta", [

@@ -41,7 +41,7 @@ from entpost.netsim import parse_strategy
 from entpost.rng import KEY_NOISE_BOB, KEY_NOISE_SONAI, KEY_PREPARE, substream
 
 from json_junk import junk_transcripts
-from oracle import entry_posterior, passed_check_rank, survival_count
+from oracle import decode_view, entry_posterior, merged_ties, passed_check_rank, survival_count
 
 REF = reference_codebook()
 
@@ -419,6 +419,55 @@ def test_reveal_order_does_not_change_the_end_state():
             assert ordered.decode() == shuffled.decode()
 
 
+# a generated book, and the reference book listed out of BIT_PAIR_ORDER
+DIFFERENTIAL_BOOKS = {
+    "n8-reference": REF,
+    "n12": resolve_codebook(None, 12, 4, 2),
+    "n8-relisted": Codebook(REF.n, REF.lam, tuple(REF.entries[i] for i in (2, 0, 3, 1))),
+}
+KEPT_SHARES = [1.0, 0.7, 0.3, 0.0]  # of a row's values a view holds; 0 where it holds none
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    book=st.sampled_from(sorted(DIFFERENTIAL_BOOKS)),
+    prepare_noise=st.sampled_from([0.0, 0.1]),
+    rule=st.sampled_from([(0.0, 0.0), (0.0, 0.3), (0.1, 0.0), (0.15, 0.35)]),
+    target=st.sampled_from([0.999, 0.9, 0.5]),
+    trials=st.lists(st.tuples(st.integers(0, 2**32),
+                              st.sampled_from([(0, 0), (1, 1), (0, 1), (1, 0)]),
+                              st.sampled_from(KEPT_SHARES), st.sampled_from(KEPT_SHARES)),
+                    min_size=1, max_size=12),
+)
+def test_block_decode_equals_the_per_trial_oracle(book, prepare_noise, rule, target, trials):
+    # decode_block ranks a whole block at once and runs the decode rule once
+    # per distinct key; every trial must decode exactly as the plain-Python
+    # oracle decodes its view alone, floats included, and as a block of one
+    cb = DIFFERENTIAL_BOOKS[book]
+    tables = alice_prepare([seed for seed, *_ in trials], prepare_noise,
+                           [bits for _, bits, *_ in trials], cb)
+    for table, (seed, _, *kept) in zip(tables, trials):  # partial views, as cut replays hold
+        table[np.random.default_rng(seed).random((2, cb.n)) >= np.array(kept)[:, None]] = 0
+    eps, delta = rule
+    config = ProtocolConfig(n=cb.n, lam=cb.lam, noise=eps, delta=delta, confidence_target=target)
+    entries = [(entry.bits, entry.s_j) for entry in cb.entries]
+    expected = [decode_view(entries, *table.tolist(), eps, delta, target) for table in tables]
+    results, alive = protocol.decode_block(cb, config, tables)
+    assert alive == [kept for _, kept in expected]
+    assert results == [DecodeResult(DecodeStatus(status), bob_bit, sonai_bit, confidence,
+                                    None if reason is None else AbortReason(reason))
+                       for (status, bob_bit, sonai_bit, confidence, reason), _ in expected]
+    assert [protocol.decode_block(cb, config, table[None])[0][0] for table in tables] == results
+    # the rank kernel, for every ordered pair of entries, against union-find
+    _, passed = protocol._fold_checks(cb, tables)
+    rows, cands, refs = (np.array(axis) for axis in zip(*itertools.product(
+        range(len(tables)), range(len(entries)), range(len(entries)))))
+    ranks = protocol._survival_ranks(cb, passed, rows, cands, refs)
+    assert ranks.tolist() == [
+        -merged_ties(entries[j][1], entries[i][1], set(np.flatnonzero(passed[t, i]).tolist()))
+        for t, i, j in zip(rows, cands, refs)]
+
+
 def test_first_decode_answers_for_every_prefix_of_the_arrivals():
     # one fold of the final view stands for every prefix: at each count the
     # prefix method decodes exactly when decode_block does on a snapshot of
@@ -722,14 +771,15 @@ def test_replay_tallies_every_prefix_like_both_receivers(seed, noise, reveal_fir
                  for side, party in enumerate((Party.BOB, Party.SONAI))}
     bob, sonai = receivers[Party.BOB], receivers[Party.SONAI]
     replay_tallies = []
-    real_decode = protocol._decode_candidates
+    real_alive = protocol._alive
 
-    def capture_decode(cb, checks, violations, kept, passed, decode_config):
-        replay_tallies.append((checks, violations))
-        return real_decode(cb, checks, violations, kept, passed, decode_config)
+    def capture_alive(checks, violations, delta):
+        # the replay's tallies, as its elimination rule reads them
+        replay_tallies.append((checks[0].tolist(), violations[0].tolist()))
+        return real_alive(checks, violations, delta)
 
     prefix = Transcript(cb.n)
-    with mock.patch.object(protocol, "_decode_candidates", capture_decode):
+    with mock.patch.object(protocol, "_alive", capture_alive):
         for reveal in [None] + reveal_lines(outcome.transcript):
             if reveal is not None:
                 party, position, value = reveal
