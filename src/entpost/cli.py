@@ -228,9 +228,10 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         with open(f"{args.out}.csv", "w", encoding="utf-8", newline="") as fp:
             write_rows_csv(rows, fp)
         with open(f"{args.out}.json", "w", encoding="utf-8") as fp:
-            write_report_json(report, fp)
-    json.dump(report.to_json_obj(), sys.stdout, indent=2, sort_keys=True)
-    print()
+            text = write_report_json(report, fp)  # serialized once, for the file and stdout
+    else:
+        text = report.to_json_text()
+    sys.stdout.write(text)
     return EXIT_OK
 
 

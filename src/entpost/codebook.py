@@ -230,11 +230,24 @@ class Codebook:
                 return entry
         raise CodebookError(f"no entry for bits ({bob_bit}, {sonai_bit})")
 
+    @cached_property
+    def _distances(self) -> dict[tuple[int, int], int]:
+        """The effective distances ``_distance`` has measured, by index pair."""
+        return {}
+
+    def _distance(self, i: int, j: int) -> int:
+        """Effective distance of entries i and j, measured on first use:
+        ``validate_codebook``, ``pairwise_distances`` and the reports all
+        read it, so a book measures each pair once."""
+        if (i, j) not in self._distances:
+            self._distances[i, j] = effective_distance(self.entries[i], self.entries[j])
+        return self._distances[i, j]
+
     def pairwise_distances(self) -> dict[tuple[tuple[int, int], tuple[int, int]], int]:
         """Effective distance of every entry pair; every ordering must be valid."""
         return {
-            (a.bits, b.bits): effective_distance(a, b)
-            for a, b in itertools.combinations(self.entries, 2)
+            (self.entries[i].bits, self.entries[j].bits): self._distance(i, j)
+            for i, j in itertools.combinations(range(len(self.entries)), 2)
         }
 
 
@@ -281,17 +294,18 @@ def validate_codebook(cb: Codebook) -> list[Defect]:
         defects.append(
             Defect("bits", f"entries must cover exactly {list(BIT_PAIR_ORDER)}, got {bits_seen}")
         )
-    valid: list[CodebookEntry] = []
-    for entry in cb.entries:
+    valid: list[int] = []
+    for i, entry in enumerate(cb.entries):
         with contextlib.suppress(ValueError):  # the one check of a valid ordering
             if len(entry.partner_arrays[1]) == cb.n:
-                valid.append(entry)
+                valid.append(i)
                 continue
         for d in validate_sequence(entry.s_j, cb.n):  # describes what was refused
             defects.append(Defect(d.kind, f"entry {entry.bits} s_j: {d.message}", d.labels))
-    for a, b in itertools.combinations(valid, 2):
-        d = effective_distance(a, b)
+    for i, j in itertools.combinations(valid, 2):
+        d = cb._distance(i, j)
         if d < cb.lam:
+            a, b = cb.entries[i], cb.entries[j]
             defects.append(
                 Defect(
                     "distance",
@@ -345,6 +359,14 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _json_ints(values, name: str) -> list[int]:
+    """``values`` if it is a JSON array of integers, checked in one pass;
+    otherwise ``_json_int`` finds and names the first value that is not one."""
+    if type(values) is list and set(map(type, values)) <= {int}:
+        return values
+    return [_json_int(x, name) for x in values]
+
+
 def codebook_from_document(doc: dict) -> Codebook:
     """Parse and validate a codebook document. A defective book raises a
     CodebookError that lists its defects; an unreadable one lists none."""
@@ -358,7 +380,7 @@ def codebook_from_document(doc: dict) -> Codebook:
             raise CodebookError(f"n must be at least 1, got {n}")
         if lam < 1:
             raise CodebookError(f"lambda must be at least 1, got {lam}")
-        orderings = [[_json_int(x, "label") for x in e["s_j"]] for e in doc["entries"]]
+        orderings = [_json_ints(e["s_j"], "label") for e in doc["entries"]]
         # lengths first: validating the entries costs O(n), and n is untrusted
         for idx, s_j in enumerate(orderings):
             if len(s_j) != n:

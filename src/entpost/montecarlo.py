@@ -20,7 +20,7 @@ import csv
 import json
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import reduce
 from itertools import chain, compress, repeat
 from operator import add, countOf, eq, itemgetter
@@ -266,7 +266,13 @@ class StatsReport:
     strategy_sonai: str
 
     def to_json_obj(self) -> dict:
-        return asdict(self)
+        """The fields by name; the tallies are the report's own dicts, not copies."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def to_json_text(self) -> str:
+        """The report as written to the ``--out`` file and to stdout alike:
+        indented JSON with sorted keys and a final newline."""
+        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
 
 
 def aggregate_rows(
@@ -365,6 +371,8 @@ def read_rows_csv(fp: IO[str]) -> list[dict]:
     ]
 
 
-def write_report_json(report: StatsReport, fp: IO[str]) -> None:
-    json.dump(report.to_json_obj(), fp, indent=2, sort_keys=True)
-    fp.write("\n")
+def write_report_json(report: StatsReport, fp: IO[str]) -> str:
+    """Write the report's ``to_json_text`` to ``fp`` and return it."""
+    text = report.to_json_text()
+    fp.write(text)
+    return text

@@ -14,8 +14,11 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import compress, count
+from operator import not_
 from typing import IO, Iterator, Sequence
 
 import numpy as np
@@ -225,13 +228,24 @@ _SIDES = {party: side for side, party in enumerate(_RECEIVERS)}  # "bob" finds P
 _OUTCOMES = {"+": 1, "-": -1}
 _raw_decode = json.JSONDecoder().raw_decode  # json.loads without its checks around the document
 _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines cuts
+# The one reveal-line form: to_jsonl writes it, and from_jsonl admits runs of
+# lines in it a slice at a time. Round and position are positive, with no
+# leading zero and at most 18 digits, far below int()'s digit limit.
+_REVEAL = '{"round":%s,"party":"%s","position":%s,"outcome":"%s"}'
+_NUMBER = "([1-9][0-9]{0,17})"
+_FORM = re.escape(_REVEAL) % (_NUMBER, "(bob|sonai)", _NUMBER, "([+-])")
+_WRITTEN = re.compile(_FORM)  # finds whether any line of a slice is in the form
+# one match per line of "\n"-ended text: a line in the reveal form with its four
+# fields, or any other line, whose four fields are empty
+_LINE = re.compile(f"(?:{_FORM}|.*)\n")
+_SLICE = 256  # lines matched at once, which bounds the match tuples and columns held
 
 
-def _stream_splitlines(fp: IO[str]) -> Iterator[str]:
+def _line_blocks(fp: IO[str]) -> Iterator[list[str]]:
     """The lines of the text stream ``fp`` as ``str.splitlines`` cuts its
-    whole text, read 64 Ki characters at a time, or more while one line runs
-    on, so a long line still reads in linear time: what is held grows with
-    the longest line, not with the stream."""
+    whole text, one list per read of 64 Ki characters, or more while one line
+    runs on, so a long line still reads in linear time: what is held grows
+    with the longest line, not with the stream."""
     rest = ""  # an unfinished last line, which the next block extends
     while block := fp.read(max(1 << 16, len(rest))):
         text = rest + block
@@ -240,8 +254,8 @@ def _stream_splitlines(fp: IO[str]) -> Iterator[str]:
             rest = lines.pop() + "\r"
         else:
             rest = "" if text[-1] in _BREAKS else lines.pop()
-        yield from lines
-    yield from rest.splitlines()
+        yield lines
+    yield rest.splitlines()
 
 
 class Transcript:
@@ -250,8 +264,9 @@ class Transcript:
 
     The reveals are columns in round order: the revealer's side (0 bob, 1
     sonai), its 1-based position and the outcome (+1 or -1). Every reveal
-    passes ``_admit``, the one site of the public rules, so a transcript
-    holds at most 2n reveals."""
+    passes ``_admit``, the one site of the public rules, or ``_admit_run``,
+    the same rules over a run of read reveals, so a transcript holds at
+    most 2n reveals."""
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -288,6 +303,74 @@ class Transcript:
         self._positions.append(position)
         self._outcomes.append(outcome)
 
+    def _admit_run(self, rounds: Sequence[str], parties: Sequence[str], positions: Sequence[str],
+                   outcomes: Sequence[str]) -> bool:
+        """Record a run of reveals read in the ``_REVEAL`` form, its fields
+        as strings, if all of it keeps ``_admit``'s rules, and say whether it
+        did; a run that breaks one records nothing. The form already makes
+        the numbers positive integers of at most 18 digits, which int64
+        holds, the party a receiver and the outcome + or -."""
+        start = len(self._sides) + 1
+        numbers = np.fromstring(" ".join(rounds + positions), dtype=np.int64, sep=" ")
+        rounds, positions = numbers[:len(rounds)], numbers[len(rounds):]
+        if self.terminal is not None or (rounds != np.arange(start, start + len(rounds))).any() \
+                or int(positions.max()) > self.n:
+            return False
+        sides = list(map(_SIDES.__getitem__, parties))
+        keys = set((2 * positions + sides).tolist())
+        if len(keys) < len(sides) or not self._seen.isdisjoint(keys):
+            return False
+        self._seen |= keys
+        self._sides += sides
+        self._positions += positions.tolist()
+        self._outcomes += map(_OUTCOMES.__getitem__, outcomes)
+        return True
+
+    def _read_line(self, lineno: int, line: str) -> None:
+        """Admit line ``lineno``, read exactly as ``json.loads`` reads it:
+        a reveal, the terminal record or a blank line. The only code that
+        refuses a line."""
+        try:
+            obj, end = _raw_decode(line) if line[:1] == "{" else (None, -1)
+            if end != len(line):  # blank, padded, trailing data or not a record
+                if not line.strip():
+                    return
+                obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
+            raise ProtocolViolationError(f"line {lineno}: not valid JSON: {exc}") from exc
+        try:
+            if "status" in obj:
+                self.close(DecodeResult.from_json_obj(obj))
+            else:
+                outcome = _OUTCOMES.get(obj["outcome"], 0)
+                self._admit(obj["round"], obj["party"], obj["position"], outcome)
+        except ProtocolViolationError as exc:
+            raise ProtocolViolationError(f"line {lineno}: {exc}") from exc
+        except (KeyError, ValueError, TypeError) as exc:
+            raise ProtocolViolationError(f"line {lineno}: malformed record: {exc}") from exc
+
+    def _read_lines(self, first: int, lines: list[str]) -> None:
+        """Admit ``lines``, numbered from ``first``: each run of lines in the
+        ``_REVEAL`` form through ``_admit_run``, and every other line, with
+        each line of a run that breaks a rule, through ``_read_line``."""
+        read = self._read_line
+        text = "\n".join(lines) + "\n"
+        if not _WRITTEN.search(text):  # no line in the written form
+            for k, line in enumerate(lines, first):
+                read(k, line)
+            return
+        # the columns, each ended by an empty field that stands for the end
+        rounds, parties, positions, outcomes = zip(*_LINE.findall(text), ("",) * 4)
+        i = 0  # the first line not yet admitted
+        for j in compress(count(), map(not_, rounds)):  # each other line, then the end
+            if j > i and not self._admit_run(rounds[i:j], parties[i:j], positions[i:j],
+                                             outcomes[i:j]):
+                for k in range(i, j):  # one of them breaks the rule the run broke
+                    read(first + k, lines[k])
+            if j < len(lines):  # not the end
+                read(first + j, lines[j])
+            i = j + 1
+
     def append(self, party: Party, position: int, outcome: int) -> None:
         """Record ``party``'s reveal of ``outcome`` (+1 or -1) at its 1-based
         ``position`` as the next round."""
@@ -312,8 +395,7 @@ class Transcript:
 
     def to_jsonl(self, fp: IO[str] | None = None) -> str:
         columns = zip(self._sides, self._positions, self._outcomes)
-        lines = [json.dumps({"round": round_, "party": _RECEIVERS[side].value, "position": position,
-                             "outcome": "+" if outcome == 1 else "-"}, separators=(",", ":"))
+        lines = [_REVEAL % (round_, _RECEIVERS[side].value, position, "+" if outcome == 1 else "-")
                  for round_, (side, position, outcome) in enumerate(columns, start=1)]
         if self.terminal is not None:
             lines.append(json.dumps(self.terminal.to_json_obj(), separators=(",", ":")))
@@ -330,27 +412,17 @@ class Transcript:
         2n reveals and the terminal line of a valid record are held, with
         one block of the stream. Lines split and number as ``str.splitlines``
         splits the whole text; each is one JSON document, read exactly as
-        ``json.loads`` reads it."""
+        ``json.loads`` reads it. Each block is read ``_SLICE`` lines at a
+        time by ``_read_lines``: runs of lines in the ``_REVEAL`` form are
+        admitted whole, and every other line, with every line of a run that
+        breaks a rule, goes through ``_read_line``, so a record reads, and
+        fails, as line by line."""
         transcript = cls(n)
-        for lineno, line in enumerate(_stream_splitlines(fp), start=1):
-            try:
-                obj, end = _raw_decode(line) if line[:1] == "{" else (None, -1)
-                if end != len(line):  # blank, padded, trailing data or not a record
-                    if not line.strip():
-                        continue
-                    obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
-                raise ProtocolViolationError(f"line {lineno}: not valid JSON: {exc}") from exc
-            try:
-                if "status" in obj:
-                    transcript.close(DecodeResult.from_json_obj(obj))
-                else:
-                    outcome = _OUTCOMES.get(obj["outcome"], 0)
-                    transcript._admit(obj["round"], obj["party"], obj["position"], outcome)
-            except ProtocolViolationError as exc:
-                raise ProtocolViolationError(f"line {lineno}: {exc}") from exc
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ProtocolViolationError(f"line {lineno}: malformed record: {exc}") from exc
+        first = 1  # the number of the block's first line
+        for lines in _line_blocks(fp):
+            for start in range(0, len(lines), _SLICE):
+                transcript._read_lines(first + start, lines[start:start + _SLICE])
+            first += len(lines)
         return transcript
 
 

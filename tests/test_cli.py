@@ -17,7 +17,7 @@ from entpost.codebook import (
     reference_codebook,
     save_codebook,
 )
-from entpost.montecarlo import ExperimentSpec, aggregate_rows, read_rows_csv
+from entpost.montecarlo import ExperimentSpec, StatsReport, aggregate_rows, read_rows_csv
 from entpost.protocol import ProtocolConfig, ProtocolViolationError, Transcript
 
 from json_junk import junk_transcripts
@@ -547,9 +547,22 @@ def test_montecarlo_writes_rows_and_report(tmp_path, capsys):
     assert "4" in report["survival_by_distance"]
     csv_text = (tmp_path / "exp.csv").read_text()
     assert csv_text.count("\n") == 201  # header plus one row per trial
-    # stdout carries the same report after the seed line
-    stdout_report = json.loads(out.split("\n", 1)[1])
-    assert stdout_report == report
+    # stdout carries the same report after the seed line, byte for byte
+    assert out.split("\n", 1)[1] == (tmp_path / "exp.json").read_text()
+
+
+@pytest.mark.parametrize("out", [True, False])
+def test_montecarlo_serializes_its_report_once(tmp_path, capsys, monkeypatch, out):
+    texts = []
+    serialize = StatsReport.to_json_text
+    monkeypatch.setattr(StatsReport, "to_json_text", lambda report: texts.append(serialize(report))
+                        or texts[-1])
+    argv = ["montecarlo", "--mode", "honest", "--n", "8", "--lambda", "4", "--codebook",
+            "reference", "--trials", "3", "--seed", "2"]
+    code, stdout, _ = run_cli(capsys, *argv, *(["--out", str(tmp_path / "r")] if out else []))
+    assert code == EXIT_OK
+    assert len(texts) == 1
+    assert stdout == "seed: 2\n" + texts[0]
 
 
 def test_montecarlo_soundness_cycling_bits_writes_rows_and_report(tmp_path, capsys):

@@ -305,6 +305,36 @@ def test_loading_a_valid_book_checks_each_ordering_once(monkeypatch, tmp_path):
         assert codebook_to_document(load_codebook(path)) == doc
 
 
+@pytest.mark.parametrize("label", [True, 2.0, "3", None])
+@pytest.mark.parametrize("place", [0, 4, 7])
+def test_a_bad_label_is_named_wherever_it_sits(label, place):
+    # an ordering is checked in one pass; a refused one is scanned label by
+    # label, so the error names the first label that is not an integer
+    doc = codebook_to_document(reference_codebook())
+    doc["entries"][2]["s_j"][place] = label
+    doc["entries"][3]["s_j"][-1] = "later"
+    with pytest.raises(CodebookError) as refused:
+        codebook_from_document(json.loads(json.dumps(doc)))
+    assert str(refused.value) == f"malformed codebook document: label must be an integer, got {label!r}"
+    assert refused.value.defects == []
+
+
+def test_a_book_measures_each_pair_once(monkeypatch):
+    # validation measures the six distances; pairwise_distances and the
+    # soundness report read them from the book
+    calls = []
+    measure = codebook.effective_distance
+    monkeypatch.setattr(codebook, "effective_distance", lambda a, b: calls.append(1) or measure(a, b))
+    spec = ExperimentSpec(mode="soundness", n=8, lam=4, codebook="reference", bits=(0, 0),
+                          trials=50, seed=3)
+    report = run_experiment(spec)[1]
+    assert len(calls) == 6
+    assert report.survival_by_distance
+    cb = reference_codebook()
+    assert cb.pairwise_distances() == cb.pairwise_distances()
+    assert len(calls) == 12
+
+
 def test_save_load_round_trip(tmp_path):
     cb = generate_codebook(10, 4, substream(6, 1))
     path = tmp_path / "book.json"

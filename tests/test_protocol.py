@@ -5,6 +5,8 @@ import io
 import itertools
 import json
 import math
+import random
+import re
 import tracemalloc
 from unittest import mock
 
@@ -305,6 +307,9 @@ def test_every_session_result_survives_its_terminal_line(seed, noise, strategy, 
     for result in (*outcome.results.values(), outcome.terminal):
         assert DecodeResult.from_json_obj(result.to_json_obj()) == result
         assert DecodeResult.from_json_obj(json.loads(json.dumps(result.to_json_obj()))) == result
+    lines = outcome.transcript.to_jsonl().splitlines()
+    assert all(in_written_form(line) for line in lines[:-1])  # every reveal line
+    assert not in_written_form(lines[-1])
     assert parse(outcome.transcript.to_jsonl(), n).terminal == outcome.terminal
 
 
@@ -923,13 +928,140 @@ def test_lines_split_and_number_as_splitlines_splits_the_text():
     assert parse(text).to_jsonl() == "".join(line + "\n" for line in lines)
     trickle = io.StringIO(text)
     trickle.read = lambda size: io.StringIO.read(trickle, 1)  # blocks end at every character
-    assert list(protocol._stream_splitlines(trickle)) == text.splitlines()
+    blocks = protocol._line_blocks(trickle)
+    assert list(itertools.chain.from_iterable(blocks)) == text.splitlines()
     bad = '{"round":99,"party":"bob","position":1,"outcome":"+"}'
     cut = text.replace(lines[6], bad)
     expected = cut.splitlines().index(bad) + 1
     assert expected == 10  # three blank lines before it
     with pytest.raises(ProtocolViolationError, match=f"^line {expected}: round numbers"):
         parse(cut)
+
+
+# The per-line reader alone: the reveal form's alternative never matches, so
+# every line takes the json path, as every line did before runs were read.
+PER_LINE = re.compile(r"(?:(?!)()()()()|.*)\n")
+
+
+def in_written_form(line):
+    """Whether ``line`` is a reveal line in the one form ``to_jsonl`` writes."""
+    return protocol._LINE.fullmatch(line + "\n")[1] is not None
+
+
+def read_columns(text, n):
+    """The columns and terminal ``text`` reads to, or the error it raises."""
+    try:
+        t = parse(text, n)
+    except ProtocolViolationError as exc:
+        return str(exc)
+    return t._sides, t._positions, t._outcomes, t.terminal
+
+
+def respell(line, style):
+    """``line``, a compact JSON record, in another spelling json.loads reads alike."""
+    obj = json.loads(line)
+    if style == "spaced":
+        return json.dumps(obj)
+    if style == "reordered":
+        return json.dumps(dict(reversed(obj.items())), separators=(",", ":"))
+    if style == "escaped":
+        return line.replace('"party":"b', '"party":"\\u0062').replace('"party":"s', '"party":"\\u0073')
+    return " " + line + "\t"  # padded
+
+
+RULE_BREAKS = ["skip", "duplicate", "duplicate of the line before", "position 0", "position n+1", "position 10^30", "alice",
+               "outcome", "after terminal", "huge round"]
+
+
+def break_rule(lines, k, kind, n, terminal):
+    """``lines`` with reveal line k, or the record around it, breaking one rule."""
+    obj = json.loads(lines[k])
+    if kind == "after terminal":
+        return lines[:k] + [terminal] + lines[k:]
+    if kind == "skip":
+        obj["round"] += 1
+    elif kind.startswith("duplicate") and k:
+        earlier = json.loads(lines[k - 1 if kind.endswith("before") else k // 2])
+        obj["party"], obj["position"] = earlier["party"], earlier["position"]
+    elif kind.startswith("position"):
+        obj["position"] = {"position 0": 0, "position n+1": n + 1}.get(kind, 10**30)
+    elif kind == "alice":
+        obj["party"] = "alice"
+    elif kind == "outcome":
+        obj["outcome"] = "x"
+    line = json.dumps(obj, separators=(",", ":"))
+    if kind == "huge round":
+        line = line.replace('"round":%d' % obj["round"], '"round":' + "1" * 5000)
+    return lines[:k] + [line] + lines[k + 1:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([8, 1024]),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([0.0, 0.002, 0.05, 0.5]),
+    st.sampled_from([0.0, 0.01, 0.2]),
+    st.sampled_from([None, *RULE_BREAKS]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_runs_read_as_the_per_line_path_reads(seed, n, share, other, blank, rule, at_edge, closed):
+    # a record mixing written-form lines with other spellings, blank lines
+    # and CRLF endings, perhaps breaking one rule somewhere (near the first
+    # 64 Ki block edge when at_edge), reads to the same columns and
+    # terminal, or fails with the same text, as the per-line path reads it
+    rnd = random.Random(seed)
+    keys = rnd.sample([(party, position) for party in ("bob", "sonai")
+                       for position in range(1, n + 1)], round(share * 2 * n))
+    t = Transcript(n)
+    for party, position in keys:
+        t.append(Party(party), position, rnd.choice((1, -1)))
+    terminal = DecodeResult(DecodeStatus.UNDECIDED, None, None, 0.5)
+    if closed:
+        t.close(terminal)
+    lines = t.to_jsonl().splitlines()
+    assert all(in_written_form(line) for line in lines[:len(t)])
+    terminal_line = json.dumps(terminal.to_json_obj())
+    if rule is not None and keys:
+        k = rnd.randrange(len(keys))
+        if at_edge:  # the reveal line that holds character 64 Ki, or the last one
+            ends = list(itertools.accumulate(len(line) + 2 for line in lines[:len(keys)]))
+            k = min(next((i for i, end in enumerate(ends) if end > 1 << 16), k) + rnd.randint(-2, 2),
+                    len(keys) - 1)
+        lines = break_rule(lines, max(k, 0), rule, n, terminal_line)
+    pieces = []
+    for line in lines:
+        if rnd.random() < other and len(line) < 4300:  # json.loads refuses the huge round
+            line = respell(line, rnd.choice(["spaced", "reordered", "escaped", "padded"]))
+        if rnd.random() < blank:
+            pieces.append(rnd.choice(["\n", "  \r\n", "\r\n"]))
+        pieces.append(line + rnd.choice(["\n", "\n", "\r\n"]))
+    text = "".join(pieces)
+    with mock.patch.object(protocol, "_LINE", PER_LINE):
+        expected = read_columns(text, n)
+    assert read_columns(text, n) == expected
+
+
+def test_a_written_record_reads_its_reveals_by_runs():
+    # only the terminal line takes the per-line path, over two 64 Ki blocks
+    t = Transcript(1024)
+    for position in range(1, 1025):
+        t.append(Party.BOB, position, 1)
+        t.append(Party.SONAI, position, -1)
+    t.close(DecodeResult.aborted(AbortReason.TIMEOUT))
+    text = t.to_jsonl()
+    assert len(text) > 1 << 16
+    with mock.patch.object(Transcript, "_read_line", autospec=True,
+                           side_effect=Transcript._read_line) as per_line:
+        back = parse(text, 1024)
+    assert [c.args[1] for c in per_line.call_args_list] == [2049]
+    assert back.to_jsonl() == text
+    # a run that breaks a rule records nothing: its lines go one by one
+    bad = text.replace('{"round":1999,"party":"bob","position":1000,',
+                       '{"round":1999,"party":"bob","position":999,')
+    with pytest.raises(ProtocolViolationError, match="^line 1999: duplicate reveal of bob position 999$"):
+        parse(bad, 1024)
 
 
 def test_decode_refuses_a_transcript_read_for_another_n():
