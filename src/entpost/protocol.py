@@ -234,7 +234,6 @@ _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines cuts
 _REVEAL = '{"round":%s,"party":"%s","position":%s,"outcome":"%s"}'
 _NUMBER = "([1-9][0-9]{0,17})"
 _FORM = re.escape(_REVEAL) % (_NUMBER, "(bob|sonai)", _NUMBER, "([+-])")
-_WRITTEN = re.compile(_FORM)  # finds whether any line of a slice is in the form
 # one match per line of "\n"-ended text: a line in the reveal form with its four
 # fields, or any other line, whose four fields are empty
 _LINE = re.compile(f"(?:{_FORM}|.*)\n")
@@ -355,10 +354,6 @@ class Transcript:
         each line of a run that breaks a rule, through ``_read_line``."""
         read = self._read_line
         text = "\n".join(lines) + "\n"
-        if not _WRITTEN.search(text):  # no line in the written form
-            for k, line in enumerate(lines, first):
-                read(k, line)
-            return
         # the columns, each ended by an empty field that stands for the end
         rounds, parties, positions, outcomes = zip(*_LINE.findall(text), ("",) * 4)
         i = 0  # the first line not yet admitted
