@@ -133,11 +133,14 @@ class CodebookEntry:
         built once per entry and shared by every receiver and replay that uses
         it. Raises ValueError when ``s_j`` is not a permutation of 1..n."""
         n = len(self.s_j)
-        legal = set(map(type, self.s_j)) <= {int} and 1 <= min(self.s_j, default=1) \
-            and max(self.s_j, default=n) <= n
-        # a label of another type or out of range leaves no map, and a repeated
-        # one a map that is not onto: either way the sorted map is not 0..n-1
-        to_bob = np.array(self.s_j if legal else (), dtype=np.intp) - 1
+        try:  # a bool, say from a direct make_entry, is refused, not read as 0 or 1
+            to_bob = np.array(self.s_j if set(map(type, self.s_j)) <= {int} else (),
+                              dtype=np.intp) - 1
+        except OverflowError:  # a label beyond any index
+            to_bob = np.empty(0, dtype=np.intp)
+        # a label of another type leaves no map, one out of range a map off
+        # 0..n-1 and a repeated one a map that is not onto: either way the
+        # sorted map is not 0..n-1, which is the range check
         to_sonai = np.argsort(to_bob)
         if not np.array_equal(to_bob[to_sonai], np.arange(n)):
             raise ValueError(f"entry {self.bits}: s_j is not a permutation of 1..{n}")
@@ -186,12 +189,29 @@ class Codebook:
     entries: tuple[CodebookEntry, ...]
 
     @cached_property
-    def _cycle_table(self) -> tuple[np.ndarray, np.ndarray, set]:
-        """(labels, excess, built): ``cycles`` of the entry pairs in
-        ``built``, in row i * entries + j for candidate i and reference j,
-        each written on its pair's first use."""
+    def _cycle_table(self) -> tuple[np.ndarray, np.ndarray, list, set]:
+        """(labels, excess, distance, built): ``cycles`` of the entry pairs
+        in ``built`` and their effective distances, in row i * entries + j
+        for candidate i and reference j, each written by ``_pair``."""
         shape = (len(self.entries) ** 2, self.n)
-        return np.empty(shape, dtype=np.intp), np.empty(shape, dtype=np.intp), set()
+        return (np.empty(shape, dtype=np.intp), np.empty(shape, dtype=np.intp),
+                [None] * shape[0], set())
+
+    def _pair(self, p: int) -> int:
+        """Row p of the cycle table, built on first use with its mirror: the
+        map of (j, i) is the inverse of the map of (i, j), which has the same
+        cycles. The pair's effective distance is its excess sum, since
+        ``effective_distance`` labels the same map."""
+        labels, excess, distance, built = self._cycle_table
+        if p not in built:
+            a, b = divmod(p, len(self.entries))
+            mirror = b * len(self.entries) + a
+            to, back = self.entries[a].partner_arrays[0], self.entries[b].partner_arrays[1]
+            labels[p], excess[p] = labels[mirror], excess[mirror] = _cycle_labels(back[to])
+            # unused cycle numbers hold n
+            distance[p] = distance[mirror] = int(excess[p][excess[p] < self.n].sum())
+            built.update((p, mirror))
+        return p
 
     @cached_property
     def bit_pair_order(self) -> tuple[int, ...]:
@@ -214,14 +234,11 @@ class Codebook:
         carries each cycle of sonai's own pi onto one of bob's pi^-1, so a
         rank is equal from either side. i and j may also be index arrays of
         one shape, for one (..., n) row per pair. Each pair is built on its
-        first use."""
-        labels, excess, built = self._cycle_table
+        first use (``_pair``)."""
+        labels, excess, _, built = self._cycle_table
         pair = np.multiply(i, len(self.entries)) + j
         for p in set(np.ravel(pair).tolist()) - built:
-            a, b = divmod(p, len(self.entries))
-            to, back = self.entries[a].partner_arrays[0], self.entries[b].partner_arrays[1]
-            labels[p], excess[p] = _cycle_labels(back[to])
-            built.add(p)
+            self._pair(p)
         return labels[pair], excess[pair]
 
     def entry_for_bits(self, bob_bit: int, sonai_bit: int) -> CodebookEntry:
@@ -230,18 +247,11 @@ class Codebook:
                 return entry
         raise CodebookError(f"no entry for bits ({bob_bit}, {sonai_bit})")
 
-    @cached_property
-    def _distances(self) -> dict[tuple[int, int], int]:
-        """The effective distances ``_distance`` has measured, by index pair."""
-        return {}
-
     def _distance(self, i: int, j: int) -> int:
-        """Effective distance of entries i and j, measured on first use:
-        ``validate_codebook``, ``pairwise_distances`` and the reports all
-        read it, so a book measures each pair once."""
-        if (i, j) not in self._distances:
-            self._distances[i, j] = effective_distance(self.entries[i], self.entries[j])
-        return self._distances[i, j]
+        """Effective distance of entries i and j, from the cycle table:
+        validation, ``pairwise_distances``, the reports and the decode all
+        read the one table, so a book builds each pair's cycles once."""
+        return self._cycle_table[2][self._pair(i * len(self.entries) + j)]
 
     def pairwise_distances(self) -> dict[tuple[tuple[int, int], tuple[int, int]], int]:
         """Effective distance of every entry pair; every ordering must be valid."""

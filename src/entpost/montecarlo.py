@@ -11,31 +11,39 @@ soundness mode, and in session mode the schedule of one simulated session
 per chunk. A block's trial seeds come from one ``rng.derive_seeds`` call,
 and its prepare draw and each receiver's noise and lie draws from one
 ``rng.substream_uint64s`` call each, so each trial still gets its own
-streams. Reports are produced by one aggregation function over the
-per-trial rows; there is no second bookkeeping path to drift out of sync.
+streams. A block's rows stay columns (``RowBlock``) from the fold to the
+CSV and the report: each distinct terminal is held once, and every row
+points at one. Reports are produced by one tally over the blocks, whether a
+run's own or the CSV's rows read back; there is no second bookkeeping path
+to drift out of sync.
 """
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
+from bisect import bisect_right
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import reduce
-from itertools import chain, compress, repeat
-from operator import add, countOf, eq, itemgetter
-from typing import IO, Sequence
+from itertools import accumulate, chain, compress, groupby
+from operator import add, itemgetter
+from typing import IO
 
 import numpy as np
 
 from . import rng as rng_mod
 from .codebook import BIT_PAIR_ORDER, Codebook, resolve_codebook
 from .netsim import Honest, Strategy, fairness_gap, lie_flips
-from .protocol import (AbortReason, DecodeResult, Party, ProtocolConfig, SessionOutcome,
-                       alice_prepare, decode_block, run_session, terminal_record)
+from .protocol import (AbortReason, DecodeResult, DecodeStatus, Party, ProtocolConfig,
+                       SessionOutcome, alice_prepare, decode_block, run_session, terminal_record)
 
 __all__ = [
     "ExperimentSpec",
+    "RowBlock",
+    "Rows",
     "StatsReport",
     "run_experiment",
     "aggregate_rows",
@@ -49,6 +57,10 @@ _CONFIG_FIELDS = tuple(f.name for f in fields(ProtocolConfig))
 _FOLD_BLOCK = 256  # trials folded at once: bounded memory at any count
 # the soundness row column of each entry, whether it survived a trial it was wrong in
 _SURVIVED = {bits: f"survived_{bits[0]}{bits[1]}" for bits in BIT_PAIR_ORDER}
+_TRUTH = {bits: k for k, bits in enumerate(BIT_PAIR_ORDER)}  # a row's truths column
+# a row's terminal cells: its DecodeResult's JSON fields, in order
+_TERMINAL = ("status", "bob_bit", "sonai_bit", "confidence", "abort_reason")
+_BASE_COLUMNS = ["trial", "seed", "truth_bob", "truth_sonai", *_TERMINAL, "ticks", "fairness_gap"]
 
 
 @dataclass(frozen=True)
@@ -147,20 +159,92 @@ class _Schedule:
         )
 
 
-def _fold_trials(spec: ExperimentSpec, cb: Codebook, trials: range, schedule: _Schedule) -> list[dict]:
-    """Rows of ``trials`` run on ``schedule``. Each table is the one
-    ``build_world`` prepares from its trial's own seed, drawn for the whole
-    block at once. A receiver ends holding its own row and the
+@dataclass(frozen=True, eq=False)
+class RowBlock:
+    """Consecutive rows as columns: the form rows are kept, pickled back
+    from workers, tallied and written in. Row i has ``trials[i]`` and
+    ``seeds[i]``, true bits ``BIT_PAIR_ORDER[truths[i]]``, terminal
+    ``terminals[which[i]]`` (each distinct result once) and the block's ``ticks`` and
+    ``gap``. ``survived[i, k]`` is 1 if the entry of bits
+    ``BIT_PAIR_ORDER[k]`` survived a trial it was wrong in, 0 if it did not,
+    and -1 where the row has no such cell (honest and session rows, and a
+    soundness trial's own true entry)."""
+
+    trials: Sequence[int]
+    seeds: np.ndarray  # uint64
+    truths: np.ndarray  # uint8
+    terminals: tuple[DecodeResult, ...]
+    which: np.ndarray  # intp
+    ticks: int
+    gap: int
+    survived: np.ndarray  # (rows, 4) int8
+
+    def __len__(self) -> int:
+        return len(self.trials)
+
+    def row(self, i: int) -> dict:
+        """Row i as a dict: the base columns, then a ``survived_ab`` cell for
+        each wrong entry in bit-pair order."""
+        t = self.terminals[self.which[i]]
+        truth = BIT_PAIR_ORDER[self.truths[i]]
+        row = {"trial": self.trials[i], "seed": int(self.seeds[i]), "truth_bob": truth[0],
+               "truth_sonai": truth[1], **t.to_json_obj(), "ticks": self.ticks,
+               "fairness_gap": self.gap}
+        for column, cell in zip(_SURVIVED.values(), self.survived[i].tolist()):
+            if cell >= 0:
+                row[column] = cell == 1
+        return row
+
+
+class Rows(Sequence):
+    """The rows of a run, read-only, held as its ``RowBlock``s in trial
+    order. Indexing or iterating builds each row's dict on demand, and the
+    view equals the list of those dicts."""
+
+    def __init__(self, blocks: Sequence[RowBlock]):
+        self.blocks = tuple(blocks)
+        self._ends = list(accumulate(map(len, self.blocks)))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("row index out of range")
+        b = bisect_right(self._ends, index)
+        block = self.blocks[b]
+        return block.row(index - (self._ends[b] - len(block)))
+
+    def __iter__(self):
+        return (block.row(i) for block in self.blocks for i in range(len(block)))
+
+    def __eq__(self, other):
+        if isinstance(other, (Rows, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+
+def _fold_trials(spec: ExperimentSpec, cb: Codebook, trials: range, schedule: _Schedule) -> RowBlock:
+    """The rows of ``trials`` run on ``schedule``, as one block. Each table
+    is the one ``build_world`` prepares from its trial's own seed, drawn for
+    the whole block at once. A receiver ends holding its own row and the
     counterpart's published one, a liar's flipped at its ``lie_flips`` as
     ``build_world`` flips it. All views are folded at once. When nobody
     lies both views are the table, so each trial decodes once for both and
     that decode is its terminal (``terminal_record(r, r) == r``); after a
     transport abort nothing is decoded. ``decode_block`` gives the trials of
     one decode key one result object, so ``terminal_record`` runs once per
-    distinct pair of results and each distinct terminal is spelled out as
-    row cells once."""
+    distinct pair of results."""
     block_seeds = rng_mod.derive_seeds(spec.seed, (rng_mod.KEY_TRIAL,), trials)
-    bits = [spec.trial_bits(t) for t in trials]
+    bits = list(map(spec.trial_bits, trials))
+    truths = np.fromiter(map(_TRUTH.__getitem__, bits), np.uint8, len(bits))
+    survived = np.full((len(bits), len(BIT_PAIR_ORDER)), -1, dtype=np.int8)
     if schedule.abort is not None:  # the terminal is the abort, whatever the receivers hold
         terminals = [DecodeResult.aborted(schedule.abort)] * len(trials)
     else:
@@ -168,6 +252,12 @@ def _fold_trials(spec: ExperimentSpec, cb: Codebook, trials: range, schedule: _S
         lies = (spec.strategy_bob.lie, spec.strategy_sonai.lie)
         if not any(lies):
             terminals, alive = decode_block(cb, spec, tables)
+            if spec.mode == "soundness":
+                # one view per trial: a cell per wrong entry, in bit-pair order
+                # however the book lists the entries
+                survived[:] = np.fromiter(chain.from_iterable(alive), np.int8, survived.size
+                                          ).reshape(survived.shape)[:, list(cb.bit_pair_order)]
+                survived[np.arange(len(bits)), truths] = -1
         else:
             views = np.stack((tables, tables), axis=1)  # (trials, receiver, 2, n)
             for side, p in enumerate(lies):
@@ -178,31 +268,18 @@ def _fold_trials(spec: ExperimentSpec, cb: Codebook, trials: range, schedule: _S
             distinct = {(id(a), id(b)): (a, b) for a, b in pairs}
             terminal_of = {key: terminal_record(a, b) for key, (a, b) in distinct.items()}
             terminals = [terminal_of[id(a), id(b)] for a, b in pairs]
-    cells = {key: (t.status.value, t.bob_bit, t.sonai_bit, t.confidence,
-                   t.abort_reason.value if t.abort_reason else None)
-             for key, t in {id(t): t for t in terminals}.items()}
-    ticks, gap = schedule.ticks, schedule.gap
-    # soundness runs the complete schedule, one view per trial: each row gets
-    # a survival cell per wrong entry, in one order however the book lists them
-    wrong = {truth: [(_SURVIVED[cb.entries[j].bits], j) for j in cb.bit_pair_order
-                     if cb.entries[j].bits != truth]
-             for truth in set(bits)} if spec.mode == "soundness" else {}
-    rows = []
-    for i, (trial, seed, truth, terminal) in enumerate(zip(trials, block_seeds.tolist(), bits,
-                                                           terminals)):
-        status, bob_bit, sonai_bit, confidence, reason = cells[id(terminal)]
-        row = {"trial": trial, "seed": seed, "truth_bob": truth[0], "truth_sonai": truth[1],
-               "status": status, "bob_bit": bob_bit, "sonai_bit": sonai_bit,
-               "confidence": confidence, "abort_reason": reason, "ticks": ticks,
-               "fairness_gap": gap}
-        for column, j in wrong.get(truth, ()):
-            row[column] = alive[i][j]
-        rows.append(row)
-    return rows
+    # each distinct terminal once, by value: trials of one decode key share
+    # a result object, and trials of many keys (noisy ones) share a value
+    ids = list(map(id, terminals))
+    slot: dict[DecodeResult, int] = {}
+    slot_of = {key: slot.setdefault(t, len(slot)) for key, t in dict(zip(ids, terminals)).items()}
+    which = np.fromiter(map(slot_of.__getitem__, ids), np.intp, len(ids))
+    return RowBlock(trials, block_seeds, truths, tuple(slot), which, schedule.ticks, schedule.gap,
+                    survived)
 
 
-def _run_chunk(spec: ExperimentSpec, cb: Codebook, start: int, stop: int) -> list[dict]:
-    """Rows of trials start..stop-1, folded in blocks of _FOLD_BLOCK. A
+def _run_chunk(spec: ExperimentSpec, cb: Codebook, start: int, stop: int) -> list[RowBlock]:
+    """Blocks of trials start..stop-1, folded _FOLD_BLOCK at a time. A
     session chunk runs its first trial on the simulator only for the
     schedule every trial of the chunk is folded on; an honest or soundness
     chunk folds every trial on the complete exchange."""
@@ -213,30 +290,29 @@ def _run_chunk(spec: ExperimentSpec, cb: Codebook, start: int, stop: int) -> lis
         schedule = _Schedule.of(outcome)
     else:
         schedule = _Schedule.complete(spec)
-    rows = []
-    for a in range(start, stop, _FOLD_BLOCK):
-        rows += _fold_trials(spec, cb, range(a, min(a + _FOLD_BLOCK, stop)), schedule)
-    return rows
+    return [_fold_trials(spec, cb, range(a, min(a + _FOLD_BLOCK, stop)), schedule)
+            for a in range(start, stop, _FOLD_BLOCK)]
 
 
-def run_experiment(spec: ExperimentSpec, workers: int = 1) -> tuple[list[dict], "StatsReport"]:
+def run_experiment(spec: ExperimentSpec, workers: int = 1) -> tuple[Rows, "StatsReport"]:
     """Run all trials and aggregate. The report is identical for any worker
     count because trial seeds depend only on the trial index. The trials are
     split into min(workers, trials) chunks, run by at most one process per
-    CPU."""
+    CPU, each returning its blocks."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     cb = spec.shared_codebook()
     chunks = min(workers, spec.trials)
     if chunks == 1:
-        rows = _run_chunk(spec, cb, 0, spec.trials)
+        blocks = _run_chunk(spec, cb, 0, spec.trials)
     else:
         # chunks <= trials, so every chunk holds at least one trial
         bounds = [spec.trials * i // chunks for i in range(chunks + 1)]
         from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads only to fan out
         with ProcessPoolExecutor(max_workers=min(chunks, os.cpu_count() or 1)) as pool:
             futures = [pool.submit(_run_chunk, spec, cb, a, b) for a, b in zip(bounds, bounds[1:])]
-            rows = [row for fut in futures for row in fut.result()]
+            blocks = [block for fut in futures for block in fut.result()]
+    rows = Rows(blocks)
     return rows, aggregate_rows(spec, rows, cb=cb)
 
 
@@ -275,46 +351,89 @@ class StatsReport:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
 
 
+def _blocks(rows: Sequence[dict]) -> Sequence[RowBlock]:
+    """``rows`` in column form: a run's own ``Rows`` are its blocks, and a
+    plain sequence of row dicts (the CSV read back, say) becomes one block
+    per run of rows with equal ticks and fairness gap, each distinct
+    terminal once. The one reader of row dicts: the tally and the CSV
+    writer see only blocks."""
+    if isinstance(rows, Rows):
+        return rows.blocks
+    blocks = []
+    for (ticks, gap), run in groupby(rows, itemgetter("ticks", "fairness_gap")):
+        run = list(run)
+        cells = list(map(itemgetter(*_TERMINAL), run))
+        index = {key: i for i, key in enumerate(dict.fromkeys(cells))}
+        terminals = tuple(DecodeResult.from_json_obj(dict(zip(_TERMINAL, key))) for key in index)
+        truths = map(_TRUTH.__getitem__, map(itemgetter("truth_bob", "truth_sonai"), run))
+        survived = [[-1 if cell is None else int(bool(cell))
+                     for cell in map(row.get, _SURVIVED.values())] for row in run]
+        blocks.append(RowBlock(
+            [row["trial"] for row in run], np.array([row["seed"] for row in run], np.uint64),
+            np.fromiter(truths, np.uint8, len(run)), terminals,
+            np.fromiter(map(index.__getitem__, cells), np.intp, len(run)), ticks, gap,
+            np.array(survived, np.int8).reshape(len(run), len(_SURVIVED))))
+    return blocks
+
+
 def aggregate_rows(
     spec: ExperimentSpec, rows: Sequence[dict], *, cb: Codebook | None = None
 ) -> StatsReport:
-    """The only path from rows to a report. ``cb`` is the experiment's
-    codebook if the caller has already resolved it; it is needed only when
-    the rows carry survival results, and resolved from ``spec`` if absent.
-    Each wrong candidate's survivals are grouped by its effective distance
-    from the true entry in that codebook, so a report regenerated from the
-    raw CSV lands on the same numbers. Each tally counts a column taken
-    from the rows (``itemgetter``, ``Counter``); the decoded confidences are
-    summed left to right in row order, never by ``sum()``, which
-    compensates from Python 3.12 on."""
-    statuses = list(map(itemgetter("status"), rows))
-    aborts = Counter(filter(None, map(dict.get, rows, repeat("abort_reason"))))
-    decoded = list(compress(rows, map(eq, statuses, repeat("decoded"))))
-    truth_of = itemgetter("truth_bob", "truth_sonai")
-    correct = countOf(map(eq, map(itemgetter("bob_bit", "sonai_bit"), decoded),
-                          map(truth_of, decoded)), True)
-    gap_hist = Counter(map(itemgetter("fairness_gap"), rows))
-    present: dict[tuple[int, int], int] = {}  # candidate -> rows where it was a wrong entry
-    survivals: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}  # (truth, candidate) -> count
-    for cand, key in _SURVIVED.items():
-        # a trial has no cell for its own true bits (blank in the CSV)
-        cells = list(map(dict.get, rows, repeat(key)))
-        if countOf(cells, None) < len(cells):
-            present[cand] = len(cells) - countOf(cells, None)
-            for truth, count in Counter(map(truth_of, compress(rows, cells))).items():
-                survivals[truth, cand] = count
-    total = len(rows)
-    survived = dict.fromkeys(present, 0)
+    """The only path from rows to a report, a tally over their blocks
+    (``_blocks``), so a run's report and the one recomputed from its CSV
+    are counted alike. ``cb`` is the experiment's codebook if the caller
+    has already resolved it; it is needed only when the rows carry
+    survivals, and resolved from ``spec`` if absent. Each wrong candidate's
+    survivals are grouped by its effective distance from the true entry in
+    that codebook. The decoded confidences are summed left to right in row
+    order, one row at a time: never by ``sum()``, which compensates from
+    Python 3.12 on, and never as count times confidence, which rounds
+    otherwise."""
+    statuses: Counter = Counter()
+    aborts: Counter = Counter()
+    gap_hist: Counter = Counter()
+    total = decoded = correct = ticks = 0
+    confidence = 0.0
+    wide = len(BIT_PAIR_ORDER)
+    present = np.zeros(wide, dtype=np.intp)  # candidate -> rows where it was a wrong entry
+    survivals = np.zeros((wide, wide), dtype=np.intp)  # (truth, candidate) -> count
+    for block in _blocks(rows):
+        total += len(block)
+        ticks += block.ticks * len(block)
+        gap_hist[block.gap] += len(block)
+        # each distinct terminal's rows, by true bits
+        counts = np.bincount(block.which * wide + block.truths,
+                             minlength=len(block.terminals) * wide).reshape(-1, wide)
+        for t, count, by_truth in zip(block.terminals, counts.sum(axis=1).tolist(),
+                                      counts.tolist()):
+            statuses[t.status.value] += count
+            if t.abort_reason:
+                aborts[t.abort_reason.value] += count
+            if t.status is DecodeStatus.DECODED:
+                decoded += count
+                correct += by_truth[_TRUTH[t.bob_bit, t.sonai_bit]]
+        which = block.which.tolist()
+        confidences = [t.confidence for t in block.terminals]
+        is_decoded = [t.status is DecodeStatus.DECODED for t in block.terminals]
+        # one addition per decoded row, left to right in row order
+        confidence = reduce(add, compress(map(confidences.__getitem__, which),
+                                          map(is_decoded.__getitem__, which)), confidence)
+        present += (block.survived >= 0).sum(axis=0)
+        hit = (block.truths[:, None] * wide + np.arange(wide))[block.survived == 1]
+        survivals += np.bincount(hit, minlength=wide * wide).reshape(wide, wide)
     by_distance: dict[int, int] = {}
-    if survivals:
+    if survivals.any():
         distances = {}
         for (a, b), d in (cb or spec.shared_codebook()).pairwise_distances().items():
             distances[a, b] = distances[b, a] = d
-        for (truth, cand), count in survivals.items():
-            survived[cand] += count
-            d = distances[truth, cand]
-            by_distance[d] = by_distance.get(d, 0) + count
-    survival_rates = {f"{a}{b}": survived[a, b] / present[a, b] for a, b in sorted(present)}
+        for (truth, cand), count in np.ndenumerate(survivals):
+            if count:
+                d = distances[BIT_PAIR_ORDER[truth], BIT_PAIR_ORDER[cand]]
+                by_distance[d] = by_distance.get(d, 0) + int(count)
+    survived, present = survivals.sum(axis=0).tolist(), present.tolist()
+    survival_rates = {f"{a}{b}": survived[k] / present[k]
+                      for k, (a, b) in sorted(enumerate(BIT_PAIR_ORDER), key=itemgetter(1))
+                      if present[k]}
     return StatsReport(
         mode=spec.mode,
         trials=total,
@@ -324,13 +443,12 @@ def aggregate_rows(
         flip_probability=spec.noise,
         delta=spec.delta,
         confidence_target=spec.confidence_target,
-        status_counts=dict(sorted(Counter(statuses).items())),
+        status_counts=dict(sorted(statuses.items())),
         abort_counts=dict(sorted(aborts.items())),
-        decode_success_rate=len(decoded) / total,
+        decode_success_rate=decoded / total,
         correct_rate=correct / total,
-        mean_confidence=(reduce(add, map(itemgetter("confidence"), decoded), 0.0) / len(decoded)
-                         if decoded else None),
-        mean_ticks=reduce(add, map(itemgetter("ticks"), rows), 0) / total,
+        mean_confidence=confidence / decoded if decoded else None,
+        mean_ticks=ticks / total,
         fairness_gap_hist={str(gap): gap_hist[gap] for gap in sorted(gap_hist)},
         max_fairness_gap=max(gap_hist, default=0),
         survival_rates=survival_rates,
@@ -341,12 +459,44 @@ def aggregate_rows(
 
 
 def write_rows_csv(rows: Sequence[dict], fp: IO[str]) -> None:
-    if not rows:
+    """The rows as CSV, from their blocks (``_blocks``). The header lists
+    the base columns, then each survival column from the first row with a
+    cell in it (a row's cells in bit-pair order). Each distinct (truth,
+    terminal, survival cells) of a block is spelled out once by the one
+    ``csv.writer``; each row's line is its trial and seed, then that
+    spelling."""
+    blocks = [block for block in _blocks(rows) if len(block)]
+    if not blocks:
         return
-    header = list(dict.fromkeys(chain.from_iterable(rows)))  # first-seen order
-    writer = csv.writer(fp)
-    writer.writerow(header)
-    writer.writerows(map(row.get, header) for row in rows)  # None and absent keys: blank
+    columns: dict[int, None] = {}
+    for block in blocks:
+        has = block.survived >= 0
+        first = has.argmax(axis=0).tolist()
+        columns.update(dict.fromkeys(sorted(
+            (k for k in range(len(first)) if has[first[k], k]), key=first.__getitem__)))
+    columns = list(columns)
+    names = list(_SURVIVED.values())
+    spelling = io.StringIO()
+    writer = csv.writer(spelling)
+    writer.writerow(_BASE_COLUMNS + [names[k] for k in columns])
+    fp.write(spelling.getvalue())
+    powers = 3 ** np.arange(len(columns))  # a row's cells, each -1, 0 or 1, as one number
+    for block in blocks:
+        cells = block.survived[:, columns]
+        key = ((block.which * len(BIT_PAIR_ORDER) + block.truths) * 3 ** len(columns)
+               + (cells + 1).astype(np.intp) @ powers)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        spelled = []
+        for i in first.tolist():
+            t = block.terminals[block.which[i]]
+            spelling.seek(0)
+            spelling.truncate()
+            writer.writerow([*BIT_PAIR_ORDER[block.truths[i]], *t.to_json_obj().values(),
+                             block.ticks, block.gap,
+                             *(None if c < 0 else c == 1 for c in cells[i].tolist())])
+            spelled.append(spelling.getvalue())
+        fp.write("".join(map("%d,%d,%s".__mod__, zip(block.trials, block.seeds.tolist(),
+                                                     map(spelled.__getitem__, inverse.tolist())))))
 
 
 def _coerce_cell(text: str):

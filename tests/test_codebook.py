@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -320,11 +321,12 @@ def test_a_bad_label_is_named_wherever_it_sits(label, place):
 
 
 def test_a_book_measures_each_pair_once(monkeypatch):
-    # validation measures the six distances; pairwise_distances and the
-    # soundness report read them from the book
+    # validation builds the cycles of the six entry pairs, each with its
+    # mirror; the decode, pairwise_distances and the soundness report read
+    # them from the book's one table
     calls = []
-    measure = codebook.effective_distance
-    monkeypatch.setattr(codebook, "effective_distance", lambda a, b: calls.append(1) or measure(a, b))
+    label = codebook._cycle_labels
+    monkeypatch.setattr(codebook, "_cycle_labels", lambda perm: calls.append(1) or label(perm))
     spec = ExperimentSpec(mode="soundness", n=8, lam=4, codebook="reference", bits=(0, 0),
                           trials=50, seed=3)
     report = run_experiment(spec)[1]
@@ -333,6 +335,21 @@ def test_a_book_measures_each_pair_once(monkeypatch):
     cb = reference_codebook()
     assert cb.pairwise_distances() == cb.pairwise_distances()
     assert len(calls) == 12
+    # the table reads as the one-pair measure does, from either side
+    for i, j in itertools.permutations(range(4), 2):
+        assert cb._distance(i, j) == effective_distance(cb.entries[i], cb.entries[j])
+        assert all(np.array_equal(a, b) for a, b in zip(cb.cycles(i, j), cb.cycles(j, i)))
+    assert len(calls) == 12 + 12
+
+
+@pytest.mark.parametrize("s_j", [
+    [True, 2, 3, 4], [0, 1, 2, 3], [1, 2, 3, 5], [1, 2, 2, 4], [2**70, 1, 2, 3], [-2**63, 1, 2, 3],
+], ids=["bool", "zero", "n+1", "repeated", "beyond-intp", "lowest-intp"])
+def test_a_direct_entry_that_is_no_permutation_is_refused(s_j):
+    # make_entry takes any labels; the partner map refuses them on first use
+    entry = make_entry((0, 1), s_j)
+    with pytest.raises(ValueError, match=r"^entry \(0, 1\): s_j is not a permutation of 1\.\.4$"):
+        entry.partner_arrays
 
 
 def test_save_load_round_trip(tmp_path):

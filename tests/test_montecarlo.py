@@ -1,12 +1,14 @@
 """Batch runner: trial rows, aggregation, worker independence."""
 
 import concurrent.futures
+import gc
 import hashlib
 import io
 import itertools
 import math
 import random
 import time
+import tracemalloc
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -238,17 +240,26 @@ def test_a_huge_timeout_only_delays_a_session_batch():
     assert later == [dict(row, ticks=row["ticks"] + 10**9 - 16) for row in rows]
 
 
-@pytest.mark.parametrize("keywords, status", [
-    (dict(mode="honest"), "decoded"),
-    (dict(mode="soundness"), "decoded"),  # cycling bits: blank survival cells
-    (dict(mode="session", strategy_sonai=WithholdAfter(2)), "abort"),  # an abort_reason
-    (dict(mode="session", n=32, lam=8, codebook=None, noise=0.05, delta=0.25,
-          strategy_bob=parse_strategy("lie:0.3")), "undecided"),  # the liar terminal path
-    (dict(mode="honest", n=64, lam=16, codebook=None, noise=0.05, delta=0.25), "decoded"),
-], ids=["honest", "soundness-cycling", "session-withhold", "session-lie", "honest-noisy"])
-def test_report_is_exactly_the_aggregate_of_rows(keywords, status):
+_AGGREGATE_CASES = {
+    "honest": (dict(mode="honest"), "decoded"),
+    "soundness-cycling": (dict(mode="soundness"), "decoded"),  # blank survival cells
+    "session-withhold": (dict(mode="session", strategy_sonai=WithholdAfter(2)), "abort"),
+    "session-lie": (dict(mode="session", n=32, lam=8, codebook=None, noise=0.05, delta=0.25,
+                         strategy_bob=parse_strategy("lie:0.3")), "undecided"),  # liar terminals
+    "honest-noisy": (dict(mode="honest", n=64, lam=16, codebook=None, noise=0.05, delta=0.25),
+                     "decoded"),
+}
+
+
+@pytest.mark.parametrize(
+    "keywords, status, workers",
+    [(*case, workers) for workers in (1, 3) for case in _AGGREGATE_CASES.values()],
+    ids=[*_AGGREGATE_CASES, *(f"{name}-workers3" for name in _AGGREGATE_CASES)],
+)
+def test_report_is_exactly_the_aggregate_of_rows(keywords, status, workers):
+    # with 3 workers the chunks come back from their processes as pickled blocks
     spec = replace(ExperimentSpec(n=8, lam=4, seed=8, trials=20, codebook="reference"), **keywords)
-    rows, report = run_experiment(spec)
+    rows, report = run_experiment(spec, workers=workers)
     assert status in report.status_counts  # the case reaches the rows it is here for
     assert aggregate_rows(spec, rows) == report
 
@@ -257,6 +268,11 @@ def test_report_is_exactly_the_aggregate_of_rows(keywords, status):
     write_rows_csv(rows, buf)
     buf.seek(0)
     assert aggregate_rows(spec, read_rows_csv(buf)) == report
+    # row dicts, built or read back, are written in the same bytes as the blocks
+    for dicts in (list(rows), read_rows_csv(io.StringIO(buf.getvalue()))):
+        again = io.StringIO()
+        write_rows_csv(dicts, again)
+        assert again.getvalue() == buf.getvalue()
 
 
 _BASE_HEADER = ("trial,seed,truth_bob,truth_sonai,status,bob_bit,sonai_bit,confidence,"
@@ -284,6 +300,51 @@ def test_csv_header_lists_the_columns_in_first_seen_order(keywords, header):
     buf = io.StringIO()
     write_rows_csv(run_experiment(spec)[0], buf)
     assert buf.getvalue().split("\r\n", 1)[0] == header
+
+
+@pytest.mark.parametrize("trials", [1, 2, 5])
+def test_rows_are_the_dicts_of_one_simulated_session_per_trial(trials):
+    # each trial's row, keys in order, is its own honest session's: the
+    # terminal and schedule, then a survival cell per wrong entry in
+    # bit-pair order from the receivers' final alive mask
+    spec = ExperimentSpec(mode="soundness", n=8, lam=4, seed=5, trials=trials,
+                          codebook="reference")
+    cb = spec.shared_codebook()
+    expected = _simulator_rows(spec)
+    for row in expected:
+        outcome = run_session(spec.config(seed=row["seed"]), spec.trial_bits(row["trial"]), cb=cb)
+        alive = outcome.receivers[Party.BOB].alive
+        assert alive == outcome.receivers[Party.SONAI].alive
+        for j in cb.bit_pair_order:
+            if cb.entries[j].bits != spec.trial_bits(row["trial"]):
+                row[f"survived_{cb.entries[j].bits[0]}{cb.entries[j].bits[1]}"] = alive[j]
+    rows = run_experiment(spec)[0]
+    assert rows == expected and expected == rows
+    assert [list(row) for row in rows] == [list(row) for row in expected]
+    assert len(rows) == trials
+    assert rows[-1] == expected[-1] and rows[::-1] == expected[::-1]
+    with pytest.raises(IndexError):
+        rows[trials]
+
+
+@pytest.mark.parametrize("trials", [5000, 20_000])
+def test_a_run_keeps_its_rows_as_columns(trials):
+    # a row dict held per trial retained about 540 bytes; a block's columns
+    # hold its seeds, truths, terminal indices and survival cells
+    spec = ExperimentSpec(mode="soundness", n=8, lam=4, seed=3, trials=trials,
+                          codebook="reference")
+    run_experiment(replace(spec, trials=300))  # the book and lazy set-up, outside the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run_experiment(spec)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(result[0]) == trials
+    assert retained / trials <= 128
 
 
 def test_worker_count_never_changes_results():
@@ -533,9 +594,9 @@ def test_fold_tables_equal_trial_by_trial_preparation(size, seed, start, count, 
     trials = range(start, start + count)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(montecarlo, "alice_prepare", spy)
-        rows = montecarlo._fold_trials(spec, cb, trials, montecarlo._Schedule.complete(spec))
+        block = montecarlo._fold_trials(spec, cb, trials, montecarlo._Schedule.complete(spec))
     seeds = [derive_seed(seed, KEY_TRIAL, t) for t in trials]
-    assert [row["seed"] for row in rows] == seeds
+    assert block.seeds.tolist() == seeds
     # each trial's own substreams, drawn by numpy's own generator
     expected = np.stack([alice_prepare([s], noise, [spec.trial_bits(t)], cb)[0]
                          for s, t in zip(seeds, trials)])
