@@ -271,7 +271,8 @@ class ReceiverAgent:
 
 
 class World:
-    """All session state: agents, the public transcript and the event log."""
+    """All session state: agents, the public transcript, the reveals sent,
+    which ``run_world`` admits to it in one run at the end, and the log."""
 
     def __init__(
         self,
@@ -283,6 +284,7 @@ class World:
         self.codebook = cb
         self.agents = agents
         self.transcript = Transcript(cb.n)
+        self.sent: tuple[list, list, list] = ([], [], [])  # parties, positions, outcomes
         self.event_log: list[dict] = []
         self.tick = 0
 
@@ -302,7 +304,8 @@ class World:
         )
 
     def send_reveal(self, party: Party, position: int, outcome: int) -> None:
-        self.transcript.append(party, position, outcome)
+        for column, value in zip(self.sent, (party, position, outcome)):
+            column.append(value)
         summary = f"{party.value}#{position}:{'+' if outcome == 1 else '-'}"
         self.log(MessageKind.REVEAL, party, party.counterpart(), summary)
 
@@ -389,6 +392,7 @@ def run_world(world: World) -> SessionOutcome:
         if agent.result is None:
             agent.result = agent.receiver.decode()
     transport_abort = next((a.aborted for a in agents if a.aborted is not None), None)
+    world.transcript.admit(range(1, len(world.sent[0]) + 1), *world.sent)
     world.transcript.close(terminal_record(bob.result, sonai.result, transport_abort))
     return SessionOutcome(
         transcript=world.transcript,

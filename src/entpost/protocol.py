@@ -17,8 +17,8 @@ import math
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import compress, count
-from operator import not_
+from itertools import compress, count, repeat
+from operator import countOf, is_not, not_, or_
 from typing import IO, Iterator, Sequence
 
 import numpy as np
@@ -224,16 +224,21 @@ class DecodeResult:
 
 
 _RECEIVERS = (Party.BOB, Party.SONAI)
-_SIDES = {party: side for side, party in enumerate(_RECEIVERS)}  # "bob" finds Party.BOB too
+_SIDES = {party.value: side for side, party in enumerate(_RECEIVERS)}  # Party.BOB finds "bob" too
 _OUTCOMES = {"+": 1, "-": -1}
-_raw_decode = json.JSONDecoder().raw_decode  # json.loads without its checks around the document
+_MALFORMED = "malformed record: {}"
+_OUT_OF_RANGE = "reveal position out of range: {}"  # a receiver's rules too
+_REPEATED = "duplicate reveal of {} position {}"
 _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines cuts
-# The one reveal-line form: to_jsonl writes it, and from_jsonl admits runs of
-# lines in it a slice at a time. Round and position are positive, with no
-# leading zero and at most 18 digits, far below int()'s digit limit.
+# The one reveal-line form: to_jsonl writes it, and from_jsonl reads lines in
+# it straight from a match. Round and position are positive, with no leading
+# zero and at most 18 digits, far below int()'s digit limit.
 _REVEAL = '{"round":%s,"party":"%s","position":%s,"outcome":"%s"}'
 _NUMBER = "([1-9][0-9]{0,17})"
-_FORM = re.escape(_REVEAL) % (_NUMBER, "(bob|sonai)", _NUMBER, "([+-])")
+_FIELDS = (_NUMBER, "(bob|sonai)", _NUMBER, "([+-])")
+_FORM = re.escape(_REVEAL) % _FIELDS
+# json.dumps's default spelling of the form: a space after each colon and comma
+_SPACED = re.compile(re.escape(_REVEAL).replace(":", ": ").replace(",", ", ") % _FIELDS)
 # one match per line of "\n"-ended text: a line in the reveal form with its four
 # fields, or any other line, whose four fields are empty
 _LINE = re.compile(f"(?:{_FORM}|.*)\n")
@@ -257,130 +262,181 @@ def _line_blocks(fp: IO[str]) -> Iterator[list[str]]:
     yield rest.splitlines()
 
 
+def _read_record(line: str):
+    """``line`` read as ``json.loads`` reads it: None if blank, the terminal
+    line's ``DecodeResult``, or a reveal's (round, party, position,
+    outcome), the outcome as +1, -1 or 0 for any other value."""
+    if not line.strip():
+        return None
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
+        raise ProtocolViolationError(f"not valid JSON: {exc}") from exc
+    try:
+        if "status" in obj:
+            return DecodeResult.from_json_obj(obj)
+        outcome = _OUTCOMES.get(obj["outcome"], 0)
+        return obj["round"], obj["party"], obj["position"], outcome
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ProtocolViolationError(_MALFORMED.format(exc)) from exc
+
+
+def _form_fields(round_, party, position, outcome) -> tuple[str, ...] | None:
+    """A reveal ``_read_record`` read, in the ``_REVEAL`` form's fields, or
+    None if the form cannot spell it."""
+    if (type(round_) is int and type(position) is int and 0 < round_ < 10**18
+            and 0 < position < 10**18 and party in ("bob", "sonai") and outcome in (1, -1)):
+        return str(round_), party, str(position), "+" if outcome == 1 else "-"
+    return None
+
+
+def _not_a_receiver(party) -> str:
+    try:
+        hash(party)  # as a dict lookup would: an unhashable party is malformed
+        return f"{Party(party).value} is not a receiver and cannot reveal"
+    except (TypeError, ValueError) as exc:
+        return _MALFORMED.format(exc)
+
+
 class Transcript:
     """Append-only public record of a session over ``n`` pairs: reveals
-    plus a terminal line.
-
-    The reveals are columns in round order: the revealer's side (0 bob, 1
-    sonai), its 1-based position and the outcome (+1 or -1). Every reveal
-    passes ``_admit``, the one site of the public rules, or ``_admit_run``,
-    the same rules over a run of read reveals, so a transcript holds at
-    most 2n reveals."""
+    plus a terminal line. The reveals are columns in round order: the
+    revealer's side (0 bob, 1 sonai), its 1-based position and the outcome
+    (+1 or -1). Every reveal, read or simulated, enters through ``admit``,
+    the one site of the public rules, so it holds at most 2n reveals."""
 
     def __init__(self, n: int) -> None:
         self.n = n
         self.terminal: DecodeResult | None = None
-        self._sides, self._positions, self._outcomes = [], [], []
+        self._runs: list[np.ndarray] = []  # each admitted run's (3, rows) side, position, outcome
         self._seen: set[int] = set()  # 2 * position + side of every reveal
 
     def __len__(self) -> int:
         """The number of reveals."""
-        return len(self._sides)
+        return len(self._seen)
 
-    def _admit(self, round_, party, position, outcome: int) -> None:
-        """Record one reveal if it keeps the rules: integer round and
-        position, outcome +1 or -1, a receiver revealing, an open transcript,
-        rounds rising by one, positions in 1..n, no (party, position) twice."""
-        if type(round_) is not int or type(position) is not int or outcome not in (1, -1):
-            raise ProtocolViolationError(f"malformed record: round {round_!r} and position "
-                                         f"{position!r} must be integers, the outcome + or -")
-        side = _SIDES.get(party)
-        if side is None:  # Party() calls an unknown party malformed (ValueError)
-            raise ProtocolViolationError(f"{Party(party).value} is not a receiver and cannot reveal")
-        if self.terminal is not None:
-            raise ProtocolViolationError("transcript already closed by a terminal record")
-        if round_ != len(self._sides) + 1:
-            raise ProtocolViolationError(f"round numbers must increase by one: expected "
-                                         f"{len(self._sides) + 1}, got {round_}")
-        if not 1 <= position <= self.n:
-            raise ProtocolViolationError(f"reveal position out of range: {position}")
-        if 2 * position + side in self._seen:
-            raise ProtocolViolationError(
-                f"duplicate reveal of {_RECEIVERS[side].value} position {position}")
-        self._seen.add(2 * position + side)
-        self._sides.append(side)
-        self._positions.append(position)
-        self._outcomes.append(outcome)
+    def _columns(self) -> np.ndarray:
+        """The (3, len) reveals in round order: side, position, outcome."""
+        return np.concatenate([np.empty((3, 0), dtype=np.int64), *self._runs], axis=1)
 
-    def _admit_run(self, rounds: Sequence[str], parties: Sequence[str], positions: Sequence[str],
-                   outcomes: Sequence[str]) -> bool:
-        """Record a run of reveals read in the ``_REVEAL`` form, its fields
-        as strings, if all of it keeps ``_admit``'s rules, and say whether it
-        did; a run that breaks one records nothing. The form already makes
-        the numbers positive integers of at most 18 digits, which int64
-        holds, the party a receiver and the outcome + or -."""
-        start = len(self._sides) + 1
-        numbers = np.fromstring(" ".join(rounds + positions), dtype=np.int64, sep=" ")
-        rounds, positions = numbers[:len(rounds)], numbers[len(rounds):]
-        if self.terminal is not None or (rounds != np.arange(start, start + len(rounds))).any() \
-                or int(positions.max()) > self.n:
-            return False
-        sides = list(map(_SIDES.__getitem__, parties))
-        keys = set((2 * positions + sides).tolist())
-        if len(keys) < len(sides) or not self._seen.isdisjoint(keys):
-            return False
-        self._seen |= keys
-        self._sides += sides
-        self._positions += positions.tolist()
-        self._outcomes += map(_OUTCOMES.__getitem__, outcomes)
-        return True
-
-    def _read_line(self, lineno: int, line: str) -> None:
-        """Admit line ``lineno``, read exactly as ``json.loads`` reads it:
-        a reveal, the terminal record or a blank line. The only code that
-        refuses a line."""
+    def admit(self, rounds: Sequence, parties: Sequence, positions: Sequence,
+              outcomes: Sequence, lines: Sequence[int] | None = None) -> None:
+        """Record a run of reveals given as columns (round, party, 1-based
+        position, outcome) if every row keeps the rules; otherwise record
+        none and raise for the first row that breaks one, naming its line if
+        ``lines`` gives each row's. A row's rules, in order: integer round
+        and position, outcome +1 or -1; a receiver reveals; the record is
+        open; rounds rise by one from ``len + 1``; positions lie in 1..n; no
+        (party, position) repeats, in the run or before it."""
+        size, start = len(rounds), len(self) + 1
+        if not size:
+            return
         try:
-            obj, end = _raw_decode(line) if line[:1] == "{" else (None, -1)
-            if end != len(line):  # blank, padded, trailing data or not a record
-                if not line.strip():
-                    return
-                obj = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
-            raise ProtocolViolationError(f"line {lineno}: not valid JSON: {exc}") from exc
+            sides = np.fromiter(map(_SIDES.get, parties, repeat(2)), np.int64, size)
+        except TypeError:  # an unhashable party, which is no receiver either
+            sides = np.array([_SIDES.get(p, 2) if p.__hash__ else 2 for p in parties], np.int64)
+        # an int64 array holds integers; a bool is none
+        ints = [getattr(c, "dtype", None) == np.int64 or {*map(type, c)} <= {int}
+                for c in (rounds, positions)]
+        malformed = False  # unless some number is no integer or outcome not +1 or -1: per row
+        if not all(ints) or countOf(outcomes, 1) + countOf(outcomes, -1) < size:
+            malformed = ~np.fromiter(map((1, -1).__contains__, outcomes), bool, size)
+            for column in compress((rounds, positions), map(not_, ints)):
+                malformed |= np.fromiter(map(is_not, map(type, column), repeat(int)), bool, size)
         try:
-            if "status" in obj:
-                self.close(DecodeResult.from_json_obj(obj))
-            else:
-                outcome = _OUTCOMES.get(obj["outcome"], 0)
-                self._admit(obj["round"], obj["party"], obj["position"], outcome)
-        except ProtocolViolationError as exc:
-            raise ProtocolViolationError(f"line {lineno}: {exc}") from exc
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ProtocolViolationError(f"line {lineno}: malformed record: {exc}") from exc
+            numbers = np.array((rounds, positions), dtype=np.int64).reshape(2, size)
+        except (TypeError, ValueError, OverflowError):  # 0 stands for a number no rule admits
+            numbers = np.array([[v if type(v) is int and -1 << 63 <= v < 1 << 63 else 0
+                                 for v in column] for column in (rounds, positions)], np.int64)
+        keys = (2 * numbers[1] + sides).tolist()
+        repeated = False  # unless some key repeats, in the run or before it: then per row
+        if len(set(keys)) < size or not self._seen.isdisjoint(keys):
+            repeated = np.ones(size, dtype=bool)
+            repeated[np.unique(keys, return_index=True)[1]] = False  # each key's first row
+            repeated |= np.fromiter(map(self._seen.__contains__, keys), bool, size)
+        rules = (  # (the rows that break the rule, its message for row i), in the order tested
+            (malformed, lambda i: _MALFORMED.format(f"round {rounds[i]!r} and position "
+                                                    f"{positions[i]!r} must be integers, "
+                                                    "the outcome + or -")),
+            (sides > 1, lambda i: _not_a_receiver(parties[i])),
+            (self.terminal is not None, lambda i: "transcript already closed by a terminal record"),
+            (numbers[0] != np.arange(start, start + size), lambda i: "round numbers must "
+                f"increase by one: expected {start + i}, got {rounds[i]}"),
+            ((numbers[1] < 1) | (numbers[1] > self.n),
+             lambda i: _OUT_OF_RANGE.format(positions[i])),
+            (repeated, lambda i: _REPEATED.format(_RECEIVERS[sides[i]].value, positions[i])),
+        )
+        broken = functools.reduce(or_, (mask for mask, _ in rules if mask is not False))
+        if broken.any():
+            i = int(broken.argmax())
+            message = next(message for mask, message in rules if np.broadcast_to(mask, size)[i])
+            where = "" if lines is None else f"line {lines[i]}: "
+            raise ProtocolViolationError(where + message(i))
+        self._seen.update(keys)
+        self._runs.append(np.stack((sides, numbers[1], np.asarray(outcomes, dtype=np.int64))))
 
     def _read_lines(self, first: int, lines: list[str]) -> None:
-        """Admit ``lines``, numbered from ``first``: each run of lines in the
-        ``_REVEAL`` form through ``_admit_run``, and every other line, with
-        each line of a run that breaks a rule, through ``_read_line``."""
-        read = self._read_line
+        """Admit ``lines``, numbered from ``first``. A line in the ``_REVEAL``
+        form, or in ``_SPACED``'s spelling of it, gives its row's fields from
+        a match, a blank line none, and another reveal the form can spell
+        the fields of that spelling. Any other line ends the run: its rows
+        are admitted first, so an earlier break is the one reported, then
+        the line closes the record, is admitted alone or fails."""
         text = "\n".join(lines) + "\n"
-        # the columns, each ended by an empty field that stands for the end
+        # the fields as strings, each column ended by an empty field that stands for the end
         rounds, parties, positions, outcomes = zip(*_LINE.findall(text), ("",) * 4)
-        i = 0  # the first line not yet admitted
+        numbered = range(first, first + len(lines))  # each line's number
+        run = ([], [], [], [], [])  # the fields of the rows not yet admitted, and their lines
+        i = 0  # the first line not yet read
         for j in compress(count(), map(not_, rounds)):  # each other line, then the end
-            if j > i and not self._admit_run(rounds[i:j], parties[i:j], positions[i:j],
-                                             outcomes[i:j]):
-                for k in range(i, j):  # one of them breaks the rule the run broke
-                    read(first + k, lines[k])
-            if j < len(lines):  # not the end
-                read(first + j, lines[j])
+            if j > i:
+                for column, read in zip(run, (rounds, parties, positions, outcomes, numbered)):
+                    column += read[i:j]
             i = j + 1
+            if j == len(lines):
+                break
+            spaced = _SPACED.fullmatch(lines[j])
+            try:
+                record = None if spaced else _read_record(lines[j])
+            except ProtocolViolationError as exc:
+                record = exc  # raised once the rows before it are admitted
+            fields = spaced.groups() if spaced else isinstance(record, tuple) and _form_fields(*record)
+            if fields:
+                for column, field in zip(run, (*fields, first + j)):
+                    column.append(field)
+            elif record is not None:
+                self._admit_fields(run)
+                if isinstance(record, tuple):  # a reveal the form cannot spell
+                    self.admit(*zip(record), [first + j])
+                    continue
+                try:
+                    if isinstance(record, ProtocolViolationError):
+                        raise record
+                    self.close(record)
+                except ProtocolViolationError as exc:
+                    raise ProtocolViolationError(f"line {first + j}: {exc}") from exc
+        self._admit_fields(run)
 
-    def append(self, party: Party, position: int, outcome: int) -> None:
-        """Record ``party``'s reveal of ``outcome`` (+1 or -1) at its 1-based
-        ``position`` as the next round."""
-        self._admit(len(self._sides) + 1, party, position, outcome)
+    def _admit_fields(self, run: tuple[list, ...]) -> None:
+        """Admit the rows whose fields, then lines, ``run`` holds; empty it."""
+        rounds, parties, positions, outcomes, lines = run
+        numbers = np.fromstring(" ".join(rounds + positions), dtype=np.int64, sep=" ")
+        self.admit(numbers[:len(lines)], parties, numbers[len(lines):],
+                   list(map(_OUTCOMES.__getitem__, outcomes)), lines)
+        for column in run:
+            column.clear()
 
     @property
     def sides(self) -> tuple[int, ...]:
         """Who made each reveal, in round order: 0 for bob, 1 for sonai."""
-        return tuple(self._sides)
+        return tuple(self._columns()[0].tolist())
 
     def table(self) -> np.ndarray:
         """The (2, n) table of the values the record reveals: bob's row, then
         sonai's, with 0 where a value is still private."""
+        sides, positions, outcomes = self._columns()
         table = np.zeros((2, self.n), dtype=np.int8)
-        table[self._sides, np.array(self._positions, dtype=np.intp) - 1] = self._outcomes
+        table[sides, positions - 1] = outcomes
         return table
 
     def close(self, terminal: DecodeResult) -> None:
@@ -389,7 +445,7 @@ class Transcript:
         self.terminal = terminal
 
     def to_jsonl(self, fp: IO[str] | None = None) -> str:
-        columns = zip(self._sides, self._positions, self._outcomes)
+        columns = zip(*self._columns().tolist())
         lines = [_REVEAL % (round_, _RECEIVERS[side].value, position, "+" if outcome == 1 else "-")
                  for round_, (side, position, outcome) in enumerate(columns, start=1)]
         if self.terminal is not None:
@@ -407,11 +463,9 @@ class Transcript:
         2n reveals and the terminal line of a valid record are held, with
         one block of the stream. Lines split and number as ``str.splitlines``
         splits the whole text; each is one JSON document, read exactly as
-        ``json.loads`` reads it. Each block is read ``_SLICE`` lines at a
-        time by ``_read_lines``: runs of lines in the ``_REVEAL`` form are
-        admitted whole, and every other line, with every line of a run that
-        breaks a rule, goes through ``_read_line``, so a record reads, and
-        fails, as line by line."""
+        ``json.loads`` reads it. ``_read_lines`` admits ``_SLICE`` lines at a
+        time in one ``admit`` call (two at the terminal line), so a record
+        reads, and fails, as line by line."""
         transcript = cls(n)
         first = 1  # the number of the block's first line
         for lines in _line_blocks(fp):
@@ -483,12 +537,12 @@ class Receiver:
         value already filled in is a duplicate reveal."""
         q = position - 1
         if not 0 <= q < self.codebook.n:
-            raise ProtocolViolationError(f"reveal position out of range: {position}")
+            raise ProtocolViolationError(_OUT_OF_RANGE.format(position))
         if outcome not in (1, -1):
             raise ProtocolViolationError(f"reveal outcome must be +1 or -1, got {outcome!r}")
         if self._theirs[q]:
-            counterpart = self.party.counterpart().value
-            raise ProtocolViolationError(f"duplicate reveal of {counterpart} position {position}")
+            counterpart = _RECEIVERS[1 - self.side].value
+            raise ProtocolViolationError(_REPEATED.format(counterpart, position))
         self._theirs[q] = outcome
         self.arrivals.append(q)
 

@@ -9,6 +9,7 @@ derivation checked against itself.
 """
 from __future__ import annotations
 
+import json
 import math
 from itertools import product
 from math import comb
@@ -244,3 +245,57 @@ def decode_view(entries, bob, sonai, noise: float, delta: float, target: float):
     if len(live) == 1 and confidence >= target:
         return ("decoded", *entries[lead][0], confidence, None), alive
     return ("undecided", None, None, confidence, None), alive
+
+
+def read_record_per_line(text: str, n: int):
+    """A public record over ``n`` pairs read one line at a time, each line
+    as ``json.loads`` reads it, in lines as ``str.splitlines`` cuts them:
+    (sides, positions, outcomes, terminal), the reveals as columns in round
+    order (side 0 bob, 1 sonai; outcome +1 or -1) and the terminal line's
+    object or None; or the text of the error for the first line that is
+    malformed or breaks a rule. A reveal's rules, in the order they are
+    tested: integer round and position and an outcome of + or -; a receiver
+    revealing; no terminal line before it; rounds rising by one from 1;
+    positions in 1..n; no (party, position) twice. The terminal line's own
+    fields are taken as read: their rules are the terminal's, not the
+    record's."""
+    sides, positions, outcomes, seen, terminal = [], [], [], set(), None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            return f"line {lineno}: not valid JSON: {exc}"
+        try:
+            if "status" in obj:
+                if terminal is not None:
+                    return f"line {lineno}: transcript already closed"
+                terminal = obj
+                continue
+            outcome = {"+": 1, "-": -1}.get(obj["outcome"], 0)
+            round_, party, position = obj["round"], obj["party"], obj["position"]
+            if type(round_) is not int or type(position) is not int or outcome not in (1, -1):
+                return (f"line {lineno}: malformed record: round {round_!r} and position "
+                        f"{position!r} must be integers, the outcome + or -")
+            side = {"bob": 0, "sonai": 1}.get(party)
+            if side is None and party != "alice":
+                raise ValueError(f"{party!r} is not a valid Party")
+        except (KeyError, ValueError, TypeError) as exc:
+            return f"line {lineno}: malformed record: {exc}"
+        if side is None:
+            return f"line {lineno}: alice is not a receiver and cannot reveal"
+        if terminal is not None:
+            return f"line {lineno}: transcript already closed by a terminal record"
+        if round_ != len(sides) + 1:
+            return (f"line {lineno}: round numbers must increase by one: expected "
+                    f"{len(sides) + 1}, got {round_}")
+        if not 1 <= position <= n:
+            return f"line {lineno}: reveal position out of range: {position}"
+        if (side, position) in seen:
+            return f"line {lineno}: duplicate reveal of {party} position {position}"
+        seen.add((side, position))
+        sides.append(side)
+        positions.append(position)
+        outcomes.append(outcome)
+    return sides, positions, outcomes, terminal

@@ -43,7 +43,14 @@ from entpost.netsim import parse_strategy
 from entpost.rng import KEY_NOISE_BOB, KEY_NOISE_SONAI, KEY_PREPARE, substream
 
 from json_junk import junk_transcripts
-from oracle import decode_view, entry_posterior, merged_ties, passed_check_rank, survival_count
+from oracle import (
+    decode_view,
+    entry_posterior,
+    merged_ties,
+    passed_check_rank,
+    read_record_per_line,
+    survival_count,
+)
 
 REF = reference_codebook()
 
@@ -194,6 +201,12 @@ def parse(text, n=8):
     return Transcript.from_jsonl(io.StringIO(text), n)
 
 
+def append(t, party, position, outcome):
+    """Admit ``party``'s reveal of ``outcome`` at ``position`` to ``t`` as
+    the next round, a run of one."""
+    t.admit([len(t) + 1], [party], [position], [outcome])
+
+
 def reveal_lines(transcript):
     """(party, position, outcome) of each reveal, read from the public lines."""
     records = (json.loads(line) for line in transcript.to_jsonl().splitlines())
@@ -203,8 +216,8 @@ def reveal_lines(transcript):
 
 def test_transcript_round_numbers_must_be_sequential():
     t = Transcript(8)
-    t.append(Party.BOB, 1, 1)
-    t.append(Party.SONAI, 1, -1)
+    append(t, Party.BOB, 1, 1)
+    append(t, Party.SONAI, 1, -1)
     assert [json.loads(line)["round"] for line in t.to_jsonl().splitlines()] == [1, 2]
     first = '{"round":1,"party":"bob","position":1,"outcome":"+"}\n'
     with pytest.raises(ProtocolViolationError, match="line 2: round numbers"):
@@ -213,26 +226,80 @@ def test_transcript_round_numbers_must_be_sequential():
 
 def test_transcript_rejects_duplicate_positions():
     t = Transcript(8)
-    t.append(Party.BOB, 2, 1)
-    t.append(Party.SONAI, 2, -1)
-    with pytest.raises(ProtocolViolationError):
-        t.append(Party.BOB, 2, -1)
+    append(t, Party.BOB, 2, 1)
+    append(t, Party.SONAI, 2, -1)
+    with pytest.raises(ProtocolViolationError, match="^duplicate reveal of bob position 2$"):
+        append(t, Party.BOB, 2, -1)
+    assert len(t) == 2
+    # a run records all of its rows or none: here its third row repeats its
+    # first, and the error names the line given for that row
+    with pytest.raises(ProtocolViolationError, match="^line 9: duplicate reveal of sonai position 3$"):
+        t.admit([3, 4, 5], [Party.SONAI, Party.BOB, Party.SONAI], [3, 3, 3], [1, 1, -1], [7, 8, 9])
+    assert len(t) == 2
+    t.admit([3, 4], [Party.SONAI, Party.BOB], [3, 3], [1, 1])
+    assert len(t) == 4
 
 
 def test_transcript_closes_once():
     t = Transcript(8)
     record = DecodeResult(DecodeStatus.DECODED, 1, 0, 1.0)
     t.close(record)
-    with pytest.raises(ProtocolViolationError):
+    with pytest.raises(ProtocolViolationError, match="^transcript already closed$"):
         t.close(record)
-    with pytest.raises(ProtocolViolationError):
-        t.append(Party.BOB, 1, 1)
+    with pytest.raises(ProtocolViolationError,
+                       match="^transcript already closed by a terminal record$"):
+        append(t, Party.BOB, 1, 1)
+    assert len(t) == 0
+    t.admit([], [], [], [])  # an empty run breaks no rule
+    assert len(t) == 0
+
+
+def test_a_run_names_its_first_breaking_row_and_that_rule():
+    # each rule is a per-row mask: the first row any mask marks is named,
+    # with the first rule it breaks in the order type, party, closed,
+    # round, range, duplicate, whatever the rows after it hold
+    huge = 10**30
+    malformed = "malformed record: round {} and position {} must be integers, the outcome + or -"
+    for rounds, parties, positions, outcomes, message in (
+        ([1, 2, 3], ["bob", "sonai", "bob"], [1, 9, 2.5], [1, 1, 1],
+         "line 2: reveal position out of range: 9"),
+        ([1, 2], ["bob", "alice"], [1, 2.5], [1, 1], "line 2: " + malformed.format(2, 2.5)),
+        ([1, 3], ["bob", "alice"], [1, 2], [1, 1], "line 2: alice is not a receiver and cannot reveal"),
+        ([1, 3], [Party.BOB, "mallory"], [1, 2], [1, -1],
+         "line 2: malformed record: 'mallory' is not a valid Party"),
+        ([1, 2], ["bob", ["bob"]], [1, huge], [1, 1], "line 2: malformed record: unhashable type: 'list'"),
+        ([1, 2], ["bob", "sonai"], [True, 1], [1, 1], "line 1: " + malformed.format(1, True)),
+        ([1, 2], ["bob", "sonai"], [1, 1], [1, 0], "line 2: " + malformed.format(2, 1)),
+        ([1, huge], ["bob", "sonai"], [1, huge], [1, 1],
+         f"line 2: round numbers must increase by one: expected 2, got {huge}"),
+        ([1, 2], ["bob", "sonai"], [1, -huge], [1, 1], f"line 2: reveal position out of range: {-huge}"),
+        ([1, 2, 3], ["bob", "sonai", "sonai"], [1, 4, 4], [1, 1, -1],
+         "line 3: duplicate reveal of sonai position 4"),
+    ):
+        t = Transcript(8)
+        with pytest.raises(ProtocolViolationError, match=f"^{re.escape(message)}$"):
+            t.admit(rounds, parties, positions, outcomes, [1, 2, 3][:len(rounds)])
+        assert len(t) == 0
+
+
+def test_run_session_admits_its_transcript_in_one_call():
+    # the simulator keeps its reveals in plain lists and admits them as one
+    # run just before the terminal line closes the record
+    for strategy in ("honest", "withhold:3", "batchdump"):
+        with mock.patch.object(Transcript, "admit", autospec=True,
+                               side_effect=Transcript.admit) as admits:
+            outcome = run_session(small_config(), (1, 0), {Party.BOB: parse_strategy(strategy)},
+                                  cb=REF)
+        assert admits.call_count == 1, strategy
+        transcript, rounds, *_ = admits.call_args.args
+        assert transcript is outcome.transcript
+        assert list(rounds) == list(range(1, len(transcript) + 1))
 
 
 def test_transcript_jsonl_round_trip():
     t = Transcript(8)
-    t.append(Party.BOB, 3, 1)
-    t.append(Party.SONAI, 5, -1)
+    append(t, Party.BOB, 3, 1)
+    append(t, Party.SONAI, 5, -1)
     t.close(DecodeResult(DecodeStatus.UNDECIDED, None, None, 0.25))
     text = t.to_jsonl()
     assert text == (
@@ -788,7 +855,7 @@ def test_replay_tallies_every_prefix_like_both_receivers(seed, noise, reveal_fir
         for reveal in [None] + reveal_lines(outcome.transcript):
             if reveal is not None:
                 party, position, value = reveal
-                prefix.append(party, position, value)
+                append(prefix, party, position, value)
                 receivers[party.counterpart()].observe_reveal(position, value)
             decode_transcript(cb, prefix, config)
             checks, violations = replay_tallies.pop()
@@ -814,7 +881,7 @@ def test_replay_of_truncated_transcript_is_partial():
     outcome = run_session(config, (0, 0), cb=REF)
     partial = Transcript(REF.n)
     for party, position, value in reveal_lines(outcome.transcript)[:4]:
-        partial.append(party, position, value)
+        append(partial, party, position, value)
     result = decode_transcript(REF, partial, config)
     assert result.status in (DecodeStatus.UNDECIDED, DecodeStatus.DECODED)
 
@@ -838,7 +905,7 @@ def test_the_order_a_book_lists_its_entries_in_never_changes_a_decode(book, nois
         prefix = Transcript(cb.n)
         for reveal in [None] + reveal_lines(outcome.transcript):
             if reveal is not None:
-                prefix.append(*reveal)
+                append(prefix, *reveal)
             expected = decode_transcript(cb, prefix, config)
             for other in relisted:
                 assert decode_transcript(other, prefix, config) == expected
@@ -846,13 +913,13 @@ def test_the_order_a_book_lists_its_entries_in_never_changes_a_decode(book, nois
 
 def test_replay_rejects_duplicate_reveals():
     t = Transcript(8)
-    t.append(Party.BOB, 1, 1)
-    t.append(Party.BOB, 2, -1)
-    with pytest.raises(ProtocolViolationError, match="duplicate"):
-        t.append(Party.BOB, 1, -1)
+    append(t, Party.BOB, 1, 1)
+    append(t, Party.BOB, 2, -1)
+    with pytest.raises(ProtocolViolationError, match="^duplicate reveal of bob position 1$"):
+        append(t, Party.BOB, 1, -1)
     assert len(t) == 2
     text = t.to_jsonl() + '{"round":3,"party":"bob","position":1,"outcome":"-"}\n'
-    with pytest.raises(ProtocolViolationError, match="line 3: duplicate"):
+    with pytest.raises(ProtocolViolationError, match="^line 3: duplicate reveal of bob position 1$"):
         parse(text)
 
 
@@ -938,11 +1005,6 @@ def test_lines_split_and_number_as_splitlines_splits_the_text():
         parse(cut)
 
 
-# The per-line reader alone: the reveal form's alternative never matches, so
-# every line takes the json path, as every line did before runs were read.
-PER_LINE = re.compile(r"(?:(?!)()()()()|.*)\n")
-
-
 def in_written_form(line):
     """Whether ``line`` is a reveal line in the one form ``to_jsonl`` writes."""
     return protocol._LINE.fullmatch(line + "\n")[1] is not None
@@ -954,7 +1016,7 @@ def read_columns(text, n):
         t = parse(text, n)
     except ProtocolViolationError as exc:
         return str(exc)
-    return t._sides, t._positions, t._outcomes, t.terminal
+    return (*t._columns().tolist(), t.terminal and t.terminal.to_json_obj())
 
 
 def respell(line, style):
@@ -1010,13 +1072,14 @@ def test_runs_read_as_the_per_line_path_reads(seed, n, share, other, blank, rule
     # a record mixing written-form lines with other spellings, blank lines
     # and CRLF endings, perhaps breaking one rule somewhere (near the first
     # 64 Ki block edge when at_edge), reads to the same columns and
-    # terminal, or fails with the same text, as the per-line path reads it
+    # terminal, or fails with the same text, as the oracle's per-line
+    # reader reads it
     rnd = random.Random(seed)
     keys = rnd.sample([(party, position) for party in ("bob", "sonai")
                        for position in range(1, n + 1)], round(share * 2 * n))
     t = Transcript(n)
     for party, position in keys:
-        t.append(Party(party), position, rnd.choice((1, -1)))
+        append(t, Party(party), position, rnd.choice((1, -1)))
     terminal = DecodeResult(DecodeStatus.UNDECIDED, None, None, 0.5)
     if closed:
         t.close(terminal)
@@ -1038,30 +1101,49 @@ def test_runs_read_as_the_per_line_path_reads(seed, n, share, other, blank, rule
             pieces.append(rnd.choice(["\n", "  \r\n", "\r\n"]))
         pieces.append(line + rnd.choice(["\n", "\n", "\r\n"]))
     text = "".join(pieces)
-    with mock.patch.object(protocol, "_LINE", PER_LINE):
-        expected = read_columns(text, n)
-    assert read_columns(text, n) == expected
+    assert read_columns(text, n) == read_record_per_line(text, n)
+
+
+def written_record(n):
+    """A complete record over ``n`` pairs, as ``to_jsonl`` writes it."""
+    t = Transcript(n)
+    t.admit(range(1, 2 * n + 1), [Party.BOB, Party.SONAI] * n,
+            [position for position in range(1, n + 1) for _ in range(2)], [1, -1] * n)
+    t.close(DecodeResult.aborted(AbortReason.TIMEOUT))
+    return t.to_jsonl()
 
 
 def test_a_written_record_reads_its_reveals_by_runs():
-    # only the terminal line takes the per-line path, over two 64 Ki blocks
-    t = Transcript(1024)
-    for position in range(1, 1025):
-        t.append(Party.BOB, position, 1)
-        t.append(Party.SONAI, position, -1)
-    t.close(DecodeResult.aborted(AbortReason.TIMEOUT))
-    text = t.to_jsonl()
+    # only the terminal line is parsed as JSON, over two 64 Ki blocks
+    text = written_record(1024)
     assert len(text) > 1 << 16
-    with mock.patch.object(Transcript, "_read_line", autospec=True,
-                           side_effect=Transcript._read_line) as per_line:
+    with mock.patch.object(protocol, "_read_record", side_effect=protocol._read_record) as per_line:
         back = parse(text, 1024)
-    assert [c.args[1] for c in per_line.call_args_list] == [2049]
+    assert [c.args[0] for c in per_line.call_args_list] == [text.splitlines()[2048]]
     assert back.to_jsonl() == text
-    # a run that breaks a rule records nothing: its lines go one by one
+    # a run that breaks a rule records nothing, and the error names its line
     bad = text.replace('{"round":1999,"party":"bob","position":1000,',
                        '{"round":1999,"party":"bob","position":999,')
     with pytest.raises(ProtocolViolationError, match="^line 1999: duplicate reveal of bob position 999$"):
         parse(bad, 1024)
+
+
+def test_a_record_in_two_spellings_reads_a_slice_at_a_time():
+    # every second line respelled, by json.dumps or in another key order,
+    # reads to the same columns and terminal as the written record, with the
+    # rule check run once per slice and once more at the terminal line, not
+    # once per run of written lines
+    text = written_record(1024)
+    expected = read_columns(text, 1024)
+    for respelled in (json.dumps, lambda obj: json.dumps(dict(reversed(obj.items())))):
+        mixed = "".join((respelled(json.loads(line)) if k % 2 else line) + "\n"
+                        for k, line in enumerate(text.splitlines()))
+        with mock.patch.object(Transcript, "_read_lines", autospec=True,
+                               side_effect=Transcript._read_lines) as slices, \
+                mock.patch.object(Transcript, "admit", autospec=True,
+                                  side_effect=Transcript.admit) as checks:
+            assert read_columns(mixed, 1024) == expected
+        assert checks.call_count <= slices.call_count + 1
 
 
 def test_decode_refuses_a_transcript_read_for_another_n():
