@@ -284,7 +284,7 @@ class World:
         self.codebook = cb
         self.agents = agents
         self.transcript = Transcript(cb.n)
-        self.sent: tuple[list, list, list] = ([], [], [])  # parties, positions, outcomes
+        self.reveals: tuple[list, list, list] = ([], [], [])  # parties, positions, outcomes
         self.event_log: list[dict] = []
         self.tick = 0
 
@@ -304,7 +304,7 @@ class World:
         )
 
     def send_reveal(self, party: Party, position: int, outcome: int) -> None:
-        for column, value in zip(self.sent, (party, position, outcome)):
+        for column, value in zip(self.reveals, (party, position, outcome)):
             column.append(value)
         summary = f"{party.value}#{position}:{'+' if outcome == 1 else '-'}"
         self.log(MessageKind.REVEAL, party, party.counterpart(), summary)
@@ -392,7 +392,9 @@ def run_world(world: World) -> SessionOutcome:
         if agent.result is None:
             agent.result = agent.receiver.decode()
     transport_abort = next((a.aborted for a in agents if a.aborted is not None), None)
-    world.transcript.admit(range(1, len(world.sent[0]) + 1), *world.sent)
+    parties, positions, outcomes = world.reveals  # the numbers as int64 columns, tested whole
+    world.transcript.admit(np.arange(1, len(parties) + 1), parties,
+                           np.array(positions, dtype=np.int64), np.array(outcomes, dtype=np.int64))
     world.transcript.close(terminal_record(bob.result, sonai.result, transport_abort))
     return SessionOutcome(
         transcript=world.transcript,

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import compress, count, repeat
-from operator import countOf, is_not, not_, or_
+from operator import is_not, not_, or_
 from typing import IO, Iterator, Sequence
 
 import numpy as np
@@ -224,7 +224,7 @@ class DecodeResult:
 
 
 _RECEIVERS = (Party.BOB, Party.SONAI)
-_SIDES = {party.value: side for side, party in enumerate(_RECEIVERS)}  # Party.BOB finds "bob" too
+_SIDES = {party: side for side, party in enumerate(_RECEIVERS)}  # "bob" finds Party.BOB too
 _OUTCOMES = {"+": 1, "-": -1}
 _MALFORMED = "malformed record: {}"
 _OUT_OF_RANGE = "reveal position out of range: {}"  # a receiver's rules too
@@ -235,14 +235,11 @@ _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines cuts
 # zero and at most 18 digits, far below int()'s digit limit.
 _REVEAL = '{"round":%s,"party":"%s","position":%s,"outcome":"%s"}'
 _NUMBER = "([1-9][0-9]{0,17})"
-_FIELDS = (_NUMBER, "(bob|sonai)", _NUMBER, "([+-])")
-_FORM = re.escape(_REVEAL) % _FIELDS
-# json.dumps's default spelling of the form: a space after each colon and comma
-_SPACED = re.compile(re.escape(_REVEAL).replace(":", ": ").replace(",", ", ") % _FIELDS)
+_FORM = re.escape(_REVEAL) % (_NUMBER, "(bob|sonai)", _NUMBER, "([+-])")
 # one match per line of "\n"-ended text: a line in the reveal form with its four
 # fields, or any other line, whose four fields are empty
 _LINE = re.compile(f"(?:{_FORM}|.*)\n")
-_SLICE = 256  # lines matched at once, which bounds the match tuples and columns held
+_SLICE = 4096  # lines matched at once, which bounds the match tuples and columns held
 
 
 def _line_blocks(fp: IO[str]) -> Iterator[list[str]]:
@@ -327,33 +324,30 @@ class Transcript:
         ``lines`` gives each row's. A row's rules, in order: integer round
         and position, outcome +1 or -1; a receiver reveals; the record is
         open; rounds rise by one from ``len + 1``; positions lie in 1..n; no
-        (party, position) repeats, in the run or before it."""
+        (party, position) repeats, in the run or before it. A number column
+        that is an int64 array is tested whole, any other row by row."""
         size, start = len(rounds), len(self) + 1
-        if not size:
-            return
         try:
             sides = np.fromiter(map(_SIDES.get, parties, repeat(2)), np.int64, size)
         except TypeError:  # an unhashable party, which is no receiver either
             sides = np.array([_SIDES.get(p, 2) if p.__hash__ else 2 for p in parties], np.int64)
-        # an int64 array holds integers; a bool is none
-        ints = [getattr(c, "dtype", None) == np.int64 or {*map(type, c)} <= {int}
-                for c in (rounds, positions)]
-        malformed = False  # unless some number is no integer or outcome not +1 or -1: per row
-        if not all(ints) or countOf(outcomes, 1) + countOf(outcomes, -1) < size:
+        if getattr(outcomes, "dtype", None) == np.int64:  # as replay and the simulator pass it
+            malformed = (outcomes != 1) & (outcomes != -1)
+        else:
             malformed = ~np.fromiter(map((1, -1).__contains__, outcomes), bool, size)
-            for column in compress((rounds, positions), map(not_, ints)):
+        for column in (rounds, positions):  # an int64 array holds integers; a bool is none
+            if getattr(column, "dtype", None) != np.int64:
                 malformed |= np.fromiter(map(is_not, map(type, column), repeat(int)), bool, size)
         try:
             numbers = np.array((rounds, positions), dtype=np.int64).reshape(2, size)
         except (TypeError, ValueError, OverflowError):  # 0 stands for a number no rule admits
             numbers = np.array([[v if type(v) is int and -1 << 63 <= v < 1 << 63 else 0
                                  for v in column] for column in (rounds, positions)], np.int64)
-        keys = (2 * numbers[1] + sides).tolist()
-        repeated = False  # unless some key repeats, in the run or before it: then per row
-        if len(set(keys)) < size or not self._seen.isdisjoint(keys):
-            repeated = np.ones(size, dtype=bool)
-            repeated[np.unique(keys, return_index=True)[1]] = False  # each key's first row
-            repeated |= np.fromiter(map(self._seen.__contains__, keys), bool, size)
+        keys = 2 * numbers[1] + sides
+        repeated = np.ones(size, dtype=bool)  # a key repeats in the run or before it
+        repeated[np.unique(keys, return_index=True)[1]] = False  # each key's first row
+        keys = keys.tolist()
+        repeated |= np.fromiter(map(self._seen.__contains__, keys), bool, size)
         rules = (  # (the rows that break the rule, its message for row i), in the order tested
             (malformed, lambda i: _MALFORMED.format(f"round {rounds[i]!r} and position "
                                                     f"{positions[i]!r} must be integers, "
@@ -366,7 +360,7 @@ class Transcript:
              lambda i: _OUT_OF_RANGE.format(positions[i])),
             (repeated, lambda i: _REPEATED.format(_RECEIVERS[sides[i]].value, positions[i])),
         )
-        broken = functools.reduce(or_, (mask for mask, _ in rules if mask is not False))
+        broken = functools.reduce(or_, (mask for mask, _ in rules))
         if broken.any():
             i = int(broken.argmax())
             message = next(message for mask, message in rules if np.broadcast_to(mask, size)[i])
@@ -377,11 +371,11 @@ class Transcript:
 
     def _read_lines(self, first: int, lines: list[str]) -> None:
         """Admit ``lines``, numbered from ``first``. A line in the ``_REVEAL``
-        form, or in ``_SPACED``'s spelling of it, gives its row's fields from
-        a match, a blank line none, and another reveal the form can spell
-        the fields of that spelling. Any other line ends the run: its rows
-        are admitted first, so an earlier break is the one reported, then
-        the line closes the record, is admitted alone or fails."""
+        form gives its row's fields from a match, a blank line none, and
+        another reveal the form can spell the fields of that spelling. Any
+        other line ends the run: its rows are admitted first, so an earlier
+        break is the one reported, then the line closes the record, is
+        admitted alone or fails."""
         text = "\n".join(lines) + "\n"
         # the fields as strings, each column ended by an empty field that stands for the end
         rounds, parties, positions, outcomes = zip(*_LINE.findall(text), ("",) * 4)
@@ -389,18 +383,16 @@ class Transcript:
         run = ([], [], [], [], [])  # the fields of the rows not yet admitted, and their lines
         i = 0  # the first line not yet read
         for j in compress(count(), map(not_, rounds)):  # each other line, then the end
-            if j > i:
-                for column, read in zip(run, (rounds, parties, positions, outcomes, numbered)):
-                    column += read[i:j]
+            for column, read in zip(run, (rounds, parties, positions, outcomes, numbered)):
+                column += read[i:j]
             i = j + 1
             if j == len(lines):
                 break
-            spaced = _SPACED.fullmatch(lines[j])
             try:
-                record = None if spaced else _read_record(lines[j])
+                record = _read_record(lines[j])
             except ProtocolViolationError as exc:
                 record = exc  # raised once the rows before it are admitted
-            fields = spaced.groups() if spaced else isinstance(record, tuple) and _form_fields(*record)
+            fields = isinstance(record, tuple) and _form_fields(*record)
             if fields:
                 for column, field in zip(run, (*fields, first + j)):
                     column.append(field)
@@ -420,9 +412,10 @@ class Transcript:
     def _admit_fields(self, run: tuple[list, ...]) -> None:
         """Admit the rows whose fields, then lines, ``run`` holds; empty it."""
         rounds, parties, positions, outcomes, lines = run
-        numbers = np.fromstring(" ".join(rounds + positions), dtype=np.int64, sep=" ")
-        self.admit(numbers[:len(lines)], parties, numbers[len(lines):],
-                   list(map(_OUTCOMES.__getitem__, outcomes)), lines)
+        # the numbers, then the outcomes read as +1 and -1
+        text = " ".join(rounds + positions + [""]) + "1 ".join(outcomes + [""])
+        rounds, positions, outcomes = np.fromstring(text, dtype=np.int64, sep=" ").reshape(3, -1)
+        self.admit(rounds, parties, positions, outcomes, lines)
         for column in run:
             column.clear()
 
@@ -541,7 +534,7 @@ class Receiver:
         if outcome not in (1, -1):
             raise ProtocolViolationError(f"reveal outcome must be +1 or -1, got {outcome!r}")
         if self._theirs[q]:
-            counterpart = _RECEIVERS[1 - self.side].value
+            counterpart = self.party.counterpart().value
             raise ProtocolViolationError(_REPEATED.format(counterpart, position))
         self._theirs[q] = outcome
         self.arrivals.append(q)

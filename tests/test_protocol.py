@@ -1128,6 +1128,20 @@ def test_a_written_record_reads_its_reveals_by_runs():
         parse(bad, 1024)
 
 
+def test_a_block_of_more_lines_than_a_slice_reads_as_one_text():
+    # blank lines make one 64 Ki block hold more lines than a slice takes, so
+    # it is read as two slices, whose reveals and line numbers must be those
+    # of the one text
+    lines = written_record(64).splitlines()
+    gap = protocol._SLICE + 100  # the blank lines after line 40
+    text = "\n".join(lines[:40]) + "\n" * (gap + 1) + "\n".join(lines[40:]) + "\n"
+    assert read_columns(text, 64) == read_columns(written_record(64), 64)
+    bad = "\n".join(break_rule(text.splitlines(), 70 + gap, "duplicate of the line before", 64,
+                               None)) + "\n"
+    assert read_columns(bad, 64) == read_record_per_line(bad, 64) == \
+        f"line {71 + gap}: duplicate reveal of sonai position 35"
+
+
 def test_a_record_in_two_spellings_reads_a_slice_at_a_time():
     # every second line respelled, by json.dumps or in another key order,
     # reads to the same columns and terminal as the written record, with the
