@@ -28,7 +28,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import reduce
-from itertools import accumulate, chain, compress, groupby
+from itertools import accumulate, compress, groupby
 from operator import add, itemgetter
 from typing import IO
 
@@ -238,44 +238,47 @@ def _fold_trials(spec: ExperimentSpec, cb: Codebook, trials: range, schedule: _S
     ``build_world`` flips it. All views are folded at once. When nobody
     lies both views are the table, so each trial decodes once for both and
     that decode is its terminal (``terminal_record(r, r) == r``); after a
-    transport abort nothing is decoded. ``decode_block`` gives the trials of
-    one decode key one result object, so ``terminal_record`` runs once per
-    distinct pair of results."""
+    transport abort nothing is decoded. ``decode_block`` gives each trial
+    the index of its result, so ``terminal_record`` runs once per distinct
+    pair of the two receivers' indices."""
     block_seeds = rng_mod.derive_seeds(spec.seed, (rng_mod.KEY_TRIAL,), trials)
     bits = list(map(spec.trial_bits, trials))
     truths = np.fromiter(map(_TRUTH.__getitem__, bits), np.uint8, len(bits))
     survived = np.full((len(bits), len(BIT_PAIR_ORDER)), -1, dtype=np.int8)
     if schedule.abort is not None:  # the terminal is the abort, whatever the receivers hold
-        terminals = [DecodeResult.aborted(schedule.abort)] * len(trials)
+        terminals, which = [DecodeResult.aborted(schedule.abort)], np.zeros(len(bits), np.intp)
     else:
         tables = alice_prepare(block_seeds, spec.noise, bits, cb)
         lies = (spec.strategy_bob.lie, spec.strategy_sonai.lie)
         if not any(lies):
-            terminals, alive = decode_block(cb, spec, tables)
+            terminals, which, alive = decode_block(cb, spec, tables)
             if spec.mode == "soundness":
                 # one view per trial: a cell per wrong entry, in bit-pair order
                 # however the book lists the entries
-                survived[:] = np.fromiter(chain.from_iterable(alive), np.int8, survived.size
-                                          ).reshape(survived.shape)[:, list(cb.bit_pair_order)]
+                survived[:] = alive[:, list(cb.bit_pair_order)]
                 survived[np.arange(len(bits)), truths] = -1
         else:
             views = np.stack((tables, tables), axis=1)  # (trials, receiver, 2, n)
             for side, p in enumerate(lies):
                 if p:  # only the counterpart sees the lies
                     views[:, 1 - side, side][lie_flips(block_seeds, side, p, cb.n)] *= -1
-            results, _ = decode_block(cb, spec, views.reshape(-1, 2, cb.n))
-            pairs = list(zip(results[0::2], results[1::2]))
-            distinct = {(id(a), id(b)): (a, b) for a, b in pairs}
-            terminal_of = {key: terminal_record(a, b) for key, (a, b) in distinct.items()}
-            terminals = [terminal_of[id(a), id(b)] for a, b in pairs]
-    # each distinct terminal once, by value: trials of one decode key share
-    # a result object, and trials of many keys (noisy ones) share a value
-    ids = list(map(id, terminals))
-    slot: dict[DecodeResult, int] = {}
-    slot_of = {key: slot.setdefault(t, len(slot)) for key, t in dict(zip(ids, terminals)).items()}
-    which = np.fromiter(map(slot_of.__getitem__, ids), np.intp, len(ids))
-    return RowBlock(trials, block_seeds, truths, tuple(slot), which, schedule.ticks, schedule.gap,
-                    survived)
+            results, index, _ = decode_block(cb, spec, views.reshape(-1, 2, cb.n))
+            k = len(results)  # a trial's (bob, sonai) pair of result indices, as one integer
+            codes, which = _first_seen((index[0::2] * k + index[1::2]).tolist())
+            terminals = [terminal_record(results[code // k], results[code % k]) for code in codes]
+    # each distinct terminal once, by value: results of many keys (noisy
+    # ones) and terminals of many pairs can share a value
+    distinct, slot = _first_seen(terminals)
+    return RowBlock(trials, block_seeds, truths, tuple(distinct), slot[which], schedule.ticks,
+                    schedule.gap, survived)
+
+
+def _first_seen(keys: Sequence) -> tuple[list, np.ndarray]:
+    """Each distinct item of ``keys`` once, in the order it first appears,
+    and, per item, its index in that list."""
+    slot: dict = {}
+    which = np.fromiter((slot.setdefault(key, len(slot)) for key in keys), np.intp, len(keys))
+    return list(slot), which
 
 
 def _run_chunk(spec: ExperimentSpec, cb: Codebook, start: int, stop: int) -> list[RowBlock]:

@@ -542,7 +542,7 @@ class Receiver:
     @property
     def alive(self) -> list[bool]:
         """Per entry, in codebook order: whether the current view keeps it alive."""
-        return decode_block(self.codebook, self.config, self.table[None])[1][0]
+        return decode_block(self.codebook, self.config, self.table[None])[2][0].tolist()
 
     # -- decoding ----------------------------------------------------------
 
@@ -638,46 +638,34 @@ def _decode_candidates(cb: Codebook, config: ProtocolConfig, kept: Sequence[bool
     return DecodeResult(DecodeStatus.UNDECIDED, None, None, confidence)
 
 
-@functools.cache
-def _leads(order: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(weights, lead, candidates) for entries decoded in ``order``: a set of
-    live entries is coded as ``live @ weights``, one bit per entry, and
-    for each code ``lead`` is its first live entry in ``order`` and
-    ``candidates`` marks the other live ones."""
-    entries = len(order)
-    lead = np.zeros(1 << entries, dtype=np.intp)
-    candidates = np.zeros((1 << entries, entries), dtype=bool)
-    for code in range(1 << entries):
-        live = [i for i in order if code >> i & 1]
-        lead[code] = live[0] if live else 0
-        candidates[code, live[1:]] = True
-    return 1 << np.arange(entries), lead, candidates
-
-
 def _lead_ranks(cb: Codebook, passed: np.ndarray, alive: np.ndarray) -> np.ndarray:
     """(trials, entries): each live entry's survival rank against its
     trial's lead, the first live entry in ``BIT_PAIR_ORDER``, so 0 for the
     lead, and 1, which no rank is, for a dead entry: a trial's row is all
     the noiseless decode rule reads. ``passed`` is the block's fold and
     ``alive`` its ``_alive`` mask."""
-    weights, lead, candidates = _leads(cb.bit_pair_order)
-    code = alive.dot(weights)
-    rows, cands = candidates[code].nonzero()
+    order = np.array(cb.bit_pair_order)
+    live = alive.take(order, axis=1)  # the mask in bit-pair order
+    first = live.argmax(axis=1)  # the lead's place in that order
+    live[np.arange(len(live)), first] = False  # the other live entries are the candidates
+    rows, places = live.nonzero()
     ranks = (~alive).astype(np.intp)
     if len(rows):
-        ranks[rows, cands] = _survival_ranks(cb, passed, rows, cands, lead[code[rows]])
+        cands, refs = order[places], order[first[rows]]
+        ranks[rows, cands] = _survival_ranks(cb, passed, rows, cands, refs)
     return ranks
 
 
 def decode_block(cb: Codebook, config: ProtocolConfig,
-                 tables: np.ndarray) -> tuple[list[DecodeResult], list[list[bool]]]:
-    """Fold and decode a (trials, 2, n) block of tables. Returns each
-    trial's decode result and which entries stayed alive, in codebook
-    order. Both receivers of a complete exchange hold the same table, so one
-    result serves both. The decode rule runs once per distinct key: a
-    trial's ``_lead_ranks`` row noiseless, which also marks its dead
-    entries, and its checks and violations noisy. The trials of one key
-    share its result object."""
+                 tables: np.ndarray) -> tuple[list[DecodeResult], np.ndarray, np.ndarray]:
+    """Fold and decode a (trials, 2, n) block of tables. Returns
+    ``(results, which, alive)``: each distinct decode result once, in the
+    order its key first appears, the index into ``results`` of each trial's
+    result, and the (trials, entries) bool mask of the entries that stayed
+    alive, in codebook order. Both receivers of a complete exchange hold the
+    same table, so one result serves both. The decode rule runs once per
+    distinct key: a trial's ``_lead_ranks`` row noiseless, which also marks
+    its dead entries, and its checks and violations noisy."""
     done, passed = _fold_checks(cb, tables)
     checks = done.sum(axis=-1)
     violations = checks - passed.sum(axis=-1)
@@ -686,15 +674,16 @@ def decode_block(cb: Codebook, config: ProtocolConfig,
     key = np.concatenate((checks, violations), axis=1) if config.noise else ranks
     raw, width = key.tobytes(), key.itemsize * key.shape[1]  # a trial's key: its row's bytes
     kept, ranks, checks, violations = (a.tolist() for a in (alive, ranks, checks, violations))
-    results, memo = [], {}
+    results, memo, which = [], {}, []
     for t, start in enumerate(range(0, len(raw), width)):
         key_t = raw[start:start + width]
-        result = memo.get(key_t)
-        if result is None:
-            result = memo[key_t] = _decode_candidates(cb, config, kept[t], ranks[t], checks[t],
-                                                      violations[t])
-        results.append(result)
-    return results, kept
+        index = memo.get(key_t)
+        if index is None:
+            index = memo[key_t] = len(results)
+            results.append(_decode_candidates(cb, config, kept[t], ranks[t], checks[t],
+                                              violations[t]))
+        which.append(index)
+    return results, np.array(which, dtype=np.intp), alive
 
 
 def decode_transcript(cb: Codebook, transcript: Transcript, config: ProtocolConfig) -> DecodeResult:

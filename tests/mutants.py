@@ -1,11 +1,14 @@
-"""Committed mutants of the public record's rule site.
+"""Committed mutants of the public record's rule site, the decode and the
+noise draw.
 
-Each mutant drops one rule from ``Transcript.admit`` by an exact text edit.
-For each one, this script copies ``src/``, ``tests/`` and ``pyproject.toml``
-to a temporary directory, applies the edit there and runs the named tests
-with ``-x``. It fails if a mutant's tests all pass, since the suite then
-cannot tell the rule is gone, or if a mutant's old text is no longer in its
-file exactly once, so a refactor of the rule site must update this list.
+Each mutant breaks one rule by an exact text edit: a record rule of
+``Transcript.admit``, a site of the block decode, or the noise draw. For
+each one, this script copies ``src/``, ``tests/`` and ``pyproject.toml`` to
+a temporary directory, applies the edit there and runs the named tests with
+``-x``. It fails if a mutant's tests all pass, since the suite then cannot
+tell the rule is broken, or if a mutant's old text is no longer in its file
+exactly once, so a refactor of a mutated site must update this list. The
+named tests must read nothing outside the copy.
 
 Run from anywhere, with the test dependencies installed:
 
@@ -28,6 +31,10 @@ PROTOCOL = "src/entpost/protocol.py"
 # the oracle-backed differential test: the record read a slice at a time
 # against the per-line reader of tests/oracle.py, over every rule break
 DIFFERENTIAL = "tests/test_protocol.py::test_runs_read_as_the_per_line_path_reads"
+# the block decode against tests/oracle.py's per-view decode, over partial
+# views, three books (one listed out of bit-pair order) and every rule, and
+# the rank kernel against union-find
+DECODE_ORACLE = "tests/test_protocol.py::test_block_decode_equals_the_per_trial_oracle"
 
 # (file, exact old text, new text, test node ids)
 MUTANTS = [
@@ -61,6 +68,67 @@ MUTANTS = [
         "repeated |= np.fromiter(map(self._seen.__contains__, keys), bool, size)",
         "pass",
         [DIFFERENTIAL, "tests/test_protocol.py::test_replay_rejects_duplicate_reveals"],
+    ),
+    (  # the rank kernel: a cycle of length L caps its passed checks at L - 1
+        PROTOCOL,
+        "return -np.minimum(hits, excess).sum(axis=1)",
+        "return -np.minimum(hits, excess + 1).sum(axis=1)",
+        [DECODE_ORACLE,
+         "tests/test_protocol.py::test_survival_rank_matches_constraint_graph_oracle"],
+    ),
+    (  # the cycle labels: pointer doubling, not one step at a time
+        "src/entpost/codebook.py",
+        "label, step = np.minimum(label, label[step]), step[step]",
+        "label, step = np.minimum(label, label[step]), step",
+        ["tests/test_codebook.py::test_effective_distance_agrees_with_brute_force_oracle",
+         DECODE_ORACLE],
+    ),
+    (  # the check fold: a private value completes no check, so passes none
+        PROTOCOL,
+        "return product != 0, product < 0",
+        "return product != 0, product <= 0",
+        [DECODE_ORACLE,
+         "tests/test_protocol.py::test_first_decode_answers_for_every_prefix_of_the_arrivals"],
+    ),
+    (  # the violation count: every completed check that did not pass
+        PROTOCOL,
+        "violations = checks - passed.sum(axis=-1)",
+        "violations = checks - passed[..., 1:].sum(axis=-1)",
+        [DECODE_ORACLE,
+         "tests/test_protocol.py::test_truth_entry_survives_every_noiseless_session"],
+    ),
+    (  # the memo's index: a repeated key points at its own first result
+        PROTOCOL,
+        "which.append(index)",
+        "which.append(len(results) - 1)",
+        ["tests/test_montecarlo.py::test_the_decode_and_terminal_rules_run_once_per_key",
+         DECODE_ORACLE],
+    ),
+    (  # the soundness gather: survival cells in bit-pair order, not book order
+        "src/entpost/montecarlo.py",
+        "survived[:] = alive[:, list(cb.bit_pair_order)]",
+        "survived[:] = alive",
+        ["tests/test_montecarlo.py::test_entry_order_of_the_book_never_changes_soundness_rows"],
+    ),
+    (  # the lead pick: a place in bit-pair order is not an entry index
+        PROTOCOL,
+        "cands, refs = order[places], order[first[rows]]",
+        "cands, refs = order[places], first[rows]",
+        [DECODE_ORACLE, "tests/test_protocol.py::"
+         "test_the_order_a_book_lists_its_entries_in_never_changes_a_decode"],
+    ),
+    (  # the candidate clear: the lead ranks 0 against itself, so ranking it
+        # changes no result, only builds the cycles of each (lead, lead) pair
+        PROTOCOL,
+        "live[np.arange(len(live)), first] = False",
+        "pass",
+        ["tests/test_codebook.py::test_a_book_measures_each_pair_once"],
+    ),
+    (  # the noise draw: each delivered outcome flips with chance eps, not 0.8 eps
+        "src/entpost/epr.py",
+        "(words >> np.uint64(11)) * 2.0**-53 < p",
+        "(words >> np.uint64(11)) * 2.0**-53 < 0.8 * p",
+        ["tests/test_noise_law.py::test_the_true_entry_dies_at_the_noisy_abort_law"],
     ),
 ]
 

@@ -158,6 +158,17 @@ def noisy_survival(lengths: list[int], eps: float, delta: float) -> float:
     return sum(p for v, p in enumerate(noisy_violation_law(lengths, eps)) if v <= delta * n)
 
 
+def true_entry_elimination(n: int, eps: float, delta: float) -> float:
+    """Chance the true entry is eliminated over a complete exchange of n
+    checks: each check reads one outcome of each receiver, each flipped
+    with chance ``eps`` on its own, so it is violated with q = 2 eps (1 - eps)
+    independently, and the entry dies when its violations V ~ Binomial(n, q)
+    break ``v <= delta * n``. The sum is exact up to float rounding."""
+    q = 2.0 * eps * (1.0 - eps)
+    return sum(comb(n, v) * q**v * (1.0 - q) ** (n - v) for v in range(n + 1)
+               if not v <= delta * n)
+
+
 def noisy_violation_enumerated(truth_sj: tuple[int, ...], cand_sj: tuple[int, ...],
                                eps: float) -> list[float]:
     """``noisy_violation_law`` by brute force: every orientation and every

@@ -665,3 +665,56 @@ def test_a_session_batch_runs_the_tick_loop_once_per_chunk(monkeypatch, inline_p
     calls.clear()
     run_experiment(ExperimentSpec(mode="honest", n=8, lam=4, seed=3, trials=7), workers=2)
     assert calls == []
+
+
+@pytest.mark.parametrize("noise, delta", [(0.0, 0.0), (0.1, 0.3)])
+def test_the_decode_and_terminal_rules_run_once_per_key(monkeypatch, noise, delta):
+    # decode_block runs the decode rule once per distinct key and returns
+    # each result once, in the order its key first appears, with one index
+    # per table; a lie: block runs terminal_record once per distinct (bob,
+    # sonai) pair of those indices
+    cb = reference_codebook()
+    counted = {"decode": [], "terminal": []}
+    for module, name, tally in ((protocol, "_decode_candidates", "decode"),
+                                (montecarlo, "terminal_record", "terminal")):
+        def spy(*args, rule=getattr(module, name), tally=tally):
+            counted[tally].append(args)
+            return rule(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    config = ProtocolConfig(n=8, lam=4, noise=noise, delta=delta)
+    seeds = [s % 6 for s in range(32)]  # repeated tables, and views of two reveals below
+    tables = alice_prepare(seeds, noise, [(0, 0), (1, 1), (0, 1)] * 10 + [(0, 0)] * 2, cb)
+    tables[20:, 1, 2:] = 0
+    results, which, alive = protocol.decode_block(cb, config, tables)
+    done, passed = protocol._fold_checks(cb, tables)
+    checks = done.sum(axis=-1)
+    violations = checks - passed.sum(axis=-1)
+    ranks = protocol._lead_ranks(cb, passed, protocol._alive(checks, violations, delta))
+    keys = [tuple(row) for row in (np.hstack((checks, violations)) if noise else ranks).tolist()]
+    distinct = list(dict.fromkeys(keys))
+    assert len({table.tobytes() for table in tables}) > len(distinct)  # unequal tables share keys
+    assert len(counted["decode"]) == len(results) == len(distinct)
+    assert which.dtype == np.intp and which.tolist() == [distinct.index(key) for key in keys]
+    assert alive.dtype == bool and alive.shape == (len(tables), len(cb.entries))
+    assert [results[i] for i in which] == [protocol.decode_block(cb, config, table[None])[0][0]
+                                           for table in tables]
+
+    captured, decode_block = [], montecarlo.decode_block
+
+    def keep(*args):
+        captured.append(decode_block(*args))
+        return captured[-1]
+
+    monkeypatch.setattr(montecarlo, "decode_block", keep)
+    spec = ExperimentSpec(mode="session", n=8, lam=4, noise=noise, delta=delta, seed=3, trials=64,
+                          codebook="reference", strategy_sonai=parse_strategy("lie:0.3"))
+    counted["terminal"].clear()
+    block = montecarlo._fold_trials(spec, cb, range(64), montecarlo._Schedule.complete(spec))
+    ((views, index, _),) = captured
+    pairs = list(zip(index[0::2].tolist(), index[1::2].tolist()))
+    assert 1 < len(set(pairs)) < len(pairs) or noise  # noiseless, many trials share a pair
+    assert counted["terminal"] == [(views[a], views[b]) for a, b in dict.fromkeys(pairs)]
+    assert [block.terminals[i] for i in block.which] == [
+        protocol.terminal_record(views[a], views[b]) for a, b in pairs]
+    assert len(set(block.terminals)) == len(block.terminals)

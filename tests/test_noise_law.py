@@ -1,18 +1,22 @@
 """The exact wrong-entry survival law under noise (oracle.noisy_survival):
 checked against brute force, against the noiseless law 2^-d, and against
-the survival rates soundness batches draw through the noise rule."""
+the survival rates soundness batches draw through the noise rule; and the
+noisy abort law of the true entry (oracle.true_entry_elimination) against
+the block decode's alive mask."""
 
 import itertools
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from entpost.codebook import Codebook, effective_distance, make_entry
+from entpost.codebook import Codebook, effective_distance, make_entry, resolve_codebook
 from entpost.montecarlo import ExperimentSpec, run_experiment
+from entpost.protocol import ProtocolConfig, alice_prepare, decode_block
 
 from oracle import (cycle_lengths, noisy_survival, noisy_violation_enumerated,
-                    noisy_violation_law, survival_count)
+                    noisy_violation_law, survival_count, true_entry_elimination)
 
 
 def table_cycle_lengths(cb: Codebook, i: int, j: int) -> list[int]:
@@ -81,3 +85,24 @@ def test_soundness_survival_follows_the_noisy_law(n, lam, eps, delta, seed):
         rate = report.survival_rates[f"{entry.bits[0]}{entry.bits[1]}"]
         assert 0.01 < p < 0.5  # a law that the run can tell apart from 0
         assert abs(rate - p) <= 5.0 * math.sqrt(p * (1.0 - p) / trials), (entry.bits, rate, p)
+
+
+@pytest.mark.parametrize("n, lam, eps, delta", [(16, 6, 0.05, 0.3), (32, 8, 0.1, 0.35),
+                                                (64, 16, 0.1, 0.25)])
+def test_the_true_entry_dies_at_the_noisy_abort_law(n, lam, eps, delta):
+    # the true entry's column of the block decode's alive mask, over 20k
+    # tables drawn by alice_prepare; its elimination moves with eps far more
+    # than wrong-entry survival does, so a noise draw 20% too low (eps
+    # 0.8 eps) lands 10 to 29 standard deviations off in these cases
+    trials, block = 20000, 2000  # blocks bound the noise draw's temporaries
+    cb = resolve_codebook(None, n, lam, n)
+    config = ProtocolConfig(n=n, lam=lam, noise=eps, delta=delta)
+    truth = [entry.bits for entry in cb.entries].index((0, 0))
+    dead = 0
+    for start in range(0, trials, block):
+        tables = alice_prepare(list(range(start, start + block)), eps, [(0, 0)] * block, cb)
+        _, _, alive = decode_block(cb, config, tables)
+        dead += block - np.count_nonzero(alive[:, truth])
+    p = true_entry_elimination(n, eps, delta)
+    assert 0.005 < p < 0.1  # a law that the run can tell apart from 0
+    assert abs(dead / trials - p) <= 5.0 * math.sqrt(p * (1.0 - p) / trials), (dead / trials, p)

@@ -524,8 +524,9 @@ def test_block_decode_equals_the_per_trial_oracle(book, prepare_noise, rule, tar
     config = ProtocolConfig(n=cb.n, lam=cb.lam, noise=eps, delta=delta, confidence_target=target)
     entries = [(entry.bits, entry.s_j) for entry in cb.entries]
     expected = [decode_view(entries, *table.tolist(), eps, delta, target) for table in tables]
-    results, alive = protocol.decode_block(cb, config, tables)
-    assert alive == [kept for _, kept in expected]
+    distinct, which, alive = protocol.decode_block(cb, config, tables)
+    results = [distinct[i] for i in which]
+    assert alive.dtype == bool and alive.tolist() == [kept for _, kept in expected]
     assert results == [DecodeResult(DecodeStatus(status), bob_bit, sonai_bit, confidence,
                                     None if reason is None else AbortReason(reason))
                        for (status, bob_bit, sonai_bit, confidence, reason), _ in expected]
@@ -560,7 +561,8 @@ def test_first_decode_answers_for_every_prefix_of_the_arrivals():
             for q in rng.permutation(n).tolist():
                 receiver.observe_reveal(q + 1, int(table[1 - side, q]))
                 snapshots.append(receiver.table.copy())
-            results, _ = protocol.decode_block(cb, config, np.stack(snapshots))
+            distinct, which, _ = protocol.decode_block(cb, config, np.stack(snapshots))
+            results = [distinct[i] for i in which]
             decoded = [(count, result) for count, result in enumerate(results)
                        if result.status is DecodeStatus.DECODED]
             for count, result in enumerate(results):
