@@ -644,13 +644,13 @@ def _lead_ranks(cb: Codebook, passed: np.ndarray, alive: np.ndarray) -> np.ndarr
     lead, and 1, which no rank is, for a dead entry: a trial's row is all
     the noiseless decode rule reads. ``passed`` is the block's fold and
     ``alive`` its ``_alive`` mask."""
-    order = np.array(cb.bit_pair_order)
-    live = alive.take(order, axis=1)  # the mask in bit-pair order
+    live = alive.take(cb.bit_pair_order, axis=1)  # the mask in bit-pair order
     first = live.argmax(axis=1)  # the lead's place in that order
     live[np.arange(len(live)), first] = False  # the other live entries are the candidates
     rows, places = live.nonzero()
     ranks = (~alive).astype(np.intp)
     if len(rows):
+        order = np.array(cb.bit_pair_order)
         cands, refs = order[places], order[first[rows]]
         ranks[rows, cands] = _survival_ranks(cb, passed, rows, cands, refs)
     return ranks
@@ -673,7 +673,8 @@ def decode_block(cb: Codebook, config: ProtocolConfig,
     ranks = np.zeros_like(checks) if config.noise else _lead_ranks(cb, passed, alive)
     key = np.concatenate((checks, violations), axis=1) if config.noise else ranks
     raw, width = key.tobytes(), key.itemsize * key.shape[1]  # a trial's key: its row's bytes
-    kept, ranks, checks, violations = (a.tolist() for a in (alive, ranks, checks, violations))
+    kept, ranks = alive.tolist(), ranks.tolist()
+    checks, violations = checks.tolist(), violations.tolist()
     results, memo, which = [], {}, []
     for t, start in enumerate(range(0, len(raw), width)):
         key_t = raw[start:start + width]
