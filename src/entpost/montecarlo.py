@@ -263,7 +263,8 @@ def _fold_trials(spec: ExperimentSpec, cb: Codebook, trials: range, schedule: _S
                 if p:  # only the counterpart sees the lies
                     views[:, 1 - side, side][lie_flips(block_seeds, side, p, cb.n)] *= -1
             results, index, _ = decode_block(cb, spec, views.reshape(-1, 2, cb.n))
-            k = len(results)  # a trial's (bob, sonai) pair of result indices, as one integer
+            # a trial's (bob, sonai) pair of result indices, coded as one integer
+            k = len(results)
             codes, which = _first_seen((index[0::2] * k + index[1::2]).tolist())
             terminals = [terminal_record(results[code // k], results[code % k]) for code in codes]
     # each distinct terminal once, by value: results of many keys (noisy

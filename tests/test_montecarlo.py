@@ -709,12 +709,12 @@ def test_the_decode_and_terminal_rules_run_once_per_key(monkeypatch, noise, delt
     monkeypatch.setattr(montecarlo, "decode_block", keep)
     spec = ExperimentSpec(mode="session", n=8, lam=4, noise=noise, delta=delta, seed=3, trials=64,
                           codebook="reference", strategy_sonai=parse_strategy("lie:0.3"))
-    counted["terminal"].clear()
     block = montecarlo._fold_trials(spec, cb, range(64), montecarlo._Schedule.complete(spec))
-    ((views, index, _),) = captured
+    ((view_results, index, _),) = captured
     pairs = list(zip(index[0::2].tolist(), index[1::2].tolist()))
     assert 1 < len(set(pairs)) < len(pairs) or noise  # noiseless, many trials share a pair
-    assert counted["terminal"] == [(views[a], views[b]) for a, b in dict.fromkeys(pairs)]
+    assert counted["terminal"] == [(view_results[a], view_results[b])
+                                   for a, b in dict.fromkeys(pairs)]
     assert [block.terminals[i] for i in block.which] == [
-        protocol.terminal_record(views[a], views[b]) for a, b in pairs]
+        protocol.terminal_record(view_results[a], view_results[b]) for a, b in pairs]
     assert len(set(block.terminals)) == len(block.terminals)
