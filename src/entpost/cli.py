@@ -32,7 +32,7 @@ from .montecarlo import (
     write_report_json,
     write_rows_csv,
 )
-from .netsim import fairness_gap, parse_strategy
+from .netsim import fairness_gap, parse_strategy, run_message, run_session
 from .protocol import (
     DecodeStatus,
     Party,
@@ -40,8 +40,6 @@ from .protocol import (
     ProtocolViolationError,
     Transcript,
     decode_transcript,
-    run_message,
-    run_session,
 )
 from . import rng as rng_mod
 

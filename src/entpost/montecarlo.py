@@ -26,7 +26,7 @@ import os
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import reduce
 from itertools import accumulate, compress, groupby
 from operator import add, itemgetter
@@ -36,9 +36,9 @@ import numpy as np
 
 from . import rng as rng_mod
 from .codebook import BIT_PAIR_ORDER, Codebook, resolve_codebook
-from .netsim import Honest, Strategy, fairness_gap, lie_flips
+from .netsim import Honest, Strategy, fairness_gap, lie_flips, run_session
 from .protocol import (AbortReason, DecodeResult, DecodeStatus, Party, ProtocolConfig,
-                       SessionOutcome, alice_prepare, decode_block, run_session, terminal_record)
+                       alice_prepare, decode_block, terminal_record)
 
 __all__ = [
     "ExperimentSpec",
@@ -53,7 +53,6 @@ __all__ = [
 ]
 
 MODES = ("honest", "session", "soundness")
-_CONFIG_FIELDS = tuple(f.name for f in fields(ProtocolConfig))
 _FOLD_BLOCK = 256  # trials folded at once: bounded memory at any count
 # the soundness row column of each entry, whether it survived a trial it was wrong in
 _SURVIVED = {bits: f"survived_{bits[0]}{bits[1]}" for bits in BIT_PAIR_ORDER}
@@ -111,12 +110,6 @@ class ExperimentSpec(ProtocolConfig):
                                  f"not in {self.mode} mode")
         super().__post_init__()
 
-    def config(self, seed: int) -> ProtocolConfig:
-        """The plain session parameters of one trial, at its own seed."""
-        params = {name: getattr(self, name) for name in _CONFIG_FIELDS}
-        params["seed"] = seed
-        return ProtocolConfig(**params)
-
     def trial_bits(self, trial: int) -> tuple[int, int]:
         if self.bits is not None:
             return self.bits
@@ -125,38 +118,6 @@ class ExperimentSpec(ProtocolConfig):
     def shared_codebook(self) -> Codebook:
         """One public codebook per experiment (see ``resolve_codebook``)."""
         return resolve_codebook(self.codebook, self.n, self.lam, self.seed)
-
-
-@dataclass(frozen=True)
-class _Schedule:
-    """What a session's timing fixes, whatever its data: the transport abort
-    if any, the tick count and the fairness gap. ``Strategy.plan`` reads
-    counters alone, so one schedule serves every trial of a strategy pair
-    and config. A session that does not abort ends with each receiver
-    holding all of the counterpart's published values."""
-
-    abort: AbortReason | None
-    ticks: int
-    gap: int
-
-    @classmethod
-    def complete(cls, config: ProtocolConfig) -> "_Schedule":
-        """Two honest receivers, with a lead of one. At a one-ahead limit of
-        1 they alternate, one reveal a tick, and the last arrives at tick
-        2n + 1; above it both reveal every tick, so it arrives at n + 1."""
-        ticks = 2 * config.n + 1 if config.one_ahead_limit == 1 else config.n + 1
-        return cls(None, ticks, 1)
-
-    @classmethod
-    def of(cls, outcome: SessionOutcome) -> "_Schedule":
-        """The schedule ``outcome`` followed. A decode abort (no consistent
-        entry) depends on the data, so only a timeout is kept."""
-        reason = outcome.terminal.abort_reason
-        return cls(
-            abort=None if reason is AbortReason.NO_CONSISTENT_ENTRY else reason,
-            ticks=outcome.ticks,
-            gap=fairness_gap(outcome.transcript),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,10 +191,12 @@ class Rows(Sequence):
     __hash__ = None
 
 
-def _fold_trials(spec: ExperimentSpec, cb: Codebook, trials: range, schedule: _Schedule) -> RowBlock:
-    """The rows of ``trials`` run on ``schedule``, as one block. Each table
-    is the one ``build_world`` prepares from its trial's own seed, drawn for
-    the whole block at once. A receiver ends holding its own row and the
+def _fold_trials(spec: ExperimentSpec, cb: Codebook, trials: range,
+                 abort: AbortReason | None, ticks: int, gap: int) -> RowBlock:
+    """The rows of ``trials`` run on the schedule ``abort``, ``ticks`` and
+    ``gap`` (see ``_run_chunk``), as one block. Each table is the one
+    ``build_world`` prepares from its trial's own seed, drawn for the whole
+    block at once. A receiver ends holding its own row and the
     counterpart's published one, a liar's flipped at its ``lie_flips`` as
     ``build_world`` flips it. All views are folded at once. When nobody
     lies both views are the table, so each trial decodes once for both and
@@ -245,8 +208,8 @@ def _fold_trials(spec: ExperimentSpec, cb: Codebook, trials: range, schedule: _S
     bits = list(map(spec.trial_bits, trials))
     truths = np.fromiter(map(_TRUTH.__getitem__, bits), np.uint8, len(bits))
     survived = np.full((len(bits), len(BIT_PAIR_ORDER)), -1, dtype=np.int8)
-    if schedule.abort is not None:  # the terminal is the abort, whatever the receivers hold
-        terminals, which = [DecodeResult.aborted(schedule.abort)], np.zeros(len(bits), np.intp)
+    if abort is not None:  # the terminal is the abort, whatever the receivers hold
+        terminals, which = [DecodeResult.aborted(abort)], np.zeros(len(bits), np.intp)
     else:
         tables = alice_prepare(block_seeds, spec.noise, bits, cb)
         lies = (spec.strategy_bob.lie, spec.strategy_sonai.lie)
@@ -270,8 +233,8 @@ def _fold_trials(spec: ExperimentSpec, cb: Codebook, trials: range, schedule: _S
     # each distinct terminal once, by value: results of many keys (noisy
     # ones) and terminals of many pairs can share a value
     distinct, slot = _first_seen(terminals)
-    return RowBlock(trials, block_seeds, truths, tuple(distinct), slot[which], schedule.ticks,
-                    schedule.gap, survived)
+    return RowBlock(trials, block_seeds, truths, tuple(distinct), slot[which], ticks, gap,
+                    survived)
 
 
 def _first_seen(keys: Sequence) -> tuple[list, np.ndarray]:
@@ -283,18 +246,27 @@ def _first_seen(keys: Sequence) -> tuple[list, np.ndarray]:
 
 
 def _run_chunk(spec: ExperimentSpec, cb: Codebook, start: int, stop: int) -> list[RowBlock]:
-    """Blocks of trials start..stop-1, folded _FOLD_BLOCK at a time. A
-    session chunk runs its first trial on the simulator only for the
-    schedule every trial of the chunk is folded on; an honest or soundness
-    chunk folds every trial on the complete exchange."""
+    """Blocks of trials start..stop-1, folded _FOLD_BLOCK at a time on one
+    schedule: the transport abort if any, the tick count and the fairness
+    gap. ``Strategy.plan`` reads counters alone, so one schedule serves
+    every trial of a strategy pair and config. An honest or soundness chunk
+    is the complete exchange of two honest receivers, whose gap is one: at
+    a one-ahead limit of 1 they alternate, one reveal a tick, and the last
+    arrives at tick 2n + 1; above it both reveal every tick, so it arrives
+    at n + 1. A session chunk takes the schedule of its first trial on the
+    simulator, less a decode abort (no consistent entry): that depends on
+    the data."""
     if spec.mode == "session":
         seed = rng_mod.derive_seed(spec.seed, rng_mod.KEY_TRIAL, start)
         strategies = {Party.BOB: spec.strategy_bob, Party.SONAI: spec.strategy_sonai}
-        outcome = run_session(spec.config(seed=seed), spec.trial_bits(start), strategies, cb=cb)
-        schedule = _Schedule.of(outcome)
+        outcome = run_session(replace(spec, seed=seed), spec.trial_bits(start), strategies, cb=cb)
+        reason = outcome.terminal.abort_reason
+        abort = None if reason is AbortReason.NO_CONSISTENT_ENTRY else reason
+        ticks, gap = outcome.ticks, fairness_gap(outcome.transcript)
     else:
-        schedule = _Schedule.complete(spec)
-    return [_fold_trials(spec, cb, range(a, min(a + _FOLD_BLOCK, stop)), schedule)
+        abort, gap = None, 1
+        ticks = 2 * spec.n + 1 if spec.one_ahead_limit == 1 else spec.n + 1
+    return [_fold_trials(spec, cb, range(a, min(a + _FOLD_BLOCK, stop)), abort, ticks, gap)
             for a in range(start, stop, _FOLD_BLOCK)]
 
 
@@ -366,16 +338,14 @@ def _blocks(rows: Sequence[dict]) -> Sequence[RowBlock]:
     blocks = []
     for (ticks, gap), run in groupby(rows, itemgetter("ticks", "fairness_gap")):
         run = list(run)
-        cells = list(map(itemgetter(*_TERMINAL), run))
-        index = {key: i for i, key in enumerate(dict.fromkeys(cells))}
-        terminals = tuple(DecodeResult.from_json_obj(dict(zip(_TERMINAL, key))) for key in index)
+        cells, which = _first_seen(list(map(itemgetter(*_TERMINAL), run)))
+        terminals = tuple(DecodeResult.from_json_obj(dict(zip(_TERMINAL, key))) for key in cells)
         truths = map(_TRUTH.__getitem__, map(itemgetter("truth_bob", "truth_sonai"), run))
         survived = [[-1 if cell is None else int(bool(cell))
                      for cell in map(row.get, _SURVIVED.values())] for row in run]
         blocks.append(RowBlock(
             [row["trial"] for row in run], np.array([row["seed"] for row in run], np.uint64),
-            np.fromiter(truths, np.uint8, len(run)), terminals,
-            np.fromiter(map(index.__getitem__, cells), np.intp, len(run)), ticks, gap,
+            np.fromiter(truths, np.uint8, len(run)), terminals, which, ticks, gap,
             np.array(survived, np.int8).reshape(len(run), len(_SURVIVED))))
     return blocks
 

@@ -1,4 +1,4 @@
-"""Deterministic tick simulator for one session.
+"""Deterministic tick simulator for one session (``run_session``) or message.
 
 Time advances in integer ticks. Every tick runs a delivery phase and then an
 act phase (receivers in a fixed order, bob then sonai). A reveal sent in one
@@ -21,22 +21,23 @@ and place of the first act whose view decoded.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from . import rng as rng_mod
-from .codebook import Codebook
+from .codebook import Codebook, generate_codebook, resolve_codebook
 from .epr import flips
 from .protocol import (
     AbortReason,
     DecodeResult,
+    DecodeStatus,
     Party,
     ProtocolConfig,
+    ProtocolViolationError,
     Receiver,
-    SessionOutcome,
     Transcript,
     alice_prepare,
     terminal_record,
@@ -55,8 +56,11 @@ __all__ = [
     "parse_strategy",
     "ReceiverAgent",
     "World",
+    "SessionOutcome",
     "build_world",
     "run_world",
+    "run_session",
+    "run_message",
     "fairness_gap",
 ]
 
@@ -328,6 +332,23 @@ class World:
             self.agents[party].act(self)
 
 
+@dataclass(eq=False)
+class SessionOutcome:
+    """Everything a finished session leaves behind."""
+
+    transcript: Transcript
+    results: dict[Party, DecodeResult]
+    receivers: dict[Party, Receiver]
+    event_log: list[dict]
+    ticks: int
+    codebook: Codebook
+
+    @property
+    def terminal(self) -> DecodeResult:
+        assert self.transcript.terminal is not None
+        return self.transcript.terminal
+
+
 def build_world(
     config: ProtocolConfig,
     bits: tuple[int, int],
@@ -404,6 +425,59 @@ def run_world(world: World) -> SessionOutcome:
         ticks=world.tick,
         codebook=world.codebook,
     )
+
+
+def run_session(
+    config: ProtocolConfig,
+    bits: tuple[int, int],
+    strategies: dict[Party, Strategy] | None = None,
+    cb: Codebook | None = None,
+) -> SessionOutcome:
+    """Run one complete session on the deterministic network simulator.
+
+    A fresh codebook is generated from the session seed unless one is passed
+    in. Strategies default to honest conduct for both receivers.
+    """
+    if cb is None:
+        cb = resolve_codebook(None, config.n, config.lam, config.seed)
+    return run_world(build_world(config, bits, cb=cb, strategies=strategies))
+
+
+def _parse_bits(text: str) -> tuple[int, ...]:
+    if not text or any(ch not in "01" for ch in text):
+        raise ValueError(f"bit string must be non-empty over 0/1, got {text!r}")
+    return tuple(int(ch) for ch in text)
+
+
+def run_message(
+    bob_msg: str,
+    sonai_msg: str,
+    config: ProtocolConfig,
+    strategies: dict[Party, Strategy] | None = None,
+) -> tuple[list[SessionOutcome], tuple[str, str]]:
+    """Send two equal-length bit strings, one session per bit pair. Block i
+    runs at the seed derived from the config seed at (KEY_BLOCK, i) on a
+    fresh codebook from that address's codebook substream. Returns the
+    sessions and the two messages concatenated from their terminal bits;
+    raises ProtocolViolationError at the first block whose terminal record
+    is not decoded."""
+    bob_bits, sonai_bits = _parse_bits(bob_msg), _parse_bits(sonai_msg)
+    if len(bob_bits) != len(sonai_bits):
+        raise ValueError(f"message lengths differ: {len(bob_bits)} vs {len(sonai_bits)}")
+    outcomes: list[SessionOutcome] = []
+    for index, bits in enumerate(zip(bob_bits, sonai_bits)):
+        cb = generate_codebook(config.n, config.lam, rng_mod.substream(
+            config.seed, rng_mod.KEY_BLOCK, index, rng_mod.KEY_CODEBOOK))
+        block_config = replace(config, seed=rng_mod.derive_seed(config.seed, rng_mod.KEY_BLOCK, index))
+        outcome = run_session(block_config, bits, strategies=strategies, cb=cb)
+        terminal = outcome.terminal
+        if terminal.status is not DecodeStatus.DECODED:
+            reason = terminal.abort_reason.value if terminal.abort_reason else terminal.status.value
+            raise ProtocolViolationError(f"message block {index} did not decode: {reason}")
+        outcomes.append(outcome)
+    bob = "".join(str(outcome.terminal.bob_bit) for outcome in outcomes)
+    sonai = "".join(str(outcome.terminal.sonai_bit) for outcome in outcomes)
+    return outcomes, (bob, sonai)
 
 
 def fairness_gap(transcript: Transcript) -> int:

@@ -15,7 +15,7 @@ import functools
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, count, repeat
 from operator import is_not, not_, or_
@@ -24,7 +24,7 @@ from typing import IO, Iterator, Sequence
 import numpy as np
 
 from . import rng as rng_mod
-from .codebook import Codebook, CodebookEntry, generate_codebook, resolve_codebook
+from .codebook import Codebook, CodebookEntry
 from .epr import flips, sample_blocks
 
 __all__ = [
@@ -36,14 +36,11 @@ __all__ = [
     "DecodeStatus",
     "AbortReason",
     "DecodeResult",
-    "SessionOutcome",
     "alice_prepare",
     "prepared_block_from_signs",
     "decode_block",
     "decode_transcript",
     "terminal_record",
-    "run_session",
-    "run_message",
 ]
 
 
@@ -720,76 +717,3 @@ def terminal_record(
     if agreed:
         return DecodeResult(DecodeStatus.DECODED, res_bob.bob_bit, res_bob.sonai_bit, confidence)
     return DecodeResult(DecodeStatus.UNDECIDED, None, None, confidence)
-
-
-@dataclass(eq=False)
-class SessionOutcome:
-    """Everything a finished session leaves behind."""
-
-    transcript: Transcript
-    results: dict[Party, DecodeResult]
-    receivers: dict[Party, Receiver]
-    event_log: list[dict]
-    ticks: int
-    codebook: Codebook
-
-    @property
-    def terminal(self) -> DecodeResult:
-        assert self.transcript.terminal is not None
-        return self.transcript.terminal
-
-
-def run_session(
-    config: ProtocolConfig,
-    bits: tuple[int, int],
-    strategies: dict[Party, object] | None = None,
-    cb: Codebook | None = None,
-) -> SessionOutcome:
-    """Run one complete session on the deterministic network simulator.
-
-    A fresh codebook is generated from the session seed unless one is passed
-    in. Strategies default to honest conduct for both receivers.
-    """
-    from . import netsim  # session runner sits on top of the simulator
-
-    if cb is None:
-        cb = resolve_codebook(None, config.n, config.lam, config.seed)
-    world = netsim.build_world(config, bits, cb=cb, strategies=strategies)
-    return netsim.run_world(world)
-
-
-def _parse_bits(text: str) -> tuple[int, ...]:
-    if not text or any(ch not in "01" for ch in text):
-        raise ValueError(f"bit string must be non-empty over 0/1, got {text!r}")
-    return tuple(int(ch) for ch in text)
-
-
-def run_message(
-    bob_msg: str,
-    sonai_msg: str,
-    config: ProtocolConfig,
-    strategies: dict[Party, object] | None = None,
-) -> tuple[list[SessionOutcome], tuple[str, str]]:
-    """Send two equal-length bit strings, one session per bit pair. Block i
-    runs at the seed derived from the config seed at (KEY_BLOCK, i) on a
-    fresh codebook from that address's codebook substream. Returns the
-    sessions and the two messages concatenated from their terminal bits;
-    raises ProtocolViolationError at the first block whose terminal record
-    is not decoded."""
-    bob_bits, sonai_bits = _parse_bits(bob_msg), _parse_bits(sonai_msg)
-    if len(bob_bits) != len(sonai_bits):
-        raise ValueError(f"message lengths differ: {len(bob_bits)} vs {len(sonai_bits)}")
-    outcomes: list[SessionOutcome] = []
-    for index, bits in enumerate(zip(bob_bits, sonai_bits)):
-        cb = generate_codebook(config.n, config.lam, rng_mod.substream(
-            config.seed, rng_mod.KEY_BLOCK, index, rng_mod.KEY_CODEBOOK))
-        block_config = replace(config, seed=rng_mod.derive_seed(config.seed, rng_mod.KEY_BLOCK, index))
-        outcome = run_session(block_config, bits, strategies=strategies, cb=cb)
-        terminal = outcome.terminal
-        if terminal.status is not DecodeStatus.DECODED:
-            reason = terminal.abort_reason.value if terminal.abort_reason else terminal.status.value
-            raise ProtocolViolationError(f"message block {index} did not decode: {reason}")
-        outcomes.append(outcome)
-    bob = "".join(str(outcome.terminal.bob_bit) for outcome in outcomes)
-    sonai = "".join(str(outcome.terminal.sonai_bit) for outcome in outcomes)
-    return outcomes, (bob, sonai)

@@ -23,7 +23,7 @@ from entpost.codebook import (
     validate_codebook,
 )
 from entpost.montecarlo import ExperimentSpec, run_experiment
-from entpost.netsim import WithholdAfter, fairness_gap
+from entpost.netsim import WithholdAfter, fairness_gap, run_session
 from entpost.protocol import (
     DecodeStatus,
     Party,
@@ -31,7 +31,6 @@ from entpost.protocol import (
     Receiver,
     decode_transcript,
     prepared_block_from_signs,
-    run_session,
 )
 from entpost.rng import KEY_TRIAL, derive_seed, substream
 

@@ -117,3 +117,17 @@ def test_every_required_span_names_a_traced_member():
             if not (found and owner.__module__ == module.__name__):
                 missing.append(f"{workload.name}: {span}")
     assert missing == []
+
+
+def test_protocol_imports_nothing_from_the_simulator():
+    # modules depend one way: rng, epr, codebook, protocol, netsim,
+    # montecarlo, cli; protocol must not reach up into netsim, neither at
+    # the top of the file nor lazily inside a function
+    tree = ast.parse((ROOT / "src" / "entpost" / "protocol.py").read_text(encoding="utf-8"))
+    imports = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imports += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imports += [node.module or ""] + [f"{node.module or ''}.{alias.name}" for alias in node.names]
+    assert [name for name in imports if "netsim" in name.split(".")] == []

@@ -10,7 +10,7 @@ import random
 import time
 import tracemalloc
 from concurrent.futures import Future
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -26,8 +26,8 @@ from entpost.montecarlo import (
     write_report_json,
     write_rows_csv,
 )
-from entpost.netsim import WithholdAfter, fairness_gap, parse_strategy
-from entpost.protocol import Party, ProtocolConfig, alice_prepare, run_session
+from entpost.netsim import WithholdAfter, fairness_gap, parse_strategy, run_session
+from entpost.protocol import Party, ProtocolConfig, alice_prepare
 from entpost.rng import KEY_TRIAL, derive_seed
 
 
@@ -105,10 +105,12 @@ def test_spec_is_a_protocol_config():
                           reveal_first="sonai", seed=3, one_ahead_limit=2, timeout_ticks=5,
                           trials=7, codebook="reference")
     assert isinstance(spec, ProtocolConfig)
-    config = spec.config(seed=99)
-    assert type(config) is ProtocolConfig
-    assert config == ProtocolConfig(n=8, lam=4, noise=0.05, delta=0.25, reveal_first="sonai",
-                                    seed=99, one_ahead_limit=2, timeout_ticks=5)
+    # a trial's session runs on the spec at the trial's seed
+    trial = replace(spec, seed=99)
+    config = ProtocolConfig(n=8, lam=4, noise=0.05, delta=0.25, reveal_first="sonai",
+                            seed=99, one_ahead_limit=2, timeout_ticks=5)
+    for f in fields(ProtocolConfig):
+        assert getattr(trial, f.name) == getattr(config, f.name), f.name
 
 
 def test_trial_bits_cycles_all_four_by_default():
@@ -202,7 +204,7 @@ def test_honest_driver_matches_full_simulator():
                               reveal_first=opener, one_ahead_limit=one_ahead)
         cb = spec.shared_codebook()
         for trial, row in enumerate(run_experiment(spec)[0]):
-            outcome = run_session(spec.config(seed=row["seed"]), spec.trial_bits(trial), cb=cb)
+            outcome = run_session(replace(spec, seed=row["seed"]), spec.trial_bits(trial), cb=cb)
             terminal = outcome.terminal
             assert row["status"] == terminal.status.value
             assert row["bob_bit"] == terminal.bob_bit
@@ -312,7 +314,7 @@ def test_rows_are_the_dicts_of_one_simulated_session_per_trial(trials):
     cb = spec.shared_codebook()
     expected = _simulator_rows(spec)
     for row in expected:
-        outcome = run_session(spec.config(seed=row["seed"]), spec.trial_bits(row["trial"]), cb=cb)
+        outcome = run_session(replace(spec, seed=row["seed"]), spec.trial_bits(row["trial"]), cb=cb)
         alive = outcome.receivers[Party.BOB].alive
         assert alive == outcome.receivers[Party.SONAI].alive
         for j in cb.bit_pair_order:
@@ -594,7 +596,7 @@ def test_fold_tables_equal_trial_by_trial_preparation(size, seed, start, count, 
     trials = range(start, start + count)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(montecarlo, "alice_prepare", spy)
-        block = montecarlo._fold_trials(spec, cb, trials, montecarlo._Schedule.complete(spec))
+        block = montecarlo._fold_trials(spec, cb, trials, None, 2 * spec.n + 1, 1)
     seeds = [derive_seed(seed, KEY_TRIAL, t) for t in trials]
     assert block.seeds.tolist() == seeds
     # each trial's own substreams, drawn by numpy's own generator
@@ -612,7 +614,7 @@ def _simulator_rows(spec: ExperimentSpec) -> list[dict]:
     for trial in range(spec.trials):
         seed = derive_seed(spec.seed, KEY_TRIAL, trial)
         bits = spec.trial_bits(trial)
-        outcome = run_session(spec.config(seed=seed), bits, strategies, cb=cb)
+        outcome = run_session(replace(spec, seed=seed), bits, strategies, cb=cb)
         t = outcome.terminal
         rows.append(dict(
             trial=trial, seed=seed, truth_bob=bits[0], truth_sonai=bits[1], status=t.status.value,
@@ -709,7 +711,7 @@ def test_the_decode_and_terminal_rules_run_once_per_key(monkeypatch, noise, delt
     monkeypatch.setattr(montecarlo, "decode_block", keep)
     spec = ExperimentSpec(mode="session", n=8, lam=4, noise=noise, delta=delta, seed=3, trials=64,
                           codebook="reference", strategy_sonai=parse_strategy("lie:0.3"))
-    block = montecarlo._fold_trials(spec, cb, range(64), montecarlo._Schedule.complete(spec))
+    block = montecarlo._fold_trials(spec, cb, range(64), None, 2 * spec.n + 1, 1)
     ((view_results, index, _),) = captured
     pairs = list(zip(index[0::2].tolist(), index[1::2].tolist()))
     assert 1 < len(set(pairs)) < len(pairs) or noise  # noiseless, many trials share a pair

@@ -21,6 +21,7 @@ from entpost.netsim import (
     fairness_gap,
     lie_flips,
     parse_strategy,
+    run_session,
     run_world,
 )
 from entpost.protocol import (
@@ -29,7 +30,6 @@ from entpost.protocol import (
     Party,
     ProtocolConfig,
     alice_prepare,
-    run_session,
 )
 from entpost.rng import KEY_LIE_BOB, KEY_LIE_SONAI, substream
 

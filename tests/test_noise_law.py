@@ -2,7 +2,7 @@
 checked against brute force, against the noiseless law 2^-d, and against
 the survival rates soundness batches draw through the noise rule; and the
 noisy abort law of the true entry (oracle.true_entry_elimination) against
-the block decode's alive mask."""
+the block decode's alive mask and the abort rate of whole runs."""
 
 import itertools
 import math
@@ -106,3 +106,33 @@ def test_the_true_entry_dies_at_the_noisy_abort_law(n, lam, eps, delta):
     p = true_entry_elimination(n, eps, delta)
     assert 0.005 < p < 0.1  # a law that the run can tell apart from 0
     assert abs(dead / trials - p) <= 5.0 * math.sqrt(p * (1.0 - p) / trials), (dead / trials, p)
+
+
+@pytest.mark.parametrize("mode", ["honest", "soundness"])
+@pytest.mark.parametrize("n, lam, eps, delta, two_sided", [(16, 6, 0.05, 0.3, False),
+                                                           (32, 8, 0.1, 0.35, False),
+                                                           (64, 16, 0.1, 0.25, True)])
+def test_runs_abort_at_the_noisy_abort_law(mode, n, lam, eps, delta, two_sided):
+    # a trial aborts (no consistent entry) when every entry dies: the true
+    # one at true_entry_elimination, and every wrong one, each of which
+    # survives at its noisy_survival. So the run's abort rate is at most the
+    # law, and at least the law less the wrong entries' summed survival (a
+    # union bound). At n = 64 that sum is about 1e-4, so the test is
+    # two-sided; at the smaller n wrong entries survive often, so an abort
+    # needs more than the true entry dying, and only the upper bound holds
+    trials = 20000
+    spec = ExperimentSpec(mode=mode, n=n, lam=lam, noise=eps, delta=delta, seed=7, trials=trials)
+    _, report = run_experiment(spec)
+    rate = report.abort_counts.get("no_consistent_entry", 0) / trials
+    p = true_entry_elimination(n, eps, delta)
+    sigma = math.sqrt(p * (1.0 - p) / trials)
+    assert 0.005 < p < 0.1  # a law that the run can tell apart from 0
+    assert rate <= p + 5.0 * sigma, (rate, p)
+    if two_sided:
+        cb = spec.shared_codebook()
+        entries = range(len(cb.entries))
+        # the largest sum over the four truths the trials cycle through
+        slack = max(sum(noisy_survival(table_cycle_lengths(cb, i, truth), eps, delta)
+                        for i in entries if i != truth) for truth in entries)
+        assert slack < 1e-3
+        assert rate >= p - slack - 5.0 * sigma, (rate, p, slack)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entpost import protocol
+from entpost import netsim, protocol
 from entpost.codebook import (
     Codebook,
     effective_distance,
@@ -34,12 +34,10 @@ from entpost.protocol import (
     alice_prepare,
     decode_transcript,
     prepared_block_from_signs,
-    run_message,
-    run_session,
     terminal_record,
 )
 from entpost.montecarlo import ExperimentSpec
-from entpost.netsim import parse_strategy
+from entpost.netsim import parse_strategy, run_message, run_session
 from entpost.rng import KEY_NOISE_BOB, KEY_NOISE_SONAI, KEY_PREPARE, substream
 
 from json_junk import junk_transcripts
@@ -1173,7 +1171,7 @@ def test_decode_refuses_a_transcript_read_for_another_n():
 
 def test_message_framing_validation():
     config = ProtocolConfig(n=8, lam=2, seed=3)
-    with mock.patch.object(protocol, "generate_codebook", side_effect=AssertionError):
+    with mock.patch.object(netsim, "generate_codebook", side_effect=AssertionError):
         # refused before any codebook is built
         with pytest.raises(ValueError, match="message lengths differ"):
             run_message("101", "10", config)
