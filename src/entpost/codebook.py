@@ -104,13 +104,15 @@ def validate_sequence(order: Sequence[int], n: int) -> list[Defect]:
 def repair_sequence(order: Sequence[int], n: int) -> tuple[int, ...]:
     """Minimal fix of a defective ordering: every repeated or out-of-range
     slot after a label's first appearance is refilled with the missing labels
-    in ascending order. Valid orderings pass through unchanged."""
+    in ascending order. Valid orderings pass through unchanged. A label is
+    read as ``validate_sequence`` reads it: an int, not a bool, in 1..n."""
     if len(order) != n:
         raise CodebookError(f"cannot repair a length-{len(order)} ordering to n={n}")
     seen: set[int] = set()
     keep: list[int | None] = []
     for label in order:
-        if isinstance(label, int) and 1 <= label <= n and label not in seen:
+        if (isinstance(label, int) and not isinstance(label, bool) and 1 <= label <= n
+                and label not in seen):
             seen.add(label)
             keep.append(label)
         else:

@@ -13,7 +13,11 @@ Pacing reads the config: the opener may run at most ``one_ahead_limit``
 reveals ahead of what it has received; the other receiver stays strictly
 behind the opener by one less. With the default limit of 1 this is exactly
 the alternating schedule. A receiver stalled for ``timeout_ticks``
-consecutive ticks gives up.
+consecutive ticks gives up. The two settle alike: a receiver's stall count
+restarts when it sends and when a reveal reaches it, and a reveal reaches
+the counterpart in the next tick's delivery phase, before it acts. So after
+the last reveal moves both count the same idle ticks and time out in the
+same act phase, and once one finishes the other finishes a tick later at most.
 
 A receiver decodes only when it finishes: its early announce comes from one
 prefix fold when the session ends, written into the event log at the tick
@@ -44,7 +48,6 @@ from .protocol import (
 )
 
 __all__ = [
-    "MessageKind",
     "Action",
     "enforce_fairness",
     "Strategy",
@@ -63,13 +66,6 @@ __all__ = [
     "run_message",
     "fairness_gap",
 ]
-
-
-class MessageKind(str, Enum):
-    DELIVERY = "delivery"
-    REVEAL = "reveal"
-    DECODE_ANNOUNCE = "decode_announce"
-    ABORT = "abort"
 
 
 class Action(Enum):
@@ -264,35 +260,29 @@ class ReceiverAgent:
             self.finished = True
             self.result = self.receiver.decode()
             summary = f"final:{self.result.status.value}"
-            world.log(MessageKind.DECODE_ANNOUNCE, self.party, self.party, summary)
+            world.log("decode_announce", self.party, self.party, summary)
         elif not batch:
             self.waiting += 1
 
     def _abort(self, reason: AbortReason, world: "World") -> None:
         self.aborted = reason
         self.result = DecodeResult.aborted(reason)
-        world.log(MessageKind.ABORT, self.party, self.party, reason.value)
+        world.log("abort", self.party, self.party, reason.value)
 
 
 class World:
     """All session state: agents, the public transcript, the reveals sent,
     which ``run_world`` admits to it in one run at the end, and the log."""
 
-    def __init__(
-        self,
-        config: ProtocolConfig,
-        cb: Codebook,
-        agents: dict[Party, ReceiverAgent],
-    ):
+    def __init__(self, config: ProtocolConfig, agents: dict[Party, ReceiverAgent]):
         self.config = config
-        self.codebook = cb
         self.agents = agents
-        self.transcript = Transcript(cb.n)
+        self.transcript = Transcript(config.n)
         self.reveals: tuple[list, list, list] = ([], [], [])  # parties, positions, outcomes
         self.event_log: list[dict] = []
         self.tick = 0
 
-    def log(self, kind: MessageKind, sender: Party, receiver: Party, summary: str,
+    def log(self, kind: str, sender: Party, receiver: Party, summary: str,
             tick: int | None = None, index: int | None = None) -> None:
         """Append an entry, or write one dated ``tick`` in at ``index``."""
         self.event_log.insert(
@@ -300,7 +290,7 @@ class World:
             {
                 "tick": self.tick if tick is None else tick,
                 "link": "local" if sender is receiver else f"{sender.value}->{receiver.value}",
-                "kind": kind.value,
+                "kind": kind,
                 "sender": sender.value,
                 "receiver": receiver.value,
                 "payload_summary": summary,
@@ -311,7 +301,7 @@ class World:
         for column, value in zip(self.reveals, (party, position, outcome)):
             column.append(value)
         summary = f"{party.value}#{position}:{'+' if outcome == 1 else '-'}"
-        self.log(MessageKind.REVEAL, party, party.counterpart(), summary)
+        self.log("reveal", party, party.counterpart(), summary)
 
     def deliver_phase(self) -> bool:
         """Hand over last tick's reveals: bob's to sonai first, then sonai's
@@ -370,15 +360,15 @@ def build_world(
         receiver = Receiver(party, cb, table[side], config)
         agents[party] = ReceiverAgent(party, receiver, strategy, party is config.reveal_first,
                                       row.tolist())
-    world = World(config, cb, agents)
+    world = World(config, agents)
     # the sender hands each receiver its outcome sequence before the first tick
     for party in (Party.BOB, Party.SONAI):
-        world.log(MessageKind.DELIVERY, Party.ALICE, party, f"outcomes[n={cb.n}]")
+        world.log("delivery", Party.ALICE, party, f"outcomes[n={cb.n}]")
     return world
 
 
 def run_world(world: World) -> SessionOutcome:
-    """Tick until both receivers settle or either aborts."""
+    """Tick until both receivers have finished or both have timed out."""
     bob, sonai = agents = (world.agents[Party.BOB], world.agents[Party.SONAI])
     max_ticks = 4 * world.config.n + world.config.timeout_ticks + 8
     while world.tick < max_ticks:
@@ -386,7 +376,7 @@ def run_world(world: World) -> SessionOutcome:
         logged = len(world.event_log)
         delivered = world.deliver_phase()
         world.act_phase()
-        if any(a.aborted is not None for a in agents) or all(a.finished for a in agents):
+        if all(a.done for a in agents):
             break
         if not delivered and len(world.event_log) == logged:
             # nothing arrived, went out or ended, so each later tick repeats
@@ -408,22 +398,18 @@ def run_world(world: World) -> SessionOutcome:
             early.append((*agent.decode_points[first[0]], act_order, agent.party, first[1]))
     for index, tick, _, party, result in sorted(early, reverse=True):
         summary = f"early:bits={result.bob_bit}{result.sonai_bit}"
-        world.log(MessageKind.DECODE_ANNOUNCE, party, party, summary, tick, index)
-    for agent in agents:
-        if agent.result is None:
-            agent.result = agent.receiver.decode()
-    transport_abort = next((a.aborted for a in agents if a.aborted is not None), None)
+        world.log("decode_announce", party, party, summary, tick, index)
     parties, positions, outcomes = world.reveals  # the numbers as int64 columns, tested whole
     world.transcript.admit(np.arange(1, len(parties) + 1), parties,
                            np.array(positions, dtype=np.int64), np.array(outcomes, dtype=np.int64))
-    world.transcript.close(terminal_record(bob.result, sonai.result, transport_abort))
+    world.transcript.close(terminal_record(bob.result, sonai.result))
     return SessionOutcome(
         transcript=world.transcript,
         results={Party.BOB: bob.result, Party.SONAI: sonai.result},
         receivers={Party.BOB: bob.receiver, Party.SONAI: sonai.receiver},
         event_log=world.event_log,
         ticks=world.tick,
-        codebook=world.codebook,
+        codebook=bob.receiver.codebook,
     )
 
 

@@ -395,9 +395,10 @@ class Transcript:
                     column.append(field)
             elif record is not None:
                 self._admit_fields(run)
-                if isinstance(record, tuple):  # a reveal the form cannot spell
+                if isinstance(record, tuple):
+                    # a reveal the form cannot spell breaks a rule (type,
+                    # party, round or range), so admit raises for it
                     self.admit(*zip(record), [first + j])
-                    continue
                 try:
                     if isinstance(record, ProtocolViolationError):
                         raise record
@@ -693,19 +694,13 @@ def decode_transcript(cb: Codebook, transcript: Transcript, config: ProtocolConf
     return decode_block(cb, config, transcript.table()[None])[0][0]
 
 
-def terminal_record(
-    res_bob: DecodeResult,
-    res_sonai: DecodeResult,
-    transport_abort: AbortReason | None = None,
-) -> DecodeResult:
-    """Session outcome from both receivers' results. A transport abort wins,
-    then the first decode abort in act order (bob, then sonai); otherwise the
+def terminal_record(res_bob: DecodeResult, res_sonai: DecodeResult) -> DecodeResult:
+    """Session outcome from both receivers' results. The first abort in act
+    order (bob, then sonai) wins, a timeout or a decode abort; otherwise the
     session decodes only when both receivers decoded the same bits."""
-    reason = transport_abort
-    if reason is None:
-        reason = next(
-            (r.abort_reason for r in (res_bob, res_sonai) if r.status is DecodeStatus.ABORT), None
-        )
+    reason = next(
+        (r.abort_reason for r in (res_bob, res_sonai) if r.status is DecodeStatus.ABORT), None
+    )
     if reason is not None:
         return DecodeResult.aborted(reason)
     confidence = min(res_bob.confidence, res_sonai.confidence)

@@ -1,11 +1,11 @@
-"""Committed mutants of the public record's rule site, the decode and the
-noise draw.
+"""Committed mutants of the public record's rule site, the decode, the
+simulator's settle rule and the noise draw.
 
 Each mutant breaks one rule by an exact text edit: a record rule of
-``Transcript.admit``, a site of the block decode, or the noise draw. For
-each one, this script copies ``src/``, ``tests/`` and ``pyproject.toml`` to
-a temporary directory, applies the edit there and runs the named tests with
-``-x``. It fails if a mutant's tests all pass, since the suite then cannot
+``Transcript.admit``, a site of the block decode, the stall count that makes
+both receivers time out in one tick, or the noise draw. For each one, this
+script copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory, applies the edit there and runs the named tests with ``-x``. It fails if a mutant's tests all pass, since the suite then cannot
 tell the rule is broken, or if a mutant's old text is no longer in its file
 exactly once, so a refactor of a mutated site must update this list. The
 named tests must read nothing outside the copy.
@@ -138,6 +138,13 @@ MUTANTS = [
         "live[np.arange(len(live)), first] = False",
         "pass",
         ["tests/test_codebook.py::test_a_book_measures_each_pair_once"],
+    ),
+    (  # the one settle event: sonai's stall count grows by two a tick, so it
+        # times out alone, ahead of bob
+        "src/entpost/netsim.py",
+        "self.waiting += 1",
+        "self.waiting += 1 + (self.party is Party.SONAI)",
+        ["tests/test_netsim.py::test_both_receivers_settle_in_one_event"],
     ),
     (  # the noise draw: each delivered outcome flips with chance eps, not 0.8 eps
         "src/entpost/epr.py",

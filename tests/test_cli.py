@@ -18,6 +18,7 @@ from entpost.codebook import (
     save_codebook,
 )
 from entpost.montecarlo import ExperimentSpec, StatsReport, aggregate_rows, read_rows_csv
+from entpost.netsim import run_message
 from entpost.protocol import ProtocolConfig, ProtocolViolationError, Transcript
 
 from json_junk import junk_transcripts
@@ -177,6 +178,20 @@ def test_message_mode(capsys):
     assert out.count("block ") == 3
 
 
+def test_message_mode_writes_one_transcript_per_block(tmp_path, capsys):
+    # --out X writes X.block0, X.block1, ...: each block's record, as
+    # run_message gives it at the same seed
+    argv = ["run", "--bob-msg", "10", "--sonai-msg", "01", "--seed", "1"]
+    code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "X"))
+    assert code == EXIT_OK
+    config = _config_from_args(build_parser().parse_args(argv), seed=1)
+    outcomes, _ = run_message("10", "01", config)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["X.block0", "X.block1"]
+    for index, outcome in enumerate(outcomes):
+        written = (tmp_path / f"X.block{index}").read_bytes()
+        assert written == outcome.transcript.to_jsonl().encode()
+
+
 def test_message_mode_rejects_single_session_flags(tmp_path, capsys):
     events = tmp_path / "ev.jsonl"
     for flag, value in (("--codebook", str(tmp_path / "absent.json")),
@@ -225,8 +240,10 @@ def test_codebook_gen_and_validate(tmp_path, capsys):
 
 def test_codebook_gen_impossible_request_is_a_usage_error(tmp_path, capsys):
     # (2, 4) asks for more than any two orderings reach; (3, 2) is refused
-    # only once the rejection limit runs out
-    for n, lam, message in (("2", "4", "never exceeds"), ("3", "2", "cannot hold")):
+    # only once the rejection limit runs out; an n or lambda of 0 at once
+    for n, lam, message in (("2", "4", "never exceeds"), ("3", "2", "cannot hold"),
+                            ("0", "4", "n must be at least 1"),
+                            ("8", "0", "lam must be at least 1")):
         code, _, err = run_cli(capsys, "codebook", "gen", "--n", n, "--lambda", lam,
                                "--seed", "1", "--out", str(tmp_path / "never.json"))
         assert code == EXIT_USAGE

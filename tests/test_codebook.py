@@ -188,17 +188,27 @@ def test_validate_sequence_reports_range_and_length():
 
 def test_repair_keeps_first_appearances_and_fills_ascending():
     assert repair_sequence(REFERENCE_RAW_FOURTH, 8) == (5, 3, 8, 2, 6, 1, 7, 4)
+    fixed = repair_sequence([True, 2, 3, 4], 4)  # True == 1, but it is no label
+    assert fixed == (1, 2, 3, 4) and type(fixed[0]) is int
 
 
-@settings(max_examples=100)
-@given(st.lists(st.integers(min_value=1, max_value=6), min_size=6, max_size=6))
+# orderings of length 0..6 over in-range and out-of-range ints, a bool, a
+# float equal to a label and an int too large for any array
+ORDERINGS = st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.one_of(st.integers(-1, n + 1), st.sampled_from([True, 1.0, 10**30])),
+    min_size=n, max_size=n))
+
+
+@settings(max_examples=200)
+@given(ORDERINGS)
 def test_repair_always_yields_a_permutation(raw):
-    fixed = repair_sequence(tuple(raw), 6)
-    assert sorted(fixed) == list(range(1, 7))
-    # first appearance of every in-range label is kept in place
+    n = len(raw)
+    fixed = repair_sequence(tuple(raw), n)
+    assert validate_sequence(fixed, n) == []
+    # the first appearance of every label validate_sequence accepts is kept in place
     seen = set()
     for i, label in enumerate(raw):
-        if 1 <= label <= 6 and label not in seen:
+        if type(label) is int and 1 <= label <= n and label not in seen:
             seen.add(label)
             assert fixed[i] == label
 
@@ -268,9 +278,7 @@ def test_entry_with_defective_sequence_has_no_pairing():
 
 
 @settings(max_examples=200)
-@given(st.integers(0, 6).flatmap(lambda n: st.lists(
-    st.one_of(st.integers(-1, n + 1), st.sampled_from([True, 1.0, 10**30])),
-    min_size=n, max_size=n)))
+@given(ORDERINGS)
 def test_partner_arrays_refuse_exactly_what_validate_sequence_flags(s_j):
     # the one permutation check and the describer agree on every ordering
     try:

@@ -26,10 +26,12 @@ from entpost.netsim import (
 )
 from entpost.protocol import (
     AbortReason,
+    DecodeResult,
     DecodeStatus,
     Party,
     ProtocolConfig,
     alice_prepare,
+    terminal_record,
 )
 from entpost.rng import KEY_LIE_BOB, KEY_LIE_SONAI, substream
 
@@ -514,3 +516,30 @@ def test_each_delivery_hands_over_exactly_what_the_counterpart_sent(strategy, op
                     sender.published[:sender.sent]
             assert moved == ([len(a.receiver.arrivals) for a in agents] != before)
             world.act_phase()
+
+
+# -- one settle event ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("opener", ("bob", "sonai"))
+@pytest.mark.parametrize("strategy", PINNED_STRATEGIES)
+def test_both_receivers_settle_in_one_event(strategy, opener):
+    # a session ends alike for both receivers: both finish, or both time out
+    # in its last tick; so the terminal rule reads the two results alone
+    timed_out = DecodeResult.aborted(AbortReason.TIMEOUT)
+    for one_ahead, timeout, (n, lam, cb) in itertools.product(
+        (1, 2), (1, 2, 16), PINNED_SIZES.values()
+    ):
+        config = ProtocolConfig(n=n, lam=lam, confidence_target=0.9, reveal_first=opener,
+                                seed=29, one_ahead_limit=one_ahead, timeout_ticks=timeout)
+        outcome = run_session(config, (1, 0), strategies=PINNED_STRATEGIES[strategy], cb=cb)
+        finals = [e["sender"] for e in outcome.event_log
+                  if e["payload_summary"].startswith("final:")]
+        aborts = [(e["sender"], e["tick"]) for e in outcome.event_log if e["kind"] == "abort"]
+        if finals:
+            assert sorted(finals) == ["bob", "sonai"] and aborts == []
+        else:
+            assert aborts == [("bob", outcome.ticks), ("sonai", outcome.ticks)]
+            assert list(outcome.results.values()) == [timed_out, timed_out]
+        assert terminal_record(outcome.results[Party.BOB], outcome.results[Party.SONAI]) == \
+            outcome.terminal

@@ -335,8 +335,13 @@ def test_transcript_parse_errors_carry_line_numbers():
         '{"round":2,"party":"bob","position":1,"outcome":1}',
         '{"round":2,"party":"bob","position":1,"outcome":["+"]}',
         '{"round":2,"party":"bob","position":1,"outcome":null}',
+        # reveals the written form cannot spell: each breaks a rule of admit
+        '{"round":0,"party":"bob","position":1,"outcome":"+"}',
+        '{"round":2,"party":"bob","position":1000000000000000000,"outcome":"+"}',
+        '{"round":2,"party":"alice","position":1,"outcome":"+"}',
+        '{"round":1.0,"party":"bob","position":1,"outcome":"+"}',
     ):
-        with pytest.raises(ProtocolViolationError, match="line 2"):
+        with pytest.raises(ProtocolViolationError, match="^line 2: "):
             parse(first + line)
     with pytest.raises(ProtocolViolationError, match="line 1"):  # true == 1, but not an integer
         parse('{"round":true,"party":"bob","position":1,"outcome":"+"}')
